@@ -57,9 +57,11 @@ from .otto import (
 from .closed_form import (
     ClosedFormReport,
     cs_efficiency_closed,
+    cs_efficiency_value,
     cs_partition_closed,
     cs_weighted_energy_sum,
     ring_efficiency_closed,
+    ring_efficiency_value,
     ring_partition_closed,
     ring_weighted_energy_sum,
 )
@@ -102,9 +104,11 @@ __all__ = [
     "sweep_efficiency",
     "ClosedFormReport",
     "cs_efficiency_closed",
+    "cs_efficiency_value",
     "cs_partition_closed",
     "cs_weighted_energy_sum",
     "ring_efficiency_closed",
+    "ring_efficiency_value",
     "ring_partition_closed",
     "ring_weighted_energy_sum",
 ]

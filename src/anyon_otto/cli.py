@@ -242,35 +242,37 @@ def _cycle_spec(cfg: _RunConfig, fallback: dict | None = None) -> OttoCycleSpec:
 
 
 def _closed_form_residual(spec: OttoCycleSpec, efficiency: float, cfg: _RunConfig):
-    """Residual between the summation efficiency and its closed form, if any."""
+    """Residual of the closed-form efficiency against ``efficiency``, if any.
+
+    ``efficiency`` is the caller's run_cycle result for ``spec``: the same
+    oracle ``cf.*_efficiency_closed`` would compute, so it is not run twice.
+    """
     from .special_functions import SumAccuracy
 
     acc = SumAccuracy(rel_tol=cfg.get("rel_tol", 1e-12))
     try:
         if spec.medium == "ring":
-            rep = cf.ring_efficiency_closed(
+            value = cf.ring_efficiency_value(
                 spec.control_hot,
                 spec.control_cold,
                 spec.beta_h,
                 spec.beta_l,
                 spec.eps0,
-                spec.tail_tol,
                 acc,
             )
-            return rep.rel_residual
-        if spec.medium == "cs-coupling":
-            rep = cf.cs_efficiency_closed(
+        elif spec.medium == "cs-coupling":
+            value = cf.cs_efficiency_value(
                 spec.control_cold,
                 spec.control_hot,
                 spec.beta_h,
                 spec.beta_l,
                 spec.cs_length,
-                spec.tail_tol,
                 acc,
             )
-            return rep.rel_residual
-        analytic = efficiency_cs_volume(spec.control_cold, spec.control_hot)
-        return abs(efficiency - analytic) / max(abs(analytic), 1e-300)
+        else:
+            analytic = efficiency_cs_volume(spec.control_cold, spec.control_hot)
+            return cf.relative_residual(efficiency, analytic)
+        return cf.relative_residual(value, efficiency)
     except AnyonOttoError:
         return None
 

@@ -7,9 +7,13 @@ Every quantity here has two independent evaluation routes:
 * a brute-force route (direct lattice summation or the full cycle runner)
   that never touches a theta identity.
 
-Both are always computed and shipped together in a ClosedFormReport with
-their relative residual, so the equivalence is certified point by point;
-there is no fast path that skips the oracle.
+Every public ``*_closed`` / ``*_sum`` function computes both and ships them
+together in a ClosedFormReport with their relative residual, so the
+equivalence is certified point by point.  The efficiencies also come as
+oracle-free value functions (``ring_efficiency_value``,
+``cs_efficiency_value``) for a caller that already holds the oracle: the CLI
+runs the cycle once per point and measures the closed-form value against that
+same report, so the oracle is computed once per point, never skipped.
 
 The central identity: with x = exp(2 lam gamma), q = exp(-lam) and the
 series T_w = sum n^w q^(n^2) x^n (full lattice or n >= 0),
@@ -36,6 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateCycle, DomainError
 from .otto import OttoCycleSpec, run_cycle
 from .special_functions import (
@@ -56,11 +62,14 @@ __all__ = [
     "partial_theta_weighted",
     "ring_weighted_energy_sum",
     "ring_partition_closed",
+    "ring_efficiency_value",
     "ring_efficiency_closed",
     "cs_partition_closed",
     "cs_partition_parity_terms",
     "cs_weighted_energy_sum",
+    "cs_efficiency_value",
     "cs_efficiency_closed",
+    "relative_residual",
 ]
 
 VARIANT_REDERIVED = "rederived"
@@ -81,12 +90,16 @@ class ClosedFormReport:
     formula_variant: str
 
 
+def relative_residual(value: float, oracle: float) -> float:
+    """|value - oracle| / |oracle|, with |oracle| floored at 1e-300."""
+    return float(abs(value - oracle) / max(abs(oracle), _TINY))
+
+
 def _report(value: float, oracle: float, variant: str) -> ClosedFormReport:
-    residual = abs(value - oracle) / max(abs(oracle), _TINY)
     return ClosedFormReport(
         value=float(value),
         oracle_value=float(oracle),
-        rel_residual=float(residual),
+        rel_residual=relative_residual(value, oracle),
         formula_variant=variant,
     )
 
@@ -189,15 +202,25 @@ def ring_weighted_energy_sum(
     gamma = alpha_boltz, c = alpha_weight; oracle by direct weighted
     summation (gauss_sum_full, weight 2).
     """
+    value = _ring_weighted_value(alpha_weight, alpha_boltz, beta, eps0, acc, variant)
+    oracle = eps0 * gauss_sum_full(beta * eps0, alpha_boltz, alpha_weight, 2, acc)
+    return _report(value, oracle, variant)
+
+
+def _ring_weighted_value(
+    alpha_weight: float,
+    alpha_boltz: float,
+    beta: float,
+    eps0: float,
+    acc: SumAccuracy,
+    variant: str,
+) -> float:
     _check_variant(variant)
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if not eps0 > 0.0:
         raise DomainError(f"eps0 must be positive, got {eps0}")
-    lam = beta * eps0
-    value = eps0 * _weighted_closed(lam, alpha_boltz, alpha_weight, False, variant, acc)
-    oracle = eps0 * gauss_sum_full(lam, alpha_boltz, alpha_weight, 2, acc)
-    return _report(value, oracle, variant)
+    return eps0 * _weighted_closed(beta * eps0, alpha_boltz, alpha_weight, False, variant, acc)
 
 
 def ring_partition_closed(
@@ -214,17 +237,53 @@ def ring_partition_closed(
     (no exponential, no factor 2) and fail the oracle; they also require
     alpha > 0 since theta3 needs a positive first argument.
     """
+    value = _ring_partition_value(alpha, beta, eps0, acc, variant)
+    oracle = partition_function(RingAnyonSpectrum(eps0=eps0, alpha=alpha), beta, tail_tol)
+    return _report(value, oracle, variant)
+
+
+def _ring_partition_value(
+    alpha: float, beta: float, eps0: float, acc: SumAccuracy, variant: str
+) -> float:
     _check_variant(variant)
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     lam = beta * eps0
     q = math.exp(-lam)
     if variant == VARIANT_REDERIVED:
-        value = math.exp(-lam * alpha * alpha) * theta3(math.exp(2.0 * lam * alpha), q, acc)
-    else:
-        value = math.exp(-lam * alpha * alpha) * theta3(lam * alpha, q, acc)
-    oracle = partition_function(RingAnyonSpectrum(eps0=eps0, alpha=alpha), beta, tail_tol)
-    return _report(value, oracle, variant)
+        return math.exp(-lam * alpha * alpha) * theta3(math.exp(2.0 * lam * alpha), q, acc)
+    return math.exp(-lam * alpha * alpha) * theta3(lam * alpha, q, acc)
+
+
+def ring_efficiency_value(
+    alpha_h: float,
+    alpha_l: float,
+    beta_h: float,
+    beta_l: float,
+    eps0: float = 1.0,
+    acc: SumAccuracy = DEFAULT_ACCURACY,
+    variant: str = VARIANT_REDERIVED,
+) -> float:
+    """Ring-engine efficiency from theta closed forms alone (no oracle).
+
+    eta = 1 - [U(l,h)/Z_h - U(l,l)/Z_l] / [U(h,h)/Z_h - U(h,l)/Z_l] with
+    U(k, j) the energy sum weighted by the spectrum at alpha_k and Boltzmann
+    factors of the spectrum at alpha_j, taken at that reservoir's beta.
+    """
+    _check_variant(variant)
+    if alpha_h == alpha_l:
+        raise DegenerateCycle("alpha_h == alpha_l: numerator equals denominator")
+
+    def u(aw: float, ab: float, beta: float) -> float:
+        return _ring_weighted_value(aw, ab, beta, eps0, acc, variant)
+
+    z_h = _ring_partition_value(alpha_h, beta_h, eps0, acc, variant)
+    z_l = _ring_partition_value(alpha_l, beta_l, eps0, acc, variant)
+    num = u(alpha_l, alpha_h, beta_h) / z_h - u(alpha_l, alpha_l, beta_l) / z_l
+    den = u(alpha_h, alpha_h, beta_h) / z_h - u(alpha_h, alpha_l, beta_l) / z_l
+    if abs(den) < _TINY * max(1.0, eps0):
+        raise DegenerateCycle("closed-form denominator vanishes")
+    return 1.0 - num / den
 
 
 def ring_efficiency_closed(
@@ -237,27 +296,8 @@ def ring_efficiency_closed(
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
 ) -> ClosedFormReport:
-    """Ring-engine efficiency from theta closed forms, oracle = run_cycle.
-
-    eta = 1 - [U(l,h)/Z_h - U(l,l)/Z_l] / [U(h,h)/Z_h - U(h,l)/Z_l] with
-    U(k, j) the energy sum weighted by the spectrum at alpha_k and Boltzmann
-    factors of the spectrum at alpha_j, taken at that reservoir's beta.
-    """
-    _check_variant(variant)
-    if alpha_h == alpha_l:
-        raise DegenerateCycle("alpha_h == alpha_l: numerator equals denominator")
-
-    def u(aw: float, ab: float, beta: float) -> float:
-        return ring_weighted_energy_sum(aw, ab, beta, eps0, acc, variant).value
-
-    z_h = ring_partition_closed(alpha_h, beta_h, eps0, tail_tol, acc, variant).value
-    z_l = ring_partition_closed(alpha_l, beta_l, eps0, tail_tol, acc, variant).value
-    num = u(alpha_l, alpha_h, beta_h) / z_h - u(alpha_l, alpha_l, beta_l) / z_l
-    den = u(alpha_h, alpha_h, beta_h) / z_h - u(alpha_h, alpha_l, beta_l) / z_l
-    if abs(den) < _TINY * max(1.0, eps0):
-        raise DegenerateCycle("closed-form denominator vanishes")
-    value = 1.0 - num / den
-
+    """``ring_efficiency_value`` checked against its oracle, run_cycle."""
+    value = ring_efficiency_value(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant)
     oracle = run_cycle(
         OttoCycleSpec.ring_cycle(alpha_h, alpha_l, beta_h, beta_l, eps0, tail_tol)
     ).efficiency
@@ -348,6 +388,21 @@ def cs_weighted_energy_sum(
     DomainError; it is kept only so the validation suite can name it.
     Oracle: direct double sum over the enumerated level set.
     """
+    value = _cs_weighted_value(alpha_weight, alpha_boltz, beta, L, acc, variant)
+    levels = enumerate_levels(CSPairSpectrum(L=L, alpha=alpha_boltz), beta, tail_tol)
+    weights = CSPairSpectrum(L=L, alpha=alpha_weight).energies(*levels.labels.T)
+    oracle = float((weights * np.exp(-beta * levels.energies)).sum())
+    return _report(value, oracle, variant)
+
+
+def _cs_weighted_value(
+    alpha_weight: float,
+    alpha_boltz: float,
+    beta: float,
+    L: float,
+    acc: SumAccuracy,
+    variant: str,
+) -> float:
     _check_variant(variant)
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
@@ -368,27 +423,53 @@ def cs_weighted_energy_sum(
         ) + _plain_closed(c4, -0.5, False, acc) * _weighted_closed(
             c4, (ab - 1.0) / 2.0, (aw - 1.0) / 2.0, True, variant, acc
         )
-        value = 4.0 * unit * (even + odd)
-    else:
-        # printed assembly: products of two weight-2 factors with decay rates
-        # -beta pi^2/L^2 and -4 beta pi^2/L^2 (non-positive; cannot converge)
-        chi1_even = _weighted_closed(-beta * unit, 0.0, 0.0, False, variant, acc)
-        chi2_even = _weighted_closed(-c4, ab / 2.0, aw / 2.0, True, variant, acc)
-        chi1_odd = _weighted_closed(-c4, -0.5, -0.5, False, variant, acc)
-        chi2_odd = _weighted_closed(
-            -c4, (ab + 1.0) / 2.0, (aw + 1.0) / 2.0, True, variant, acc
-        )
-        value = 4.0 * unit * (4.0 * chi1_even * chi2_even) + unit * (
-            4.0 * chi1_odd * chi2_odd
-        )
+        return 4.0 * unit * (even + odd)
+    # printed assembly: products of two weight-2 factors with decay rates
+    # -beta pi^2/L^2 and -4 beta pi^2/L^2 (non-positive; cannot converge)
+    chi1_even = _weighted_closed(-beta * unit, 0.0, 0.0, False, variant, acc)
+    chi2_even = _weighted_closed(-c4, ab / 2.0, aw / 2.0, True, variant, acc)
+    chi1_odd = _weighted_closed(-c4, -0.5, -0.5, False, variant, acc)
+    chi2_odd = _weighted_closed(-c4, (ab + 1.0) / 2.0, (aw + 1.0) / 2.0, True, variant, acc)
+    return 4.0 * unit * (4.0 * chi1_even * chi2_even) + unit * (4.0 * chi1_odd * chi2_odd)
 
-    boltz_spec = CSPairSpectrum(L=L, alpha=ab)
-    weight_spec = CSPairSpectrum(L=L, alpha=aw)
-    levels = enumerate_levels(boltz_spec, beta, tail_tol)
-    oracle = 0.0
-    for label, energy in zip(levels.labels, levels.energies):
-        oracle += weight_spec.energy(*label) * math.exp(-beta * energy)
-    return _report(value, oracle, variant)
+
+def cs_efficiency_value(
+    alpha1: float,
+    alpha2: float,
+    beta_h: float,
+    beta_l: float,
+    L: float = 1.0,
+    acc: SumAccuracy = DEFAULT_ACCURACY,
+    variant: str = VARIANT_REDERIVED,
+) -> float:
+    """Variable-coupling pair-engine efficiency from the theta closed forms alone.
+
+    Heat intake happens at coupling alpha2, rejection at alpha1, so with
+    X(w, b, beta) = sum E(w) exp(-beta E(b)) and Z(b, beta):
+
+        eta = 1 - [X(a1,a2,bh)/Z(a2,bh) - X(a1,a1,bl)/Z(a1,bl)]
+                / [X(a2,a2,bh)/Z(a2,bh) - X(a2,a1,bl)/Z(a1,bl)]
+
+    (the alpha1 weight in the numerator, alpha2 in the denominator).
+    """
+    _check_variant(variant)
+    if alpha1 == alpha2:
+        raise DegenerateCycle("alpha1 == alpha2: numerator equals denominator")
+
+    def x(aw: float, ab: float, beta: float) -> float:
+        return _cs_weighted_value(aw, ab, beta, L, acc, variant)
+
+    def z(alpha: float, beta: float) -> float:
+        even, odd = cs_partition_parity_terms(alpha, beta, L, acc, variant)
+        return even + odd
+
+    z_h = z(alpha2, beta_h)
+    z_l = z(alpha1, beta_l)
+    num = x(alpha1, alpha2, beta_h) / z_h - x(alpha1, alpha1, beta_l) / z_l
+    den = x(alpha2, alpha2, beta_h) / z_h - x(alpha2, alpha1, beta_l) / z_l
+    if abs(den) < _TINY:
+        raise DegenerateCycle("closed-form denominator vanishes")
+    return 1.0 - num / den
 
 
 def cs_efficiency_closed(
@@ -401,32 +482,8 @@ def cs_efficiency_closed(
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
 ) -> ClosedFormReport:
-    """Variable-coupling pair-engine efficiency from the theta closed forms.
-
-    Heat intake happens at coupling alpha2, rejection at alpha1, so with
-    X(w, b, beta) = sum E(w) exp(-beta E(b)) and Z(b, beta):
-
-        eta = 1 - [X(a1,a2,bh)/Z(a2,bh) - X(a1,a1,bl)/Z(a1,bl)]
-                / [X(a2,a2,bh)/Z(a2,bh) - X(a2,a1,bl)/Z(a1,bl)]
-
-    (the alpha1 weight in the numerator, alpha2 in the denominator).
-    Oracle: run_cycle on the cs-coupling medium.
-    """
-    _check_variant(variant)
-    if alpha1 == alpha2:
-        raise DegenerateCycle("alpha1 == alpha2: numerator equals denominator")
-
-    def x(aw: float, ab: float, beta: float) -> float:
-        return cs_weighted_energy_sum(aw, ab, beta, L, tail_tol, acc, variant).value
-
-    z_h = cs_partition_closed(alpha2, beta_h, L, tail_tol, acc, variant).value
-    z_l = cs_partition_closed(alpha1, beta_l, L, tail_tol, acc, variant).value
-    num = x(alpha1, alpha2, beta_h) / z_h - x(alpha1, alpha1, beta_l) / z_l
-    den = x(alpha2, alpha2, beta_h) / z_h - x(alpha2, alpha1, beta_l) / z_l
-    if abs(den) < _TINY:
-        raise DegenerateCycle("closed-form denominator vanishes")
-    value = 1.0 - num / den
-
+    """``cs_efficiency_value`` checked against its oracle, run_cycle on cs-coupling."""
+    value = cs_efficiency_value(alpha1, alpha2, beta_h, beta_l, L, acc, variant)
     oracle = run_cycle(
         OttoCycleSpec.cs_coupling_cycle(alpha1, alpha2, beta_h, beta_l, L, tail_tol)
     ).efficiency

@@ -37,14 +37,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateCycle, DomainError
-from .spectra import CSPairSpectrum, RingAnyonSpectrum
+from .errors import AnyonOttoError, DegenerateCycle, DomainError
+from .spectra import (
+    CSPairSpectrum,
+    RingAnyonSpectrum,
+    frozen_array,
+    label_columns,
+    label_keys,
+    require_finite,
+)
 from .thermo import (
     DEFAULT_TAIL_TOL,
     adiabat_path,
     gibbs,
     heat_work_split,
     linear_isochore_path,
+    populations_entropy,
 )
 
 __all__ = [
@@ -92,6 +100,16 @@ class OttoCycleSpec:
     def __post_init__(self):
         if self.medium not in MEDIA:
             raise DomainError(f"medium must be one of {MEDIA}, got {self.medium!r}")
+        require_finite(
+            beta_h=self.beta_h,
+            beta_l=self.beta_l,
+            control_hot=self.control_hot,
+            control_cold=self.control_cold,
+            eps0=self.eps0,
+            cs_alpha=self.cs_alpha,
+            cs_length=self.cs_length,
+            tail_tol=self.tail_tol,
+        )
         if not self.beta_h > 0.0:
             raise DomainError(f"beta_h must be positive, got {self.beta_h}")
         if self.beta_h > self.beta_l:
@@ -191,13 +209,16 @@ class OttoCycleSpec:
         return self.spectrum_at(self.control_cold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycleReport:
     """Outcome of one cycle over the common (union) label set.
 
-    ``efficiency`` is the raw ratio 1 - Q_out/Q_in; interpret it through
-    ``regime``.  ``oracle_residual`` is filled in by callers that also
-    evaluate a closed-form efficiency for the same cycle.
+    ``labels`` is the label-ascending int64 union of both ensembles' labels,
+    shape (N,) or (N, 2) as in ``LevelSet``; the energy and population fields
+    are read-only float64 arrays in that order.  ``efficiency`` is the raw
+    ratio 1 - Q_out/Q_in; interpret it through ``regime``.
+    ``oracle_residual`` is filled in by callers that also evaluate a
+    closed-form efficiency for the same cycle.
     """
 
     q_in: float
@@ -205,31 +226,35 @@ class CycleReport:
     w_out: float
     efficiency: float
     regime: str
-    labels: tuple
-    energies_hot: tuple
-    energies_cold: tuple
-    populations_b: tuple
-    populations_a: tuple
+    labels: np.ndarray
+    energies_hot: np.ndarray
+    energies_cold: np.ndarray
+    populations_b: np.ndarray
+    populations_a: np.ndarray
     oracle_residual: Optional[float] = None
 
 
-def _labelwise(ensemble, spec, labels):
-    """Energies and Boltzmann-consistent populations for an arbitrary label list."""
-    index = {lab: i for i, lab in enumerate(ensemble.levels.labels)}
-    e0 = ensemble.ground_energy
-    z_shifted = ensemble.shifted_z
-    beta = ensemble.beta
+def _labelwise(ensemble, spec, labels, where):
+    """Energies and Boltzmann-consistent populations on the union label array.
+
+    ``where`` gives the position in ``labels`` of each level the ensemble
+    retained; those take the ensemble's energies and populations.  The
+    other labels are evaluated from ``spec`` with the ensemble's Boltzmann
+    factor, through math.exp: its rounding is what these populations have
+    always carried, and np.exp rounds differently in the last bit.
+    """
     energies = np.empty(len(labels))
     pops = np.empty(len(labels))
-    for k, lab in enumerate(labels):
-        i = index.get(lab)
-        if i is not None:
-            energies[k] = ensemble.levels.energies[i]
-            pops[k] = ensemble.populations[i]
-        else:
-            e = spec.energy(*lab) if isinstance(lab, tuple) else spec.energy(lab)
-            energies[k] = e
-            pops[k] = math.exp(-beta * (e - e0)) / z_shifted
+    energies[where] = ensemble.levels.energies
+    pops[where] = ensemble.populations
+    missing = np.ones(len(labels), dtype=bool)
+    missing[where] = False
+    if missing.any():
+        e_missing = spec.energies(*label_columns(labels[missing]))
+        exponents = -ensemble.beta * (e_missing - ensemble.ground_energy)
+        boltzmann = np.fromiter(map(math.exp, exponents.tolist()), float, len(exponents))
+        energies[missing] = e_missing
+        pops[missing] = boltzmann / ensemble.shifted_z
     return energies, pops
 
 
@@ -238,9 +263,12 @@ def _cycle_table(spec: OttoCycleSpec):
     cold_spec = spec.spectrum_cold()
     ens_b = gibbs(hot_spec, spec.beta_h, spec.tail_tol)
     ens_a = gibbs(cold_spec, spec.beta_l, spec.tail_tol)
-    labels = sorted(set(ens_b.levels.labels) | set(ens_a.levels.labels))
-    e_hot, p_b = _labelwise(ens_b, hot_spec, labels)
-    e_cold, p_a = _labelwise(ens_a, cold_spec, labels)
+    both = np.concatenate((ens_b.levels.labels, ens_a.levels.labels))
+    _, first, where = np.unique(label_keys(both), return_index=True, return_inverse=True)
+    labels = both[first]
+    n_b = len(ens_b.levels.labels)
+    e_hot, p_b = _labelwise(ens_b, hot_spec, labels, where[:n_b])
+    e_cold, p_a = _labelwise(ens_a, cold_spec, labels, where[n_b:])
     return labels, e_hot, e_cold, p_b, p_a
 
 
@@ -276,11 +304,11 @@ def run_cycle(spec: OttoCycleSpec) -> CycleReport:
         w_out=w_out,
         efficiency=1.0 - q_out / q_in,
         regime=regime,
-        labels=tuple(labels),
-        energies_hot=tuple(float(e) for e in e_hot),
-        energies_cold=tuple(float(e) for e in e_cold),
-        populations_b=tuple(float(p) for p in p_b),
-        populations_a=tuple(float(p) for p in p_a),
+        labels=frozen_array(labels),
+        energies_hot=frozen_array(e_hot),
+        energies_cold=frozen_array(e_cold),
+        populations_b=frozen_array(p_b),
+        populations_a=frozen_array(p_a),
     )
 
 
@@ -319,11 +347,6 @@ class StrokeReport:
         raise KeyError(name)
 
 
-def _entropy_of(populations: np.ndarray) -> float:
-    nz = populations > 0.0
-    return float(-(populations[nz] * np.log(populations[nz])).sum())
-
-
 def cycle_strokes(spec: OttoCycleSpec, steps_per_stroke: int = 1000) -> StrokeReport:
     """Discretize the four strokes and return per-stroke heat and work.
 
@@ -334,20 +357,9 @@ def cycle_strokes(spec: OttoCycleSpec, steps_per_stroke: int = 1000) -> StrokeRe
     cycle's output work is minus the summed adiabat work.
     """
     labels, e_hot, e_cold, p_b, p_a = _cycle_table(spec)
-    if spec.medium == "ring":
-        n_arr = np.asarray(labels, dtype=float)
-    else:
-        n1_arr = np.asarray([lab[0] for lab in labels], dtype=float)
-        n2_arr = np.asarray([lab[1] for lab in labels], dtype=float)
-
-    def energies_at(control: float) -> np.ndarray:
-        s = spec.spectrum_at(control)
-        if spec.medium == "ring":
-            return s.energies(n_arr)
-        return s.energies(n1_arr, n2_arr)
-
+    columns = label_columns(labels)
     controls = np.linspace(spec.control_hot, spec.control_cold, steps_per_stroke + 1)
-    grids_fwd = [energies_at(float(cv)) for cv in controls]
+    grids_fwd = [spec.spectrum_at(float(cv)).energies(*columns) for cv in controls]
     grids_bwd = grids_fwd[::-1]
 
     iso_ab = linear_isochore_path(e_hot, p_a, p_b, steps_per_stroke)
@@ -365,8 +377,8 @@ def cycle_strokes(spec: OttoCycleSpec, steps_per_stroke: int = 1000) -> StrokeRe
         q, w = heat_work_split(path)
         strokes.append(StrokeResult(name=name, heat=q, work=w))
 
-    s_b = _entropy_of(np.asarray(p_b))
-    s_a = _entropy_of(np.asarray(p_a))
+    s_b = populations_entropy(p_b)
+    s_a = populations_entropy(p_a)
     return StrokeReport(
         strokes=tuple(strokes),
         entropy_a=s_a,
@@ -420,8 +432,9 @@ def sweep_efficiency(
 ) -> list:
     """Run one cycle per grid value of the named parameter.
 
-    Rows keep the input order.  A failing point (degenerate cycle, domain
-    violation) is recorded in its row and does not abort the sweep.
+    Rows keep the input order.  A failing point (any AnyonOttoError, such as
+    a degenerate cycle, a domain violation or an enumeration that does not
+    converge) is recorded in its row and does not abort the sweep.
     """
     try:
         field = _AXIS_FIELDS[template.medium][sweep_axis]
@@ -435,7 +448,7 @@ def sweep_efficiency(
         try:
             cycle_spec = dataclasses.replace(template, **{field: float(value)})
             rows.append(SweepRow(value=float(value), report=run_cycle(cycle_spec)))
-        except (DomainError, DegenerateCycle, ValueError) as exc:
+        except (AnyonOttoError, ValueError) as exc:
             rows.append(
                 SweepRow(
                     value=float(value),

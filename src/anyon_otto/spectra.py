@@ -15,7 +15,8 @@ Two one-parameter spectra are provided, in natural units hbar = m = kB = 1:
 ``enumerate_levels`` truncates either family to a finite LevelSet whose
 omitted Boltzmann weight (measured relative to the ground state) is bounded
 analytically, and which is downward closed: no omitted level lies below any
-returned one.
+returned one.  Level sets hold integer label arrays: shape (N,) of n for the
+ring, shape (N, 2) of (n1, n2) rows for the pair.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ _RING_WINDOW_CAP = 1_000_000
 _CS_WINDOW_CAP = 1_500
 
 
+def require_finite(**values) -> None:
+    """Raise DomainError naming the first keyword argument that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RingAnyonSpectrum:
     """Flux-ring anyon levels E_n = eps0 (n - alpha)^2, n in Z.
@@ -58,11 +66,15 @@ class RingAnyonSpectrum:
     alpha: float = 0.0
 
     def __post_init__(self):
+        require_finite(eps0=self.eps0, alpha=self.alpha)
         if not self.eps0 > 0.0:
             raise DomainError(f"eps0 must be positive, got {self.eps0}")
 
     def energy(self, n: int) -> float:
-        return self.eps0 * (n - self.alpha) ** 2
+        # Squared by multiplication, as numpy squares in ``energies``: a
+        # level's energy must not depend on which of the two computed it.
+        d = n - self.alpha
+        return self.eps0 * (d * d)
 
     def energies(self, n: np.ndarray) -> np.ndarray:
         return self.eps0 * (np.asarray(n, dtype=float) - self.alpha) ** 2
@@ -81,6 +93,7 @@ class CSPairSpectrum:
     alpha: float
 
     def __post_init__(self):
+        require_finite(L=self.L, alpha=self.alpha)
         if not self.L > 0.0:
             raise DomainError(f"L must be positive, got {self.L}")
         if self.alpha < 0.0:
@@ -103,9 +116,40 @@ class CSPairSpectrum:
         )
 
 
-@dataclass(frozen=True)
+def frozen_array(values, dtype=None) -> np.ndarray:
+    """``values`` as a read-only ndarray (no copy when it already is one)."""
+    arr = np.asarray(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+def label_columns(labels: np.ndarray) -> tuple:
+    """The quantum-number columns of a label array, as ``spec.energies`` takes them.
+
+    (n,) for ring labels of shape (N,); (n1, n2) for pair labels of shape (N, 2).
+    """
+    return tuple(labels.reshape(len(labels), -1).T)
+
+
+# Pair keys pack n1 and n2 into one int64, each offset into [0, 2^31); the
+# enumeration caps keep every quantum number far inside that range.
+_KEY_OFFSET = 1 << 30
+
+
+def label_keys(labels: np.ndarray) -> np.ndarray:
+    """One int64 per label whose ascending order is the labels' lexicographic order."""
+    if labels.ndim == 1:
+        return labels
+    return ((labels[:, 0] + _KEY_OFFSET) << 32) | (labels[:, 1] + _KEY_OFFSET)
+
+
+@dataclass(frozen=True, eq=False)
 class LevelSet:
-    """A truncated, energy-ascending list of labeled levels.
+    """A truncated, energy-ascending array of labeled levels.
+
+    ``labels`` is an int64 array, shape (N,) of n for the ring and (N, 2) of
+    (n1, n2) rows for the pair; ``energies`` is the float64 array of shape
+    (N,).  Equal energies are ordered by label.  Both arrays are read-only.
 
     ``tail_bound`` certifies the truncation for the inverse temperature the
     set was built for: it bounds sum over omitted levels of
@@ -113,12 +157,14 @@ class LevelSet:
     meaningful at large beta, where the unshifted weights underflow.)
     """
 
-    labels: tuple
-    energies: tuple
+    labels: np.ndarray
+    energies: np.ndarray
     tail_bound: float
     beta: float
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", frozen_array(self.labels, np.int64))
+        object.__setattr__(self, "energies", frozen_array(self.energies, np.float64))
         if len(self.labels) != len(self.energies):
             raise DomainError("labels and energies must have equal length")
         if self.tail_bound < 0.0:
@@ -150,10 +196,11 @@ def pauli_energy(N: int, omega: float) -> float:
 
 
 def _sorted_level_set(labels, energies, tail_bound, beta) -> LevelSet:
-    order = sorted(range(len(labels)), key=lambda i: (energies[i], labels[i]))
+    # np.lexsort sorts by its last key first: energy, then n1, then n2.
+    order = np.lexsort(label_columns(labels)[::-1] + (energies,))
     return LevelSet(
-        labels=tuple(labels[i] for i in order),
-        energies=tuple(float(energies[i]) for i in order),
+        labels=labels[order],
+        energies=energies[order],
         tail_bound=float(tail_bound),
         beta=float(beta),
     )
@@ -194,9 +241,7 @@ def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> Level
         dropped = float(np.exp(-beta * (energies[~keep] - e_min)).sum())
         tail = (_exp_round_up(log_tail) + dropped) * _CERT_SLACK
         if tail <= tail_tol:
-            return _sorted_level_set(
-                [int(n) for n in ns[keep]], energies[keep], tail, beta
-            )
+            return _sorted_level_set(ns[keep], energies[keep], tail, beta)
         K *= 2
 
 
@@ -218,11 +263,10 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> LevelSet:
             raise NoConvergence(
                 f"pair window exceeded K={_CS_WINDOW_CAP} at tail_tol={tail_tol:g}"
             )
-        rng = np.arange(-K, K + 1)
-        n1g, n2g = np.meshgrid(rng, rng, indexing="ij")
-        mask = n1g <= n2g
-        n1 = n1g[mask]
-        n2 = n2g[mask]
+        # Pairs n1 <= n2 in row-major order, without the full square grid.
+        n1, n2 = np.triu_indices(2 * K + 1)
+        n1 -= K
+        n2 -= K
         energies = spec.energies(n1, n2)
         e_min = float(energies.min())
 
@@ -241,7 +285,7 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> LevelSet:
         dropped = float(np.exp(-beta * (energies[~keep] - e_min)).sum())
         tail = (_exp_round_up(log_tail) + dropped) * _CERT_SLACK
         if tail <= tail_tol:
-            labels = [(int(a), int(b)) for a, b in zip(n1[keep], n2[keep])]
+            labels = np.column_stack((n1[keep], n2[keep]))
             return _sorted_level_set(labels, energies[keep], tail, beta)
         K *= 2
 
@@ -255,6 +299,7 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
     closed in energy.  Levels come back energy-ascending, degeneracies as
     separate labeled entries.
     """
+    require_finite(beta=beta, tail_tol=tail_tol)
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if not tail_tol > 0.0:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .spectra import LevelSet, enumerate_levels
+from .spectra import LevelSet, enumerate_levels, frozen_array
 
 __all__ = [
     "GibbsEnsemble",
@@ -34,6 +34,7 @@ __all__ = [
     "gibbs",
     "partition_function",
     "entropy",
+    "populations_entropy",
     "heat_work_split",
     "gibbs_isochore_path",
     "linear_isochore_path",
@@ -43,10 +44,11 @@ __all__ = [
 DEFAULT_TAIL_TOL = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GibbsEnsemble:
     """Thermal state on a truncated level set.
 
+    ``populations`` is a read-only float64 array in the level set's order.
     ``logZ`` refers to the unshifted energies: logZ = log(sum exp(-beta E)).
     Populations are normalized over the retained levels only; the level set's
     tail bound certifies what that truncation can cost.
@@ -54,14 +56,14 @@ class GibbsEnsemble:
 
     levels: LevelSet
     beta: float
-    populations: tuple
+    populations: np.ndarray
     logZ: float
     internal_energy: float
     entropy: float
 
     @property
     def ground_energy(self) -> float:
-        return self.levels.energies[0]
+        return float(self.levels.energies[0])
 
     @property
     def shifted_z(self) -> float:
@@ -73,22 +75,20 @@ def ensemble_from_levels(levels: LevelSet, beta: float) -> GibbsEnsemble:
     """Build the Gibbs state for an already enumerated level set."""
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    energies = np.asarray(levels.energies, dtype=float)
+    energies = levels.energies
     if energies.size == 0:
         raise DomainError("cannot build an ensemble on an empty level set")
     e0 = energies[0]
     weights = np.exp(-beta * (energies - e0))
     z_shifted = float(weights.sum())
     populations = weights / z_shifted
-    nonzero = populations > 0.0
-    ent = float(-(populations[nonzero] * np.log(populations[nonzero])).sum())
     return GibbsEnsemble(
         levels=levels,
         beta=float(beta),
-        populations=tuple(float(p) for p in populations),
+        populations=frozen_array(populations),
         logZ=math.log(z_shifted) - beta * e0,
         internal_energy=float(populations @ energies),
-        entropy=max(ent, 0.0),
+        entropy=max(populations_entropy(populations), 0.0),
     )
 
 
@@ -105,16 +105,20 @@ def partition_function(spec, beta: float, tail_tol: float = DEFAULT_TAIL_TOL) ->
     the ground state for range, then rescaled).
     """
     levels = enumerate_levels(spec, beta, tail_tol)
-    energies = np.asarray(levels.energies, dtype=float)
+    energies = levels.energies
     e0 = energies[0]
     return float(np.exp(-beta * (energies - e0)).sum() * math.exp(-beta * e0))
 
 
+def populations_entropy(populations: np.ndarray) -> float:
+    """Von Neumann entropy -sum P ln P of a populations array (0 ln 0 = 0)."""
+    nz = populations > 0.0
+    return float(-(populations[nz] * np.log(populations[nz])).sum())
+
+
 def entropy(ensemble: GibbsEnsemble) -> float:
     """Von Neumann entropy -sum P ln P of the ensemble's populations (0 ln 0 = 0)."""
-    p = np.asarray(ensemble.populations, dtype=float)
-    nz = p > 0.0
-    return float(-(p[nz] * np.log(p[nz])).sum())
+    return populations_entropy(ensemble.populations)
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ def gibbs_isochore_path(
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
     levels = enumerate_levels(spec, min(beta_start, beta_end), tail_tol)
-    energies = np.asarray(levels.energies, dtype=float)
+    energies = levels.energies
     e0 = energies[0]
     e_tuple = tuple(float(e) for e in energies)
 

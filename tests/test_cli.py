@@ -3,6 +3,9 @@
 import json
 import math
 
+import pytest
+
+from anyon_otto import closed_form as cf
 from anyon_otto.cli import main
 
 
@@ -137,6 +140,69 @@ class TestCycleCommand:
         assert code == 2  # refrigerator regime at this point
         line = next(l for l in out.splitlines() if l.startswith("closed_form_residual"))
         assert float(line.split("=")[1]) < 1e-9
+
+
+    @pytest.mark.parametrize(
+        "argv,closed",
+        [
+            (
+                ["--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
+                + ["--beta-h", "0.5", "--beta-l", "25"],
+                lambda: cf.ring_efficiency_closed(0.1, 0.3, 0.5, 25.0),
+            ),
+            (
+                ["--medium", "cs-coupling", "--alpha1", "0.2", "--alpha2", "0.7"]
+                + ["--beta-h", "0.05", "--beta-l", "0.1"],
+                lambda: cf.cs_efficiency_closed(0.2, 0.7, 0.05, 0.1),
+            ),
+        ],
+        ids=["ring", "cs-coupling"],
+    )
+    def test_residual_equals_closed_form_report(self, capsys, argv, closed):
+        _, out, _ = run_cli(["cycle"] + argv, capsys)
+        line = next(l for l in out.splitlines() if l.startswith("closed_form_residual"))
+        assert float(line.split("=")[1]) == closed().rel_residual
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
+            + ["--beta-h", "inf", "--beta-l", "inf"],
+            ["--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
+            + ["--beta-h", "0.5", "--beta-l", "inf"],
+            ["--medium", "ring", "--alpha-h", "nan", "--alpha-l", "0.3"]
+            + ["--beta-h", "0.5", "--beta-l", "25"],
+            ["--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3", "--eps0", "inf"]
+            + ["--beta-h", "0.5", "--beta-l", "25"],
+            ["--medium", "cs-coupling", "--alpha1", "nan", "--alpha2", "1"]
+            + ["--beta-h", "0.05", "--beta-l", "0.1"],
+            ["--medium", "cs-coupling", "--alpha1", "0", "--alpha2", "1", "--length", "inf"]
+            + ["--beta-h", "0.05", "--beta-l", "0.1"],
+            ["--medium", "cs-volume", "--l1", "inf", "--l2", "1"]
+            + ["--beta-h", "0.01", "--beta-l", "0.1"],
+            ["--medium", "cs-volume", "--l1", "2", "--l2", "1", "--alpha", "nan"]
+            + ["--beta-h", "0.01", "--beta-l", "0.1"],
+            ["--medium", "cs-volume", "--l1", "2", "--l2", "1", "--tail-tol", "inf"]
+            + ["--beta-h", "0.01", "--beta-l", "0.1"],
+        ],
+        ids=[
+            "ring-beta-inf",
+            "ring-beta-l-inf",
+            "ring-alpha-nan",
+            "ring-eps0-inf",
+            "cs-coupling-alpha-nan",
+            "cs-coupling-length-inf",
+            "cs-volume-l1-inf",
+            "cs-volume-alpha-nan",
+            "cs-volume-tail-tol-inf",
+        ],
+    )
+    def test_non_finite_input_exits_64(self, capsys, argv):
+        code, out, err = run_cli(["cycle"] + argv, capsys)
+        assert code == 64
+        assert err.startswith("config error: ")
+        assert "must be finite" in err
+        assert out == ""
 
 
 class TestConfigFile:
@@ -289,6 +355,50 @@ class TestSweepCommand:
         lines = (out_dir / "sweep.csv").read_text().strip().split("\n")
         assert "DomainError" in lines[1]
         assert lines[2].split(",")[-1] == ""
+
+
+    def test_residuals_equal_closed_form_reports(self, capsys, tmp_path):
+        out_dir = tmp_path / "residuals"
+        run_cli(self.BASE + ["--out", str(out_dir)], capsys)
+        rows = [line.split(",") for line in (out_dir / "sweep.csv").read_text().splitlines()[1:]]
+        checked = 0
+        for row in rows:
+            alpha2 = float(row[0])
+            if alpha2 == 0.0:
+                assert row[6] == ""  # alpha1 == alpha2: no closed form
+                continue
+            rep = cf.cs_efficiency_closed(0.0, alpha2, 0.05, 0.1)
+            assert float(row[6]) == rep.rel_residual
+            checked += 1
+        assert checked == 10
+
+    def test_no_convergence_row_recorded(self, capsys, tmp_path):
+        out_dir = tmp_path / "noconv"
+        args = [
+            "sweep",
+            "--medium",
+            "ring",
+            "--alpha-h",
+            "0.1",
+            "--alpha-l",
+            "0.3",
+            "--beta-h",
+            "0.5",
+            "--beta-l",
+            "25",
+            "--sweep",
+            "beta_h",
+            "--grid",
+            "0.5:1e-12:2",
+            "--out",
+            str(out_dir),
+        ]
+        code, _, _ = run_cli(args, capsys)
+        assert code == 0
+        lines = (out_dir / "sweep.csv").read_text().strip().split("\n")
+        assert len(lines) == 3
+        assert lines[1].split(",")[-1] == ""
+        assert lines[2].split(",")[-1].startswith("NoConvergence: ring window exceeded")
 
 
 class TestValidateCommand:

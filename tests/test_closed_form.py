@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from anyon_otto.closed_form import (
@@ -9,18 +10,20 @@ from anyon_otto.closed_form import (
     VARIANT_MAIN,
     VARIANT_REDERIVED,
     cs_efficiency_closed,
+    cs_efficiency_value,
     cs_partition_closed,
     cs_partition_parity_terms,
     cs_weighted_energy_sum,
     partial_theta_weighted,
     ring_efficiency_closed,
+    ring_efficiency_value,
     ring_partition_closed,
     ring_weighted_energy_sum,
     theta3_weighted,
 )
 from anyon_otto.errors import DegenerateCycle, DomainError
 from anyon_otto.otto import OttoCycleSpec, run_cycle
-from anyon_otto.spectra import CSPairSpectrum
+from anyon_otto.spectra import CSPairSpectrum, enumerate_levels
 from anyon_otto.special_functions import gauss_sum_full
 from anyon_otto.thermo import partition_function
 
@@ -214,6 +217,20 @@ class TestCsPartitionClosed:
 
 
 class TestCsWeightedEnergySum:
+    @pytest.mark.parametrize("aw,ab,beta", [(0.0, 0.4, 0.05), (1.0, 0.5, 0.02), (0.7, 0.0, 0.3)])
+    def test_oracle_matches_loop_reference(self, aw, ab, beta):
+        # The oracle sums an array; the reference adds term by term with
+        # math.exp.  All terms are positive, so the two orders agree within
+        # one rounding per term.
+        levels = enumerate_levels(CSPairSpectrum(1.0, ab), beta, 1e-13)
+        weight_spec = CSPairSpectrum(1.0, aw)
+        loop = 0.0
+        for (n1, n2), e in zip(levels.labels.tolist(), levels.energies.tolist()):
+            loop += weight_spec.energy(n1, n2) * math.exp(-beta * e)
+        rep = cs_weighted_energy_sum(aw, ab, beta, 1.0, 1e-13)
+        tol = len(levels.labels) * np.finfo(float).eps
+        assert math.isclose(rep.oracle_value, loop, rel_tol=tol)
+
     def test_free_point_direct_double_sum(self):
         rep = cs_weighted_energy_sum(0.0, 0.0, 1.0, 1.0)
         direct = brute_cs_sum(1.0, 0.0, 0.0, 1.0, weighted=True, K=6)
@@ -271,6 +288,19 @@ class TestCsEfficiencyClosed:
             gaps.append(abs(eta - eta_end))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-2
+
+
+class TestEfficiencyReportIsValuePlusOracle:
+    def test_ring(self):
+        rep = ring_efficiency_closed(0.1, 0.3, 0.5, 25.0)
+        assert rep.value == ring_efficiency_value(0.1, 0.3, 0.5, 25.0)
+        assert rep.oracle_value == run_cycle(OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 25.0)).efficiency
+
+    def test_cs_coupling(self):
+        rep = cs_efficiency_closed(0.2, 0.7, 0.05, 0.1)
+        assert rep.value == cs_efficiency_value(0.2, 0.7, 0.05, 0.1)
+        oracle = run_cycle(OttoCycleSpec.cs_coupling_cycle(0.2, 0.7, 0.05, 0.1)).efficiency
+        assert rep.oracle_value == oracle
 
 
 class TestReportInvariant:

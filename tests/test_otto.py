@@ -10,11 +10,49 @@ from anyon_otto.otto import (
     REGIME_DEGENERATE,
     REGIME_ENGINE,
     OttoCycleSpec,
+    _cycle_table,
     cycle_strokes,
     efficiency_cs_volume,
     run_cycle,
     sweep_efficiency,
 )
+from anyon_otto.thermo import gibbs
+
+
+def _hashable(labels):
+    rows = labels.tolist()
+    return [tuple(row) for row in rows] if labels.ndim == 2 else rows
+
+
+def _reference_labelwise(ensemble, spec, labels):
+    """Label-by-label dict lookup, as the cycle table did with tuple labels."""
+    index = {lab: i for i, lab in enumerate(_hashable(ensemble.levels.labels))}
+    e0 = ensemble.ground_energy
+    z_shifted = ensemble.shifted_z
+    beta = ensemble.beta
+    energies = np.empty(len(labels))
+    pops = np.empty(len(labels))
+    for k, lab in enumerate(labels):
+        i = index.get(lab)
+        if i is not None:
+            energies[k] = ensemble.levels.energies[i]
+            pops[k] = ensemble.populations[i]
+        else:
+            e = spec.energy(*lab) if isinstance(lab, tuple) else spec.energy(lab)
+            energies[k] = e
+            pops[k] = math.exp(-beta * (e - e0)) / z_shifted
+    return energies, pops
+
+
+def _reference_cycle_table(spec):
+    hot_spec = spec.spectrum_hot()
+    cold_spec = spec.spectrum_cold()
+    ens_b = gibbs(hot_spec, spec.beta_h, spec.tail_tol)
+    ens_a = gibbs(cold_spec, spec.beta_l, spec.tail_tol)
+    labels = sorted(set(_hashable(ens_b.levels.labels)) | set(_hashable(ens_a.levels.labels)))
+    e_hot, p_b = _reference_labelwise(ens_b, hot_spec, labels)
+    e_cold, p_a = _reference_labelwise(ens_a, cold_spec, labels)
+    return labels, e_hot, e_cold, p_b, p_a
 
 
 class TestOttoCycleSpec:
@@ -110,6 +148,27 @@ class TestRunCycle:
         assert n_engine >= 5
 
 
+class TestCycleTable:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 25.0),
+            OttoCycleSpec.ring_cycle(0.1, 0.4, 2e-5, 1e-4),
+            OttoCycleSpec.cs_volume_cycle(1.0, 0.5, 0.5, 0.05, 0.3),
+            OttoCycleSpec.cs_volume_cycle(1.0, 0.6, 0.3, 3e-4, 1e-3),
+            OttoCycleSpec.cs_coupling_cycle(0.0, 1.0, 0.05, 0.1),
+            OttoCycleSpec.cs_coupling_cycle(0.2, 0.7, 1e-3, 5e-3),
+        ],
+        ids=["ring", "ring-hot", "cs-volume", "cs-volume-hot", "cs-coupling", "cs-coupling-hot"],
+    )
+    def test_arrays_equal_dict_reference_bit_for_bit(self, spec):
+        labels, *columns = _cycle_table(spec)
+        ref_labels, *ref_columns = _reference_cycle_table(spec)
+        assert np.array_equal(labels, np.asarray(ref_labels))
+        for got, want in zip(columns, ref_columns):
+            assert np.array_equal(got, want)
+
+
 class TestEfficiencyCsVolume:
     def test_no_compression_no_work(self):
         assert efficiency_cs_volume(1.0, 1.0) == 0.0
@@ -175,6 +234,14 @@ class TestSweep:
         assert rows[0].report is None
         assert "DomainError" in rows[0].error
         assert rows[1].report is not None
+
+    def test_no_convergence_recorded_not_raised(self):
+        template = OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 25.0)
+        rows = sweep_efficiency(template, "beta_h", [0.5, 1e-12])
+        assert len(rows) == 2
+        assert rows[0].report is not None
+        assert rows[1].report is None
+        assert rows[1].error.startswith("NoConvergence: ")
 
     def test_unknown_axis(self):
         template = OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 5.0)

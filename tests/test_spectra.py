@@ -119,12 +119,12 @@ class TestEnumerateLevels:
 
     def test_cs_ground_state_first(self):
         levels = enumerate_levels(CSPairSpectrum(1.0, 0.0), 5.0, 1e-13)
-        assert levels.labels[0] == (0, 0)
+        assert tuple(levels.labels[0]) == (0, 0)
         assert levels.energies[0] == 0.0
 
     def test_labels_unique(self):
         levels = enumerate_levels(CSPairSpectrum(1.0, 0.7), 0.02, 1e-13)
-        assert len(set(levels.labels)) == len(levels.labels)
+        assert len(set(map(tuple, levels.labels.tolist()))) == len(levels.labels)
 
     @pytest.mark.parametrize(
         "spec,beta",
@@ -137,7 +137,8 @@ class TestEnumerateLevels:
     )
     def test_completeness_no_lower_omitted_level(self, spec, beta):
         levels = enumerate_levels(spec, beta, 1e-13)
-        included = set(levels.labels)
+        rows = levels.labels.tolist()
+        included = set(map(tuple, rows)) if levels.labels.ndim == 2 else set(rows)
         e_max = max(levels.energies)
         if isinstance(spec, RingAnyonSpectrum):
             probe = [n for n in range(-100, 101) if n not in included]
@@ -174,6 +175,19 @@ class TestEnumerateLevels:
         # compare against the certificate plus that noise floor
         assert z_big - z_trunc <= levels.tail_bound + 5e-15 * z_big
         assert z_big - z_trunc >= -5e-15 * z_big
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_input_is_domain_error(self, bad):
+        for make in (
+            lambda: RingAnyonSpectrum(bad, 0.1),
+            lambda: RingAnyonSpectrum(1.0, bad),
+            lambda: CSPairSpectrum(bad, 0.5),
+            lambda: CSPairSpectrum(1.0, bad),
+            lambda: enumerate_levels(RingAnyonSpectrum(1.0, 0.1), bad, 1e-13),
+            lambda: enumerate_levels(CSPairSpectrum(1.0, 0.5), 0.1, bad),
+        ):
+            with pytest.raises(DomainError, match="finite"):
+                make()
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
