@@ -186,6 +186,10 @@ _AXIS_PLACEHOLDERS = {
     "eps0": 1.0,
 }
 
+# A swept temperature stands in with the other bath's value, so the template
+# satisfies beta_h <= beta_l; rows that violate it are recorded per row.
+_TEMPERATURE_PARTNERS = {"beta_h": "beta_l", "beta_l": "beta_h"}
+
 
 def _cycle_spec(cfg: _RunConfig, fallback: dict | None = None) -> OttoCycleSpec:
     fallback = fallback or {}
@@ -503,7 +507,10 @@ def _cmd_sweep(args) -> int:
             f"cannot sweep {axis!r} for medium {medium!r}; "
             f"choose one of {sweep_axes(medium)}"
         )
-    fallback = {axis: _AXIS_PLACEHOLDERS[axis]} if axis in _AXIS_PLACEHOLDERS else {}
+    if axis in _TEMPERATURE_PARTNERS:
+        fallback = {axis: cfg.require(_TEMPERATURE_PARTNERS[axis])}
+    else:
+        fallback = {axis: _AXIS_PLACEHOLDERS[axis]} if axis in _AXIS_PLACEHOLDERS else {}
     template = _cycle_spec(cfg, fallback)
     out = _out_dir(cfg, required=True)
     formats = _parse_formats(cfg)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCycle, DomainError
+from .errors import DegenerateCycle, DomainError, NoConvergence
 from .otto import OttoCycleSpec, run_cycle
 from .special_functions import (
     DEFAULT_ACCURACY,
@@ -102,6 +102,16 @@ def _report(value: float, oracle: float, variant: str) -> ClosedFormReport:
         rel_residual=relative_residual(value, oracle),
         formula_variant=variant,
     )
+
+
+def _theta_arg(exponent: float) -> float:
+    """Theta-series argument exp(exponent); NoConvergence where it overflows a double."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise NoConvergence(
+            f"theta argument exceeds the double-precision range (exponent {exponent:.1f})"
+        ) from None
 
 
 def _check_variant(variant: str) -> None:
@@ -251,7 +261,7 @@ def _ring_partition_value(
     lam = beta * eps0
     q = math.exp(-lam)
     if variant == VARIANT_REDERIVED:
-        return math.exp(-lam * alpha * alpha) * theta3(math.exp(2.0 * lam * alpha), q, acc)
+        return math.exp(-lam * alpha * alpha) * theta3(_theta_arg(2.0 * lam * alpha), q, acc)
     return math.exp(-lam * alpha * alpha) * theta3(lam * alpha, q, acc)
 
 
@@ -331,22 +341,22 @@ def cs_partition_parity_terms(
     q4 = math.exp(-4.0 * c)
     if variant == VARIANT_REDERIVED:
         even = math.exp(-c * alpha * alpha) * theta3(1.0, q4, acc) * partial_theta(
-            math.exp(4.0 * c * alpha), q4, acc
+            _theta_arg(4.0 * c * alpha), q4, acc
         )
         odd = (
             math.exp(-c * (1.0 + (1.0 - alpha) ** 2))
             * theta3(q4, q4, acc)
-            * partial_theta(math.exp(-4.0 * c * (1.0 - alpha)), q4, acc)
+            * partial_theta(_theta_arg(-4.0 * c * (1.0 - alpha)), q4, acc)
         )
     else:
         # printed form: relative-coordinate shift attached with the opposite sign
         even = math.exp(-c * alpha * alpha) * theta3(1.0, q4, acc) * partial_theta(
-            math.exp(-4.0 * c * alpha), q4, acc
+            _theta_arg(-4.0 * c * alpha), q4, acc
         )
         odd = (
             math.exp(-c * (1.0 + (1.0 + alpha) ** 2))
             * theta3(q4, q4, acc)
-            * partial_theta(math.exp(-4.0 * c * (1.0 + alpha)), q4, acc)
+            * partial_theta(_theta_arg(-4.0 * c * (1.0 + alpha)), q4, acc)
         )
     return even, odd
 

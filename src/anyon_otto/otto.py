@@ -46,14 +46,7 @@ from .spectra import (
     label_keys,
     require_finite,
 )
-from .thermo import (
-    DEFAULT_TAIL_TOL,
-    adiabat_path,
-    gibbs,
-    heat_work_split,
-    linear_isochore_path,
-    populations_entropy,
-)
+from .thermo import DEFAULT_TAIL_TOL, gibbs, populations_entropy
 
 __all__ = [
     "MEDIA",
@@ -332,7 +325,7 @@ class StrokeResult:
 
 @dataclass(frozen=True)
 class StrokeReport:
-    """Discretized four-stroke breakdown with corner entropies."""
+    """Four-stroke heat/work breakdown with corner entropies."""
 
     strokes: tuple
     entropy_a: float
@@ -348,39 +341,30 @@ class StrokeReport:
 
 
 def cycle_strokes(spec: OttoCycleSpec, steps_per_stroke: int = 1000) -> StrokeReport:
-    """Discretize the four strokes and return per-stroke heat and work.
+    """Per-stroke heat and work of the cycle, with corner entropies.
 
-    Isochores interpolate populations linearly at fixed levels (W = 0
-    exactly); adiabats move the control linearly at frozen populations
-    (Q = 0 exactly).  Heat and work follow the convention of
-    ``thermo.heat_work_split``: both count energy into the system, so the
-    cycle's output work is minus the summed adiabat work.
+    Heat and work follow the convention of ``thermo.heat_work_split``: both
+    count energy into the system, so the cycle's output work is minus the
+    summed adiabat work.  The strokes come from the four corner states:
+    isochores hold the levels fixed (Q = E . dP, W = 0 exactly) and adiabats
+    hold the populations fixed (W = P . dE, Q = 0 exactly), so the
+    trapezoidal ``heat_work_split`` of any discretized linear path telescopes
+    to these endpoint values.  ``steps_per_stroke`` must be at least 1 but
+    does not change the result: any step count gives these values up to
+    roundoff, and one step gives them bit for bit.
     """
-    labels, e_hot, e_cold, p_b, p_a = _cycle_table(spec)
-    columns = label_columns(labels)
-    controls = np.linspace(spec.control_hot, spec.control_cold, steps_per_stroke + 1)
-    grids_fwd = [spec.spectrum_at(float(cv)).energies(*columns) for cv in controls]
-    grids_bwd = grids_fwd[::-1]
-
-    iso_ab = linear_isochore_path(e_hot, p_a, p_b, steps_per_stroke)
-    adi_bc = adiabat_path(grids_fwd, p_b)
-    iso_cd = linear_isochore_path(e_cold, p_b, p_a, steps_per_stroke)
-    adi_da = adiabat_path(grids_bwd, p_a)
-
-    strokes = []
-    for name, path in (
-        ("A->B", iso_ab),
-        ("B->C", adi_bc),
-        ("C->D", iso_cd),
-        ("D->A", adi_da),
-    ):
-        q, w = heat_work_split(path)
-        strokes.append(StrokeResult(name=name, heat=q, work=w))
-
+    if steps_per_stroke < 1:
+        raise DomainError(f"steps_per_stroke must be >= 1, got {steps_per_stroke}")
+    _, e_hot, e_cold, p_b, p_a = _cycle_table(spec)
     s_b = populations_entropy(p_b)
     s_a = populations_entropy(p_a)
     return StrokeReport(
-        strokes=tuple(strokes),
+        strokes=(
+            StrokeResult(name="A->B", heat=float(e_hot @ (p_b - p_a)), work=0.0),
+            StrokeResult(name="B->C", heat=0.0, work=float(p_b @ (e_cold - e_hot))),
+            StrokeResult(name="C->D", heat=float(e_cold @ (p_a - p_b)), work=0.0),
+            StrokeResult(name="D->A", heat=0.0, work=float(p_a @ (e_hot - e_cold))),
+        ),
         entropy_a=s_a,
         entropy_b=s_b,
         entropy_c=s_b,  # populations are carried unchanged across B -> C

@@ -12,7 +12,10 @@ fixed levels) and work (level shifts at fixed populations).  Discretized
 parameter paths are lists of PathStep records; ``heat_work_split`` pairs
 midpoint energies with population increments and midpoint populations with
 energy increments, which makes Q + W telescope to the exact endpoint energy
-difference at any step count.
+difference at any step count.  It is a first-law checker for such paths:
+the cycle's own strokes (``otto.cycle_strokes``) hold either the levels or
+the populations fixed, so their sums telescope exactly to endpoint dot
+products, and the cycle computes those directly instead of building a path.
 """
 
 from __future__ import annotations
@@ -149,23 +152,19 @@ def heat_work_split(path: Sequence[PathStep]) -> tuple:
 
     Per step, dQ = sum dP * E_mid and dW = sum P_mid * dE with midpoint
     (trapezoidal) pairing, so Q + W equals the total energy change exactly
-    up to floating-point roundoff.  Steps must share one label set; a path
-    whose steps disagree in length raises ShapeError.
+    up to floating-point roundoff.  The path is stacked into (steps, levels)
+    arrays and each total is one array reduction.  Steps must share one label
+    set; a path whose steps disagree in length raises ShapeError.
     """
-    q = 0.0
-    w = 0.0
-    width = None
-    for step in path:
-        eb = np.asarray(step.energies_before, dtype=float)
-        ea = np.asarray(step.energies_after, dtype=float)
-        pb = np.asarray(step.populations_before, dtype=float)
-        pa = np.asarray(step.populations_after, dtype=float)
-        if width is None:
-            width = eb.size
-        elif eb.size != width:
-            raise ShapeError("steps along one path must share a label set")
-        q += float((pa - pb) @ ((ea + eb) * 0.5))
-        w += float(((pa + pb) * 0.5) @ (ea - eb))
+    steps = list(path)
+    if len({len(step.energies_before) for step in steps}) > 1:
+        raise ShapeError("steps along one path must share a label set")
+    eb = np.array([step.energies_before for step in steps], dtype=float)
+    ea = np.array([step.energies_after for step in steps], dtype=float)
+    pb = np.array([step.populations_before for step in steps], dtype=float)
+    pa = np.array([step.populations_after for step in steps], dtype=float)
+    q = float(np.vdot(pa - pb, (ea + eb) * 0.5))
+    w = float(np.vdot((pa + pb) * 0.5, ea - eb))
     return q, w
 
 

@@ -204,6 +204,14 @@ class TestCycleCommand:
         assert "must be finite" in err
         assert out == ""
 
+    def test_closed_form_overflow_prints_cycle_without_residual(self, capsys):
+        argv = ["cycle", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
+        code, out, err = run_cli(argv + ["--beta-h", "100", "--beta-l", "2000"], capsys)
+        assert code == 0
+        assert "regime = engine" in out
+        assert "residual" not in out
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_config_file_drives_run(self, capsys, tmp_path):
@@ -399,6 +407,31 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[1].split(",")[-1] == ""
         assert lines[2].split(",")[-1].startswith("NoConvergence: ring window exceeded")
+
+    @pytest.mark.parametrize(
+        "axis, fixed, grid, errors",
+        [
+            ("beta_h", ["--beta-l", "5"], "0.1:1:3", ["", "", ""]),
+            ("beta_l", ["--beta-h", "0.5"], "0.1:10:3", ["DomainError", "", ""]),
+        ],
+    )
+    def test_temperature_axis_needs_no_value_of_its_own(
+        self, capsys, tmp_path, axis, fixed, grid, errors
+    ):
+        out_dir = tmp_path / axis
+        argv = ["sweep", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"] + fixed
+        code, _, _ = run_cli(argv + ["--sweep", axis, "--grid", grid, "--out", str(out_dir)], capsys)
+        assert code == 0
+        lines = (out_dir / "sweep.csv").read_text().strip().split("\n")
+        assert lines[0].startswith(f"{axis},")
+        assert [line.split(",")[-1].split(":")[0] for line in lines[1:]] == errors
+
+    def test_temperature_axis_still_needs_the_other_bath(self, capsys, tmp_path):
+        argv = ["sweep", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
+        argv += ["--sweep", "beta_h", "--grid", "0.1:1:3", "--out", str(tmp_path / "x")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 64
+        assert "beta_l" in err
 
 
 class TestValidateCommand:

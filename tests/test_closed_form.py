@@ -21,7 +21,7 @@ from anyon_otto.closed_form import (
     ring_weighted_energy_sum,
     theta3_weighted,
 )
-from anyon_otto.errors import DegenerateCycle, DomainError
+from anyon_otto.errors import DegenerateCycle, DomainError, NoConvergence
 from anyon_otto.otto import OttoCycleSpec, run_cycle
 from anyon_otto.spectra import CSPairSpectrum, enumerate_levels
 from anyon_otto.special_functions import gauss_sum_full
@@ -167,6 +167,22 @@ class TestRingEfficiencyClosed:
         # the reversed orientation absorbs work instead of producing it
         assert report.w_out > 0.0
         assert -report.w_out < 0.0
+
+
+class TestThetaArgumentOverflow:
+    """exp(2 lam alpha) and exp(4 c alpha) past the double range: typed, no OverflowError."""
+
+    def test_ring_efficiency_value(self):
+        with pytest.raises(NoConvergence, match="exceeds the double-precision range"):
+            ring_efficiency_value(0.1, 0.3, 100.0, 2000.0)
+
+    def test_ring_partition_closed(self):
+        with pytest.raises(NoConvergence, match="exceeds the double-precision range"):
+            ring_partition_closed(0.3, 2000.0)
+
+    def test_cs_partition_parity_terms(self):
+        with pytest.raises(NoConvergence, match="exceeds the double-precision range"):
+            cs_partition_parity_terms(2.0, 10.0, 1.0)
 
 
 class TestCsPartitionClosed:

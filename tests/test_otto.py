@@ -10,13 +10,15 @@ from anyon_otto.otto import (
     REGIME_DEGENERATE,
     REGIME_ENGINE,
     OttoCycleSpec,
+    StrokeResult,
     _cycle_table,
     cycle_strokes,
     efficiency_cs_volume,
     run_cycle,
     sweep_efficiency,
 )
-from anyon_otto.thermo import gibbs
+from anyon_otto.spectra import label_columns
+from anyon_otto.thermo import adiabat_path, gibbs, heat_work_split, linear_isochore_path
 
 
 def _hashable(labels):
@@ -53,6 +55,26 @@ def _reference_cycle_table(spec):
     e_hot, p_b = _reference_labelwise(ens_b, hot_spec, labels)
     e_cold, p_a = _reference_labelwise(ens_a, cold_spec, labels)
     return labels, e_hot, e_cold, p_b, p_a
+
+
+def _reference_cycle_strokes(spec, steps_per_stroke):
+    """The four strokes as discretized paths, as cycle_strokes built them.
+
+    Isochores interpolate populations linearly at fixed levels; adiabats move
+    the control linearly through ``steps_per_stroke + 1`` spectra at frozen
+    populations; each path goes through ``heat_work_split``.
+    """
+    labels, e_hot, e_cold, p_b, p_a = _cycle_table(spec)
+    columns = label_columns(labels)
+    controls = np.linspace(spec.control_hot, spec.control_cold, steps_per_stroke + 1)
+    grids_fwd = [spec.spectrum_at(float(cv)).energies(*columns) for cv in controls]
+    paths = (
+        ("A->B", linear_isochore_path(e_hot, p_a, p_b, steps_per_stroke)),
+        ("B->C", adiabat_path(grids_fwd, p_b)),
+        ("C->D", linear_isochore_path(e_cold, p_b, p_a, steps_per_stroke)),
+        ("D->A", adiabat_path(grids_fwd[::-1], p_a)),
+    )
+    return tuple(StrokeResult(name, *heat_work_split(path)) for name, path in paths)
 
 
 class TestOttoCycleSpec:
@@ -203,6 +225,41 @@ class TestCycleStrokes:
         # output work equals minus the work absorbed along the two adiabats
         w_adiabats = strokes.stroke("B->C").work + strokes.stroke("D->A").work
         assert abs(report.w_out + w_adiabats) <= 1e-8 * max(1.0, abs(report.w_out))
+
+    @pytest.mark.parametrize("steps", [1, 7, 1000])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 25.0),
+            OttoCycleSpec.ring_cycle(0.1, 0.4, 2e-3, 1e-2),
+            OttoCycleSpec.cs_volume_cycle(1.0, 0.5, 0.5, 0.05, 0.3),
+            OttoCycleSpec.cs_volume_cycle(1.0, 0.6, 0.3, 3e-3, 1e-2),
+            OttoCycleSpec.cs_coupling_cycle(0.0, 1.0, 0.05, 0.1),
+            OttoCycleSpec.cs_coupling_cycle(0.2, 0.7, 5e-3, 2e-2),
+        ],
+        ids=["ring", "ring-hot", "cs-volume", "cs-volume-hot", "cs-coupling", "cs-coupling-hot"],
+    )
+    def test_endpoint_strokes_match_stepped_reference(self, spec, steps):
+        got = cycle_strokes(spec, steps)
+        reference = _reference_cycle_strokes(spec, steps)
+        report = run_cycle(spec)
+        assert [s.name for s in got.strokes] == [r.name for r in reference]
+        for stroke, ref in zip(got.strokes, reference):
+            assert abs(stroke.heat - ref.heat) <= 1e-10 * abs(report.q_in)
+            assert abs(stroke.work - ref.work) <= 1e-10 * abs(report.q_in)
+        if steps == 1:
+            assert got.strokes == reference
+        assert got.stroke("A->B").work == 0.0
+        assert got.stroke("C->D").work == 0.0
+        assert got.stroke("B->C").heat == 0.0
+        assert got.stroke("D->A").heat == 0.0
+        assert got.stroke("A->B").heat == report.q_in
+        assert got.stroke("C->D").heat == -report.q_out
+        assert got == cycle_strokes(spec, 1)
+
+    def test_step_count_below_one_is_domain_error(self):
+        with pytest.raises(DomainError):
+            cycle_strokes(OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 25.0), 0)
 
     def test_adiabats_preserve_entropy_exactly(self):
         strokes = cycle_strokes(OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 25.0), 50)

@@ -153,7 +153,40 @@ class TestEntropyAndShiftInvariance:
             assert trial_entropy <= ens.entropy + 1e-12
 
 
+def _loop_heat_work_split(path):
+    """Step-by-step accumulation, as heat_work_split computed it before stacking."""
+    q = 0.0
+    w = 0.0
+    for step in path:
+        eb = np.asarray(step.energies_before, dtype=float)
+        ea = np.asarray(step.energies_after, dtype=float)
+        pb = np.asarray(step.populations_before, dtype=float)
+        pa = np.asarray(step.populations_after, dtype=float)
+        q += float((pa - pb) @ ((ea + eb) * 0.5))
+        w += float(((pa + pb) * 0.5) @ (ea - eb))
+    return q, w
+
+
 class TestHeatWorkSplit:
+    @pytest.mark.parametrize("n_steps", [0, 1, 5, 200])
+    def test_stacked_sums_match_loop_reference(self, n_steps):
+        # both levels and populations move on every step, so neither total is
+        # zero; the summation order differs, so allow a few ulps per term
+        rng = np.random.default_rng(n_steps)
+        energies = rng.uniform(-2.0, 5.0, (n_steps, 2, 9))
+        pops = rng.dirichlet(np.ones(9), (n_steps, 2))
+        path = [
+            PathStep(tuple(e[0]), tuple(e[1]), tuple(p[0]), tuple(p[1]))
+            for e, p in zip(energies, pops)
+        ]
+        q, w = heat_work_split(path)
+        q_ref, w_ref = _loop_heat_work_split(path)
+        ulps = 2 * pops[:, 0].size * np.finfo(float).eps
+        q_abs = np.abs((pops[:, 1] - pops[:, 0]) * (energies[:, 1] + energies[:, 0])).sum()
+        w_abs = np.abs((pops[:, 1] + pops[:, 0]) * (energies[:, 1] - energies[:, 0])).sum()
+        assert abs(q - q_ref) <= ulps * q_abs
+        assert abs(w - w_ref) <= ulps * w_abs
+
     def test_isochore_work_is_exactly_zero(self):
         spec = RingAnyonSpectrum(1.0, 0.0)
         path = gibbs_isochore_path(spec, 2.0, 1.0, 64)
