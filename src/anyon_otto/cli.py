@@ -18,7 +18,6 @@ non-engine regime, 3 validation failure, 64 bad configuration, 1 other error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -29,8 +28,8 @@ from . import __version__
 from . import closed_form as cf
 from .errors import AnyonOttoError, ConfigError, DegenerateCycle
 from .otto import (
-    _AXIS_FIELDS,
     MEDIA,
+    MEDIUM,
     REGIME_ENGINE,
     OttoCycleSpec,
     efficiency_cs_volume,
@@ -47,19 +46,9 @@ EXIT_VALIDATION = 3
 EXIT_CONFIG = 64
 
 _FLOAT_KEYS = (
-    "beta_h",
-    "beta_l",
-    "alpha_h",
-    "alpha_l",
-    "l1",
-    "l2",
-    "alpha",
-    "alpha1",
-    "alpha2",
-    "length",
-    "eps0",
-    "rel_tol",
-    "tail_tol",
+    ("beta_h", "beta_l")
+    + tuple(p.name for medium in MEDIUM.values() for p in medium.params)
+    + ("rel_tol", "tail_tol")
 )
 _STR_KEYS = ("medium", "sweep", "grid", "out", "format", "variant")
 _INT_KEYS = ("seed",)
@@ -87,15 +76,15 @@ def _build_parser() -> _Parser:
         p.add_argument("--medium", choices=MEDIA)
         p.add_argument("--beta-h", dest="beta_h", type=float, help="hot-bath inverse temperature")
         p.add_argument("--beta-l", dest="beta_l", type=float, help="cold-bath inverse temperature")
-        p.add_argument("--alpha-h", dest="alpha_h", type=float, help="ring: hot flux parameter")
-        p.add_argument("--alpha-l", dest="alpha_l", type=float, help="ring: cold flux parameter")
-        p.add_argument("--eps0", type=float, help="ring: energy scale (default 1)")
-        p.add_argument("--l1", type=float, help="cs-volume: expanded ring size")
-        p.add_argument("--l2", type=float, help="cs-volume: compressed ring size")
-        p.add_argument("--alpha", type=float, help="cs-volume: fixed coupling (default 0)")
-        p.add_argument("--alpha1", type=float, help="cs-coupling: heat-rejection coupling")
-        p.add_argument("--alpha2", type=float, help="cs-coupling: heat-intake coupling")
-        p.add_argument("--length", type=float, help="cs-coupling: ring size (default 1)")
+        for name, medium in MEDIUM.items():
+            for param in medium.params:
+                default = "" if param.required else f" (default {param.default:g})"
+                p.add_argument(
+                    "--" + param.name.replace("_", "-"),
+                    dest=param.name,
+                    type=float,
+                    help=f"{name}: {param.doc}{default}",
+                )
         p.add_argument("--rel-tol", dest="rel_tol", type=float, help="series relative tolerance")
         p.add_argument("--tail-tol", dest="tail_tol", type=float, help="enumeration tail tolerance")
         p.add_argument("--out", help="output directory")
@@ -172,20 +161,6 @@ class _RunConfig:
         return value
 
 
-# Domain-safe stand-ins for a swept parameter that is absent from the config;
-# each sweep row replaces the value anyway.
-_AXIS_PLACEHOLDERS = {
-    "alpha_h": 0.0,
-    "alpha_l": 0.0,
-    "alpha1": 0.0,
-    "alpha2": 0.0,
-    "alpha": 0.0,
-    "l1": 1.0,
-    "l2": 1.0,
-    "length": 1.0,
-    "eps0": 1.0,
-}
-
 # A swept temperature stands in with the other bath's value, so the template
 # satisfies beta_h <= beta_l; rows that violate it are recorded per row.
 _TEMPERATURE_PARTNERS = {"beta_h": "beta_l", "beta_l": "beta_h"}
@@ -194,55 +169,46 @@ _TEMPERATURE_PARTNERS = {"beta_h": "beta_l", "beta_l": "beta_h"}
 def _cycle_spec(cfg: _RunConfig, fallback: dict | None = None) -> OttoCycleSpec:
     fallback = fallback or {}
 
-    def req(key: str):
-        value = cfg.get(key)
-        if value is None:
-            value = fallback.get(key)
-        if value is None:
-            raise ConfigError(f"missing required key: {key}")
-        return value
-
-    def opt(key: str, default):
+    def get(key: str, default=None):
         value = cfg.get(key)
         if value is None:
             value = fallback.get(key)
         return default if value is None else value
 
+    def req(key: str):
+        value = get(key)
+        if value is None:
+            raise ConfigError(f"missing required key: {key}")
+        return value
+
     medium = req("medium")
     if medium not in MEDIA:
         raise ConfigError(f"medium must be one of {MEDIA}, got {medium!r}")
-    beta_h = req("beta_h")
-    beta_l = req("beta_l")
-    tail_tol = opt("tail_tol", 1e-13)
+    fields = {"beta_h": req("beta_h"), "beta_l": req("beta_l")}
+    for p in MEDIUM[medium].params:
+        fields[p.field] = req(p.name) if p.required else get(p.name, p.default)
     try:
-        if medium == "ring":
-            return OttoCycleSpec.ring_cycle(
-                alpha_h=req("alpha_h"),
-                alpha_l=req("alpha_l"),
-                beta_h=beta_h,
-                beta_l=beta_l,
-                eps0=opt("eps0", 1.0),
-                tail_tol=tail_tol,
-            )
-        if medium == "cs-volume":
-            return OttoCycleSpec.cs_volume_cycle(
-                l1=req("l1"),
-                l2=req("l2"),
-                alpha=opt("alpha", 0.0),
-                beta_h=beta_h,
-                beta_l=beta_l,
-                tail_tol=tail_tol,
-            )
-        return OttoCycleSpec.cs_coupling_cycle(
-            alpha1=req("alpha1"),
-            alpha2=req("alpha2"),
-            beta_h=beta_h,
-            beta_l=beta_l,
-            length=opt("length", 1.0),
-            tail_tol=tail_tol,
-        )
+        return OttoCycleSpec(medium=medium, tail_tol=get("tail_tol", 1e-13), **fields)
     except AnyonOttoError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+# Per medium, the (value, reference) pair whose relative residual the CLI
+# reports for a cycle of efficiency eta: the theta closed forms against eta for
+# ring and cs-coupling, eta against the compression ratio for cs-volume.
+_RESIDUALS = {
+    "ring": lambda s, eta, acc: (
+        cf.ring_efficiency_value(s.control_hot, s.control_cold, s.beta_h, s.beta_l, s.eps0, acc),
+        eta,
+    ),
+    "cs-volume": lambda s, eta, acc: (eta, efficiency_cs_volume(s.control_cold, s.control_hot)),
+    "cs-coupling": lambda s, eta, acc: (
+        cf.cs_efficiency_value(
+            s.control_cold, s.control_hot, s.beta_h, s.beta_l, s.cs_length, acc
+        ),
+        eta,
+    ),
+}
 
 
 def _closed_form_residual(spec: OttoCycleSpec, efficiency: float, cfg: _RunConfig):
@@ -255,28 +221,7 @@ def _closed_form_residual(spec: OttoCycleSpec, efficiency: float, cfg: _RunConfi
 
     acc = SumAccuracy(rel_tol=cfg.get("rel_tol", 1e-12))
     try:
-        if spec.medium == "ring":
-            value = cf.ring_efficiency_value(
-                spec.control_hot,
-                spec.control_cold,
-                spec.beta_h,
-                spec.beta_l,
-                spec.eps0,
-                acc,
-            )
-        elif spec.medium == "cs-coupling":
-            value = cf.cs_efficiency_value(
-                spec.control_cold,
-                spec.control_hot,
-                spec.beta_h,
-                spec.beta_l,
-                spec.cs_length,
-                acc,
-            )
-        else:
-            analytic = efficiency_cs_volume(spec.control_cold, spec.control_hot)
-            return cf.relative_residual(efficiency, analytic)
-        return cf.relative_residual(value, efficiency)
+        return cf.relative_residual(*_RESIDUALS[spec.medium](spec, efficiency, acc))
     except AnyonOttoError:
         return None
 
@@ -510,7 +455,7 @@ def _cmd_sweep(args) -> int:
     if axis in _TEMPERATURE_PARTNERS:
         fallback = {axis: cfg.require(_TEMPERATURE_PARTNERS[axis])}
     else:
-        fallback = {axis: _AXIS_PLACEHOLDERS[axis]} if axis in _AXIS_PLACEHOLDERS else {}
+        fallback = {p.name: p.default for p in MEDIUM[medium].params if p.name == axis}
     template = _cycle_spec(cfg, fallback)
     out = _out_dir(cfg, required=True)
     formats = _parse_formats(cfg)
@@ -524,10 +469,7 @@ def _cmd_sweep(args) -> int:
         residual = None
         if row.report is not None:
             try:
-                spec_v = dataclasses.replace(
-                    template, **{_AXIS_FIELDS[template.medium][axis]: float(value)}
-                )
-                residual = _closed_form_residual(spec_v, row.report.efficiency, cfg)
+                residual = _closed_form_residual(row.spec, row.report.efficiency, cfg)
             except AnyonOttoError:
                 residual = None
         rows.append(row)

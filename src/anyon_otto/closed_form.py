@@ -47,7 +47,9 @@ from .otto import OttoCycleSpec, run_cycle
 from .special_functions import (
     DEFAULT_ACCURACY,
     SumAccuracy,
+    _check_gauss_args,
     _lattice_sum,
+    _theta_params,
     gauss_sum_full,
     partial_theta,
     theta3,
@@ -128,33 +130,26 @@ def _series(lam: float, gamma: float, weight: int, one_sided: bool, acc: SumAccu
     ).value
 
 
+def _weighted_theta(x: float, q: float, weight: int, one_sided: bool, acc: SumAccuracy) -> float:
+    """T_w at x, q after the theta3 domain checks and the Gaussian-sum weight check."""
+    lam, gamma = _theta_params(x, q)
+    _check_gauss_args(lam, weight)
+    return _series(lam, gamma, weight, one_sided, acc)
+
+
 def theta3_weighted(x: float, q: float, weight: int, acc: SumAccuracy = DEFAULT_ACCURACY) -> float:
     """sum_{n in Z} n^weight q^(n^2) x^n: theta3 and its term-wise x/q derivatives.
 
     weight 1 equals x d(theta3)/dx and weight 2 equals q d(theta3)/dq.
     """
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    if weight not in (0, 1, 2):
-        raise DomainError(f"weight must be 0, 1 or 2, got {weight}")
-    lam = -math.log(q)
-    return _series(lam, math.log(x) / (2.0 * lam), weight, False, acc)
+    return _weighted_theta(x, q, weight, False, acc)
 
 
 def partial_theta_weighted(
     x: float, q: float, weight: int, acc: SumAccuracy = DEFAULT_ACCURACY
 ) -> float:
     """One-sided analogue of theta3_weighted: sum over n >= 0."""
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    if weight not in (0, 1, 2):
-        raise DomainError(f"weight must be 0, 1 or 2, got {weight}")
-    lam = -math.log(q)
-    return _series(lam, math.log(x) / (2.0 * lam), weight, True, acc)
+    return _weighted_theta(x, q, weight, True, acc)
 
 
 def _plain_closed(lam: float, gamma: float, one_sided: bool, acc: SumAccuracy) -> float:

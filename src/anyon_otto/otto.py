@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .thermo import DEFAULT_TAIL_TOL, gibbs, populations_entropy
 
 __all__ = [
     "MEDIA",
+    "MEDIUM",
     "OttoCycleSpec",
     "CycleReport",
     "StrokeResult",
@@ -61,13 +62,88 @@ __all__ = [
     "sweep_efficiency",
 ]
 
-MEDIA = ("ring", "cs-volume", "cs-coupling")
-
 REGIME_ENGINE = "engine"
 REGIME_REFRIGERATOR = "refrigerator"
 REGIME_DEGENERATE = "degenerate"
 
 _ZERO_SCALE = 1e-300
+
+
+@dataclass(frozen=True)
+class MediumParameter:
+    """A named parameter of a medium, as the CLI, config files and sweeps call it.
+
+    ``field`` is the OttoCycleSpec field it sets.  A required parameter has
+    no default of its own; its ``default`` is the domain-safe stand-in a
+    sweep template takes when that parameter is the swept one.
+    """
+
+    name: str
+    field: str
+    default: float
+    required: bool
+    doc: str
+
+
+@dataclass(frozen=True)
+class Medium:
+    """One working medium: its parameters in order, domain checks and spectrum.
+
+    ``checks`` are (predicate, message) pairs over an OttoCycleSpec, tried in
+    order after the medium-independent checks; ``spectrum(spec, control)``
+    builds the spectrum at one control value.
+    """
+
+    params: tuple
+    checks: tuple
+    spectrum: Callable
+
+    @property
+    def axis_fields(self) -> dict:
+        """Sweepable name -> OttoCycleSpec field: both temperatures, then ``params``."""
+        return {"beta_h": "beta_h", "beta_l": "beta_l", **{p.name: p.field for p in self.params}}
+
+
+# The one place a medium is declared; spec checks, spectra, sweep axes, CLI
+# flags and config keys read it.  The CLI keeps each medium's closed-form
+# residual beside its own code, because closed_form imports this module.
+MEDIUM = {
+    "ring": Medium(
+        params=(
+            MediumParameter("alpha_h", "control_hot", 0.0, True, "hot flux parameter"),
+            MediumParameter("alpha_l", "control_cold", 0.0, True, "cold flux parameter"),
+            MediumParameter("eps0", "eps0", 1.0, False, "energy scale"),
+        ),
+        checks=((lambda s: s.eps0 > 0.0, "eps0 must be positive"),),
+        spectrum=lambda s, control: RingAnyonSpectrum(eps0=s.eps0, alpha=control),
+    ),
+    "cs-volume": Medium(
+        params=(
+            MediumParameter("l1", "control_cold", 1.0, True, "expanded ring size"),
+            MediumParameter("l2", "control_hot", 1.0, True, "compressed ring size"),
+            MediumParameter("alpha", "cs_alpha", 0.0, False, "fixed coupling"),
+        ),
+        checks=(
+            (lambda s: min(s.control_hot, s.control_cold) > 0.0, "ring sizes must be positive"),
+            (lambda s: s.cs_alpha >= 0.0, "alpha must be >= 0"),
+        ),
+        spectrum=lambda s, control: CSPairSpectrum(L=control, alpha=s.cs_alpha),
+    ),
+    "cs-coupling": Medium(
+        params=(
+            MediumParameter("alpha1", "control_cold", 0.0, True, "heat-rejection coupling"),
+            MediumParameter("alpha2", "control_hot", 0.0, True, "heat-intake coupling"),
+            MediumParameter("length", "cs_length", 1.0, False, "ring size"),
+        ),
+        checks=(
+            (lambda s: s.cs_length > 0.0, "length must be positive"),
+            (lambda s: min(s.control_hot, s.control_cold) >= 0.0, "couplings must be >= 0"),
+        ),
+        spectrum=lambda s, control: CSPairSpectrum(L=s.cs_length, alpha=control),
+    ),
+}
+
+MEDIA = tuple(MEDIUM)
 
 
 @dataclass(frozen=True)
@@ -111,19 +187,9 @@ class OttoCycleSpec:
             )
         if not self.tail_tol > 0.0:
             raise DomainError("tail_tol must be positive")
-        if self.medium == "ring":
-            if not self.eps0 > 0.0:
-                raise DomainError("eps0 must be positive")
-        elif self.medium == "cs-volume":
-            if not (self.control_hot > 0.0 and self.control_cold > 0.0):
-                raise DomainError("ring sizes must be positive")
-            if self.cs_alpha < 0.0:
-                raise DomainError("alpha must be >= 0")
-        else:
-            if not self.cs_length > 0.0:
-                raise DomainError("length must be positive")
-            if self.control_hot < 0.0 or self.control_cold < 0.0:
-                raise DomainError("couplings must be >= 0")
+        for ok, message in MEDIUM[self.medium].checks:
+            if not ok(self):
+                raise DomainError(message)
 
     @classmethod
     def ring_cycle(
@@ -189,11 +255,7 @@ class OttoCycleSpec:
         )
 
     def spectrum_at(self, control: float):
-        if self.medium == "ring":
-            return RingAnyonSpectrum(eps0=self.eps0, alpha=control)
-        if self.medium == "cs-volume":
-            return CSPairSpectrum(L=control, alpha=self.cs_alpha)
-        return CSPairSpectrum(L=self.cs_length, alpha=control)
+        return MEDIUM[self.medium].spectrum(self, control)
 
     def spectrum_hot(self):
         return self.spectrum_at(self.control_hot)
@@ -374,41 +436,21 @@ def cycle_strokes(spec: OttoCycleSpec, steps_per_stroke: int = 1000) -> StrokeRe
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep grid point: either a report or an error message."""
+    """One sweep grid point: either a report or an error message.
+
+    ``spec`` is the cycle the row ran; None where the swept value gave no
+    valid spec.
+    """
 
     value: float
     report: Optional[CycleReport]
     error: Optional[str] = None
-
-
-_AXIS_FIELDS = {
-    "ring": {
-        "beta_h": "beta_h",
-        "beta_l": "beta_l",
-        "alpha_h": "control_hot",
-        "alpha_l": "control_cold",
-        "eps0": "eps0",
-    },
-    "cs-volume": {
-        "beta_h": "beta_h",
-        "beta_l": "beta_l",
-        "l1": "control_cold",
-        "l2": "control_hot",
-        "alpha": "cs_alpha",
-    },
-    "cs-coupling": {
-        "beta_h": "beta_h",
-        "beta_l": "beta_l",
-        "alpha1": "control_cold",
-        "alpha2": "control_hot",
-        "length": "cs_length",
-    },
-}
+    spec: Optional[OttoCycleSpec] = None
 
 
 def sweep_axes(medium: str) -> tuple:
     """Sweepable parameter names for a medium."""
-    return tuple(_AXIS_FIELDS[medium])
+    return tuple(MEDIUM[medium].axis_fields)
 
 
 def sweep_efficiency(
@@ -421,7 +463,7 @@ def sweep_efficiency(
     converge) is recorded in its row and does not abort the sweep.
     """
     try:
-        field = _AXIS_FIELDS[template.medium][sweep_axis]
+        field = MEDIUM[template.medium].axis_fields[sweep_axis]
     except KeyError:
         raise DomainError(
             f"cannot sweep {sweep_axis!r} for medium {template.medium!r}; "
@@ -429,15 +471,17 @@ def sweep_efficiency(
         ) from None
     rows = []
     for value in values:
+        cycle_spec = None
         try:
             cycle_spec = dataclasses.replace(template, **{field: float(value)})
-            rows.append(SweepRow(value=float(value), report=run_cycle(cycle_spec)))
+            rows.append(SweepRow(float(value), run_cycle(cycle_spec), spec=cycle_spec))
         except (AnyonOttoError, ValueError) as exc:
             rows.append(
                 SweepRow(
                     value=float(value),
                     report=None,
                     error=f"{type(exc).__name__}: {exc}",
+                    spec=cycle_spec,
                 )
             )
     return rows

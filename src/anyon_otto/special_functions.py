@@ -201,6 +201,14 @@ def _lattice_sum(
             )
 
         if k >= 1 and ring_abs <= acc.rel_tol * max(total_abs, _TINY):
+            # Every term can be finite while their sum is not.  An infinite
+            # total_abs meets the ring rule at the next ring, so checking only
+            # once the rule holds still catches it, off the per-ring path.
+            if not math.isfinite(total_abs):
+                raise NoConvergence(
+                    f"lattice sum exceeds the double-precision range "
+                    f"(lambda={lam:g}, gamma={gamma:g}, weight={weight})"
+                )
             # Tail certificates require the last index on each open side to
             # sit in the monotone region beyond the Gaussian peak.
             u_hi = n_hi - gamma

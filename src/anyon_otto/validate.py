@@ -89,10 +89,6 @@ class _Family:
         )
 
 
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(b), 1e-300)
-
-
 def run_validation(
     rel_tol: float = 1e-12,
     tail_tol: float = 1e-14,
@@ -116,14 +112,14 @@ def run_validation(
     fam = family("theta-symmetry")
     for x, q in zip(xs, qs):
         t = theta3(x, q, acc)
-        fam.add(_rel(theta3(1.0 / x, q, acc), t), f"x={x:.6g}, q={q:.6g}")
+        fam.add(cf.relative_residual(theta3(1.0 / x, q, acc), t), f"x={x:.6g}, q={q:.6g}")
     results.append(fam.result())
 
     fam = family("theta-split")
     for x, q in zip(xs, qs):
         t = theta3(x, q, acc)
         split = partial_theta(x, q, acc) + partial_theta(1.0 / x, q, acc) - 1.0
-        fam.add(_rel(split, t), f"x={x:.6g}, q={q:.6g}")
+        fam.add(cf.relative_residual(split, t), f"x={x:.6g}, q={q:.6g}")
     results.append(fam.result())
 
     fam = family("theta-monotonic")
@@ -144,7 +140,7 @@ def run_validation(
             closed = math.exp(-lam * gamma * gamma) * theta3(
                 math.exp(2.0 * lam * gamma), math.exp(-lam), acc
             )
-            fam.add(_rel(closed, direct), f"lam={lam:g}, gamma={gamma:g}")
+            fam.add(cf.relative_residual(closed, direct), f"lam={lam:g}, gamma={gamma:g}")
     results.append(fam.result())
 
     # --- ring closed forms -------------------------------------------------
@@ -261,7 +257,8 @@ def run_validation(
                     rep = run_cycle(
                         OttoCycleSpec.cs_volume_cycle(l1, l2, alpha, 0.05, 0.2, tail_tol)
                     )
-                    fam.add(_rel(rep.efficiency, efficiency_cs_volume(l1, l2)), point)
+                    analytic = efficiency_cs_volume(l1, l2)
+                    fam.add(cf.relative_residual(rep.efficiency, analytic), point)
                 except AnyonOttoError as exc:
                     fam.error(str(exc), point)
     results.append(fam.result())

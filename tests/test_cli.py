@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from anyon_otto import cli
 from anyon_otto import closed_form as cf
 from anyon_otto.cli import main
+from anyon_otto.otto import MEDIA, MEDIUM, OttoCycleSpec, run_cycle
 
 
 def run_cli(args, capsys):
@@ -211,6 +213,89 @@ class TestCycleCommand:
         assert "regime = engine" in out
         assert "residual" not in out
         assert "Traceback" not in err
+
+    def test_lattice_sum_overflow_prints_cycle_without_residual(self, capsys):
+        # Each theta-series term is a finite double but their sum is not.
+        argv = ["cycle", "--medium", "cs-coupling", "--alpha1", "13.32173841777535"]
+        argv += ["--alpha2", "59.50530799072963", "--length", "2.352780164960125"]
+        argv += ["--beta-h", "0.11227159241666729", "--beta-l", "1.8944716768357162"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "regime = refrigerator" in out
+        assert "W_out = " in out
+        assert "residual" not in out
+        assert err == ""
+
+
+def spec_from_flags(argv):
+    args = cli._build_parser().parse_args(["cycle"] + argv)
+    return cli._cycle_spec(cli._RunConfig(args))
+
+
+class TestMediumTable:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"],
+                OttoCycleSpec.ring_cycle(0.1, 0.3, 0.05, 0.2),
+            ),
+            (
+                ["--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3", "--eps0", "2"],
+                OttoCycleSpec.ring_cycle(0.1, 0.3, 0.05, 0.2, eps0=2.0),
+            ),
+            (
+                ["--medium", "cs-volume", "--l1", "2", "--l2", "1.2"],
+                OttoCycleSpec.cs_volume_cycle(2.0, 1.2, 0.0, 0.05, 0.2),
+            ),
+            (
+                ["--medium", "cs-volume", "--l1", "2", "--l2", "1.2", "--alpha", "0.4"],
+                OttoCycleSpec.cs_volume_cycle(2.0, 1.2, 0.4, 0.05, 0.2),
+            ),
+            (
+                ["--medium", "cs-coupling", "--alpha1", "0.2", "--alpha2", "0.7"],
+                OttoCycleSpec.cs_coupling_cycle(0.2, 0.7, 0.05, 0.2),
+            ),
+            (
+                ["--medium", "cs-coupling", "--alpha1", "0.2", "--alpha2", "0.7"]
+                + ["--length", "1.3", "--tail-tol", "1e-12"],
+                OttoCycleSpec.cs_coupling_cycle(0.2, 0.7, 0.05, 0.2, 1.3, tail_tol=1e-12),
+            ),
+        ],
+        ids=[
+            "ring",
+            "ring-eps0",
+            "cs-volume",
+            "cs-volume-alpha",
+            "cs-coupling",
+            "cs-coupling-length",
+        ],
+    )
+    def test_flags_build_the_named_constructor_spec(self, argv, expected):
+        assert spec_from_flags(argv + ["--beta-h", "0.05", "--beta-l", "0.2"]) == expected
+
+    @pytest.mark.parametrize("medium", MEDIA)
+    def test_every_parameter_is_a_flag_and_a_config_key(self, medium):
+        for param in MEDIUM[medium].params:
+            flag = "--" + param.name.replace("_", "-")
+            args = cli._build_parser().parse_args(["sweep", flag, "0.5"])
+            assert getattr(args, param.name) == 0.5
+            assert param.name in cli._FLOAT_KEYS
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 25.0),
+            OttoCycleSpec.cs_volume_cycle(2.0, 1.2, 0.4, 0.05, 0.2),
+            OttoCycleSpec.cs_coupling_cycle(0.2, 0.7, 0.05, 0.1),
+        ],
+        ids=MEDIA,
+    )
+    def test_every_medium_has_a_residual(self, spec):
+        assert set(cli._RESIDUALS) == set(MEDIA)
+        cfg = cli._RunConfig(cli._build_parser().parse_args(["cycle"]))
+        residual = cli._closed_form_residual(spec, run_cycle(spec).efficiency, cfg)
+        assert residual < 1e-9
 
 
 class TestConfigFile:

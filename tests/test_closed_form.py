@@ -70,6 +70,20 @@ class TestWeightedThetaSeries:
         with pytest.raises(DomainError):
             theta3_weighted(1.0, 0.5, 3)
 
+    @pytest.mark.parametrize("series", [theta3_weighted, partial_theta_weighted])
+    @pytest.mark.parametrize(
+        "x, q, weight, message",
+        [
+            (-1.0, 1.2, 3, "q must lie in (0, 1), got 1.2"),
+            (-1.0, 0.5, 3, "x must be positive, got -1.0"),
+            (1.0, 0.5, 3, "weight must be 0, 1 or 2, got 3"),
+        ],
+    )
+    def test_domain_checked_in_order(self, series, x, q, weight, message):
+        with pytest.raises(DomainError) as info:
+            series(x, q, weight)
+        assert str(info.value) == message
+
 
 class TestRingWeightedEnergySum:
     def test_symmetric_point_direct_sum(self):

@@ -7,6 +7,8 @@ import pytest
 
 from anyon_otto.errors import DegenerateCycle, DomainError
 from anyon_otto.otto import (
+    MEDIA,
+    MEDIUM,
     REGIME_DEGENERATE,
     REGIME_ENGINE,
     OttoCycleSpec,
@@ -15,9 +17,10 @@ from anyon_otto.otto import (
     cycle_strokes,
     efficiency_cs_volume,
     run_cycle,
+    sweep_axes,
     sweep_efficiency,
 )
-from anyon_otto.spectra import label_columns
+from anyon_otto.spectra import CSPairSpectrum, RingAnyonSpectrum, label_columns
 from anyon_otto.thermo import adiabat_path, gibbs, heat_work_split, linear_isochore_path
 
 
@@ -99,6 +102,79 @@ class TestOttoCycleSpec:
         spec = OttoCycleSpec.cs_coupling_cycle(0.0, 1.0, 0.1, 0.2)
         assert spec.control_hot == 1.0
         assert spec.control_cold == 0.0
+
+
+# Each medium's named constructor with distinct, valid keyword values.
+CONSTRUCTORS = {
+    "ring": (
+        OttoCycleSpec.ring_cycle,
+        dict(alpha_h=0.1, alpha_l=0.3, beta_h=0.5, beta_l=5.0, eps0=1.5),
+    ),
+    "cs-volume": (
+        OttoCycleSpec.cs_volume_cycle,
+        dict(l1=2.0, l2=1.2, alpha=0.4, beta_h=0.05, beta_l=0.2),
+    ),
+    "cs-coupling": (
+        OttoCycleSpec.cs_coupling_cycle,
+        dict(alpha1=0.2, alpha2=0.7, beta_h=0.05, beta_l=0.1, length=1.3),
+    ),
+}
+
+
+class TestMediumTable:
+    def test_media_are_the_table_keys(self):
+        assert MEDIA == tuple(MEDIUM) == tuple(CONSTRUCTORS)
+
+    @pytest.mark.parametrize("medium", MEDIA)
+    def test_axes_are_the_constructor_keywords(self, medium):
+        _, kwargs = CONSTRUCTORS[medium]
+        assert set(sweep_axes(medium)) == set(kwargs)
+        assert sweep_axes(medium)[:2] == ("beta_h", "beta_l")
+
+    @pytest.mark.parametrize("medium", MEDIA)
+    def test_every_axis_sets_the_constructor_field(self, medium):
+        make, kwargs = CONSTRUCTORS[medium]
+        for axis in sweep_axes(medium):
+            value = kwargs[axis] * 1.1
+            expected = make(**{**kwargs, axis: value})
+            (row,) = sweep_efficiency(make(**kwargs), axis, [value])
+            assert row.spec == expected, axis
+            assert row.report.efficiency == run_cycle(expected).efficiency
+
+    @pytest.mark.parametrize(
+        "medium, bad, message",
+        [
+            ("ring", {"eps0": 0.0}, "eps0 must be positive"),
+            ("cs-volume", {"l1": 0.0}, "ring sizes must be positive"),
+            ("cs-volume", {"l2": -1.0}, "ring sizes must be positive"),
+            ("cs-volume", {"alpha": -0.1}, "alpha must be >= 0"),
+            ("cs-coupling", {"length": 0.0}, "length must be positive"),
+            ("cs-coupling", {"alpha1": -0.1}, "couplings must be >= 0"),
+            ("cs-coupling", {"alpha2": -0.1}, "couplings must be >= 0"),
+        ],
+    )
+    def test_domain_checks_keep_their_messages(self, medium, bad, message):
+        make, kwargs = CONSTRUCTORS[medium]
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            make(**{**kwargs, **bad})
+
+    def test_spectrum_takes_the_control_where_the_medium_varies(self):
+        ring = OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 5.0, eps0=1.5)
+        assert ring.spectrum_hot() == RingAnyonSpectrum(eps0=1.5, alpha=0.1)
+        volume = OttoCycleSpec.cs_volume_cycle(2.0, 1.2, 0.4, 0.05, 0.2)
+        assert volume.spectrum_hot() == CSPairSpectrum(L=1.2, alpha=0.4)
+        assert volume.spectrum_cold() == CSPairSpectrum(L=2.0, alpha=0.4)
+        coupling = OttoCycleSpec.cs_coupling_cycle(0.2, 0.7, 0.05, 0.1, length=1.3)
+        assert coupling.spectrum_hot() == CSPairSpectrum(L=1.3, alpha=0.7)
+        assert coupling.spectrum_cold() == CSPairSpectrum(L=1.3, alpha=0.2)
+
+    def test_sweep_row_spec_is_none_only_without_a_valid_spec(self):
+        template = OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 25.0)
+        valid, unbuilt, failed = sweep_efficiency(template, "beta_h", [0.5, 30.0, 1e-12])
+        assert valid.spec == template
+        assert unbuilt.spec is None and unbuilt.error.startswith("DomainError: ")
+        assert failed.spec == OttoCycleSpec.ring_cycle(0.1, 0.3, 1e-12, 25.0)
+        assert failed.report is None and failed.error.startswith("NoConvergence: ")
 
 
 class TestRunCycle:

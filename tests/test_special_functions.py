@@ -197,6 +197,24 @@ class TestGaussSums:
         assert math.isclose(value, math.sqrt(math.pi / 0.01), rel_tol=1e-4)
 
 
+class TestSumOverflow:
+    # Peak term exp(lam gamma^2) = exp(708.5) ~ 5e307 is a finite double, but
+    # the ~7 terms within one width of the peak sum past the double range.
+    LAM = 0.06
+    GAMMA = math.sqrt(708.5 / LAM)
+
+    def test_every_term_is_finite(self):
+        peak = round(self.GAMMA)
+        log_pref = self.LAM * self.GAMMA**2
+        assert -self.LAM * (peak - self.GAMMA) ** 2 + log_pref < 709.0
+
+    @pytest.mark.parametrize("series", [theta3, partial_theta, theta3_report])
+    def test_sum_past_double_range_is_no_convergence(self, series):
+        x, q = math.exp(2.0 * self.LAM * self.GAMMA), math.exp(-self.LAM)
+        with pytest.raises(NoConvergence, match="double-precision range"):
+            series(x, q)
+
+
 class TestTailCertificates:
     @pytest.mark.parametrize("lam", [0.05, 0.5, 3.0, 20.0])
     @pytest.mark.parametrize("gamma", [-2.3, 0.0, 1.1])
