@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from . import closed_form as cf
-from .errors import AnyonOttoError, ConfigError, DegenerateCycle
+from .errors import AnyonOttoError, ConfigError, DegenerateCycle, DomainError
 from .otto import (
     MEDIA,
     MEDIUM,
@@ -37,6 +37,8 @@ from .otto import (
     sweep_axes,
     sweep_efficiency,
 )
+from .special_functions import SumAccuracy
+from .spectra import require_finite, require_tail_tol
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -137,6 +139,17 @@ class _RunConfig:
     def __init__(self, args: argparse.Namespace):
         self._file = _load_config_file(args.config) if getattr(args, "config", None) else {}
         self._args = args
+        # The tolerances are checked once, here, so that a bad one is a
+        # configuration error on every command before any work starts.
+        rel_tol, tail_tol = self.get("rel_tol"), self.get("tail_tol")
+        try:
+            if rel_tol is not None:
+                SumAccuracy(rel_tol=rel_tol)
+            if tail_tol is not None:
+                require_finite(tail_tol=tail_tol)
+                require_tail_tol(tail_tol)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def get(self, key: str, default=None):
         cli_val = getattr(self._args, key, None)
@@ -217,8 +230,6 @@ def _closed_form_residual(spec: OttoCycleSpec, efficiency: float, cfg: _RunConfi
     ``efficiency`` is the caller's run_cycle result for ``spec``: the same
     oracle ``cf.*_efficiency_closed`` would compute, so it is not run twice.
     """
-    from .special_functions import SumAccuracy
-
     acc = SumAccuracy(rel_tol=cfg.get("rel_tol", 1e-12))
     try:
         return cf.relative_residual(*_RESIDUALS[spec.medium](spec, efficiency, acc))

@@ -45,6 +45,7 @@ from .spectra import (
     label_columns,
     label_keys,
     require_finite,
+    require_tail_tol,
 )
 from .thermo import DEFAULT_TAIL_TOL, gibbs, populations_entropy
 
@@ -185,8 +186,7 @@ class OttoCycleSpec:
             raise DomainError(
                 f"need beta_h <= beta_l (T_h >= T_l), got {self.beta_h} > {self.beta_l}"
             )
-        if not self.tail_tol > 0.0:
-            raise DomainError("tail_tol must be positive")
+        require_tail_tol(self.tail_tol)
         for ok, message in MEDIUM[self.medium].checks:
             if not ok(self):
                 raise DomainError(message)

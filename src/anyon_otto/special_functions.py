@@ -122,6 +122,12 @@ def _exp_round_up(log_x: float) -> float:
     return val if val > 0.0 else 5e-324
 
 
+def _term_overflow(n: int, expo: float) -> NoConvergence:
+    return NoConvergence(
+        f"term at n={n} exceeds the double-precision range (exponent {expo:.1f})"
+    )
+
+
 def _lattice_sum(
     lam: float,
     gamma: float,
@@ -134,9 +140,15 @@ def _lattice_sum(
     """Core engine: sum (n-c)^weight * exp(-lam*(n-gamma)^2 + log_pref).
 
     Two-sided sums run over all of Z, one-sided sums over n >= 0.  The peak
-    term sits at round(gamma) (clamped to 0 for one-sided sums); rings
-    {n0-k, n0+k} are added outward until both the ring-size rule and the
+    term sits at n0 = round(gamma) (clamped to 0 for one-sided sums); rings
+    {n0+k, n0-k} are added outward until both the ring-size rule and the
     analytic tail certificate hold at ``acc.rel_tol``.
+
+    The returned bits depend on the summation order, which is fixed: the
+    running total starts as ``0.0 + t(n0)``, and ring k then adds
+    ``t(n0+k)`` before ``t(n0-k)`` (the low term only while n0-k is in the
+    range).  The ring's absolute sum is ``|t(n0+k)| + |t(n0-k)|`` in that
+    order, and it joins the running absolute total as one addend.
     """
     max_terms = acc.max_terms
     # The tiny slack keeps the boundary value itself (reached via -log(exp(-x))
@@ -150,57 +162,57 @@ def _lattice_sum(
         )
         max_terms *= 16
 
+    rel_tol = acc.rel_tol
+    exp = math.exp
+    two_sided = not one_sided
     peak = int(round(gamma))
     if one_sided and peak < 0:
         peak = 0
     inv_sqrt_lam = 1.0 / math.sqrt(lam)
     b = abs(gamma - c)
 
-    total = 0.0
-    total_abs = 0.0
-    terms_used = 0
-    n_lo = peak  # lowest/highest index summed so far
-    n_hi = peak
+    # Each term is written out in place: t(n) = (n-c)^weight * exp(expo).
+    n = peak
+    expo = -lam * (n - gamma) ** 2 + log_pref
+    if expo > 709.0:
+        raise _term_overflow(n, expo)
+    mag = exp(expo)
+    t = mag if weight == 0 else (n - c) * mag if weight == 1 else (n - c) ** 2 * mag
+    total = 0.0 + t  # turns a lone -0.0 into 0.0
+    total_abs = abs(t)
+    n_lo = n_hi = peak  # the summed indices are exactly n_lo..n_hi
 
-    def term(n: int) -> float:
+    while True:
+        n_hi += 1
+        n = n_hi
         expo = -lam * (n - gamma) ** 2 + log_pref
         if expo > 709.0:
-            raise NoConvergence(
-                f"term at n={n} exceeds the double-precision range "
-                f"(exponent {expo:.1f})"
-            )
-        mag = math.exp(expo)
-        if weight == 0:
-            return mag
-        if weight == 1:
-            return (n - c) * mag
-        return (n - c) ** 2 * mag
-
-    k = 0
-    while True:
-        if k == 0:
-            ring = [peak]
-        else:
-            ring = [peak + k]
-            lo_candidate = peak - k
-            if lo_candidate >= 0 or not one_sided:
-                ring.append(lo_candidate)
-        ring_abs = 0.0
-        for n in ring:
-            t = term(n)
+            raise _term_overflow(n, expo)
+        mag = exp(expo)
+        t = mag if weight == 0 else (n - c) * mag if weight == 1 else (n - c) ** 2 * mag
+        total += t
+        ring_abs = abs(t)
+        if two_sided or n_lo > 0:
+            n_lo -= 1
+            n = n_lo
+            expo = -lam * (n - gamma) ** 2 + log_pref
+            if expo > 709.0:
+                raise _term_overflow(n, expo)
+            mag = exp(expo)
+            t = mag if weight == 0 else (n - c) * mag if weight == 1 else (n - c) ** 2 * mag
             total += t
             ring_abs += abs(t)
-            n_lo = min(n_lo, n)
-            n_hi = max(n_hi, n)
         total_abs += ring_abs
-        terms_used += len(ring)
+        terms_used = n_hi - n_lo + 1
         if terms_used > max_terms:
             raise NoConvergence(
                 f"lattice sum needed more than {max_terms} terms "
                 f"(lambda={lam:g}, gamma={gamma:g}, weight={weight})"
             )
 
-        if k >= 1 and ring_abs <= acc.rel_tol * max(total_abs, _TINY):
+        # rel_tol * max(total_abs, _TINY), NaN passing through as max() does.
+        threshold = rel_tol * (_TINY if total_abs < _TINY else total_abs)
+        if ring_abs <= threshold:
             # Every term can be finite while their sum is not.  An infinite
             # total_abs meets the ring rule at the next ring, so checking only
             # once the rule holds still catches it, off the per-ring path.
@@ -213,21 +225,19 @@ def _lattice_sum(
             # sit in the monotone region beyond the Gaussian peak.
             u_hi = n_hi - gamma
             u_lo = gamma - n_lo
-            left_open = not (one_sided and n_lo == 0)
+            left_open = two_sided or n_lo != 0
             if u_hi >= inv_sqrt_lam and (not left_open or u_lo >= inv_sqrt_lam):
                 log_tail = log_pref + _log_gauss_tail(lam, u_hi, b, weight)
                 if left_open:
                     log_tail = _logaddexp(
                         log_tail, log_pref + _log_gauss_tail(lam, u_lo, b, weight)
                     )
-                threshold = acc.rel_tol * max(total_abs, _TINY)
                 if log_tail <= math.log(threshold):
                     return SumReport(
                         value=total,
                         tail_bound=_exp_round_up(log_tail),
                         terms_used=terms_used,
                     )
-        k += 1
 
 
 def _theta_params(x: float, q: float) -> tuple[float, float]:

@@ -54,6 +54,16 @@ def require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def require_tail_tol(tail_tol: float) -> None:
+    """Raise DomainError unless the enumeration tolerance lies in (0, 1).
+
+    Each window's first guess is a square root over log(1/tail_tol), which
+    turns negative once the tolerance reaches 1.
+    """
+    if not 0.0 < tail_tol < 1.0:
+        raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+
+
 @dataclass(frozen=True)
 class RingAnyonSpectrum:
     """Flux-ring anyon levels E_n = eps0 (n - alpha)^2, n in Z.
@@ -302,8 +312,7 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
     require_finite(beta=beta, tail_tol=tail_tol)
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if not tail_tol > 0.0:
-        raise DomainError(f"tail_tol must be positive, got {tail_tol}")
+    require_tail_tol(tail_tol)
     if isinstance(spec, RingAnyonSpectrum):
         return _ring_levels(spec, beta, tail_tol)
     if isinstance(spec, CSPairSpectrum):

@@ -535,3 +535,54 @@ class TestValidateCommand:
         assert code == 3
         assert "FAIL" in out
         assert "paper-main-text" in out
+
+
+class TestToleranceConfig:
+    """rel_tol and tail_tol are checked when the config is read: exit 64, no work."""
+
+    RING = ["--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
+    RING += ["--beta-h", "0.5", "--beta-l", "2"]
+    BAD = [
+        (["--rel-tol", "2"], "rel_tol must lie in (0, 1), got 2.0"),
+        (["--rel-tol", "0"], "rel_tol must lie in (0, 1), got 0.0"),
+        (["--rel-tol", "nan"], "rel_tol must lie in (0, 1), got nan"),
+        (["--tail-tol", "2"], "tail_tol must lie in (0, 1), got 2.0"),
+        (["--tail-tol", "1"], "tail_tol must lie in (0, 1), got 1.0"),
+        (["--tail-tol=-1e-13"], "tail_tol must lie in (0, 1), got -1e-13"),
+    ]
+    IDS = ["rel-2", "rel-0", "rel-nan", "tail-2", "tail-1", "tail-negative"]
+
+    @pytest.mark.parametrize("flags,message", BAD, ids=IDS)
+    def test_cycle_exits_64(self, capsys, tmp_path, flags, message):
+        argv = ["cycle"] + self.RING + flags + ["--out", str(tmp_path / "out")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (64, "", f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,message", BAD, ids=IDS)
+    def test_sweep_exits_64(self, capsys, tmp_path, flags, message):
+        argv = ["sweep"] + self.RING + ["--sweep", "beta_l", "--grid", "1:2:2"]
+        code, out, err = run_cli(argv + flags + ["--out", str(tmp_path / "out")], capsys)
+        assert (code, out, err) == (64, "", f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,message", BAD, ids=IDS)
+    def test_validate_exits_64(self, capsys, flags, message):
+        code, out, err = run_cli(["validate"] + flags, capsys)
+        assert (code, out, err) == (64, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["cycle", "validate"])
+    @pytest.mark.parametrize("key", ["rel_tol", "tail_tol"])
+    def test_config_file_value_checked(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 2\n")
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert (code, out, err) == (64, "", f"config error: {key} must lie in (0, 1), got 2.0\n")
+
+    def test_flag_overrides_bad_file_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tail_tol = 2\n")
+        argv = ["cycle", "--config", str(cfg), "--tail-tol", "1e-13"] + self.RING
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (2, "")
+        assert "regime = refrigerator" in out

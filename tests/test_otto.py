@@ -95,6 +95,20 @@ class TestOttoCycleSpec:
         with pytest.raises(DomainError):
             OttoCycleSpec.cs_volume_cycle(0.0, 1.0, 0.5, 0.1, 0.2)
 
+    @pytest.mark.parametrize("tail_tol", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda tol: OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 2.0, tail_tol=tol),
+            lambda tol: OttoCycleSpec.cs_volume_cycle(2.0, 1.0, 0.5, 0.1, 0.2, tail_tol=tol),
+            lambda tol: OttoCycleSpec.cs_coupling_cycle(0.0, 1.0, 0.1, 0.2, tail_tol=tol),
+        ],
+        ids=["ring", "cs-volume", "cs-coupling"],
+    )
+    def test_tail_tol_outside_unit_interval_is_domain_error(self, make, tail_tol):
+        with pytest.raises(DomainError, match=r"^tail_tol must lie in \(0, 1\), got "):
+            make(tail_tol)
+
     def test_constructor_orientation(self):
         spec = OttoCycleSpec.cs_volume_cycle(2.0, 1.0, 0.5, 0.1, 0.2)
         assert spec.control_hot == 1.0  # compressed size takes the heat

@@ -1,11 +1,15 @@
 """Theta and lattice-Gaussian kernels against brute-force partial sums."""
 
 import math
+import random
+import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anyon_otto import special_functions as sf
 from anyon_otto.errors import DomainError, NoConvergence
 from anyon_otto.special_functions import (
     DEFAULT_ACCURACY,
@@ -243,3 +247,162 @@ class TestTailCertificates:
         rep = gauss_sum_full_report(lam, gamma, 0.0, 0)
         exact = brute_gauss(lam, gamma, 0.0, 0, -200, 200)
         assert abs(exact - rep.value) <= rep.tail_bound * 1.0000001
+
+
+# The ring loop of special_functions._lattice_sum as it stood before the loop
+# was tightened: a ring list, a term closure, min/max bookkeeping and a k == 0
+# test per ring.  Kept verbatim as the reference the tight loop must reproduce
+# bit for bit.
+def _reference_lattice_sum(lam, gamma, c, weight, one_sided, acc, log_pref=0.0):
+    max_terms = acc.max_terms
+    if lam < sf.SLOW_DECAY_LAMBDA * (1.0 - 1e-9):
+        warnings.warn(
+            f"slow Gaussian decay (lambda={lam:g} < {sf.SLOW_DECAY_LAMBDA}); "
+            "raising the term cap",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        max_terms *= 16
+
+    peak = int(round(gamma))
+    if one_sided and peak < 0:
+        peak = 0
+    inv_sqrt_lam = 1.0 / math.sqrt(lam)
+    b = abs(gamma - c)
+
+    total = 0.0
+    total_abs = 0.0
+    terms_used = 0
+    n_lo = peak
+    n_hi = peak
+
+    def term(n):
+        expo = -lam * (n - gamma) ** 2 + log_pref
+        if expo > 709.0:
+            raise NoConvergence(
+                f"term at n={n} exceeds the double-precision range "
+                f"(exponent {expo:.1f})"
+            )
+        mag = math.exp(expo)
+        if weight == 0:
+            return mag
+        if weight == 1:
+            return (n - c) * mag
+        return (n - c) ** 2 * mag
+
+    k = 0
+    while True:
+        if k == 0:
+            ring = [peak]
+        else:
+            ring = [peak + k]
+            lo_candidate = peak - k
+            if lo_candidate >= 0 or not one_sided:
+                ring.append(lo_candidate)
+        ring_abs = 0.0
+        for n in ring:
+            t = term(n)
+            total += t
+            ring_abs += abs(t)
+            n_lo = min(n_lo, n)
+            n_hi = max(n_hi, n)
+        total_abs += ring_abs
+        terms_used += len(ring)
+        if terms_used > max_terms:
+            raise NoConvergence(
+                f"lattice sum needed more than {max_terms} terms "
+                f"(lambda={lam:g}, gamma={gamma:g}, weight={weight})"
+            )
+
+        if k >= 1 and ring_abs <= acc.rel_tol * max(total_abs, sf._TINY):
+            if not math.isfinite(total_abs):
+                raise NoConvergence(
+                    f"lattice sum exceeds the double-precision range "
+                    f"(lambda={lam:g}, gamma={gamma:g}, weight={weight})"
+                )
+            u_hi = n_hi - gamma
+            u_lo = gamma - n_lo
+            left_open = not (one_sided and n_lo == 0)
+            if u_hi >= inv_sqrt_lam and (not left_open or u_lo >= inv_sqrt_lam):
+                log_tail = log_pref + sf._log_gauss_tail(lam, u_hi, b, weight)
+                if left_open:
+                    log_tail = sf._logaddexp(
+                        log_tail, log_pref + sf._log_gauss_tail(lam, u_lo, b, weight)
+                    )
+                threshold = acc.rel_tol * max(total_abs, sf._TINY)
+                if log_tail <= math.log(threshold):
+                    return sf.SumReport(
+                        value=total,
+                        tail_bound=sf._exp_round_up(log_tail),
+                        terms_used=terms_used,
+                    )
+        k += 1
+
+
+def _outcome(engine, args, acc, log_pref):
+    """(result or exception, slow-decay warning count) of one engine call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rep = engine(*args, acc, log_pref=log_pref)
+            result = ("report", repr(rep.value), repr(rep.tail_bound), rep.terms_used)
+        except NoConvergence as exc:
+            result = ("NoConvergence", str(exc))
+    slow = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return result, len(slow)
+
+
+class TestEngineMatchesReference:
+    """The tight ring loop gives the reference's bits, errors and warnings."""
+
+    DRAWS = 6000
+
+    def _draws(self):
+        rng = random.Random(6)
+        accs = [
+            SumAccuracy(rel_tol=rel_tol, max_terms=max_terms)
+            for rel_tol in (1e-12, 1e-8, 1e-3, 0.5)
+            for max_terms in (10**6, 8, 20)
+        ]
+        for _ in range(self.DRAWS):
+            if rng.random() < 0.2:
+                # log_pref within a few units of the double range: the
+                # term-overflow and sum-overflow paths.
+                lam = math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
+                gamma = rng.choice((-1.0, 1.0)) * math.sqrt(rng.uniform(700.0, 712.0) / lam)
+            else:
+                # lam up to 1e4 underflows whole sums to signed zeros.
+                lam = math.exp(rng.uniform(math.log(0.01), math.log(1e4)))
+                gamma = rng.uniform(-20.0, 20.0)
+            c = rng.uniform(-20.0, 20.0)
+            weight = rng.choice((0, 1, 2))
+            one_sided = rng.random() < 0.5
+            log_pref = rng.choice((0.0, lam * gamma * gamma))
+            yield (lam, gamma, c, weight, one_sided), rng.choice(accs), log_pref
+
+    def test_fuzz_bit_identical(self):
+        seen = Counter()
+        for args, acc, log_pref in self._draws():
+            expected = _outcome(_reference_lattice_sum, args, acc, log_pref)
+            assert _outcome(sf._lattice_sum, args, acc, log_pref) == expected, (args, acc, log_pref)
+            result, slow = expected
+            if result[0] == "report":
+                seen["zero" if result[1] == "0.0" else "report"] += 1
+            else:
+                seen[result[1].split(" (")[0].split(" at n=")[0]] += 1
+            seen["slow decay"] += slow
+        # Every path the comparison is meant to cover was taken.
+        assert seen["report"] > 3000
+        assert seen["zero"] > 100
+        assert seen["term"] > 100
+        assert seen["lattice sum exceeds the double-precision range"] > 50
+        assert seen["slow decay"] > 500
+        assert sum(n for key, n in seen.items() if key.startswith("lattice sum needed")) > 100
+
+    def test_lone_negative_zero_peak_sums_to_positive_zero(self):
+        # Every term underflows and (n - c) < 0 at the peak: t(peak) = -0.0.
+        args = (1e4, 0.4, 5.0, 1, False)
+        assert repr(sf._lattice_sum(*args, DEFAULT_ACCURACY).value) == "0.0"
+        assert _outcome(sf._lattice_sum, args, DEFAULT_ACCURACY, 0.0) == _outcome(
+            _reference_lattice_sum, args, DEFAULT_ACCURACY, 0.0
+        )

@@ -189,6 +189,15 @@ class TestEnumerateLevels:
             with pytest.raises(DomainError, match="finite"):
                 make()
 
+    @pytest.mark.parametrize(
+        "spec", [RingAnyonSpectrum(1.0, 0.1), CSPairSpectrum(1.0, 0.5)], ids=["ring", "pair"]
+    )
+    @pytest.mark.parametrize("tail_tol", [1.0, 2.0, 1e300])
+    def test_tail_tol_at_or_above_one_is_domain_error(self, spec, tail_tol):
+        # The ring's first window guess took math.sqrt of a negative number.
+        with pytest.raises(DomainError, match=r"^tail_tol must lie in \(0, 1\), got "):
+            enumerate_levels(spec, 0.5, tail_tol)
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             enumerate_levels(RingAnyonSpectrum(1.0, 0.0), 0.0, 1e-12)
