@@ -18,6 +18,7 @@ non-engine regime, 3 validation failure, 64 bad configuration, 1 other error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,7 +69,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="anyon-otto", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"anyon-otto {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -139,9 +142,11 @@ class _RunConfig:
     def __init__(self, args: argparse.Namespace):
         self._file = _load_config_file(args.config) if getattr(args, "config", None) else {}
         self._args = args
-        # The tolerances are checked once, here, so that a bad one is a
-        # configuration error on every command before any work starts.
-        rel_tol, tail_tol = self.get("rel_tol"), self.get("tail_tol")
+        # The tolerances and the seed are checked once, here, so that a bad
+        # one is a configuration error on every command before any work starts.
+        rel_tol, tail_tol, seed = self.get("rel_tol"), self.get("tail_tol"), self.get("seed")
+        if seed is not None and seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
         try:
             if rel_tol is not None:
                 SumAccuracy(rel_tol=rel_tol)

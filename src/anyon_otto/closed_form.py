@@ -48,8 +48,8 @@ from .special_functions import (
     DEFAULT_ACCURACY,
     SumAccuracy,
     _check_gauss_args,
-    _lattice_sum,
     _theta_params,
+    _theta_series,
     gauss_sum_full,
     partial_theta,
     theta3,
@@ -125,9 +125,7 @@ def _series(lam: float, gamma: float, weight: int, one_sided: bool, acc: SumAccu
     """T_w = sum n^w q^(n^2) x^n at x = exp(2 lam gamma), q = exp(-lam)."""
     if not lam > 0.0:
         raise DomainError(f"series decay rate must be positive, got {lam}")
-    return _lattice_sum(
-        lam, gamma, 0.0, weight, one_sided, acc, log_pref=lam * gamma * gamma
-    ).value
+    return _theta_series(lam, gamma, weight, one_sided, acc).value
 
 
 def _weighted_theta(x: float, q: float, weight: int, one_sided: bool, acc: SumAccuracy) -> float:

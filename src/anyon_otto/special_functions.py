@@ -8,19 +8,30 @@ Everything in this module is a truncated evaluation of one of four series:
     gauss_sum_half(lam, gamma, c, w) = sum_{n >= 0} (n-c)^w exp(-lam (n-gamma)^2)
 
 With x = exp(2 lam gamma) and q = exp(-lam), the theta series are the
-weight-0 Gaussian sums up to the prefactor exp(-lam gamma^2), so a single
-summation engine serves all four.  Terms are added in rings expanding
-symmetrically outward from the peak index round(gamma); summation stops when
-the last ring falls below ``rel_tol`` times the running total of absolute
-terms AND an analytic bound on the discarded Gaussian tail (an integral
-comparison, evaluated in log space so it never over- or underflows) certifies
-the same tolerance.  The gauss_sum_* functions never route through theta
-identities; they are the brute-force oracles that the closed-form expressions
-elsewhere in the package are validated against.
+weight-0 Gaussian sums up to the prefactor exp(-lam gamma^2).  The direct
+engine ``_lattice_sum`` adds terms in rings expanding symmetrically outward
+from the peak index round(gamma); summation stops when the last ring falls
+below ``rel_tol`` times the running total of absolute terms AND an analytic
+bound on the discarded Gaussian tail (an integral comparison, evaluated in
+log space so it never over- or underflows) certifies the same tolerance.
 
-Small decay rates (lam < 0.05) converge slowly; the engine then widens its
-term cap and emits a RuntimeWarning rather than switching to a modular
-transformation, keeping a single auditable code path.
+Theta-side series T_w = sum n^w q^(n^2) x^n (w = 0, 1, 2; the theta
+functions and the closed forms' derivative series) are routed by decay rate
+in ``_theta_series``.  Below SLOW_DECAY_LAMBDA the direct sum needs
+O(1/sqrt(lam)) terms, so full-lattice T_w go through Jacobi's imaginary
+transformation (Poisson summation, DLMF 20.7(viii)), whose dual series
+decays at pi^2/lam > 197 and is certified after one or two terms.  Partial
+theta has no such transformation and stays direct, as do all sums at
+lam >= SLOW_DECAY_LAMBDA.  This gives up the earlier single code path on
+purpose: the direct engine needs ~1,000 terms per sum at lam = 1e-4 and
+loses digits at weight 1, while the dual is both cheaper and closer to the
+exact value.
+
+The gauss_sum_* functions always sum directly and never route through theta
+identities or the dual; they are the brute-force oracles that the
+closed-form expressions elsewhere in the package are validated against, so
+the two routes stay independent at every decay rate.  At small lam the
+direct engine widens its term cap and emits a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NoConvergence
 
@@ -69,8 +81,7 @@ class SumAccuracy:
 DEFAULT_ACCURACY = SumAccuracy()
 
 
-@dataclass(frozen=True)
-class SumReport:
+class SumReport(NamedTuple):
     """A truncated sum together with its certificate.
 
     ``tail_bound`` is an analytic upper bound on the total absolute
@@ -240,6 +251,91 @@ def _lattice_sum(
                     )
 
 
+def _theta_series(
+    lam: float, gamma: float, weight: int, one_sided: bool, acc: SumAccuracy
+) -> SumReport:
+    """T_w = sum n^w q^(n^2) x^n at x = exp(2 lam gamma), q = exp(-lam), certified.
+
+    Full-lattice series with lam below SLOW_DECAY_LAMBDA (the test under which
+    ``_lattice_sum`` warns) are summed in the Poisson dual; every other series
+    is ``_lattice_sum`` with the prefactor exp(lam gamma^2) in its terms.
+
+    The dual: with mu = pi^2/lam, r = sqrt(pi/lam) and, over k >= 1,
+
+        S_0 = r [1 + 2 sum e^(-mu k^2) cos 2 pi k gamma]
+        S_1 = -r (2 pi/lam) sum k e^(-mu k^2) sin 2 pi k gamma
+        S_2 = r/(2 lam) [1 + 2 sum e^(-mu k^2) (1 - 2 mu k^2) cos 2 pi k gamma]
+
+    for S_w = sum (n-gamma)^w exp(-lam (n-gamma)^2), the series are
+    T_0 = E S_0, T_1 = E (S_1 + gamma S_0) and
+    T_2 = E (S_2 + 2 gamma S_1 + gamma^2 S_0) with E = exp(lam gamma^2).
+    Dual index k >= 1 adds at most E C_w k^w e^(-mu k^2) to |T_w|, so the
+    discarded part beyond K is bounded by E C_w ``_log_gauss_tail(mu, K, 0, w)``;
+    the dual stops at the first K >= 1 where that bound is at most
+    rel_tol |T_w| and reports 2K + 1 terms.
+    """
+    # The same slack as _lattice_sum's warning test keeps the boundary value
+    # itself on the direct route.
+    if one_sided or not lam < SLOW_DECAY_LAMBDA * (1.0 - 1e-9):
+        return _lattice_sum(lam, gamma, 0.0, weight, one_sided, acc, lam * gamma * gamma)
+
+    log_pref = lam * gamma * gamma
+    if log_pref > 709.0:
+        raise NoConvergence(
+            f"theta series prefactor exceeds the double-precision range "
+            f"(exponent {log_pref:.1f})"
+        )
+    mu = math.pi * math.pi / lam
+    if not mu < 1e300:  # keeps mu k^2 and the tail coefficients finite
+        raise NoConvergence(f"dual decay rate pi^2/lambda is out of range (lambda={lam:g})")
+    r = math.sqrt(math.pi / lam)
+    g = abs(gamma)
+    if weight == 0:
+        log_coef = math.log(2.0 * r)
+    elif weight == 1:
+        log_coef = math.log(r) + math.log(2.0 * math.pi + 2.0 * g * lam) - math.log(lam)
+    else:
+        log_coef = (
+            math.log(r)
+            + math.log(2.0 * mu + 4.0 * math.pi * g + 2.0 * g * g * lam)
+            - math.log(lam)
+        )
+    log_coef += log_pref
+    pref = math.exp(log_pref)
+    log_rel_tol = math.log(acc.rel_tol)
+    phase = 2.0 * math.pi * gamma
+
+    # Bracketed dual sums over k >= 1 of S_0, S_1 and S_2.
+    c0 = c1 = c2 = 0.0
+    k = 0
+    while True:
+        k += 1
+        decay = math.exp(-mu * k * k)
+        cos_k = math.cos(k * phase)
+        c0 += decay * cos_k
+        s0 = r * (1.0 + 2.0 * c0)
+        if weight == 0:
+            value = pref * s0
+        else:
+            c1 += k * decay * math.sin(k * phase)
+            s1 = -r * (2.0 * math.pi / lam) * c1
+            if weight == 1:
+                value = pref * (s1 + gamma * s0)
+            else:
+                c2 += decay * (1.0 - 2.0 * mu * k * k) * cos_k
+                s2 = r / (2.0 * lam) * (1.0 + 2.0 * c2)
+                value = pref * (s2 + 2.0 * gamma * s1 + gamma * gamma * s0)
+        value = 0.0 + value  # turns -0.0 into 0.0, as the direct sum does
+        if not math.isfinite(value):
+            raise NoConvergence(
+                f"lattice sum exceeds the double-precision range "
+                f"(lambda={lam:g}, gamma={gamma:g}, weight={weight})"
+            )
+        log_tail = log_coef + _log_gauss_tail(mu, k, 0.0, weight)
+        if log_tail <= log_rel_tol + math.log(max(abs(value), _TINY)):
+            return SumReport(value, _exp_round_up(log_tail), 2 * k + 1)
+
+
 def _theta_params(x: float, q: float) -> tuple[float, float]:
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q}")
@@ -253,7 +349,7 @@ def _theta_params(x: float, q: float) -> tuple[float, float]:
 def theta3_report(x: float, q: float, acc: SumAccuracy = DEFAULT_ACCURACY) -> SumReport:
     """theta3 with its truncation certificate."""
     lam, gamma = _theta_params(x, q)
-    return _lattice_sum(lam, gamma, 0.0, 0, False, acc, log_pref=lam * gamma * gamma)
+    return _theta_series(lam, gamma, 0, False, acc)
 
 
 def theta3(x: float, q: float, acc: SumAccuracy = DEFAULT_ACCURACY) -> float:
@@ -262,7 +358,8 @@ def theta3(x: float, q: float, acc: SumAccuracy = DEFAULT_ACCURACY) -> float:
     Requires x > 0 and 0 < q < 1, which makes every term positive and the
     series absolutely convergent.  Satisfies theta3(x, q) = theta3(1/x, q).
     """
-    return theta3_report(x, q, acc).value
+    lam, gamma = _theta_params(x, q)
+    return _theta_series(lam, gamma, 0, False, acc).value
 
 
 def partial_theta_report(
@@ -270,7 +367,7 @@ def partial_theta_report(
 ) -> SumReport:
     """partial_theta with its truncation certificate."""
     lam, gamma = _theta_params(x, q)
-    return _lattice_sum(lam, gamma, 0.0, 0, True, acc, log_pref=lam * gamma * gamma)
+    return _theta_series(lam, gamma, 0, True, acc)
 
 
 def partial_theta(x: float, q: float, acc: SumAccuracy = DEFAULT_ACCURACY) -> float:
@@ -279,7 +376,8 @@ def partial_theta(x: float, q: float, acc: SumAccuracy = DEFAULT_ACCURACY) -> fl
     Splitting Z at n = 0 gives
     theta3(x, q) = partial_theta(x, q) + partial_theta(1/x, q) - 1.
     """
-    return partial_theta_report(x, q, acc).value
+    lam, gamma = _theta_params(x, q)
+    return _theta_series(lam, gamma, 0, True, acc).value
 
 
 def _check_gauss_args(lam: float, weight: int) -> None:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -586,3 +590,55 @@ class TestToleranceConfig:
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (2, "")
         assert "regime = refrigerator" in out
+
+
+class TestSeedConfig:
+    """A negative seed is bad configuration: exit 64 before any work."""
+
+    def test_validate_flag_exits_64(self, capsys):
+        code, out, err = run_cli(["validate", "--seed", "-1"], capsys)
+        assert (code, out, err) == (64, "", "config error: seed must be non-negative, got -1\n")
+
+    def test_cycle_flag_exits_64(self, capsys):
+        argv = ["cycle"] + TestToleranceConfig.RING + ["--seed=-7"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (64, "", "config error: seed must be non-negative, got -7\n")
+
+    @pytest.mark.parametrize("command", ["cycle", "validate"])
+    def test_config_file_value_checked(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -2\n")
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert (code, out, err) == (64, "", "config error: seed must be non-negative, got -2\n")
+
+    def test_zero_seed_accepted(self, capsys):
+        code, _, err = run_cli(["validate", "--seed", "0"], capsys)
+        assert (code, err) == (0, "")
+
+
+class TestParserReuse:
+    """The parser is built once per process; later runs must not see earlier ones."""
+
+    RUNS = [
+        ["cycle"] + TestToleranceConfig.RING,
+        ["cycle", "--no-such-flag"],
+        ["validate"],
+        ["cycle", "--medium", "ring", "--alpha-h", "0.2", "--alpha-l", "0.4"]
+        + ["--beta-h", "0.5", "--beta-l", "25"],
+    ]
+
+    def test_runs_in_one_process_equal_fresh_processes(self, capsys):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        assert cli._build_parser() is cli._build_parser()
+        codes = []
+        for argv in self.RUNS:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "anyon_otto.cli"] + argv,
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert run_cli(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.append(fresh.returncode)
+        assert codes == [2, 64, 0, 0]

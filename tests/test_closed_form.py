@@ -1,6 +1,7 @@
 """Closed forms against brute-force oracles, including the printed variants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -339,3 +340,35 @@ class TestReportInvariant:
         recomputed = abs(rep.value - rep.oracle_value) / max(abs(rep.oracle_value), 1e-300)
         assert rep.rel_residual == recomputed
         assert rep.formula_variant == "rederived"
+
+
+class TestHighTemperatureClosedForms:
+    """Full-lattice theta series below lam = 0.05 take the Poisson dual; the oracles stay direct."""
+
+    @pytest.mark.parametrize("weight", [0, 1, 2])
+    def test_weighted_series_match_the_direct_oracle(self, weight):
+        x, q = 1.5, math.exp(-2e-3)
+        lam, gamma = -math.log(q), math.log(x) / (-2.0 * math.log(q))
+        with pytest.warns(RuntimeWarning, match="slow Gaussian decay"):
+            oracle = gauss_sum_full(lam, gamma, 0.0, weight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = math.exp(-lam * gamma * gamma) * theta3_weighted(x, q, weight)
+        assert math.isclose(closed, oracle, rel_tol=1e-11)
+
+    def test_ring_closed_form_sums_without_slow_decay(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ring_efficiency_value(0.1, 0.3, 2e-5, 1e-4)
+        oracle = run_cycle(OttoCycleSpec.ring_cycle(0.1, 0.3, 2e-5, 1e-4)).efficiency
+        assert abs(value - oracle) <= 1e-9 * abs(oracle)
+
+    def test_ring_energy_sum_against_its_oracle(self):
+        with pytest.warns(RuntimeWarning, match="slow Gaussian decay"):
+            rep = ring_weighted_energy_sum(0.35, 0.1, 1e-3)
+        assert rep.rel_residual <= 1e-10
+
+    def test_pair_relative_factors_stay_direct(self):
+        # partial theta has no modular transformation: its slow sums still warn
+        with pytest.warns(RuntimeWarning, match="slow Gaussian decay"):
+            cs_efficiency_value(0.2, 0.7, 5e-4, 5e-3)

@@ -406,3 +406,143 @@ class TestEngineMatchesReference:
         assert _outcome(sf._lattice_sum, args, DEFAULT_ACCURACY, 0.0) == _outcome(
             _reference_lattice_sum, args, DEFAULT_ACCURACY, 0.0
         )
+
+
+def _mp_series(lam, gamma, bits=256):
+    """(T_0, T_1, T_2) to better than 30 digits by direct summation in mpmath fixed point.
+
+    T_w = sum n^w exp(-lam n^2 + 2 lam gamma n) over |n - gamma| <= sqrt(80/lam),
+    every term from the recurrence t(n+1) = t(n) rho(n), rho(n+1) = rho(n) q^2;
+    no theta identity is used, so it is an independent reference for the dual.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(bits + 64):
+        lam_mp, gamma_mp = mpmath.mpf(lam), mpmath.mpf(gamma)
+        width = int(math.sqrt(80.0 / lam)) + 2
+        lo = int(round(gamma)) - width
+
+        def fixed(v):
+            return int(mpmath.nint(mpmath.ldexp(v, bits)))
+
+        t = fixed(mpmath.exp(-lam_mp * (lo - gamma_mp) ** 2))  # over exp(lam gamma^2)
+        rho = fixed(mpmath.exp(-lam_mp * (2 * lo + 1) + 2 * lam_mp * gamma_mp))
+        q2 = fixed(mpmath.exp(-2 * lam_mp))
+        s0 = s1 = s2 = 0
+        for n in range(lo, lo + 2 * width + 1):
+            s0 += t
+            s1 += n * t
+            s2 += n * n * t
+            t = (t * rho) >> bits
+            rho = (rho * q2) >> bits
+        pref = mpmath.ldexp(mpmath.exp(lam_mp * gamma_mp**2), -bits)
+        return tuple(s * pref for s in (s0, s1, s2))
+
+
+def _dual(lam, gamma, weight, acc=DEFAULT_ACCURACY):
+    """The theta-side series entry, which takes the Poisson dual below 0.05."""
+    return sf._theta_series(lam, gamma, weight, False, acc)
+
+
+class TestPoissonDual:
+    """Full-lattice theta-side series below SLOW_DECAY_LAMBDA: the Poisson dual."""
+
+    @pytest.mark.parametrize("lam,gamma", [(1e-4, 0.37), (3e-3, -1.6), (0.04, 1.2)])
+    def test_reference_matches_jtheta(self, lam, gamma):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            z, q = -1j * mpmath.mpf(lam) * gamma, mpmath.exp(-mpmath.mpf(lam))
+            # theta_3(z, q) = sum q^(n^2) e^(2inz); each z-derivative brings 2in.
+            jt = [(mpmath.jtheta(3, z, q, d) / (2j) ** d).real for d in (0, 1, 2)]
+            for ref, expected in zip(_mp_series(lam, gamma), jt):
+                assert abs(ref - expected) <= mpmath.mpf(10) ** -25 * abs(expected)
+
+    def test_matches_mpmath(self):
+        rng = random.Random(20)
+        for _ in range(24):
+            lam = math.exp(rng.uniform(math.log(1e-8), math.log(sf.SLOW_DECAY_LAMBDA)))
+            gamma = rng.uniform(-2.0, 2.0)
+            for weight, ref in enumerate(_mp_series(lam, gamma)):
+                rep = _dual(lam, gamma, weight)
+                assert rep.terms_used == 3
+                assert abs(rep.value - ref) <= 2e-15 * abs(ref), (lam, gamma, weight)
+
+    def test_agrees_with_gauss_sum_full(self):
+        # The oracle sums directly.  Its certificate is relative to the sum of
+        # absolute terms, which for weight 1 is at most sqrt(G_0 G_2).
+        rng = random.Random(21)
+        tol = 10 * DEFAULT_ACCURACY.rel_tol
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(60):
+                lam = math.exp(rng.uniform(math.log(1e-3), math.log(sf.SLOW_DECAY_LAMBDA)))
+                gamma = rng.uniform(-2.0, 2.0)
+                direct = [gauss_sum_full(lam, gamma, 0.0, w) for w in (0, 1, 2)]
+                scales = [direct[0], math.sqrt(direct[0] * direct[2]), direct[2]]
+                for weight in (0, 1, 2):
+                    dual = math.exp(-lam * gamma * gamma) * _dual(lam, gamma, weight).value
+                    assert abs(dual - direct[weight]) <= tol * scales[weight], (lam, gamma, weight)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("weight", [0, 1, 2])
+    def test_routes_agree_at_the_switch(self, side, weight):
+        lam, gamma = sf.SLOW_DECAY_LAMBDA * (1.0 + side * 1e-6), 0.83
+        rep = _dual(lam, gamma, weight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            direct = sf._lattice_sum(lam, gamma, 0.0, weight, False, DEFAULT_ACCURACY, lam * gamma**2)
+        if side > 0:
+            assert rep == direct  # at and above the switch the series is summed directly
+        else:
+            assert rep.terms_used == 3
+        ref = _mp_series(lam, gamma)[weight]
+        tol = 10 * DEFAULT_ACCURACY.rel_tol
+        assert abs(rep.value - ref) <= tol * abs(ref)
+        assert abs(direct.value - ref) <= tol * abs(ref)
+
+    def test_theta3_does_not_warn_but_the_oracle_does(self):
+        lam, gamma = 1e-3, 0.4
+        x, q = math.exp(2.0 * lam * gamma), math.exp(-lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta3(x, q)
+            theta3_report(x, q)
+        with pytest.warns(RuntimeWarning, match="slow Gaussian decay"):
+            gauss_sum_full(lam, gamma, 0.0, 0)
+        with pytest.warns(RuntimeWarning, match="slow Gaussian decay"):
+            partial_theta(x, q)  # one-sided: no modular transformation
+
+    @pytest.mark.parametrize("weight", [0, 1, 2])
+    def test_prefactor_past_double_range_is_no_convergence(self, weight):
+        lam = 0.01
+        gamma = math.sqrt(709.5 / lam)
+        with pytest.raises(NoConvergence, match="double-precision range"):
+            _dual(lam, gamma, weight)
+        with pytest.raises(NoConvergence, match="double-precision range"):
+            theta3(math.exp(2.0 * lam * gamma), math.exp(-lam))
+
+    @pytest.mark.parametrize("lam", [1e-305, 5e-324])
+    def test_dual_decay_rate_past_double_range_is_no_convergence(self, lam):
+        with pytest.raises(NoConvergence, match="out of range"):
+            _dual(lam, 0.3, 0)
+
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-12, 1e-15, 1e-200])
+    @pytest.mark.parametrize("lam", [1e-8, 2e-4, 0.049])
+    @pytest.mark.parametrize("weight", [0, 1, 2])
+    def test_tail_bound_below_rel_tol(self, rel_tol, lam, weight):
+        rep = _dual(lam, -0.7, weight, SumAccuracy(rel_tol=rel_tol))
+        assert 0.0 < rep.tail_bound <= rel_tol * abs(rep.value)
+        assert rep.terms_used in (3, 5)
+
+    def test_tail_bound_is_the_integral_bound_on_the_dual_tail(self):
+        # weight 0, gamma 0, K = 1: the discarded 2r sum_{k>=2} e^(-mu k^2) is
+        # at most 2r int_1^inf e^(-mu t^2) dt <= r e^(-mu)/mu.
+        lam = 0.04
+        mu, r = math.pi**2 / lam, math.sqrt(math.pi / lam)
+        rep = _dual(lam, 0.0, 0)
+        assert rep.terms_used == 3
+        assert math.isclose(rep.tail_bound, r * math.exp(-mu) / mu, rel_tol=1e-12)
+        assert math.log(rep.tail_bound) > math.log(2.0 * r) - 4.0 * mu
+
+    def test_odd_series_at_zero_shift_is_exactly_zero(self):
+        rep = _dual(1e-3, 0.0, 1)
+        assert repr(rep.value) == "0.0" and rep.tail_bound > 0.0
