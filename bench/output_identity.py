@@ -1,0 +1,330 @@
+#!/usr/bin/env python3
+"""Compare the CLI output of two checkouts and grade every changed closed-form residual.
+
+    python3 bench/output_identity.py PARENT_DIR CHANGE_DIR --out rows.csv
+
+Each checkout runs, in its own interpreter and in-process through
+``cli.main``, the same command lines: the six README commands, ``validate``
+for seeds 1-3, and one round of the ``hot-cycle`` and ``bose-fermi-sweep``
+inputs of ``perfbench/workloads.py`` for seeds 1-3.  For each command it
+records the exit code, stdout, stderr and every written file (``sweep.json``
+without its wall times), counts slow-decay warnings, and records each
+residual the CLI prints: the cycle's parameters, the run_cycle efficiency
+and the closed-form efficiency behind it.  It also counts, over all commands,
+the direct ``_lattice_sum`` calls and terms and, where the checkout has it,
+the Poisson-dual calls and terms of ``_theta_series``.
+
+Commands whose outputs are equal on both sides are counted; for the others,
+every residual whose closed-form value changed gets a row in the CSV: the old
+and new residual, and the relative distance of the old and new closed-form
+value to an mpmath evaluation of the same closed form (every theta series
+summed term by term in 256-bit fixed point, no theta identity), plus
+eps * kappa, the rounding error the assembly 1 - (A - B)/(C - D) admits.
+Needs mpmath.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import math
+import shutil
+import subprocess
+import sys
+import tempfile
+import warnings
+from collections import Counter
+from pathlib import Path
+
+README = [
+    "cycle --medium cs-volume --l1 2 --l2 1 --beta-h 0.01 --beta-l 0.1",
+    "cycle --medium ring --alpha-h 0.1 --alpha-l 0.3 --beta-h 0.5 --beta-l 25 --out OUT --format csv,json",
+    "sweep --medium cs-coupling --alpha1 0 --beta-h 0.05 --beta-l 0.1 --sweep alpha2 --grid 0:1:11"
+    " --out OUT --format csv,json,svg",
+    "sweep --medium ring --alpha-h 0.1 --alpha-l 0.3 --beta-l 5 --sweep beta_h --grid 0.1:1:3 --out OUT",
+    "validate",
+    "validate --variant paper-main-text",
+]
+SEEDS = (1, 2, 3)
+
+
+def commands(wl) -> list:
+    cmds = [("readme", line.split()) for line in README]
+    cmds += [("validate", ["validate", "--seed", str(s)]) for s in SEEDS]
+    for seed in SEEDS:
+        for inp in wl.take("hot-cycle", seed, wl.round_size("hot-cycle")):
+            cmds.append((f"hot-cycle/{seed}", wl.cycle_argv(inp)))
+        for inp in wl.take("bose-fermi-sweep", seed, wl.round_size("bose-fermi-sweep")):
+            cmds.append((f"bose-fermi-sweep/{seed}", wl.sweep_argv(inp, "OUT")))
+    return cmds
+
+
+# ---------------------------------------------------------------------------
+# one checkout
+# ---------------------------------------------------------------------------
+
+
+def run_checkout(checkout: Path, out: Path) -> None:
+    sys.path[:0] = [str(checkout / "src"), str(checkout)]
+    from perfbench import workloads as wl
+    from anyon_otto import cli
+    from anyon_otto import closed_form as cf
+    from anyon_otto import special_functions as sf
+
+    counts = Counter()
+    lattice_sum = sf._lattice_sum
+
+    def counted_lattice_sum(*args, **kwargs):
+        rep = lattice_sum(*args, **kwargs)
+        counts["direct_calls"] += 1
+        counts["direct_terms"] += rep.terms_used
+        return rep
+
+    for module in (sf, cf):
+        if hasattr(module, "_lattice_sum"):
+            module._lattice_sum = counted_lattice_sum
+    if hasattr(sf, "_theta_series"):
+        theta_series = sf._theta_series
+
+        def counted_theta_series(lam, gamma, weight, one_sided, acc):
+            rep = theta_series(lam, gamma, weight, one_sided, acc)
+            if not one_sided and lam < sf.SLOW_DECAY_LAMBDA * (1.0 - 1e-9):
+                counts["dual_calls"] += 1
+                counts["dual_terms"] += rep.terms_used
+            return rep
+
+        sf._theta_series = cf._theta_series = counted_theta_series
+
+    residuals = []
+    for medium, pair in list(cli._RESIDUALS.items()):
+
+        def recorded(s, eta, acc, pair=pair):
+            value, reference = pair(s, eta, acc)
+            residuals.append({
+                "medium": s.medium, "hot": s.control_hot, "cold": s.control_cold,
+                "beta_h": s.beta_h, "beta_l": s.beta_l, "eps0": s.eps0, "length": s.cs_length,
+                "eta": eta, "value": value,
+            })
+            return value, reference
+
+        cli._RESIDUALS[medium] = recorded
+
+    records = []
+    for tag, argv in commands(wl):
+        tmp = tempfile.mkdtemp()
+        argv = [tmp if a == "OUT" else a for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        residuals.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = cli.main(argv)
+        files = {}
+        for path in sorted(Path(tmp).iterdir()):
+            text = path.read_text(encoding="utf-8")
+            if path.name == "sweep.json":
+                payload = json.loads(text)
+                for row in payload["rows"]:
+                    del row["wall_time_s"]
+                text = json.dumps(payload, indent=2)
+            files[path.name] = text
+        shutil.rmtree(tmp)
+        records.append({
+            "tag": tag,
+            "argv": ["OUT" if a == tmp else a for a in argv],
+            "rc": rc,
+            "stdout": stdout.getvalue().replace(tmp, "OUT"),
+            "stderr": stderr.getvalue().replace(tmp, "OUT"),
+            "files": files,
+            "slow_decay_warnings": sum("slow Gaussian decay" in str(w.message) for w in caught),
+            "residuals": list(residuals),
+        })
+    out.write_text(json.dumps({"records": records, "counts": dict(counts)}), encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# mpmath reference for the closed forms
+# ---------------------------------------------------------------------------
+
+BITS = 256
+
+
+def series(lam, gamma, one_sided):
+    """(T_0, T_1, T_2), T_w = sum n^w exp(-lam n^2 + 2 lam gamma n), full lattice or n >= 0."""
+    import mpmath
+
+    with mpmath.workprec(BITS + 64):
+        lam, gamma = mpmath.mpf(lam), mpmath.mpf(gamma)
+        width = int(math.sqrt(100.0 / float(lam))) + 2
+        lo = int(round(float(gamma))) - width
+        hi = lo + 2 * width
+        if one_sided:
+            lo = max(lo, 0)
+        n0 = min(max(int(round(float(gamma))), lo), hi)
+        q2 = int(mpmath.nint(mpmath.ldexp(mpmath.exp(-2 * lam), BITS)))
+        sums = [0, 0, 0]
+        # Outward from the peak, so every term is a ratio below one of a
+        # term near 2^BITS: up from n0, then down from n0 - 1.
+        for start, stop, step in ((n0, hi + 1, 1), (n0 - 1, lo - 1, -1)):
+            if (stop - start) * step <= 0:
+                continue
+            term = int(mpmath.nint(mpmath.ldexp(mpmath.exp(-lam * (start - gamma) ** 2), BITS)))
+            log_ratio = -lam * (2 * start + step) * step + 2 * lam * gamma * step
+            ratio = int(mpmath.nint(mpmath.ldexp(mpmath.exp(log_ratio), BITS)))
+            for n in range(start, stop, step):
+                sums[0] += term
+                sums[1] += n * term
+                sums[2] += n * n * term
+                term = (term * ratio) >> BITS
+                ratio = (ratio * q2) >> BITS
+        scale = mpmath.ldexp(mpmath.exp(lam * gamma * gamma), -BITS)
+        return [s * scale for s in sums]
+
+
+def gauss(lam, gamma, c, weighted, one_sided):
+    """sum (n-c)^2 exp(-lam (n-gamma)^2) if weighted, else sum exp(-lam (n-gamma)^2)."""
+    import mpmath
+
+    lam, gamma, c = mpmath.mpf(lam), mpmath.mpf(gamma), mpmath.mpf(c)
+    t0, t1, t2 = series(lam, gamma, one_sided)
+    pref = mpmath.exp(-lam * gamma * gamma)
+    return pref * (c * c * t0 - 2 * c * t1 + t2) if weighted else pref * t0
+
+
+def ratios(row) -> tuple:
+    """(A, B, C, D) with closed-form eta = 1 - (A - B)/(C - D), as closed_form assembles it."""
+    import mpmath
+
+    bh, bl = mpmath.mpf(row["beta_h"]), mpmath.mpf(row["beta_l"])
+    if row["medium"] == "ring":
+        eps0 = mpmath.mpf(row["eps0"])
+        hot, cold = row["hot"], row["cold"]
+
+        def u(aw, ab, b):
+            return eps0 * gauss(b * eps0, ab, aw, True, False)
+
+        def z(a, b):
+            return gauss(b * eps0, a, 0, False, False)
+
+        zh, zl = z(hot, bh), z(cold, bl)
+        return u(cold, hot, bh) / zh, u(cold, cold, bl) / zl, u(hot, hot, bh) / zh, u(hot, cold, bl) / zl
+
+    unit = mpmath.pi**2 / mpmath.mpf(row["length"]) ** 2
+    a1, a2 = mpmath.mpf(row["cold"]), mpmath.mpf(row["hot"])
+
+    def x(aw, ab, b):
+        c4 = 4 * b * unit
+        even = gauss(c4, 0, 0, True, False) * gauss(c4, ab / 2, 0, False, True) + gauss(
+            c4, 0, 0, False, False
+        ) * gauss(c4, ab / 2, aw / 2, True, True)
+        odd = gauss(c4, -0.5, -0.5, True, False) * gauss(c4, (ab - 1) / 2, 0, False, True) + gauss(
+            c4, -0.5, 0, False, False
+        ) * gauss(c4, (ab - 1) / 2, (aw - 1) / 2, True, True)
+        return 4 * unit * (even + odd)
+
+    def z(a, b):
+        c4 = 4 * b * unit
+        return gauss(c4, 0, 0, False, False) * gauss(c4, a / 2, 0, False, True) + gauss(
+            c4, -0.5, 0, False, False
+        ) * gauss(c4, (a - 1) / 2, 0, False, True)
+
+    zh, zl = z(a2, bh), z(a1, bl)
+    return x(a1, a2, bh) / zh, x(a1, a1, bl) / zl, x(a2, a2, bh) / zh, x(a2, a1, bl) / zl
+
+
+def grade(row, values) -> tuple:
+    """(relative distance of each closed-form value to mpmath, eps * kappa of the assembly)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, b, c, d = ratios(row)
+        rho = (a - b) / (c - d)
+        exact = 1 - rho
+        kappa = abs(rho / exact) * ((abs(a) + abs(b)) / abs(a - b) + (abs(c) + abs(d)) / abs(c - d))
+        distances = [float(abs((mpmath.mpf(v) - exact) / exact)) for v in values]
+        return distances, float(kappa) * 2.0**-52
+
+
+# ---------------------------------------------------------------------------
+# comparison
+# ---------------------------------------------------------------------------
+
+WORKER = "--worker"
+FIELDS = (
+    "workload", "medium", "beta_h", "beta_l", "control_hot", "control_cold",
+    "residual_old", "residual_new", "mpmath_distance_old", "mpmath_distance_new", "eps_kappa",
+)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == [WORKER]:  # one checkout in a fresh interpreter: CHECKOUT DUMP_JSON
+        run_checkout(Path(argv[1]).resolve(), Path(argv[2]))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--out", type=Path, required=True, help="CSV of the changed residuals")
+    args = parser.parse_args(argv)
+
+    sides = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, checkout in (("parent", args.parent), ("change", args.change)):
+            dump = Path(tmp) / f"{side}.json"
+            subprocess.run([sys.executable, __file__, WORKER, str(checkout), str(dump)], check=True)
+            sides[side] = json.loads(dump.read_text(encoding="utf-8"))
+
+    keys = ("rc", "stdout", "stderr", "files")
+    old_records, new_records = sides["parent"]["records"], sides["change"]["records"]
+    same = Counter()
+    changed = Counter()
+    rows = []
+    for old, new in zip(old_records, new_records):
+        group = old["tag"].split("/")[0]
+        if all(old[k] == new[k] for k in keys):
+            same[group] += 1
+            continue
+        changed[group] += 1
+        for r_old, r_new in zip(old["residuals"], new["residuals"]):
+            if r_old["value"] == r_new["value"]:
+                continue
+            (dist_old, dist_new), eps_kappa = grade(r_old, (r_old["value"], r_new["value"]))
+            rows.append({
+                "workload": old["tag"], "medium": r_old["medium"],
+                "beta_h": repr(r_old["beta_h"]), "beta_l": repr(r_old["beta_l"]),
+                "control_hot": repr(r_old["hot"]), "control_cold": repr(r_old["cold"]),
+                "residual_old": f"{abs(r_old['value'] - r_old['eta']) / abs(r_old['eta']):.3e}",
+                "residual_new": f"{abs(r_new['value'] - r_new['eta']) / abs(r_new['eta']):.3e}",
+                "mpmath_distance_old": f"{dist_old:.3e}",
+                "mpmath_distance_new": f"{dist_new:.3e}",
+                "eps_kappa": f"{eps_kappa:.3e}",
+            })
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+    validate = next(r for r in new_records if r["argv"] == ["validate"])
+    away = [r for r in rows if float(r["mpmath_distance_new"]) > float(r["mpmath_distance_old"])]
+    print(f"identical commands: {dict(same)}")
+    print(f"changed commands:   {dict(changed)}")
+    print(f"validate stdout sha256: {hashlib.sha256(validate['stdout'].encode()).hexdigest()[:16]}")
+    for side in ("parent", "change"):
+        warned = sum(r["slow_decay_warnings"] for r in sides[side]["records"])
+        print(f"{side}: series counts {sides[side]['counts']}, slow-decay warnings {warned}")
+    print(f"changed residuals: {len(rows)}; closer to mpmath {len(rows) - len(away)}, further {len(away)}")
+    for key in ("mpmath_distance_old", "mpmath_distance_new"):
+        values = sorted(float(r[key]) for r in rows)
+        if values:
+            print(f"  {key}: max {values[-1]:.3e}, median {values[len(values) // 2]:.3e}, sum {sum(values):.3e}")
+    worst = max((float(r["mpmath_distance_new"]) / float(r["eps_kappa"]) for r in away), default=0.0)
+    print(f"  largest new distance / (eps kappa) among rows that moved further: {worst:.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
