@@ -102,8 +102,8 @@ def run_checkout(checkout: Path, out: Path) -> None:
     residuals = []
     for medium, pair in list(cli._RESIDUALS.items()):
 
-        def recorded(s, eta, acc, pair=pair):
-            value, reference = pair(s, eta, acc)
+        def recorded(s, eta, acc, *reuse, pair=pair):
+            value, reference = pair(s, eta, acc, *reuse)
             residuals.append({
                 "medium": s.medium, "hot": s.control_hot, "cold": s.control_cold,
                 "beta_h": s.beta_h, "beta_l": s.beta_l, "eps0": s.eps0, "length": s.cs_length,

@@ -33,10 +33,12 @@ from .otto import (
     MEDIUM,
     REGIME_ENGINE,
     OttoCycleSpec,
+    _call,
+    _IsochoreMemo,
+    _sweep_rows,
     efficiency_cs_volume,
     run_cycle,
     sweep_axes,
-    sweep_efficiency,
 )
 from .special_functions import SumAccuracy
 from .spectra import require_finite, require_tail_tol
@@ -94,7 +96,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--tail-tol", dest="tail_tol", type=float, help="enumeration tail tolerance")
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", help="comma-separated subset of csv,json,svg")
-        p.add_argument("--seed", type=int, help="seed for randomized grids")
+        p.add_argument(
+            "--seed", type=int, help="seed for validate's random grids; cycle and sweep ignore it"
+        )
 
     p_cycle = sub.add_parser("cycle", help="run a single Otto cycle")
     add_run_options(p_cycle)
@@ -214,22 +218,29 @@ def _cycle_spec(cfg: _RunConfig, fallback: dict | None = None) -> OttoCycleSpec:
 # Per medium, the (value, reference) pair whose relative residual the CLI
 # reports for a cycle of efficiency eta: the theta closed forms against eta for
 # ring and cs-coupling, eta against the compression ratio for cs-volume.
+# ``reuse`` supplies the closed forms' per-isochore factors (see otto._call).
 _RESIDUALS = {
-    "ring": lambda s, eta, acc: (
-        cf.ring_efficiency_value(s.control_hot, s.control_cold, s.beta_h, s.beta_l, s.eps0, acc),
+    "ring": lambda s, eta, acc, reuse: (
+        cf._ring_efficiency(
+            s.control_hot, s.control_cold, s.beta_h, s.beta_l, s.eps0, acc,
+            cf.VARIANT_REDERIVED, reuse,
+        ),
         eta,
     ),
-    "cs-volume": lambda s, eta, acc: (eta, efficiency_cs_volume(s.control_cold, s.control_hot)),
-    "cs-coupling": lambda s, eta, acc: (
-        cf.cs_efficiency_value(
-            s.control_cold, s.control_hot, s.beta_h, s.beta_l, s.cs_length, acc
+    "cs-volume": lambda s, eta, acc, reuse: (
+        eta, efficiency_cs_volume(s.control_cold, s.control_hot)
+    ),
+    "cs-coupling": lambda s, eta, acc, reuse: (
+        cf._cs_efficiency(
+            s.control_cold, s.control_hot, s.beta_h, s.beta_l, s.cs_length, acc,
+            cf.VARIANT_REDERIVED, reuse,
         ),
         eta,
     ),
 }
 
 
-def _closed_form_residual(spec: OttoCycleSpec, efficiency: float, cfg: _RunConfig):
+def _closed_form_residual(spec: OttoCycleSpec, efficiency: float, cfg: _RunConfig, reuse=_call):
     """Residual of the closed-form efficiency against ``efficiency``, if any.
 
     ``efficiency`` is the caller's run_cycle result for ``spec``: the same
@@ -237,7 +248,7 @@ def _closed_form_residual(spec: OttoCycleSpec, efficiency: float, cfg: _RunConfi
     """
     acc = SumAccuracy(rel_tol=cfg.get("rel_tol", 1e-12))
     try:
-        return cf.relative_residual(*_RESIDUALS[spec.medium](spec, efficiency, acc))
+        return cf.relative_residual(*_RESIDUALS[spec.medium](spec, efficiency, acc, reuse))
     except AnyonOttoError:
         return None
 
@@ -476,21 +487,22 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(cfg, required=True)
     formats = _parse_formats(cfg)
 
+    # One row loop with sweep_efficiency; the closed forms get a memo of their
+    # own, so the theta factors of the unswept isochore are summed once.
+    closed_forms = _IsochoreMemo()
     rows = []
     residuals = []
     wall_times = []
-    for value in grid:
-        t0 = time.perf_counter()
-        row = sweep_efficiency(template, axis, [value])[0]
+    t0 = time.perf_counter()
+    for row in _sweep_rows(template, MEDIUM[medium].axis_fields[axis], grid):
         residual = None
         if row.report is not None:
-            try:
-                residual = _closed_form_residual(row.spec, row.report.efficiency, cfg)
-            except AnyonOttoError:
-                residual = None
+            residual = _closed_form_residual(row.spec, row.report.efficiency, cfg, closed_forms)
         rows.append(row)
         residuals.append(residual)
-        wall_times.append(time.perf_counter() - t0)
+        t1 = time.perf_counter()
+        wall_times.append(t1 - t0)
+        t0 = t1
 
     try:
         if "csv" in formats:

@@ -33,6 +33,23 @@ split by parity (m and n both even or both odd), giving products of full- and
 half-lattice sums.  The partition function is a sum of two theta3 *
 partial_theta products, and the energy-weighted sum is bilinear: per parity
 sector, (weighted full) x (plain half) + (plain full) x (weighted half).
+
+Each efficiency is assembled from per-isochore factors, and every series in
+them is summed once.  An isochore (control value, beta) has its partition
+function Z and its energy sum U(c), which is a function of the control
+value c whose spectrum weights it.  U(c) comes from series triples
+(T_0, T_1, T_2), and these depend only on (lam, gamma, side):
+
+* ring: one full-lattice triple at (beta eps0, alpha);
+* pair: four triples at lam = 4 beta pi^2 / L^2, namely the full lattice at
+  gamma 0 and -1/2 and the half lattice at alpha/2 and (alpha - 1)/2.
+
+So both weights of one isochore (alpha_h and alpha_l, or alpha1 and alpha2)
+share its triples, and the weighted sums ``*_weighted_energy_sum`` use the
+same U(c).  The private ``_ring_efficiency``/``_cs_efficiency`` take a
+``reuse(f, *args)`` through which each factor is obtained: a CLI sweep
+passes a memo, so the isochore its axis leaves alone is summed once per
+sweep.
 """
 
 from __future__ import annotations
@@ -43,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCycle, DomainError, NoConvergence
-from .otto import OttoCycleSpec, run_cycle
+from .otto import OttoCycleSpec, _call, run_cycle
 from .special_functions import (
     DEFAULT_ACCURACY,
     SumAccuracy,
@@ -150,23 +167,19 @@ def partial_theta_weighted(
     return _weighted_theta(x, q, weight, True, acc)
 
 
-def _plain_closed(lam: float, gamma: float, one_sided: bool, acc: SumAccuracy) -> float:
-    """Weight-0 closed form exp(-lam gamma^2) * theta-series."""
-    return math.exp(-lam * gamma * gamma) * _series(lam, gamma, 0, one_sided, acc)
+def _triple(lam: float, gamma: float, one_sided: bool, acc: SumAccuracy) -> tuple:
+    """(T_0, T_1, T_2) at (lam, gamma), each series summed once."""
+    return tuple(_series(lam, gamma, weight, one_sided, acc) for weight in (0, 1, 2))
 
 
-def _weighted_closed(
-    lam: float,
-    gamma: float,
-    c: float,
-    one_sided: bool,
-    variant: str,
-    acc: SumAccuracy,
-) -> float:
-    """Closed form for sum (n-c)^2 exp(-lam (n-gamma)^2), per formula variant."""
-    t0 = _series(lam, gamma, 0, one_sided, acc)
-    t1 = _series(lam, gamma, 1, one_sided, acc)
-    t2 = _series(lam, gamma, 2, one_sided, acc)
+def _plain(t: tuple, lam: float, gamma: float) -> float:
+    """Weight-0 closed form exp(-lam gamma^2) T_0 from a series triple."""
+    return math.exp(-lam * gamma * gamma) * t[0]
+
+
+def _weighted(t: tuple, lam: float, gamma: float, c: float, variant: str) -> float:
+    """sum (n-c)^2 exp(-lam (n-gamma)^2) from the triple at (lam, gamma), per formula variant."""
+    t0, t1, t2 = t
     pref = math.exp(-lam * gamma * gamma)
     if variant == VARIANT_REDERIVED:
         return pref * (c * c * t0 - 2.0 * c * t1 + t2)
@@ -184,6 +197,20 @@ def _weighted_closed(
         + pref * ((gamma - c) / lam) * d_gamma_pref
         - pref * d_lam_pref
     )
+
+
+def _assemble(z_h: float, z_l: float, u_h, u_l, control_h: float, control_l: float, floor: float):
+    """eta = 1 - [U_h(l)/Z_h - U_l(l)/Z_l] / [U_h(h)/Z_h - U_l(h)/Z_l].
+
+    ``u_h`` and ``u_l`` are the hot and cold isochores' energy sums as
+    functions of the control value whose spectrum weights them: the cold one
+    (l) in the numerator, the hot one (h) in the denominator.
+    """
+    num = u_h(control_l) / z_h - u_l(control_l) / z_l
+    den = u_h(control_h) / z_h - u_l(control_h) / z_l
+    if abs(den) < floor:
+        raise DegenerateCycle("closed-form denominator vanishes")
+    return 1.0 - num / den
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +232,23 @@ def ring_weighted_energy_sum(
     gamma = alpha_boltz, c = alpha_weight; oracle by direct weighted
     summation (gauss_sum_full, weight 2).
     """
-    value = _ring_weighted_value(alpha_weight, alpha_boltz, beta, eps0, acc, variant)
+    value = _ring_energy_sum(alpha_boltz, beta, eps0, acc, variant)(alpha_weight)
     oracle = eps0 * gauss_sum_full(beta * eps0, alpha_boltz, alpha_weight, 2, acc)
     return _report(value, oracle, variant)
 
 
-def _ring_weighted_value(
-    alpha_weight: float,
-    alpha_boltz: float,
-    beta: float,
-    eps0: float,
-    acc: SumAccuracy,
-    variant: str,
-) -> float:
+def _ring_energy_sum(
+    alpha_boltz: float, beta: float, eps0: float, acc: SumAccuracy, variant: str
+):
+    """c -> sum_n E_n(c) exp(-beta E_n(alpha_boltz)), from one triple at lam = beta eps0."""
     _check_variant(variant)
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if not eps0 > 0.0:
         raise DomainError(f"eps0 must be positive, got {eps0}")
-    return eps0 * _weighted_closed(beta * eps0, alpha_boltz, alpha_weight, False, variant, acc)
+    lam = beta * eps0
+    t = _triple(lam, alpha_boltz, False, acc)
+    return lambda c: eps0 * _weighted(t, lam, alpha_boltz, c, variant)
 
 
 def ring_partition_closed(
@@ -273,20 +298,23 @@ def ring_efficiency_value(
     U(k, j) the energy sum weighted by the spectrum at alpha_k and Boltzmann
     factors of the spectrum at alpha_j, taken at that reservoir's beta.
     """
+    return _ring_efficiency(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant, _call)
+
+
+def _ring_efficiency(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant, reuse) -> float:
+    """``ring_efficiency_value`` with each isochore's factors from ``reuse(f, *args)``.
+
+    A sweep passes a memo that keeps the factors of the isochore its axis
+    leaves alone; ``_call`` computes every factor afresh.
+    """
     _check_variant(variant)
     if alpha_h == alpha_l:
         raise DegenerateCycle("alpha_h == alpha_l: numerator equals denominator")
-
-    def u(aw: float, ab: float, beta: float) -> float:
-        return _ring_weighted_value(aw, ab, beta, eps0, acc, variant)
-
-    z_h = _ring_partition_value(alpha_h, beta_h, eps0, acc, variant)
-    z_l = _ring_partition_value(alpha_l, beta_l, eps0, acc, variant)
-    num = u(alpha_l, alpha_h, beta_h) / z_h - u(alpha_l, alpha_l, beta_l) / z_l
-    den = u(alpha_h, alpha_h, beta_h) / z_h - u(alpha_h, alpha_l, beta_l) / z_l
-    if abs(den) < _TINY * max(1.0, eps0):
-        raise DegenerateCycle("closed-form denominator vanishes")
-    return 1.0 - num / den
+    z_h = reuse(_ring_partition_value, alpha_h, beta_h, eps0, acc, variant)
+    z_l = reuse(_ring_partition_value, alpha_l, beta_l, eps0, acc, variant)
+    u_h = reuse(_ring_energy_sum, alpha_h, beta_h, eps0, acc, variant)
+    u_l = reuse(_ring_energy_sum, alpha_l, beta_l, eps0, acc, variant)
+    return _assemble(z_h, z_l, u_h, u_l, alpha_h, alpha_l, _TINY * max(1.0, eps0))
 
 
 def ring_efficiency_closed(
@@ -391,21 +419,20 @@ def cs_weighted_energy_sum(
     DomainError; it is kept only so the validation suite can name it.
     Oracle: direct double sum over the enumerated level set.
     """
-    value = _cs_weighted_value(alpha_weight, alpha_boltz, beta, L, acc, variant)
+    value = _cs_energy_sum(alpha_boltz, beta, L, acc, variant)(alpha_weight)
     levels = enumerate_levels(CSPairSpectrum(L=L, alpha=alpha_boltz), beta, tail_tol)
     weights = CSPairSpectrum(L=L, alpha=alpha_weight).energies(*levels.labels.T)
     oracle = float((weights * np.exp(-beta * levels.energies)).sum())
     return _report(value, oracle, variant)
 
 
-def _cs_weighted_value(
-    alpha_weight: float,
-    alpha_boltz: float,
-    beta: float,
-    L: float,
-    acc: SumAccuracy,
-    variant: str,
-) -> float:
+def _cs_energy_sum(alpha_boltz: float, beta: float, L: float, acc: SumAccuracy, variant: str):
+    """c -> sum over n1 <= n2 of E(c) exp(-beta E(alpha_boltz)), from four series triples.
+
+    All four are at decay rate 4 beta pi^2 / L^2: the full lattice at
+    gamma 0 (even sector) and -1/2 (odd), the half lattice at alpha_boltz/2
+    and (alpha_boltz - 1)/2.
+    """
     _check_variant(variant)
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
@@ -413,27 +440,35 @@ def _cs_weighted_value(
         raise DomainError(f"L must be positive, got {L}")
     unit = math.pi**2 / (L * L)
     c4 = 4.0 * beta * unit
-    aw = alpha_weight
     ab = alpha_boltz
-    if variant == VARIANT_REDERIVED:
-        even = _weighted_closed(c4, 0.0, 0.0, False, variant, acc) * _plain_closed(
-            c4, ab / 2.0, True, acc
-        ) + _plain_closed(c4, 0.0, False, acc) * _weighted_closed(
-            c4, ab / 2.0, aw / 2.0, True, variant, acc
+    if variant != VARIANT_REDERIVED:
+        # printed assembly: products of two weight-2 factors with decay rates
+        # -beta pi^2/L^2 and -4 beta pi^2/L^2 (non-positive; cannot converge)
+        def chi(lam, gamma, c, one_sided):
+            return _weighted(_triple(lam, gamma, one_sided, acc), lam, gamma, c, variant)
+
+        return lambda aw: 4.0 * unit * (
+            4.0 * chi(-beta * unit, 0.0, 0.0, False) * chi(-c4, ab / 2.0, aw / 2.0, True)
+        ) + unit * (
+            4.0 * chi(-c4, -0.5, -0.5, False) * chi(-c4, (ab + 1.0) / 2.0, (aw + 1.0) / 2.0, True)
         )
-        odd = _weighted_closed(c4, -0.5, -0.5, False, variant, acc) * _plain_closed(
-            c4, (ab - 1.0) / 2.0, True, acc
-        ) + _plain_closed(c4, -0.5, False, acc) * _weighted_closed(
-            c4, (ab - 1.0) / 2.0, (aw - 1.0) / 2.0, True, variant, acc
+    full_even = _triple(c4, 0.0, False, acc)
+    half_even = _triple(c4, ab / 2.0, True, acc)
+    full_odd = _triple(c4, -0.5, False, acc)
+    half_odd = _triple(c4, (ab - 1.0) / 2.0, True, acc)
+
+    def energy_sum(aw: float) -> float:
+        even = _weighted(full_even, c4, 0.0, 0.0, variant) * _plain(
+            half_even, c4, ab / 2.0
+        ) + _plain(full_even, c4, 0.0) * _weighted(half_even, c4, ab / 2.0, aw / 2.0, variant)
+        odd = _weighted(full_odd, c4, -0.5, -0.5, variant) * _plain(
+            half_odd, c4, (ab - 1.0) / 2.0
+        ) + _plain(full_odd, c4, -0.5) * _weighted(
+            half_odd, c4, (ab - 1.0) / 2.0, (aw - 1.0) / 2.0, variant
         )
         return 4.0 * unit * (even + odd)
-    # printed assembly: products of two weight-2 factors with decay rates
-    # -beta pi^2/L^2 and -4 beta pi^2/L^2 (non-positive; cannot converge)
-    chi1_even = _weighted_closed(-beta * unit, 0.0, 0.0, False, variant, acc)
-    chi2_even = _weighted_closed(-c4, ab / 2.0, aw / 2.0, True, variant, acc)
-    chi1_odd = _weighted_closed(-c4, -0.5, -0.5, False, variant, acc)
-    chi2_odd = _weighted_closed(-c4, (ab + 1.0) / 2.0, (aw + 1.0) / 2.0, True, variant, acc)
-    return 4.0 * unit * (4.0 * chi1_even * chi2_even) + unit * (4.0 * chi1_odd * chi2_odd)
+
+    return energy_sum
 
 
 def cs_efficiency_value(
@@ -455,24 +490,19 @@ def cs_efficiency_value(
 
     (the alpha1 weight in the numerator, alpha2 in the denominator).
     """
+    return _cs_efficiency(alpha1, alpha2, beta_h, beta_l, L, acc, variant, _call)
+
+
+def _cs_efficiency(alpha1, alpha2, beta_h, beta_l, L, acc, variant, reuse) -> float:
+    """``cs_efficiency_value`` with each isochore's factors from ``reuse(f, *args)``."""
     _check_variant(variant)
     if alpha1 == alpha2:
         raise DegenerateCycle("alpha1 == alpha2: numerator equals denominator")
-
-    def x(aw: float, ab: float, beta: float) -> float:
-        return _cs_weighted_value(aw, ab, beta, L, acc, variant)
-
-    def z(alpha: float, beta: float) -> float:
-        even, odd = cs_partition_parity_terms(alpha, beta, L, acc, variant)
-        return even + odd
-
-    z_h = z(alpha2, beta_h)
-    z_l = z(alpha1, beta_l)
-    num = x(alpha1, alpha2, beta_h) / z_h - x(alpha1, alpha1, beta_l) / z_l
-    den = x(alpha2, alpha2, beta_h) / z_h - x(alpha2, alpha1, beta_l) / z_l
-    if abs(den) < _TINY:
-        raise DegenerateCycle("closed-form denominator vanishes")
-    return 1.0 - num / den
+    even_h, odd_h = reuse(cs_partition_parity_terms, alpha2, beta_h, L, acc, variant)
+    even_l, odd_l = reuse(cs_partition_parity_terms, alpha1, beta_l, L, acc, variant)
+    x_h = reuse(_cs_energy_sum, alpha2, beta_h, L, acc, variant)
+    x_l = reuse(_cs_energy_sum, alpha1, beta_l, L, acc, variant)
+    return _assemble(even_h + odd_h, even_l + odd_l, x_h, x_l, alpha2, alpha1, _TINY)
 
 
 def cs_efficiency_closed(

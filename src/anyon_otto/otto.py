@@ -313,11 +313,41 @@ def _labelwise(ensemble, spec, labels, where):
     return energies, pops
 
 
-def _cycle_table(spec: OttoCycleSpec):
+def _call(compute, *args):
+    """``compute(*args)``: the ``reuse`` of a single cycle, which shares nothing."""
+    return compute(*args)
+
+
+class _IsochoreMemo:
+    """A ``reuse(compute, *args)`` that keeps, per ``compute``, its last two results.
+
+    A cycle has two isochores, and a sweep whose axis moves one of them finds
+    the other's result here in every row.  Arguments are matched by repr,
+    which tells -0.0 from 0.0 where == does not.  One instance serves one
+    sweep and is dropped with it.
+    """
+
+    def __init__(self):
+        self._results = {}
+
+    def __call__(self, compute, *args):
+        key = (compute, repr(args))
+        if key in self._results:
+            result = self._results.pop(key)
+        else:
+            result = compute(*args)
+            same = [k for k in self._results if k[0] is compute]
+            if len(same) == 2:
+                del self._results[same[0]]
+        self._results[key] = result
+        return result
+
+
+def _cycle_table(spec: OttoCycleSpec, reuse=_call):
     hot_spec = spec.spectrum_hot()
     cold_spec = spec.spectrum_cold()
-    ens_b = gibbs(hot_spec, spec.beta_h, spec.tail_tol)
-    ens_a = gibbs(cold_spec, spec.beta_l, spec.tail_tol)
+    ens_b = reuse(gibbs, hot_spec, spec.beta_h, spec.tail_tol)
+    ens_a = reuse(gibbs, cold_spec, spec.beta_l, spec.tail_tol)
     both = np.concatenate((ens_b.levels.labels, ens_a.levels.labels))
     _, first, where = np.unique(label_keys(both), return_index=True, return_inverse=True)
     labels = both[first]
@@ -334,7 +364,10 @@ def run_cycle(spec: OttoCycleSpec) -> CycleReport:
     beta_h = beta_l with identical hot and cold controls), where the
     efficiency ratio is 0/0.
     """
-    labels, e_hot, e_cold, p_b, p_a = _cycle_table(spec)
+    return _cycle_report(*_cycle_table(spec))
+
+
+def _cycle_report(labels, e_hot, e_cold, p_b, p_a) -> CycleReport:
     dp = p_b - p_a
     q_in = float(e_hot @ dp)
     q_out = float(e_cold @ dp)
@@ -460,7 +493,9 @@ def sweep_efficiency(
 
     Rows keep the input order.  A failing point (any AnyonOttoError, such as
     a degenerate cycle, a domain violation or an enumeration that does not
-    converge) is recorded in its row and does not abort the sweep.
+    converge) is recorded in its row and does not abort the sweep.  Each row
+    equals an independent ``run_cycle`` bit for bit; the isochore the axis
+    leaves alone is computed once per call (see ``_sweep_rows``).
     """
     try:
         field = MEDIUM[template.medium].axis_fields[sweep_axis]
@@ -469,19 +504,30 @@ def sweep_efficiency(
             f"cannot sweep {sweep_axis!r} for medium {template.medium!r}; "
             f"choose one of {sweep_axes(template.medium)}"
         ) from None
-    rows = []
+    return list(_sweep_rows(template, field, values))
+
+
+def _sweep_rows(template: OttoCycleSpec, field: str, values: Sequence[float]):
+    """Yield the SweepRow of each value in turn: the row loop of every sweep.
+
+    The rows share one ``_IsochoreMemo``, so a row whose isochore has the
+    (spectrum, beta, tail_tol) of one of the last two takes that Gibbs
+    ensemble instead of enumerating it again.  The memo lives as long as
+    this generator.
+    """
+    reuse = _IsochoreMemo()
     for value in values:
         cycle_spec = None
         try:
             cycle_spec = dataclasses.replace(template, **{field: float(value)})
-            rows.append(SweepRow(float(value), run_cycle(cycle_spec), spec=cycle_spec))
-        except (AnyonOttoError, ValueError) as exc:
-            rows.append(
-                SweepRow(
-                    value=float(value),
-                    report=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                    spec=cycle_spec,
-                )
+            row = SweepRow(
+                float(value), _cycle_report(*_cycle_table(cycle_spec, reuse)), spec=cycle_spec
             )
-    return rows
+        except (AnyonOttoError, ValueError) as exc:
+            row = SweepRow(
+                value=float(value),
+                report=None,
+                error=f"{type(exc).__name__}: {exc}",
+                spec=cycle_spec,
+            )
+        yield row

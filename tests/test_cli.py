@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -523,6 +524,41 @@ class TestSweepCommand:
         assert "beta_l" in err
 
 
+class TestSweepSharing:
+    """A sweep sums the unswept isochore's closed-form factors once; its rows do not change."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            TestSweepCommand.BASE,
+            ["sweep", "--medium", "ring", "--alpha-h", "0.1", "--beta-h", "0.5", "--beta-l", "5"]
+            + ["--sweep", "alpha_l", "--grid", "0.1:0.5:5"],
+            ["sweep", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3", "--beta-l", "5"]
+            + ["--sweep", "beta_h", "--grid", "0.1:1:4"],
+        ],
+        ids=["cs-coupling-alpha2", "ring-alpha_l", "ring-beta_h"],
+    )
+    def test_residuals_equal_independent_cycles(self, capsys, tmp_path, argv):
+        code, _, _ = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 0
+        args = cli._build_parser().parse_args(argv)
+        cfg = cli._RunConfig(args)
+        axis = args.sweep
+        field = MEDIUM[args.medium].axis_fields[axis]
+        template = cli._cycle_spec(cfg, {axis: 1.0})
+        lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+        residuals = 0
+        for line in lines:
+            cols = line.split(",")
+            spec = dataclasses.replace(template, **{field: float(cols[0])})
+            report = run_cycle(spec)
+            assert cols[1] == cli._fmt(report.efficiency)
+            residual = cli._closed_form_residual(spec, report.efficiency, cfg)
+            assert cols[6] == ("" if residual is None else cli._fmt(residual))
+            residuals += residual is not None
+        assert residuals >= len(lines) - 1
+
+
 class TestValidateCommand:
     def test_default_validation_passes(self, capsys):
         code, out, _ = run_cli(["validate"], capsys)
@@ -614,6 +650,16 @@ class TestSeedConfig:
     def test_zero_seed_accepted(self, capsys):
         code, _, err = run_cli(["validate", "--seed", "0"], capsys)
         assert (code, err) == (0, "")
+
+    def test_cycle_ignores_the_seed(self, capsys, tmp_path):
+        # accepted, so that one config file serves every command, but unused
+        argv = ["cycle"] + TestToleranceConfig.RING + ["--format", "csv,json"]
+        plain = run_cli(argv + ["--out", str(tmp_path / "plain")], capsys)
+        seeded = run_cli(argv + ["--out", str(tmp_path / "seeded"), "--seed", "5"], capsys)
+        assert seeded == plain
+        for name in ("cycle.csv", "cycle.json"):
+            seeded_file, plain_file = tmp_path / "seeded" / name, tmp_path / "plain" / name
+            assert seeded_file.read_bytes() == plain_file.read_bytes()
 
 
 class TestParserReuse:

@@ -1,0 +1,245 @@
+"""The per-isochore factorisation of the closed forms against the assemblies it replaced.
+
+The reference below is the previous code: every weighted or plain factor sums
+its own theta series, so one efficiency sums each series two to nine times.
+The factorised closed forms sum each series once and must give the same
+bits, the same errors and the same messages.
+"""
+
+import math
+import random
+import warnings
+
+import pytest
+
+from anyon_otto import closed_form as cf
+from anyon_otto.errors import DegenerateCycle, DomainError
+from anyon_otto.special_functions import SLOW_DECAY_LAMBDA, SumAccuracy, _theta_series
+
+VARIANTS = (cf.VARIANT_REDERIVED, cf.VARIANT_MAIN, cf.VARIANT_APPENDIX)
+ACC = SumAccuracy()
+_TINY = 1e-300
+
+
+# ---------------------------------------------------------------------------
+# reference: one _theta_series call per factor
+# ---------------------------------------------------------------------------
+
+
+def _series(lam, gamma, weight, one_sided, acc):
+    if not lam > 0.0:
+        raise DomainError(f"series decay rate must be positive, got {lam}")
+    return _theta_series(lam, gamma, weight, one_sided, acc).value
+
+
+def _plain_closed(lam, gamma, one_sided, acc):
+    return math.exp(-lam * gamma * gamma) * _series(lam, gamma, 0, one_sided, acc)
+
+
+def _weighted_closed(lam, gamma, c, one_sided, variant, acc):
+    t0 = _series(lam, gamma, 0, one_sided, acc)
+    t1 = _series(lam, gamma, 1, one_sided, acc)
+    t2 = _series(lam, gamma, 2, one_sided, acc)
+    pref = math.exp(-lam * gamma * gamma)
+    if variant == cf.VARIANT_REDERIVED:
+        return pref * (c * c * t0 - 2.0 * c * t1 + t2)
+    if variant == cf.VARIANT_MAIN:
+        d_gamma = 2.0 * lam * t1
+        d_lam = 2.0 * gamma * t1 - t2
+        return pref * (c * c * t0 + (c * gamma / lam) * d_gamma - d_lam)
+    d_gamma_pref = pref * (2.0 * lam * t1 - 2.0 * lam * gamma * t0)
+    d_lam_pref = pref * (-gamma * gamma * t0 + 2.0 * gamma * t1 - t2)
+    return pref * c * c * t0 + pref * ((gamma - c) / lam) * d_gamma_pref - pref * d_lam_pref
+
+
+def ref_ring_weighted(aw, ab, beta, eps0, acc, variant):
+    cf._check_variant(variant)
+    if not beta > 0.0:
+        raise DomainError(f"beta must be positive, got {beta}")
+    if not eps0 > 0.0:
+        raise DomainError(f"eps0 must be positive, got {eps0}")
+    return eps0 * _weighted_closed(beta * eps0, ab, aw, False, variant, acc)
+
+
+def ref_ring_efficiency(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant):
+    cf._check_variant(variant)
+    if alpha_h == alpha_l:
+        raise DegenerateCycle("alpha_h == alpha_l: numerator equals denominator")
+
+    def u(aw, ab, beta):
+        return ref_ring_weighted(aw, ab, beta, eps0, acc, variant)
+
+    z_h = cf._ring_partition_value(alpha_h, beta_h, eps0, acc, variant)
+    z_l = cf._ring_partition_value(alpha_l, beta_l, eps0, acc, variant)
+    num = u(alpha_l, alpha_h, beta_h) / z_h - u(alpha_l, alpha_l, beta_l) / z_l
+    den = u(alpha_h, alpha_h, beta_h) / z_h - u(alpha_h, alpha_l, beta_l) / z_l
+    if abs(den) < _TINY * max(1.0, eps0):
+        raise DegenerateCycle("closed-form denominator vanishes")
+    return 1.0 - num / den
+
+
+def ref_cs_weighted(aw, ab, beta, L, acc, variant):
+    cf._check_variant(variant)
+    if not beta > 0.0:
+        raise DomainError(f"beta must be positive, got {beta}")
+    if not L > 0.0:
+        raise DomainError(f"L must be positive, got {L}")
+    unit = math.pi**2 / (L * L)
+    c4 = 4.0 * beta * unit
+    if variant == cf.VARIANT_REDERIVED:
+        even = _weighted_closed(c4, 0.0, 0.0, False, variant, acc) * _plain_closed(
+            c4, ab / 2.0, True, acc
+        ) + _plain_closed(c4, 0.0, False, acc) * _weighted_closed(
+            c4, ab / 2.0, aw / 2.0, True, variant, acc
+        )
+        odd = _weighted_closed(c4, -0.5, -0.5, False, variant, acc) * _plain_closed(
+            c4, (ab - 1.0) / 2.0, True, acc
+        ) + _plain_closed(c4, -0.5, False, acc) * _weighted_closed(
+            c4, (ab - 1.0) / 2.0, (aw - 1.0) / 2.0, True, variant, acc
+        )
+        return 4.0 * unit * (even + odd)
+    chi1_even = _weighted_closed(-beta * unit, 0.0, 0.0, False, variant, acc)
+    chi2_even = _weighted_closed(-c4, ab / 2.0, aw / 2.0, True, variant, acc)
+    chi1_odd = _weighted_closed(-c4, -0.5, -0.5, False, variant, acc)
+    chi2_odd = _weighted_closed(-c4, (ab + 1.0) / 2.0, (aw + 1.0) / 2.0, True, variant, acc)
+    return 4.0 * unit * (4.0 * chi1_even * chi2_even) + unit * (4.0 * chi1_odd * chi2_odd)
+
+
+def ref_cs_efficiency(alpha1, alpha2, beta_h, beta_l, L, acc, variant):
+    cf._check_variant(variant)
+    if alpha1 == alpha2:
+        raise DegenerateCycle("alpha1 == alpha2: numerator equals denominator")
+
+    def x(aw, ab, beta):
+        return ref_cs_weighted(aw, ab, beta, L, acc, variant)
+
+    def z(alpha, beta):
+        even, odd = cf.cs_partition_parity_terms(alpha, beta, L, acc, variant)
+        return even + odd
+
+    z_h = z(alpha2, beta_h)
+    z_l = z(alpha1, beta_l)
+    num = x(alpha1, alpha2, beta_h) / z_h - x(alpha1, alpha1, beta_l) / z_l
+    den = x(alpha2, alpha2, beta_h) / z_h - x(alpha2, alpha1, beta_l) / z_l
+    if abs(den) < _TINY:
+        raise DegenerateCycle("closed-form denominator vanishes")
+    return 1.0 - num / den
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz
+# ---------------------------------------------------------------------------
+
+
+def outcome(f, *args):
+    """The exact bits of f(*args), or its error type and message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return ("value", float(f(*args)).hex())
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return ("error", type(exc).__name__, str(exc))
+
+
+def log_uniform(rng, lo, hi):
+    return lo * (hi / lo) ** rng.random()
+
+
+def alpha(rng, lo, hi):
+    """A control value; one draw in four is +0.0 or -0.0."""
+    if rng.random() < 0.25:
+        return rng.choice((0.0, -0.0))
+    return rng.uniform(lo, hi)
+
+
+def ring_draws(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        eps0 = log_uniform(rng, 0.5, 2.0)
+        beta_h = log_uniform(rng, 2e-3, 5.0)  # lam = beta eps0 spans 1e-3 .. 10
+        beta_l = beta_h * log_uniform(rng, 1.0, 20.0)
+        yield alpha(rng, -0.3, 0.6), alpha(rng, -0.3, 0.6), beta_h, beta_l, eps0
+
+
+def pair_draws(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        L = log_uniform(rng, 0.5, 3.0)
+        beta_h = log_uniform(rng, 1e-3, 1.0)  # lam = 4 beta pi^2/L^2 spans 4e-3 .. 160
+        beta_l = beta_h * log_uniform(rng, 1.0, 20.0)
+        yield alpha(rng, 0.0, 1.0), alpha(rng, 0.0, 1.0), beta_h, beta_l, L
+
+
+RING = list(ring_draws(8, 150))
+PAIR = list(pair_draws(9, 60))
+
+
+class TestDrawsCoverTheRoutes:
+    def test_lam_on_both_sides_of_the_dual_threshold(self):
+        ring = [beta * eps0 for _, _, bh, bl, eps0 in RING for beta in (bh, bl)]
+        pair = [4.0 * beta * math.pi**2 / L**2 for _, _, bh, bl, L in PAIR for beta in (bh, bl)]
+        for lams in (ring, pair):
+            assert min(lams) < SLOW_DECAY_LAMBDA < max(lams)
+
+    def test_signed_zero_controls(self):
+        for draws in (RING, PAIR):
+            controls = [a for draw in draws for a in draw[:2]]
+            assert any(a == 0.0 and math.copysign(1.0, a) < 0 for a in controls)
+            assert any(a == 0.0 and math.copysign(1.0, a) > 0 for a in controls)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ring_efficiency(self, variant):
+        values = 0
+        for alpha_h, alpha_l, beta_h, beta_l, eps0 in RING:
+            args = (alpha_h, alpha_l, beta_h, beta_l, eps0, ACC, variant)
+            got = outcome(cf.ring_efficiency_value, *args)
+            assert got == outcome(ref_ring_efficiency, *args), args
+            values += got[0] == "value"
+        # the printed ring partition functions need both controls positive
+        assert values > len(RING) // (2 if variant == cf.VARIANT_REDERIVED else 6)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ring_weighted_energy_sum(self, variant):
+        for alpha_h, alpha_l, beta_h, _, eps0 in RING:
+            got = outcome(lambda: cf._ring_energy_sum(alpha_l, beta_h, eps0, ACC, variant)(alpha_h))
+            want = outcome(ref_ring_weighted, alpha_h, alpha_l, beta_h, eps0, ACC, variant)
+            assert got == want
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_cs_efficiency(self, variant):
+        values = 0
+        for alpha1, alpha2, beta_h, beta_l, L in PAIR:
+            args = (alpha1, alpha2, beta_h, beta_l, L, ACC, variant)
+            got = outcome(cf.cs_efficiency_value, *args)
+            assert got == outcome(ref_cs_efficiency, *args), args
+            values += got[0] == "value"
+        # the printed pair assembly has non-positive decay rates: it never evaluates
+        assert values > len(PAIR) // 2 if variant == cf.VARIANT_REDERIVED else values == 0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_cs_weighted_energy_sum(self, variant):
+        for alpha1, alpha2, beta_h, _, L in PAIR:
+            got = outcome(lambda: cf._cs_energy_sum(alpha2, beta_h, L, ACC, variant)(alpha1))
+            assert got == outcome(ref_cs_weighted, alpha1, alpha2, beta_h, L, ACC, variant)
+
+
+class TestEachSeriesOnce:
+    def count_series(self, monkeypatch, f, *args):
+        calls = []
+
+        def counted(lam, gamma, weight, one_sided, acc):
+            calls.append((lam, gamma, weight, one_sided))
+            return _theta_series(lam, gamma, weight, one_sided, acc)
+
+        monkeypatch.setattr(cf, "_theta_series", counted)
+        f(*args)
+        assert len(set(calls)) == len(calls)
+        return len(calls)
+
+    def test_ring_efficiency_sums_two_triples(self, monkeypatch):
+        assert self.count_series(monkeypatch, cf.ring_efficiency_value, 0.1, 0.3, 0.5, 25.0) == 6
+
+    def test_cs_efficiency_sums_eight_triples(self, monkeypatch):
+        assert self.count_series(monkeypatch, cf.cs_efficiency_value, 0.2, 0.7, 0.05, 0.1) == 24

@@ -1,11 +1,13 @@
 """Otto cycle composition: regimes, stroke identities, sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from anyon_otto.errors import DegenerateCycle, DomainError
+from anyon_otto import otto
+from anyon_otto.errors import AnyonOttoError, DegenerateCycle, DomainError
 from anyon_otto.otto import (
     MEDIA,
     MEDIUM,
@@ -405,3 +407,136 @@ class TestSweep:
         # later steps (halved spacing) move the efficiency less
         assert diffs[-1] < diffs[0]
         assert diffs[-1] < 1e-3
+
+
+def _same_report(a, b):
+    """Bit-for-bit equality of two cycle reports, arrays and scalars."""
+    for name in ("q_in", "q_out", "w_out", "efficiency"):
+        assert getattr(a, name).hex() == getattr(b, name).hex(), name
+    assert a.regime == b.regime
+    for name in ("labels", "energies_hot", "energies_cold", "populations_b", "populations_a"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+def _independent_row(template, field, value):
+    """(report, error) of the cycle at one sweep value, run on its own."""
+    try:
+        return run_cycle(dataclasses.replace(template, **{field: float(value)})), None
+    except AnyonOttoError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+class TestSweepSharing:
+    """Rows share the unswept isochore's ensemble, and equal independent cycles bit for bit."""
+
+    def check_rows(self, template, axis, values):
+        field = MEDIUM[template.medium].axis_fields[axis]
+        rows = sweep_efficiency(template, axis, values)
+        assert [row.value for row in rows] == values
+        for row, value in zip(rows, values):
+            report, error = _independent_row(template, field, value)
+            assert row.error == error, (axis, value)
+            if report is not None:
+                _same_report(row.report, report)
+        return rows
+
+    @pytest.mark.parametrize(
+        "medium, axis",
+        [(medium, axis) for medium in MEDIA for axis in sweep_axes(medium)],
+    )
+    def test_rows_equal_independent_cycles(self, medium, axis):
+        make, kwargs = CONSTRUCTORS[medium]
+        v = kwargs[axis]
+        # a failing row (no valid spec) sits between rows that reuse ensembles
+        values = [v, 1.1 * v, math.nan, 1.1 * v, 0.9 * v, v]
+        rows = self.check_rows(make(**kwargs), axis, values)
+        assert [row.report is None for row in rows] == [False, False, True, False, False, False]
+
+    def test_rows_after_a_failure_inside_the_cycle(self):
+        # beta_h = 1e-12 fails enumerating the hot ensemble; beta_h = beta_l with
+        # equal controls fails after both ensembles, which are then one entry
+        template = OttoCycleSpec.ring_cycle(0.2, 0.2, 0.5, 1.0)
+        rows = self.check_rows(template, "beta_h", [0.5, 1e-12, 0.7, 1.0, 0.5])
+        assert rows[1].error.startswith("NoConvergence: ")
+        assert rows[3].error.startswith("DegenerateCycle: ")
+        assert all(row.report is not None for row in rows[::2])
+
+    def count_gibbs(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gibbs(*args)
+
+        monkeypatch.setattr(otto, "gibbs", counted)
+        return calls
+
+    def test_unswept_isochore_computed_once(self, monkeypatch):
+        calls = self.count_gibbs(monkeypatch)
+        template = OttoCycleSpec.cs_coupling_cycle(0.0, 0.5, 0.05, 0.1)
+        values = [k / 20 for k in range(21)]
+        sweep_efficiency(template, "alpha2", values)
+        assert len(calls) == 22
+        # nothing outlives the sweep: a second identical one repeats every call
+        sweep_efficiency(template, "alpha2", values)
+        assert len(calls) == 44
+
+    def test_axis_moving_both_isochores_shares_nothing(self, monkeypatch):
+        calls = self.count_gibbs(monkeypatch)
+        template = OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 5.0)
+        sweep_efficiency(template, "eps0", [0.5 + k / 20 for k in range(21)])
+        assert len(calls) == 42
+
+    def test_run_cycle_shares_nothing(self, monkeypatch):
+        calls = self.count_gibbs(monkeypatch)
+        spec = OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 5.0)
+        run_cycle(spec)
+        run_cycle(spec)
+        assert len(calls) == 4
+
+
+class TestIsochoreMemo:
+    def test_keeps_the_last_two_results_per_function(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return [x]
+
+        reuse = otto._IsochoreMemo()
+        first = reuse(f, 1.0)
+        assert reuse(f, 1.0) is first
+        reuse(f, 2.0)
+        reuse(f, 1.0)  # a hit makes 1.0 the most recent
+        reuse(f, 3.0)  # evicts 2.0, the least recent
+        assert reuse(f, 1.0) is first
+        reuse(f, 2.0)
+        assert calls == [1.0, 2.0, 3.0, 2.0]
+
+    def test_signed_zeros_are_distinct_keys(self):
+        reuse = otto._IsochoreMemo()
+
+        def sign(x):
+            return math.copysign(1.0, x)
+
+        assert (reuse(sign, 0.0), reuse(sign, -0.0)) == (1.0, -1.0)
+
+    def test_functions_do_not_evict_each_other(self):
+        calls = []
+
+        def f(x):
+            calls.append(("f", x))
+            return x
+
+        def g(x):
+            calls.append(("g", x))
+            return x
+
+        reuse = otto._IsochoreMemo()
+        for x in (1.0, 2.0):
+            reuse(f, x)
+            reuse(g, x)
+        reuse(f, 1.0)
+        reuse(g, 1.0)
+        assert calls == [("f", 1.0), ("g", 1.0), ("f", 2.0), ("g", 2.0)]
