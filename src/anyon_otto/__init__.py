@@ -32,10 +32,8 @@ from .spectra import (
     CSPairSpectrum,
     LevelSet,
     RingAnyonSpectrum,
-    cs_energy,
     enumerate_levels,
     pauli_energy,
-    ring_energy,
 )
 from .thermo import (
     GibbsEnsemble,
@@ -85,10 +83,8 @@ __all__ = [
     "CSPairSpectrum",
     "LevelSet",
     "RingAnyonSpectrum",
-    "cs_energy",
     "enumerate_levels",
     "pauli_energy",
-    "ring_energy",
     "GibbsEnsemble",
     "PathStep",
     "entropy",

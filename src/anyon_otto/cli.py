@@ -146,11 +146,14 @@ class _RunConfig:
     def __init__(self, args: argparse.Namespace):
         self._file = _load_config_file(args.config) if getattr(args, "config", None) else {}
         self._args = args
-        # The tolerances and the seed are checked once, here, so that a bad
-        # one is a configuration error on every command before any work starts.
+        # The tolerances, the seed and the variant are checked once, here, so that
+        # a bad one is a configuration error on every command before any work starts.
         rel_tol, tail_tol, seed = self.get("rel_tol"), self.get("tail_tol"), self.get("seed")
         if seed is not None and seed < 0:
             raise ConfigError(f"seed must be non-negative, got {seed}")
+        variant = self.get("variant")
+        if variant is not None and variant not in cf.VARIANTS:
+            raise ConfigError(f"variant must be one of {cf.VARIANTS}, got {variant!r}")
         try:
             if rel_tol is not None:
                 SumAccuracy(rel_tol=rel_tol)

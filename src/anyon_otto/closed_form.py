@@ -71,7 +71,7 @@ from .special_functions import (
     partial_theta,
     theta3,
 )
-from .spectra import CSPairSpectrum, RingAnyonSpectrum, enumerate_levels
+from .spectra import CSPairSpectrum, RingAnyonSpectrum, enumerate_levels, require_pair_length
 from .thermo import DEFAULT_TAIL_TOL, partition_function
 
 __all__ = [
@@ -356,8 +356,7 @@ def cs_partition_parity_terms(
     _check_variant(variant)
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if not L > 0.0:
-        raise DomainError(f"L must be positive, got {L}")
+    require_pair_length(L)
     c = beta * math.pi**2 / (L * L)
     q4 = math.exp(-4.0 * c)
     if variant == VARIANT_REDERIVED:
@@ -436,8 +435,7 @@ def _cs_energy_sum(alpha_boltz: float, beta: float, L: float, acc: SumAccuracy, 
     _check_variant(variant)
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if not L > 0.0:
-        raise DomainError(f"L must be positive, got {L}")
+    require_pair_length(L)
     unit = math.pi**2 / (L * L)
     c4 = 4.0 * beta * unit
     ab = alpha_boltz

@@ -44,6 +44,7 @@ from .spectra import (
     frozen_array,
     label_columns,
     label_keys,
+    pair_length_in_range,
     require_finite,
     require_tail_tol,
 )
@@ -126,6 +127,11 @@ MEDIUM = {
         ),
         checks=(
             (lambda s: min(s.control_hot, s.control_cold) > 0.0, "ring sizes must be positive"),
+            (
+                lambda s: pair_length_in_range(s.control_hot)
+                and pair_length_in_range(s.control_cold),
+                "ring sizes must keep pi^2/L^2 a finite positive double",
+            ),
             (lambda s: s.cs_alpha >= 0.0, "alpha must be >= 0"),
         ),
         spectrum=lambda s, control: CSPairSpectrum(L=control, alpha=s.cs_alpha),
@@ -138,6 +144,10 @@ MEDIUM = {
         ),
         checks=(
             (lambda s: s.cs_length > 0.0, "length must be positive"),
+            (
+                lambda s: pair_length_in_range(s.cs_length),
+                "length must keep pi^2/L^2 a finite positive double",
+            ),
             (lambda s: min(s.control_hot, s.control_cold) >= 0.0, "couplings must be >= 0"),
         ),
         spectrum=lambda s, control: CSPairSpectrum(L=s.cs_length, alpha=control),

@@ -33,8 +33,6 @@ __all__ = [
     "RingAnyonSpectrum",
     "CSPairSpectrum",
     "LevelSet",
-    "ring_energy",
-    "cs_energy",
     "enumerate_levels",
     "pauli_energy",
 ]
@@ -52,6 +50,27 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def pair_length_in_range(L: float) -> bool:
+    """Whether L > 0 and the pair level unit pi^2 / L^2 is a finite positive double.
+
+    Positive lengths near the ends of the double range fail too: L^2
+    underflows to 0 below about 2.2e-162, pi^2 / L^2 overflows below about
+    2.3e-154, and L^2 overflows above about 1.3e154.
+    """
+    if not L > 0.0:
+        return False
+    square = L * L
+    return 0.0 < square < math.inf and math.pi**2 / square < math.inf
+
+
+def require_pair_length(L: float) -> None:
+    """Raise DomainError unless ``pair_length_in_range(L)``, naming why."""
+    if not L > 0.0:
+        raise DomainError(f"L must be positive, got {L}")
+    if not pair_length_in_range(L):
+        raise DomainError(f"L must keep pi^2/L^2 a finite positive double, got {L}")
 
 
 def require_tail_tol(tail_tol: float) -> None:
@@ -104,8 +123,7 @@ class CSPairSpectrum:
 
     def __post_init__(self):
         require_finite(L=self.L, alpha=self.alpha)
-        if not self.L > 0.0:
-            raise DomainError(f"L must be positive, got {self.L}")
+        require_pair_length(self.L)
         if self.alpha < 0.0:
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
 
@@ -179,16 +197,6 @@ class LevelSet:
             raise DomainError("labels and energies must have equal length")
         if self.tail_bound < 0.0:
             raise DomainError("tail_bound must be >= 0")
-
-
-def ring_energy(spec: RingAnyonSpectrum, n: int) -> float:
-    """Energy of ring level n."""
-    return spec.energy(n)
-
-
-def cs_energy(spec: CSPairSpectrum, n1: int, n2: int) -> float:
-    """Energy of the pair level (n1, n2); raises OrderingError if n1 > n2."""
-    return spec.energy(n1, n2)
 
 
 def pauli_energy(N: int, omega: float) -> float:

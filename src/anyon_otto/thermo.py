@@ -61,8 +61,16 @@ class GibbsEnsemble:
     beta: float
     populations: np.ndarray
     logZ: float
-    internal_energy: float
-    entropy: float
+
+    @property
+    def internal_energy(self) -> float:
+        """Mean energy sum P_n E_n."""
+        return float(self.populations @ self.levels.energies)
+
+    @property
+    def entropy(self) -> float:
+        """Von Neumann entropy -sum P ln P, floored at 0."""
+        return max(populations_entropy(self.populations), 0.0)
 
     @property
     def ground_energy(self) -> float:
@@ -84,14 +92,11 @@ def ensemble_from_levels(levels: LevelSet, beta: float) -> GibbsEnsemble:
     e0 = energies[0]
     weights = np.exp(-beta * (energies - e0))
     z_shifted = float(weights.sum())
-    populations = weights / z_shifted
     return GibbsEnsemble(
         levels=levels,
         beta=float(beta),
-        populations=frozen_array(populations),
+        populations=frozen_array(weights / z_shifted),
         logZ=math.log(z_shifted) - beta * e0,
-        internal_energy=float(populations @ energies),
-        entropy=max(populations_entropy(populations), 0.0),
     )
 
 

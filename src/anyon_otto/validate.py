@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -55,38 +56,26 @@ class FamilyResult:
         return self.n_errors == 0 and self.max_residual <= self.threshold
 
 
-class _Family:
-    def __init__(self, name: str, threshold: float, variant: str):
-        self.name = name
-        self.threshold = threshold
-        self.variant = variant
-        self.max_residual = 0.0
-        self.worst_point = ""
-        self.n_points = 0
-        self.n_errors = 0
+def _family(name: str, variant: str, rel_tol: float, points) -> FamilyResult:
+    """Check one identity at each ``(point label, residual thunk)`` pair.
 
-    def add(self, residual: float, point: str):
-        self.n_points += 1
-        if residual > self.max_residual:
-            self.max_residual = residual
-            self.worst_point = point
-
-    def error(self, message: str, point: str):
-        self.n_points += 1
-        self.n_errors += 1
-        self.max_residual = math.inf
-        self.worst_point = f"{point} ({message})"
-
-    def result(self) -> FamilyResult:
-        return FamilyResult(
-            name=self.name,
-            max_residual=self.max_residual,
-            threshold=self.threshold,
-            worst_point=self.worst_point,
-            n_points=self.n_points,
-            n_errors=self.n_errors,
-            formula_variant=self.variant,
-        )
+    A thunk returns the point's relative residual; one that raises
+    ``AnyonOttoError`` is an error point, which makes the residual infinite
+    and names the point and the message as the worst.
+    """
+    max_residual, worst_point, n_points, n_errors = 0.0, "", 0, 0
+    for point, residual in points:
+        n_points += 1
+        try:
+            r = residual()
+        except AnyonOttoError as exc:
+            n_errors += 1
+            max_residual, worst_point = math.inf, f"{point} ({exc})"
+            continue
+        if r > max_residual:
+            max_residual, worst_point = r, point
+    threshold = THRESHOLD_FACTORS[name] * rel_tol
+    return FamilyResult(name, max_residual, threshold, worst_point, n_points, n_errors, variant)
 
 
 def run_validation(
@@ -99,168 +88,129 @@ def run_validation(
     """Run every validation family; returns a list of FamilyResult."""
     acc = SumAccuracy(rel_tol=rel_tol)
     rng = np.random.default_rng(seed)
-    results = []
-
-    def family(name: str, applies_variant: bool = False) -> _Family:
-        v = variant if applies_variant else cf.VARIANT_REDERIVED
-        return _Family(name, THRESHOLD_FACTORS[name] * rel_tol, v)
-
-    # --- theta identities -------------------------------------------------
     xs = np.exp(rng.uniform(math.log(0.1), math.log(10.0), random_points))
     qs = rng.uniform(0.01, 0.9, random_points)
 
-    fam = family("theta-symmetry")
-    for x, q in zip(xs, qs):
+    # --- theta identities -------------------------------------------------
+    def random_theta_points(residual):
+        for x, q in zip(xs, qs):
+            yield f"x={x:.6g}, q={q:.6g}", partial(residual, x, q)
+
+    def symmetry(x, q):
         t = theta3(x, q, acc)
-        fam.add(cf.relative_residual(theta3(1.0 / x, q, acc), t), f"x={x:.6g}, q={q:.6g}")
-    results.append(fam.result())
+        return cf.relative_residual(theta3(1.0 / x, q, acc), t)
 
-    fam = family("theta-split")
-    for x, q in zip(xs, qs):
+    def split(x, q):
         t = theta3(x, q, acc)
-        split = partial_theta(x, q, acc) + partial_theta(1.0 / x, q, acc) - 1.0
-        fam.add(cf.relative_residual(split, t), f"x={x:.6g}, q={q:.6g}")
-    results.append(fam.result())
+        halves = partial_theta(x, q, acc) + partial_theta(1.0 / x, q, acc) - 1.0
+        return cf.relative_residual(halves, t)
 
-    fam = family("theta-monotonic")
-    prev = None
-    for q in np.linspace(0.02, 0.95, 60):
-        t = theta3(1.0, float(q), acc)
-        if prev is not None and t <= prev:
-            fam.error("not strictly increasing", f"q={q:.6g}")
-        else:
-            fam.add(0.0, f"q={q:.6g}")
-        prev = t
-    results.append(fam.result())
+    last_theta = -math.inf
 
-    fam = family("gauss-vs-theta")
-    for lam in (0.05, 0.2, 1.0, 5.0, 20.0):
-        for gamma in (-5.0, -1.7, 0.0, 0.4, 2.3, 5.0):
-            direct = gauss_sum_full(lam, gamma, 0.0, 0, acc)
-            closed = math.exp(-lam * gamma * gamma) * theta3(
-                math.exp(2.0 * lam * gamma), math.exp(-lam), acc
-            )
-            fam.add(cf.relative_residual(closed, direct), f"lam={lam:g}, gamma={gamma:g}")
-    results.append(fam.result())
+    def rises(q):
+        """0 when theta3(1, q) exceeds its value at the grid's previous q."""
+        nonlocal last_theta
+        t, before = theta3(1.0, q, acc), last_theta
+        last_theta = t
+        if t <= before:
+            raise AnyonOttoError("not strictly increasing")
+        return 0.0
 
-    # --- ring closed forms -------------------------------------------------
-    fam = family("ring-partition", applies_variant=True)
-    for lam in (0.05, 0.2, 1.0, 5.0, 20.0):
-        for alpha in (0.0, 0.2, 0.5, 0.77, 1.0):
-            point = f"lam={lam:g}, alpha={alpha:g}"
-            try:
-                rep = cf.ring_partition_closed(
-                    alpha, lam, 1.0, tail_tol, acc, variant=fam.variant
-                )
-                fam.add(rep.rel_residual, point)
-            except AnyonOttoError as exc:
-                fam.error(str(exc), point)
-    results.append(fam.result())
+    def monotonic_points():
+        for q in np.linspace(0.02, 0.95, 60):
+            yield f"q={q:.6g}", partial(rises, float(q))
 
-    fam = family("ring-energy-sum", applies_variant=True)
-    for lam in (0.1, 0.5, 2.0, 8.0):
-        for a_b in (0.0, 0.3, 0.7):
-            for a_w in (0.15, 0.5, 0.9):
-                point = f"lam={lam:g}, boltz={a_b:g}, weight={a_w:g}"
-                try:
-                    rep = cf.ring_weighted_energy_sum(
-                        a_w, a_b, lam, 1.0, acc, variant=fam.variant
-                    )
-                    fam.add(rep.rel_residual, point)
-                except AnyonOttoError as exc:
-                    fam.error(str(exc), point)
-    results.append(fam.result())
+    def gauss_vs_theta(lam, gamma):
+        direct = gauss_sum_full(lam, gamma, 0.0, 0, acc)
+        closed = math.exp(-lam * gamma * gamma) * theta3(
+            math.exp(2.0 * lam * gamma), math.exp(-lam), acc
+        )
+        return cf.relative_residual(closed, direct)
 
-    fam = family("ring-efficiency", applies_variant=True)
-    for alpha_h in (0.05, 0.2, 0.35):
-        for alpha_l in (alpha_h + 0.15, alpha_h + 0.4):
-            for beta_h in (0.1, 0.5, 1.5):
-                for mult in (4.0, 20.0):
-                    beta_l = beta_h * mult
-                    point = (
-                        f"alpha_h={alpha_h:g}, alpha_l={alpha_l:g}, "
-                        f"beta_h={beta_h:g}, beta_l={beta_l:g}"
-                    )
-                    try:
-                        rep = cf.ring_efficiency_closed(
-                            alpha_h,
-                            alpha_l,
-                            beta_h,
-                            beta_l,
-                            1.0,
-                            tail_tol,
-                            acc,
-                            variant=fam.variant,
+    def gauss_points():
+        for lam in (0.05, 0.2, 1.0, 5.0, 20.0):
+            for gamma in (-5.0, -1.7, 0.0, 0.4, 2.3, 5.0):
+                yield f"lam={lam:g}, gamma={gamma:g}", partial(gauss_vs_theta, lam, gamma)
+
+    # --- closed forms against their oracles ---------------------------------
+    def closed_form(form, *args):
+        return lambda: form(*args, variant=variant).rel_residual
+
+    def ring_partition_points():
+        for lam in (0.05, 0.2, 1.0, 5.0, 20.0):
+            for alpha in (0.0, 0.2, 0.5, 0.77, 1.0):
+                point = f"lam={lam:g}, alpha={alpha:g}"
+                yield point, closed_form(cf.ring_partition_closed, alpha, lam, 1.0, tail_tol, acc)
+
+    def ring_energy_sum_points():
+        for lam in (0.1, 0.5, 2.0, 8.0):
+            for a_b in (0.0, 0.3, 0.7):
+                for a_w in (0.15, 0.5, 0.9):
+                    point = f"lam={lam:g}, boltz={a_b:g}, weight={a_w:g}"
+                    yield point, closed_form(cf.ring_weighted_energy_sum, a_w, a_b, lam, 1.0, acc)
+
+    def ring_efficiency_points():
+        for alpha_h in (0.05, 0.2, 0.35):
+            for alpha_l in (alpha_h + 0.15, alpha_h + 0.4):
+                for beta_h in (0.1, 0.5, 1.5):
+                    for mult in (4.0, 20.0):
+                        beta_l = beta_h * mult
+                        point = (
+                            f"alpha_h={alpha_h:g}, alpha_l={alpha_l:g}, "
+                            f"beta_h={beta_h:g}, beta_l={beta_l:g}"
                         )
-                        fam.add(rep.rel_residual, point)
-                    except AnyonOttoError as exc:
-                        fam.error(str(exc), point)
-    results.append(fam.result())
+                        args = (alpha_h, alpha_l, beta_h, beta_l, 1.0, tail_tol, acc)
+                        yield point, closed_form(cf.ring_efficiency_closed, *args)
 
-    # --- pair closed forms ---------------------------------------------------
-    fam = family("cs-partition", applies_variant=True)
-    for c in (0.05, 0.2, 1.0, 5.0, 20.0):
-        beta = c / math.pi**2  # L = 1
-        for alpha in (0.0, 0.3, 0.5, 0.8, 1.0):
-            point = f"beta*pi^2/L^2={c:g}, alpha={alpha:g}"
-            try:
-                rep = cf.cs_partition_closed(
-                    alpha, beta, 1.0, tail_tol, acc, variant=fam.variant
+    def cs_partition_points():
+        for c in (0.05, 0.2, 1.0, 5.0, 20.0):
+            beta = c / math.pi**2  # L = 1
+            for alpha in (0.0, 0.3, 0.5, 0.8, 1.0):
+                point = f"beta*pi^2/L^2={c:g}, alpha={alpha:g}"
+                yield point, closed_form(cf.cs_partition_closed, alpha, beta, 1.0, tail_tol, acc)
+
+    def cs_energy_sum_points():
+        for c in (0.2, 1.0, 5.0):
+            beta = c / math.pi**2
+            for a_b in (0.0, 0.5, 1.0):
+                for a_w in (0.0, 0.4, 1.0):
+                    point = f"beta*pi^2/L^2={c:g}, boltz={a_b:g}, weight={a_w:g}"
+                    args = (a_w, a_b, beta, 1.0, tail_tol, acc)
+                    yield point, closed_form(cf.cs_weighted_energy_sum, *args)
+
+    def cs_efficiency_points():
+        for alpha1, alpha2 in ((0.0, 1.0), (0.0, 0.5), (0.2, 0.8), (0.5, 1.0)):
+            for beta_h, beta_l in ((0.05, 0.1), (0.02, 0.08), (0.1, 0.3)):
+                point = (
+                    f"alpha1={alpha1:g}, alpha2={alpha2:g}, beta_h={beta_h:g}, beta_l={beta_l:g}"
                 )
-                fam.add(rep.rel_residual, point)
-            except AnyonOttoError as exc:
-                fam.error(str(exc), point)
-    results.append(fam.result())
+                args = (alpha1, alpha2, beta_h, beta_l, 1.0, tail_tol, acc)
+                yield point, closed_form(cf.cs_efficiency_closed, *args)
 
-    fam = family("cs-energy-sum", applies_variant=True)
-    for c in (0.2, 1.0, 5.0):
-        beta = c / math.pi**2
-        for a_b in (0.0, 0.5, 1.0):
-            for a_w in (0.0, 0.4, 1.0):
-                point = f"beta*pi^2/L^2={c:g}, boltz={a_b:g}, weight={a_w:g}"
-                try:
-                    rep = cf.cs_weighted_energy_sum(
-                        a_w, a_b, beta, 1.0, tail_tol, acc, variant=fam.variant
-                    )
-                    fam.add(rep.rel_residual, point)
-                except AnyonOttoError as exc:
-                    fam.error(str(exc), point)
-    results.append(fam.result())
+    # --- the volume cycle against its analytic efficiency --------------------
+    def cs_volume(l1, l2, alpha):
+        rep = run_cycle(OttoCycleSpec.cs_volume_cycle(l1, l2, alpha, 0.05, 0.2, tail_tol))
+        return cf.relative_residual(rep.efficiency, efficiency_cs_volume(l1, l2))
 
-    fam = family("cs-efficiency", applies_variant=True)
-    for alpha1, alpha2 in ((0.0, 1.0), (0.0, 0.5), (0.2, 0.8), (0.5, 1.0)):
-        for beta_h, beta_l in ((0.05, 0.1), (0.02, 0.08), (0.1, 0.3)):
-            point = f"alpha1={alpha1:g}, alpha2={alpha2:g}, beta_h={beta_h:g}, beta_l={beta_l:g}"
-            try:
-                rep = cf.cs_efficiency_closed(
-                    alpha1,
-                    alpha2,
-                    beta_h,
-                    beta_l,
-                    1.0,
-                    tail_tol,
-                    acc,
-                    variant=fam.variant,
-                )
-                fam.add(rep.rel_residual, point)
-            except AnyonOttoError as exc:
-                fam.error(str(exc), point)
-    results.append(fam.result())
+    def cs_volume_points():
+        for l1 in (1.0, 1.5, 2.0):
+            for ratio in (0.3, 0.6, 0.9):
+                l2 = l1 * ratio
+                for alpha in (0.0, 0.5):
+                    point = f"L1={l1:g}, L2={l2:g}, alpha={alpha:g}"
+                    yield point, partial(cs_volume, l1, l2, alpha)
 
-    fam = family("cs-volume")
-    for l1 in (1.0, 1.5, 2.0):
-        for ratio in (0.3, 0.6, 0.9):
-            l2 = l1 * ratio
-            for alpha in (0.0, 0.5):
-                point = f"L1={l1:g}, L2={l2:g}, alpha={alpha:g}"
-                try:
-                    rep = run_cycle(
-                        OttoCycleSpec.cs_volume_cycle(l1, l2, alpha, 0.05, 0.2, tail_tol)
-                    )
-                    analytic = efficiency_cs_volume(l1, l2)
-                    fam.add(cf.relative_residual(rep.efficiency, analytic), point)
-                except AnyonOttoError as exc:
-                    fam.error(str(exc), point)
-    results.append(fam.result())
-
-    return results
+    rederived = cf.VARIANT_REDERIVED
+    return [
+        _family("theta-symmetry", rederived, rel_tol, random_theta_points(symmetry)),
+        _family("theta-split", rederived, rel_tol, random_theta_points(split)),
+        _family("theta-monotonic", rederived, rel_tol, monotonic_points()),
+        _family("gauss-vs-theta", rederived, rel_tol, gauss_points()),
+        _family("ring-partition", variant, rel_tol, ring_partition_points()),
+        _family("ring-energy-sum", variant, rel_tol, ring_energy_sum_points()),
+        _family("ring-efficiency", variant, rel_tol, ring_efficiency_points()),
+        _family("cs-partition", variant, rel_tol, cs_partition_points()),
+        _family("cs-energy-sum", variant, rel_tol, cs_energy_sum_points()),
+        _family("cs-efficiency", variant, rel_tol, cs_efficiency_points()),
+        _family("cs-volume", rederived, rel_tol, cs_volume_points()),
+    ]

@@ -211,6 +211,22 @@ class TestCycleCommand:
         assert "must be finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("L", ["1e-170", "1e-160", "1e-154", "1e170"])
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--medium", "cs-coupling", "--alpha1", "0", "--alpha2", "0.5", "--length"], "length"),
+            (["--medium", "cs-volume", "--l1", "2", "--l2"], "ring sizes"),
+        ],
+        ids=["cs-coupling-length", "cs-volume-l2"],
+    )
+    def test_pair_length_outside_double_range_exits_64(self, capsys, tmp_path, argv, name, L):
+        argv = ["cycle"] + argv + [L, "--beta-h", "0.05", "--beta-l", "0.1"]
+        code, out, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+        message = f"{name} must keep pi^2/L^2 a finite positive double"
+        assert (code, out, err) == (64, "", f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_closed_form_overflow_prints_cycle_without_residual(self, capsys):
         argv = ["cycle", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
         code, out, err = run_cli(argv + ["--beta-h", "100", "--beta-l", "2000"], capsys)
@@ -660,6 +676,25 @@ class TestSeedConfig:
         for name in ("cycle.csv", "cycle.json"):
             seeded_file, plain_file = tmp_path / "seeded" / name, tmp_path / "plain" / name
             assert seeded_file.read_bytes() == plain_file.read_bytes()
+
+
+class TestVariantConfig:
+    """An unknown formula variant is bad configuration: exit 64 before any work."""
+
+    @pytest.mark.parametrize("command", ["cycle", "validate"])
+    def test_config_file_value_checked(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant = bogus\n")
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        message = f"variant must be one of {cf.VARIANTS}, got 'bogus'"
+        assert (code, out, err) == (64, "", f"config error: {message}\n")
+
+    def test_config_file_printed_variant_runs(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant = paper-appendix\n")
+        from_file = run_cli(["validate", "--config", str(cfg)], capsys)
+        assert from_file == run_cli(["validate", "--variant", "paper-appendix"], capsys)
+        assert from_file[0] == 3
 
 
 class TestParserReuse:

@@ -200,6 +200,22 @@ class TestThetaArgumentOverflow:
             cs_partition_parity_terms(2.0, 10.0, 1.0)
 
 
+@pytest.mark.parametrize("L", [1e-170, 1e-160, 1e-154, 1e170])
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        lambda L: cs_partition_parity_terms(0.5, 0.1, L),
+        lambda L: cs_weighted_energy_sum(0.5, 0.5, 0.1, L),
+        lambda L: cs_efficiency_value(0.0, 0.5, 0.05, 0.1, L),
+    ],
+    ids=["parity-terms", "weighted-energy-sum", "efficiency-value"],
+)
+def test_pair_length_outside_double_range(closed_form, L):
+    with pytest.raises(DomainError) as exc:
+        closed_form(L)
+    assert str(exc.value) == f"L must keep pi^2/L^2 a finite positive double, got {L}"
+
+
 class TestCsPartitionClosed:
     def test_cold_limit_is_one(self):
         rep = cs_partition_closed(0.0, 5.0, 1.0)

@@ -174,6 +174,21 @@ class TestMediumTable:
         with pytest.raises(DomainError, match=f"^{message}$"):
             make(**{**kwargs, **bad})
 
+    @pytest.mark.parametrize("L", [1e-170, 1e-160, 1e-154, 1e170])
+    @pytest.mark.parametrize(
+        "medium, key, name",
+        [
+            ("cs-volume", "l1", "ring sizes"),
+            ("cs-volume", "l2", "ring sizes"),
+            ("cs-coupling", "length", "length"),
+        ],
+    )
+    def test_pair_length_outside_double_range(self, medium, key, name, L):
+        make, kwargs = CONSTRUCTORS[medium]
+        with pytest.raises(DomainError) as exc:
+            make(**{**kwargs, key: L})
+        assert str(exc.value) == f"{name} must keep pi^2/L^2 a finite positive double"
+
     def test_spectrum_takes_the_control_where_the_medium_varies(self):
         ring = OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 5.0, eps0=1.5)
         assert ring.spectrum_hot() == RingAnyonSpectrum(eps0=1.5, alpha=0.1)

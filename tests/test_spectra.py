@@ -11,10 +11,9 @@ from anyon_otto.errors import DomainError, OrderingError
 from anyon_otto.spectra import (
     CSPairSpectrum,
     RingAnyonSpectrum,
-    cs_energy,
     enumerate_levels,
+    pair_length_in_range,
     pauli_energy,
-    ring_energy,
 )
 
 PI2 = math.pi**2
@@ -22,15 +21,15 @@ PI2 = math.pi**2
 
 class TestRingEnergy:
     def test_free_ground_state(self):
-        assert ring_energy(RingAnyonSpectrum(1.0, 0.0), 0) == 0.0
+        assert RingAnyonSpectrum(1.0, 0.0).energy(0) == 0.0
 
     def test_half_flux_degenerate_pair(self):
         spec = RingAnyonSpectrum(1.0, 0.5)
-        assert ring_energy(spec, 0) == 0.25
-        assert ring_energy(spec, 1) == 0.25
+        assert spec.energy(0) == 0.25
+        assert spec.energy(1) == 0.25
 
     def test_hand_value(self):
-        assert ring_energy(RingAnyonSpectrum(0.5, 0.25), -1) == 0.78125
+        assert RingAnyonSpectrum(0.5, 0.25).energy(-1) == 0.78125
 
     def test_eps0_must_be_positive(self):
         with pytest.raises(DomainError):
@@ -65,25 +64,45 @@ class TestRingEnergy:
 
 class TestCSEnergy:
     def test_free_boson_ground_state(self):
-        assert cs_energy(CSPairSpectrum(1.0, 0.0), 0, 0) == 0.0
+        assert CSPairSpectrum(1.0, 0.0).energy(0, 0) == 0.0
 
     def test_unit_coupling_ground_state(self):
-        assert math.isclose(cs_energy(CSPairSpectrum(1.0, 1.0), 0, 0), PI2, rel_tol=1e-15)
+        assert math.isclose(CSPairSpectrum(1.0, 1.0).energy(0, 0), PI2, rel_tol=1e-15)
 
     def test_hand_value(self):
         # pi^2/16 + pi^2/4
-        value = cs_energy(CSPairSpectrum(2.0, 0.5), 0, 1)
+        value = CSPairSpectrum(2.0, 0.5).energy(0, 1)
         assert math.isclose(value, PI2 / 16.0 + PI2 / 4.0, rel_tol=1e-14)
 
     def test_ordering_enforced(self):
         with pytest.raises(OrderingError):
-            cs_energy(CSPairSpectrum(1.0, 0.5), 1, 0)
+            CSPairSpectrum(1.0, 0.5).energy(1, 0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             CSPairSpectrum(0.0, 0.5)
         with pytest.raises(DomainError):
             CSPairSpectrum(1.0, -0.1)
+
+    @pytest.mark.parametrize("L", [1e-170, 1e-160, 1e-154, 1e170])
+    def test_length_outside_double_range(self, L):
+        # L^2 underflows to 0, pi^2/L^2 overflows, or L^2 itself overflows
+        with pytest.raises(DomainError) as exc:
+            CSPairSpectrum(L, 0.5)
+        assert str(exc.value) == f"L must keep pi^2/L^2 a finite positive double, got {L}"
+
+    @pytest.mark.parametrize("L", [0.0, -1.0])
+    def test_non_positive_length_keeps_its_message(self, L):
+        with pytest.raises(DomainError, match=f"^L must be positive, got {L}$"):
+            CSPairSpectrum(L, 0.5)
+
+    def test_length_range_edges(self):
+        inside = [1e-153, 1.0, 1.3e154]
+        outside = [1e-154, 2.3e-154, 1.35e154, 0.0, -1.0, math.nan, math.inf]
+        assert all(pair_length_in_range(L) for L in inside)
+        assert not any(pair_length_in_range(L) for L in outside)
+        CSPairSpectrum(1e-153, 0.5)
+        CSPairSpectrum(1.3e154, 0.5)
 
     @pytest.mark.parametrize("L", [0.5, 1.0, 2.5])
     def test_boson_limit_exact(self, L):

@@ -1,0 +1,103 @@
+"""Validation families: names, order, grids, thresholds and error points."""
+
+import math
+
+import pytest
+
+from anyon_otto import closed_form as cf
+from anyon_otto import validate
+from anyon_otto.errors import NoConvergence
+from anyon_otto.validate import run_validation
+
+# (name, threshold at rel_tol 1e-12, n_points), in the order validate prints them
+FAMILIES = [
+    ("theta-symmetry", 2e-12, 1000),
+    ("theta-split", 4e-12, 1000),
+    ("theta-monotonic", 1e-12, 60),
+    ("gauss-vs-theta", 1e-11, 30),
+    ("ring-partition", 1e-10, 25),
+    ("ring-energy-sum", 1e-10, 36),
+    ("ring-efficiency", 1e-09, 36),
+    ("cs-partition", 1e-10, 25),
+    ("cs-energy-sum", 1e-10, 27),
+    ("cs-efficiency", 1e-09, 12),
+    ("cs-volume", 1e-10, 18),
+]
+# families that evaluate the selected formula variant; the rest check the oracle
+CLOSED_FORM = {
+    "ring-partition",
+    "ring-energy-sum",
+    "ring-efficiency",
+    "cs-partition",
+    "cs-energy-sum",
+    "cs-efficiency",
+}
+PRINTED_ERRORS = {"ring-partition": 5, "cs-energy-sum": 27, "cs-efficiency": 12}
+ERRORS = {
+    cf.VARIANT_REDERIVED: {},
+    "paper-main-text": PRINTED_ERRORS,
+    "paper-appendix": PRINTED_ERRORS,
+}
+
+
+def _by_name(results):
+    return {r.name: r for r in results}
+
+
+@pytest.mark.parametrize("variant", cf.VARIANTS)
+def test_families_are_pinned(variant):
+    got = [
+        (r.name, r.threshold, r.n_points, r.n_errors, r.formula_variant)
+        for r in run_validation(variant=variant)
+    ]
+    expected = [
+        (
+            name,
+            threshold,
+            n_points,
+            ERRORS[variant].get(name, 0),
+            variant if name in CLOSED_FORM else cf.VARIANT_REDERIVED,
+        )
+        for name, threshold, n_points in FAMILIES
+    ]
+    assert got == expected
+
+
+def test_closed_form_error_is_one_error_point(monkeypatch):
+    real = cf.ring_partition_closed
+
+    def stalls_at_one_point(alpha, lam, *args, **kwargs):
+        if (lam, alpha) == (1.0, 0.5):
+            raise NoConvergence("series stalled")
+        return real(alpha, lam, *args, **kwargs)
+
+    monkeypatch.setattr(cf, "ring_partition_closed", stalls_at_one_point)
+    fam = _by_name(run_validation(random_points=10))["ring-partition"]
+    assert (fam.n_points, fam.n_errors, fam.max_residual) == (25, 1, math.inf)
+    assert fam.worst_point == "lam=1, alpha=0.5 (series stalled)"
+    assert not fam.passed
+
+
+def test_theta_family_records_an_error_point(monkeypatch):
+    # gauss-vs-theta at gamma = 0 is the one call with x == 1 and q == exp(-5)
+    real = validate.theta3
+
+    def stalls_at_one_point(x, q, acc):
+        if (x, q) == (1.0, math.exp(-5.0)):
+            raise NoConvergence("series stalled")
+        return real(x, q, acc)
+
+    monkeypatch.setattr(validate, "theta3", stalls_at_one_point)
+    results = _by_name(run_validation(random_points=10))
+    assert [name for name, _, _ in FAMILIES] == list(results)
+    fam = results["gauss-vs-theta"]
+    assert (fam.n_points, fam.n_errors, fam.max_residual) == (30, 1, math.inf)
+    assert fam.worst_point == "lam=5, gamma=0 (series stalled)"
+    assert all(r.n_errors == 0 for r in results.values() if r is not fam)
+
+
+def test_flat_theta_fails_monotonic_at_every_later_point(monkeypatch):
+    monkeypatch.setattr(validate, "theta3", lambda x, q, acc: 1.0)
+    fam = _by_name(run_validation(random_points=10))["theta-monotonic"]
+    assert (fam.n_points, fam.n_errors, fam.max_residual) == (60, 59, math.inf)
+    assert fam.worst_point == "q=0.95 (not strictly increasing)"
