@@ -31,6 +31,7 @@ rejected.
 from __future__ import annotations
 
 import dataclasses
+import marshal
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -43,6 +44,7 @@ from .spectra import (
     RingAnyonSpectrum,
     frozen_array,
     label_columns,
+    key_labels,
     label_keys,
     pair_length_in_range,
     require_finite,
@@ -328,20 +330,25 @@ def _call(compute, *args):
     return compute(*args)
 
 
+_PLAIN = (float, int, str)
+
+
 class _IsochoreMemo:
     """A ``reuse(compute, *args)`` that keeps, per ``compute``, its last two results.
 
     A cycle has two isochores, and a sweep whose axis moves one of them finds
-    the other's result here in every row.  Arguments are matched by repr,
-    which tells -0.0 from 0.0 where == does not.  One instance serves one
-    sweep and is dropped with it.
+    the other's result here in every row.  Arguments are floats, ints,
+    strings, or dataclasses of them (spectra, ``SumAccuracy``); they are
+    matched by their ``marshal`` bytes, a dataclass by its field dict.  That
+    compares floats bit for bit, so it tells -0.0 from 0.0 where == does not,
+    and formats nothing.  One instance serves one sweep and is dropped with it.
     """
 
     def __init__(self):
         self._results = {}
 
     def __call__(self, compute, *args):
-        key = (compute, repr(args))
+        key = (compute, marshal.dumps([a if isinstance(a, _PLAIN) else vars(a) for a in args]))
         if key in self._results:
             result = self._results.pop(key)
         else:
@@ -353,17 +360,32 @@ class _IsochoreMemo:
         return result
 
 
+def _keys_by_label(levels) -> np.ndarray:
+    """A level set's ``label_keys`` in label-ascending order, placed by ``label_rank``."""
+    keys = np.empty(len(levels.labels), dtype=np.int64)
+    keys[levels.label_rank] = label_keys(levels.labels)
+    return keys
+
+
 def _cycle_table(spec: OttoCycleSpec, reuse=_call):
     hot_spec = spec.spectrum_hot()
     cold_spec = spec.spectrum_cold()
     ens_b = reuse(gibbs, hot_spec, spec.beta_h, spec.tail_tol)
     ens_a = reuse(gibbs, cold_spec, spec.beta_l, spec.tail_tol)
-    both = np.concatenate((ens_b.levels.labels, ens_a.levels.labels))
-    _, first, where = np.unique(label_keys(both), return_index=True, return_inverse=True)
-    labels = both[first]
+    # Each ensemble's keys in label order are one ascending run; the stable
+    # sort (timsort) finds the two runs and merges them in linear time.  The
+    # first of each run of equal keys is a union label, and the count of
+    # firsts up to a key is its position in the union.
+    keys = np.concatenate((_keys_by_label(ens_b.levels), _keys_by_label(ens_a.levels)))
+    order = np.argsort(keys, kind="stable")
+    merged = keys[order]
+    first = np.concatenate(([True], merged[1:] != merged[:-1]))
+    labels = key_labels(merged[first], ens_b.levels.labels.ndim)
+    position = np.empty(len(keys), dtype=np.int64)
+    position[order] = np.cumsum(first) - 1
     n_b = len(ens_b.levels.labels)
-    e_hot, p_b = _labelwise(ens_b, hot_spec, labels, where[:n_b])
-    e_cold, p_a = _labelwise(ens_a, cold_spec, labels, where[n_b:])
+    e_hot, p_b = _labelwise(ens_b, hot_spec, labels, position[:n_b][ens_b.levels.label_rank])
+    e_cold, p_a = _labelwise(ens_a, cold_spec, labels, position[n_b:][ens_a.levels.label_rank])
     return labels, e_hot, e_cold, p_b, p_a
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -171,6 +172,13 @@ def label_keys(labels: np.ndarray) -> np.ndarray:
     return ((labels[:, 0] + _KEY_OFFSET) << 32) | (labels[:, 1] + _KEY_OFFSET)
 
 
+def key_labels(keys: np.ndarray, ndim: int) -> np.ndarray:
+    """The labels of ``ndim`` dimensions that ``label_keys`` packed into ``keys``."""
+    if ndim == 1:
+        return keys
+    return np.column_stack(((keys >> 32) - _KEY_OFFSET, (keys & 0xFFFFFFFF) - _KEY_OFFSET))
+
+
 @dataclass(frozen=True, eq=False)
 class LevelSet:
     """A truncated, energy-ascending array of labeled levels.
@@ -178,6 +186,13 @@ class LevelSet:
     ``labels`` is an int64 array, shape (N,) of n for the ring and (N, 2) of
     (n1, n2) rows for the pair; ``energies`` is the float64 array of shape
     (N,).  Equal energies are ordered by label.  Both arrays are read-only.
+
+    ``label_rank`` is each level's position in label-ascending order, the
+    permutation ``enumerate_levels`` sorted its label-ascending window by:
+    one stable sort by energy orders equal energies by label, so the rank
+    is that sort's argsort and costs nothing extra.  ``otto._cycle_table``
+    reads it to merge two sets by label without sorting them again.  A set
+    built by hand may leave it None.
 
     ``tail_bound`` certifies the truncation for the inverse temperature the
     set was built for: it bounds sum over omitted levels of
@@ -189,6 +204,7 @@ class LevelSet:
     energies: np.ndarray
     tail_bound: float
     beta: float
+    label_rank: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "labels", frozen_array(self.labels, np.int64))
@@ -197,6 +213,8 @@ class LevelSet:
             raise DomainError("labels and energies must have equal length")
         if self.tail_bound < 0.0:
             raise DomainError("tail_bound must be >= 0")
+        if self.label_rank is not None:
+            object.__setattr__(self, "label_rank", frozen_array(self.label_rank, np.int64))
 
 
 def pauli_energy(N: int, omega: float) -> float:
@@ -214,14 +232,36 @@ def pauli_energy(N: int, omega: float) -> float:
 
 
 def _sorted_level_set(labels, energies, tail_bound, beta) -> LevelSet:
-    # np.lexsort sorts by its last key first: energy, then n1, then n2.
-    order = np.lexsort(label_columns(labels)[::-1] + (energies,))
+    # ``labels`` arrive label-ascending, so a stable sort by energy alone
+    # breaks ties by label; ``order`` is then each level's label rank.
+    order = np.argsort(energies, kind="stable")
+    energies = energies[order]
+    # The sort puts inf and nan last, so one look checks the whole set.
+    if len(energies) and not math.isfinite(energies[-1]):
+        raise DomainError(f"level energies leave the double range (largest {energies[-1]})")
     return LevelSet(
         labels=labels[order],
-        energies=energies[order],
+        energies=energies,
         tail_bound=float(tail_bound),
         beta=float(beta),
+        label_rank=order,
     )
+
+
+def _first_half_width(lam: float, lead: float, trail: float, tail_tol: float, cap: int) -> int:
+    """The window half-width the Gaussian tail suggests, or ``cap + 1``.
+
+    That is ceil(sqrt(lead + log(1/tail_tol)/lam + trail) + 2/sqrt(lam) + 2).
+    Where lam underflows to 0 or the width passes ``cap`` (infinity
+    included), ``cap + 1`` makes the window loop raise its cap's
+    NoConvergence instead of int() an OverflowError.
+    """
+    if lam > 0.0:
+        guess = math.sqrt(lead + math.log(1.0 / tail_tol) / lam + trail)
+        width = guess + 2.0 * (1.0 / math.sqrt(lam)) + 2.0
+        if width <= cap:
+            return int(math.ceil(width))
+    return cap + 1
 
 
 def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> LevelSet:
@@ -229,16 +269,15 @@ def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> Level
     gamma = spec.alpha
     peak = int(round(gamma))
     g_shift = (peak - gamma) ** 2  # dimensionless ground energy E_min/eps0
-    inv_sqrt_lam = 1.0 / math.sqrt(lam)
 
     # Initial half-width from the analytic tail, then verify and grow.
-    guess = math.sqrt(max(g_shift, 0.0) + math.log(1.0 / tail_tol) / lam)
-    K = max(3, int(math.ceil(guess + 2.0 * inv_sqrt_lam + 2.0)))
+    K = max(3, _first_half_width(lam, g_shift, 0.0, tail_tol, _RING_WINDOW_CAP))
     while True:
         if 2 * K + 1 > _RING_WINDOW_CAP:
             raise NoConvergence(
                 f"ring window exceeded {_RING_WINDOW_CAP} levels at tail_tol={tail_tol:g}"
             )
+        inv_sqrt_lam = 1.0 / math.sqrt(lam)
         ns = np.arange(peak - K, peak + K + 1)
         energies = spec.energies(ns)
         e_min = float(energies.min())
@@ -267,20 +306,21 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> LevelSet:
     unit = math.pi**2 / spec.L**2
     lam = beta * unit  # decay rate in (m, n) coordinates
     alpha = spec.alpha
-    inv_sqrt_lam = 1.0 / math.sqrt(lam)
-
-    # Bound on a full or half lattice Gaussian sum with peak weight <= 1.
-    log_lattice = math.log(2.0 + math.sqrt(math.pi / lam))
     # Minimum of (n - alpha)^2 over n >= 0.
     mu_n = (max(0, int(round(alpha))) - alpha) ** 2
 
-    guess = math.sqrt(alpha**2 + math.log(1.0 / tail_tol) / lam + 1.0)
-    K = max(3 + int(math.ceil(alpha / 2.0)), int(math.ceil(guess + 2.0 * inv_sqrt_lam + 2.0)))
+    K = max(
+        3 + int(math.ceil(alpha / 2.0)),
+        _first_half_width(lam, alpha**2, 1.0, tail_tol, _CS_WINDOW_CAP),
+    )
     while True:
         if K > _CS_WINDOW_CAP:
             raise NoConvergence(
                 f"pair window exceeded K={_CS_WINDOW_CAP} at tail_tol={tail_tol:g}"
             )
+        inv_sqrt_lam = 1.0 / math.sqrt(lam)
+        # Bound on a full or half lattice Gaussian sum with peak weight <= 1.
+        log_lattice = math.log(2.0 + math.sqrt(math.pi / lam))
         # Pairs n1 <= n2 in row-major order, without the full square grid.
         n1, n2 = np.triu_indices(2 * K + 1)
         n1 -= K
@@ -315,7 +355,14 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
     ground-shifted Boltzmann weight drops below ``tail_tol``; the returned set
     is then cut at an energy below every omitted level, so it is downward
     closed in energy.  Levels come back energy-ascending, degeneracies as
-    separate labeled entries.
+    separate labeled entries, equal energies in label order.
+
+    Both windows are built label-ascending (``np.arange`` for the ring,
+    row-major ``np.triu_indices`` for the pair), so one stable sort by energy
+    gives that order with no sort key for the labels; the sort's permutation
+    is kept as ``LevelSet.label_rank``.  Raises NoConvergence when the window
+    would pass its cap, and DomainError when an enumerated energy is not a
+    finite double.
     """
     require_finite(beta=beta, tail_tol=tail_tol)
     if not beta > 0.0:

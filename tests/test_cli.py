@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anyon_otto import cli
@@ -723,3 +724,47 @@ class TestParserReuse:
             assert run_cli(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
             codes.append(fresh.returncode)
         assert codes == [2, 64, 0, 0]
+
+
+class TestRangeErrors:
+    """Inputs whose window or energies leave the double range exit 1 with a typed error."""
+
+    CS = ["cycle", "--medium", "cs-coupling", "--alpha1", "0", "--alpha2", "0.5"]
+    RING = ["cycle", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                CS + ["--beta-h", "0.05", "--beta-l", "0.1", "--length", "1e154"],
+                "error: pair window exceeded K=1500",
+            ),
+            (RING + ["--beta-h", "1e-310", "--beta-l", "1e-300"], "error: ring window exceeded"),
+            (CS + ["--beta-h", "1e-310", "--beta-l", "1e-300"], "error: pair window exceeded"),
+            (
+                RING + ["--beta-h", "1e-300", "--beta-l", "1e-299", "--eps0", "1e-30"],
+                "error: ring window exceeded",
+            ),
+            (
+                CS + ["--beta-h", "0.05", "--beta-l", "0.1", "--length", "1e-153"],
+                "error: level energies leave the double range",
+            ),
+        ],
+        ids=["length-1e154", "ring-beta-1e-310", "pair-beta-1e-310", "ring-lam-0", "length-1e-153"],
+    )
+    def test_exit_one_with_typed_error(self, capsys, argv, message):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_ERROR
+        assert message in err
+        assert "nan" not in out
+
+    def test_sweep_records_the_error_row(self, capsys, tmp_path):
+        argv = ["sweep"] + self.CS[1:] + ["--beta-h", "0.05", "--beta-l", "0.1", "--sweep", "length"]
+        argv += ["--grid", "1:1e154:2", "--out", str(tmp_path)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, _ = run_cli(argv, capsys)
+        assert code == cli.EXIT_OK
+        rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 2
+        assert "NoConvergence: pair window exceeded K=1500" in rows[1]

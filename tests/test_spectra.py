@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyon_otto.errors import DomainError, OrderingError
+from anyon_otto import thermo
+from anyon_otto.errors import DomainError, NoConvergence, OrderingError
 from anyon_otto.spectra import (
     CSPairSpectrum,
     RingAnyonSpectrum,
@@ -251,3 +252,44 @@ class TestPauliEnergy:
             pauli_energy(2, 0.0)
         with pytest.raises(DomainError):
             pauli_energy(2.5, 1.0)
+
+
+class TestWindowAndEnergyRange:
+    """A window guess past its cap, or energies past the double range, are typed errors."""
+
+    @pytest.mark.parametrize(
+        "spec, beta, message",
+        [
+            # log(1/tail_tol)/lam overflows: an infinite guess
+            (RingAnyonSpectrum(1.0, 0.1), 1e-310, "ring window exceeded 1000000 levels"),
+            (CSPairSpectrum(1.0, 0.5), 1e-310, "pair window exceeded K=1500"),
+            # pi^2/L^2 ~ 5e-308: beta * unit is subnormal and the guess infinite
+            (CSPairSpectrum(1e154, 0.5), 0.05, "pair window exceeded K=1500"),
+            # lam underflows to 0
+            (RingAnyonSpectrum(1e-30, 0.1), 1e-300, "ring window exceeded 1000000 levels"),
+            (CSPairSpectrum(1e150, 0.5), 1e-300, "pair window exceeded K=1500"),
+            # finite guess past the cap
+            (RingAnyonSpectrum(1.0, 0.1), 1e-300, "ring window exceeded 1000000 levels"),
+        ],
+    )
+    def test_window_past_cap_raises_no_convergence(self, spec, beta, message):
+        with pytest.raises(NoConvergence, match=message):
+            enumerate_levels(spec, beta, 1e-13)
+
+    @pytest.mark.parametrize(
+        "spec, beta",
+        [
+            (CSPairSpectrum(1e-153, 0.5), 0.05),
+            (RingAnyonSpectrum(1e308, 0.1), 1e-300),
+        ],
+    )
+    def test_infinite_energies_raise_domain_error(self, spec, beta):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="leave the double range"):
+                enumerate_levels(spec, beta, 1e-13)
+            with pytest.raises(DomainError, match="leave the double range"):
+                thermo.gibbs(spec, beta, 1e-13)
+
+    def test_largest_finite_energies_pass(self):
+        levels = enumerate_levels(CSPairSpectrum(1e-152, 0.5), 0.05, 1e-13)
+        assert np.all(np.isfinite(levels.energies))
