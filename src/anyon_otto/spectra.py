@@ -277,6 +277,7 @@ def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> Level
             raise NoConvergence(
                 f"ring window exceeded {_RING_WINDOW_CAP} levels at tail_tol={tail_tol:g}"
             )
+        # Past the cap check, which a lam that underflowed to 0 never passes.
         inv_sqrt_lam = 1.0 / math.sqrt(lam)
         ns = np.arange(peak - K, peak + K + 1)
         energies = spec.energies(ns)
@@ -309,15 +310,15 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> LevelSet:
     # Minimum of (n - alpha)^2 over n >= 0.
     mu_n = (max(0, int(round(alpha))) - alpha) ** 2
 
-    K = max(
-        3 + int(math.ceil(alpha / 2.0)),
-        _first_half_width(lam, alpha**2, 1.0, tail_tol, _CS_WINDOW_CAP),
-    )
+    K = 3 + int(math.ceil(alpha / 2.0))
+    if K <= _CS_WINDOW_CAP:  # else alpha alone is past the cap, and alpha**2 may overflow
+        K = max(K, _first_half_width(lam, alpha**2, 1.0, tail_tol, _CS_WINDOW_CAP))
     while True:
         if K > _CS_WINDOW_CAP:
             raise NoConvergence(
                 f"pair window exceeded K={_CS_WINDOW_CAP} at tail_tol={tail_tol:g}"
             )
+        # Past the cap check, which a lam that underflowed to 0 never passes.
         inv_sqrt_lam = 1.0 / math.sqrt(lam)
         # Bound on a full or half lattice Gaussian sum with peak weight <= 1.
         log_lattice = math.log(2.0 + math.sqrt(math.pi / lam))

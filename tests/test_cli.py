@@ -749,8 +749,20 @@ class TestRangeErrors:
                 CS + ["--beta-h", "0.05", "--beta-l", "0.1", "--length", "1e-153"],
                 "error: level energies leave the double range",
             ),
+            (
+                ["cycle", "--medium", "cs-volume", "--l1", "2", "--l2", "1", "--alpha", "1e300"]
+                + ["--beta-h", "0.05", "--beta-l", "0.1"],
+                "error: pair window exceeded K=1500",
+            ),
         ],
-        ids=["length-1e154", "ring-beta-1e-310", "pair-beta-1e-310", "ring-lam-0", "length-1e-153"],
+        ids=[
+            "length-1e154",
+            "ring-beta-1e-310",
+            "pair-beta-1e-310",
+            "ring-lam-0",
+            "length-1e-153",
+            "alpha-1e300",
+        ],
     )
     def test_exit_one_with_typed_error(self, capsys, argv, message):
         with np.errstate(over="ignore", invalid="ignore"):

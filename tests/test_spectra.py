@@ -268,6 +268,8 @@ class TestWindowAndEnergyRange:
             # lam underflows to 0
             (RingAnyonSpectrum(1e-30, 0.1), 1e-300, "ring window exceeded 1000000 levels"),
             (CSPairSpectrum(1e150, 0.5), 1e-300, "pair window exceeded K=1500"),
+            # alpha**2 overflows: alpha alone puts the window past the cap
+            (CSPairSpectrum(1.0, 1e300), 0.05, "pair window exceeded K=1500"),
             # finite guess past the cap
             (RingAnyonSpectrum(1.0, 0.1), 1e-300, "ring window exceeded 1000000 levels"),
         ],
