@@ -4,7 +4,7 @@
     python3 bench/output_identity.py PARENT_DIR CHANGE_DIR --out rows.csv
 
 Each checkout runs, in its own interpreter and in-process through
-``cli.main``, the same command lines: the six README commands, ``validate``
+``cli.main``, the same command lines: the seven README commands, ``validate``
 for seeds 1-3, and one round of the ``hot-cycle`` and ``bose-fermi-sweep``
 inputs of ``perfbench/workloads.py`` for seeds 1-3.  For each command it
 records the exit code, stdout, stderr and every written file (``sweep.json``
@@ -48,6 +48,7 @@ README = [
     "sweep --medium ring --alpha-h 0.1 --alpha-l 0.3 --beta-l 5 --sweep beta_h --grid 0.1:1:3 --out OUT",
     "validate",
     "validate --variant paper-main-text",
+    "validate --variant paper-appendix",
 ]
 SEEDS = (1, 2, 3)
 
@@ -308,11 +309,13 @@ def main(argv=None) -> int:
         writer.writeheader()
         writer.writerows(rows)
 
-    validate = next(r for r in new_records if r["argv"] == ["validate"])
+    validates = [r for r in new_records if r["tag"] == "readme" and r["argv"][0] == "validate"]
     away = [r for r in rows if float(r["mpmath_distance_new"]) > float(r["mpmath_distance_old"])]
     print(f"identical commands: {dict(same)}")
     print(f"changed commands:   {dict(changed)}")
-    print(f"validate stdout sha256: {hashlib.sha256(validate['stdout'].encode()).hexdigest()[:16]}")
+    for r in validates:
+        digest = hashlib.sha256(r["stdout"].encode()).hexdigest()[:16]
+        print(f"{' '.join(r['argv'])} stdout sha256: {digest}")
     for side in ("parent", "change"):
         warned = sum(r["slow_decay_warnings"] for r in sides[side]["records"])
         print(f"{side}: series counts {sides[side]['counts']}, slow-decay warnings {warned}")

@@ -22,11 +22,12 @@ series T_w = sum n^w q^(n^2) x^n (full lattice or n >= 0),
         = exp(-lam gamma^2) [ c^2 T_0 - 2 c T_1 + T_2 ],
 
 i.e. the cross term carries the coefficient -2c.  Two previously printed
-variants of this identity are retained behind ``formula_variant`` purely for
-documentation: ``paper-main-text`` pairs the cross term with c*gamma/lam and
-``paper-appendix`` pairs it with (gamma-c)/lam but differentiates through an
-extra Gaussian prefactor.  Both fail the oracle check away from special
-points; ``rederived`` is the default and the only variant that passes.
+variants, ``paper-main-text`` and ``paper-appendix``, are retained behind
+``formula_variant`` purely for documentation, and the table ``_FORMULAS`` is
+the one place they live.  Both fail the oracle check away from special
+points; the printed pair energy sum, whose first factor has decay rate
+-beta pi^2/L^2 < 0, always raises DomainError.  ``rederived`` is the default
+and the only variant that passes.
 
 For the interacting pair, energies in center-of-mass/relative coordinates
 split by parity (m and n both even or both odd), giving products of full- and
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -133,9 +135,11 @@ def _theta_arg(exponent: float) -> float:
         ) from None
 
 
-def _check_variant(variant: str) -> None:
+def _check_variant(variant: str) -> _Formulas:
+    """The variant's ``_FORMULAS`` entry; DomainError for an unknown name."""
     if variant not in VARIANTS:
         raise DomainError(f"formula_variant must be one of {VARIANTS}, got {variant!r}")
+    return _FORMULAS[variant]
 
 
 def _series(lam: float, gamma: float, weight: int, one_sided: bool, acc: SumAccuracy) -> float:
@@ -177,26 +181,42 @@ def _plain(t: tuple, lam: float, gamma: float) -> float:
     return math.exp(-lam * gamma * gamma) * t[0]
 
 
-def _weighted(t: tuple, lam: float, gamma: float, c: float, variant: str) -> float:
-    """sum (n-c)^2 exp(-lam (n-gamma)^2) from the triple at (lam, gamma), per formula variant."""
+def _weighted(t: tuple, lam: float, gamma: float, c: float) -> float:
+    """sum (n-c)^2 exp(-lam (n-gamma)^2) from the triple at (lam, gamma)."""
+    t0, t1, t2 = t
+    return math.exp(-lam * gamma * gamma) * (c * c * t0 - 2.0 * c * t1 + t2)
+
+
+def _weighted_main(t: tuple, lam: float, gamma: float, c: float) -> float:
+    """Main-text print: cross term as (c*gamma/lam) d/dgamma acting on the bare series."""
+    t0, t1, t2 = t
+    d_gamma = 2.0 * lam * t1
+    d_lam = 2.0 * gamma * t1 - t2
+    return math.exp(-lam * gamma * gamma) * (c * c * t0 + (c * gamma / lam) * d_gamma - d_lam)
+
+
+def _weighted_appendix(t: tuple, lam: float, gamma: float, c: float) -> float:
+    """Appendix print: coefficient (gamma-c)/lam, derivatives through an extra exp(-lam gamma^2)."""
     t0, t1, t2 = t
     pref = math.exp(-lam * gamma * gamma)
-    if variant == VARIANT_REDERIVED:
-        return pref * (c * c * t0 - 2.0 * c * t1 + t2)
-    if variant == VARIANT_MAIN:
-        # cross term printed as (c*gamma/lam) d/dgamma acting on the bare series
-        d_gamma = 2.0 * lam * t1
-        d_lam = 2.0 * gamma * t1 - t2
-        return pref * (c * c * t0 + (c * gamma / lam) * d_gamma - d_lam)
-    # appendix print: coefficient (gamma-c)/lam, derivatives taken through an
-    # extra exp(-lam gamma^2) prefactor
     d_gamma_pref = pref * (2.0 * lam * t1 - 2.0 * lam * gamma * t0)
     d_lam_pref = pref * (-gamma * gamma * t0 + 2.0 * gamma * t1 - t2)
-    return (
-        pref * c * c * t0
-        + pref * ((gamma - c) / lam) * d_gamma_pref
-        - pref * d_lam_pref
-    )
+    return pref * c * c * t0 + pref * ((gamma - c) / lam) * d_gamma_pref - pref * d_lam_pref
+
+
+class _Formulas(NamedTuple):
+    """Where a formula variant departs from the rederived forms."""
+
+    weighted: Callable  # (triple, lam, gamma, c) -> sum (n-c)^2 exp(-lam (n-gamma)^2)
+    ring_arg: Callable  # (lam, alpha) -> the ring partition function's first theta3 argument
+    pair_sign: float  # sign of alpha in the pair's relative-coordinate shift
+
+
+_FORMULAS = {
+    VARIANT_REDERIVED: _Formulas(_weighted, lambda lam, a: _theta_arg(2.0 * lam * a), 1.0),
+    VARIANT_MAIN: _Formulas(_weighted_main, lambda lam, a: lam * a, -1.0),
+    VARIANT_APPENDIX: _Formulas(_weighted_appendix, lambda lam, a: lam * a, -1.0),
+}
 
 
 def _assemble(z_h: float, z_l: float, u_h, u_l, control_h: float, control_l: float, floor: float):
@@ -241,14 +261,14 @@ def _ring_energy_sum(
     alpha_boltz: float, beta: float, eps0: float, acc: SumAccuracy, variant: str
 ):
     """c -> sum_n E_n(c) exp(-beta E_n(alpha_boltz)), from one triple at lam = beta eps0."""
-    _check_variant(variant)
+    weighted = _check_variant(variant).weighted
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if not eps0 > 0.0:
         raise DomainError(f"eps0 must be positive, got {eps0}")
     lam = beta * eps0
     t = _triple(lam, alpha_boltz, False, acc)
-    return lambda c: eps0 * _weighted(t, lam, alpha_boltz, c, variant)
+    return lambda c: eps0 * weighted(t, lam, alpha_boltz, c)
 
 
 def ring_partition_closed(
@@ -273,14 +293,12 @@ def ring_partition_closed(
 def _ring_partition_value(
     alpha: float, beta: float, eps0: float, acc: SumAccuracy, variant: str
 ) -> float:
-    _check_variant(variant)
+    ring_arg = _check_variant(variant).ring_arg
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     lam = beta * eps0
     q = math.exp(-lam)
-    if variant == VARIANT_REDERIVED:
-        return math.exp(-lam * alpha * alpha) * theta3(_theta_arg(2.0 * lam * alpha), q, acc)
-    return math.exp(-lam * alpha * alpha) * theta3(lam * alpha, q, acc)
+    return math.exp(-lam * alpha * alpha) * theta3(ring_arg(lam, alpha), q, acc)
 
 
 def ring_efficiency_value(
@@ -351,33 +369,23 @@ def cs_partition_parity_terms(
 
     Even sector: m = n1+n2 and n = n2-n1 both even; odd sector: both odd.
     Each term is a theta3 (center-of-mass) times partial_theta (relative)
-    product.
+    product; the printed variants flip the sign of the relative shift.
     """
-    _check_variant(variant)
+    sign = _check_variant(variant).pair_sign
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     require_pair_length(L)
     c = beta * math.pi**2 / (L * L)
     q4 = math.exp(-4.0 * c)
-    if variant == VARIANT_REDERIVED:
-        even = math.exp(-c * alpha * alpha) * theta3(1.0, q4, acc) * partial_theta(
-            _theta_arg(4.0 * c * alpha), q4, acc
-        )
-        odd = (
-            math.exp(-c * (1.0 + (1.0 - alpha) ** 2))
-            * theta3(q4, q4, acc)
-            * partial_theta(_theta_arg(-4.0 * c * (1.0 - alpha)), q4, acc)
-        )
-    else:
-        # printed form: relative-coordinate shift attached with the opposite sign
-        even = math.exp(-c * alpha * alpha) * theta3(1.0, q4, acc) * partial_theta(
-            _theta_arg(-4.0 * c * alpha), q4, acc
-        )
-        odd = (
-            math.exp(-c * (1.0 + (1.0 + alpha) ** 2))
-            * theta3(q4, q4, acc)
-            * partial_theta(_theta_arg(-4.0 * c * (1.0 + alpha)), q4, acc)
-        )
+    shift = sign * alpha
+    even = math.exp(-c * alpha * alpha) * theta3(1.0, q4, acc) * partial_theta(
+        _theta_arg(4.0 * c * shift), q4, acc
+    )
+    odd = (
+        math.exp(-c * (1.0 + (1.0 - shift) ** 2))
+        * theta3(q4, q4, acc)
+        * partial_theta(_theta_arg(-4.0 * c * (1.0 - shift)), q4, acc)
+    )
     return even, odd
 
 
@@ -413,9 +421,9 @@ def cs_weighted_energy_sum(
     Rederived closed form: per parity sector, the energy weight splits across
     the two lattice factors, giving (4 pi^2 / L^2) times
     (weighted full) x (plain half) + (plain full) x (weighted half), all at
-    decay rate 4 beta pi^2 / L^2.  The printed variant multiplies two
-    weighted factors and carries non-positive decay rates, so it raises
-    DomainError; it is kept only so the validation suite can name it.
+    decay rate 4 beta pi^2 / L^2.  The printed variants (see ``_FORMULAS``)
+    multiply two weighted factors, the first at decay rate -beta pi^2 / L^2 < 0,
+    so they always raise DomainError; they are kept only so validation can name them.
     Oracle: direct double sum over the enumerated level set.
     """
     value = _cs_energy_sum(alpha_boltz, beta, L, acc, variant)(alpha_weight)
@@ -437,33 +445,23 @@ def _cs_energy_sum(alpha_boltz: float, beta: float, L: float, acc: SumAccuracy, 
         raise DomainError(f"beta must be positive, got {beta}")
     require_pair_length(L)
     unit = math.pi**2 / (L * L)
+    if variant != VARIANT_REDERIVED:
+        # the printed assembly's first factor sums at decay rate -beta pi^2/L^2
+        raise DomainError(f"series decay rate must be positive, got {-beta * unit}")
     c4 = 4.0 * beta * unit
     ab = alpha_boltz
-    if variant != VARIANT_REDERIVED:
-        # printed assembly: products of two weight-2 factors with decay rates
-        # -beta pi^2/L^2 and -4 beta pi^2/L^2 (non-positive; cannot converge)
-        def chi(lam, gamma, c, one_sided):
-            return _weighted(_triple(lam, gamma, one_sided, acc), lam, gamma, c, variant)
-
-        return lambda aw: 4.0 * unit * (
-            4.0 * chi(-beta * unit, 0.0, 0.0, False) * chi(-c4, ab / 2.0, aw / 2.0, True)
-        ) + unit * (
-            4.0 * chi(-c4, -0.5, -0.5, False) * chi(-c4, (ab + 1.0) / 2.0, (aw + 1.0) / 2.0, True)
-        )
     full_even = _triple(c4, 0.0, False, acc)
     half_even = _triple(c4, ab / 2.0, True, acc)
     full_odd = _triple(c4, -0.5, False, acc)
     half_odd = _triple(c4, (ab - 1.0) / 2.0, True, acc)
 
     def energy_sum(aw: float) -> float:
-        even = _weighted(full_even, c4, 0.0, 0.0, variant) * _plain(
+        even = _weighted(full_even, c4, 0.0, 0.0) * _plain(
             half_even, c4, ab / 2.0
-        ) + _plain(full_even, c4, 0.0) * _weighted(half_even, c4, ab / 2.0, aw / 2.0, variant)
-        odd = _weighted(full_odd, c4, -0.5, -0.5, variant) * _plain(
+        ) + _plain(full_even, c4, 0.0) * _weighted(half_even, c4, ab / 2.0, aw / 2.0)
+        odd = _weighted(full_odd, c4, -0.5, -0.5) * _plain(
             half_odd, c4, (ab - 1.0) / 2.0
-        ) + _plain(full_odd, c4, -0.5) * _weighted(
-            half_odd, c4, (ab - 1.0) / 2.0, (aw - 1.0) / 2.0, variant
-        )
+        ) + _plain(full_odd, c4, -0.5) * _weighted(half_odd, c4, (ab - 1.0) / 2.0, (aw - 1.0) / 2.0)
         return 4.0 * unit * (even + odd)
 
     return energy_sum

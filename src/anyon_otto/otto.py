@@ -41,6 +41,7 @@ import numpy as np
 from .errors import AnyonOttoError, DegenerateCycle, DomainError
 from .spectra import (
     CSPairSpectrum,
+    RING_FLUX_LIMIT,
     RingAnyonSpectrum,
     frozen_array,
     label_columns,
@@ -118,7 +119,13 @@ MEDIUM = {
             MediumParameter("alpha_l", "control_cold", 0.0, True, "cold flux parameter"),
             MediumParameter("eps0", "eps0", 1.0, False, "energy scale"),
         ),
-        checks=((lambda s: s.eps0 > 0.0, "eps0 must be positive"),),
+        checks=(
+            (lambda s: s.eps0 > 0.0, "eps0 must be positive"),
+            (
+                lambda s: max(abs(s.control_hot), abs(s.control_cold)) < RING_FLUX_LIMIT,
+                "flux parameters must satisfy |alpha| < 2^52",
+            ),
+        ),
         spectrum=lambda s, control: RingAnyonSpectrum(eps0=s.eps0, alpha=control),
     ),
     "cs-volume": Medium(

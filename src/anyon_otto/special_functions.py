@@ -113,6 +113,10 @@ def _log_gauss_tail(lam: float, u: float, b: float, weight: int) -> float:
             + b / lam
             + b * b / (2.0 * lam * u)
         )
+    if coef == 0.0:
+        # coef underflowed because its denominators overflow: it is below 1,
+        # so dropping its negative log only loosens the bound.
+        return -lam * u * u
     return -lam * u * u + math.log(coef)
 
 

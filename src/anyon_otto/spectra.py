@@ -45,6 +45,11 @@ _CERT_SLACK = 1.0 + 1e-9
 _RING_WINDOW_CAP = 1_000_000
 _CS_WINDOW_CAP = 1_500
 
+# Ring fluxes must stay below this in magnitude.  Past it a double has no
+# fractional part left, and past 2^53 the window labels n lose their unit
+# spacing when converted to float, so the window energies collapse.
+RING_FLUX_LIMIT = 2.0**52
+
 
 def require_finite(**values) -> None:
     """Raise DomainError naming the first keyword argument that is not finite."""
@@ -89,7 +94,8 @@ class RingAnyonSpectrum:
     """Flux-ring anyon levels E_n = eps0 (n - alpha)^2, n in Z.
 
     The eigenvalue SET is invariant under alpha -> alpha + 1 (relabel
-    n -> n + 1) and under alpha -> -alpha (relabel n -> -n).
+    n -> n + 1) and under alpha -> -alpha (relabel n -> -n).  |alpha| must
+    stay below RING_FLUX_LIMIT = 2^52.
     """
 
     eps0: float = 1.0
@@ -99,6 +105,8 @@ class RingAnyonSpectrum:
         require_finite(eps0=self.eps0, alpha=self.alpha)
         if not self.eps0 > 0.0:
             raise DomainError(f"eps0 must be positive, got {self.eps0}")
+        if not abs(self.alpha) < RING_FLUX_LIMIT:
+            raise DomainError(f"alpha must satisfy |alpha| < 2^52, got {self.alpha}")
 
     def energy(self, n: int) -> float:
         # Squared by multiplication, as numpy squares in ``energies``: a
