@@ -15,11 +15,17 @@ the direct ``_lattice_sum`` calls and terms and, where the checkout has it,
 the Poisson-dual calls and terms of ``_theta_series``.
 
 Commands whose outputs are equal on both sides are counted; for the others,
-every residual whose closed-form value changed gets a row in the CSV: the old
-and new residual, and the relative distance of the old and new closed-form
-value to an mpmath evaluation of the same closed form (every theta series
-summed term by term in 256-bit fixed point, no theta identity), plus
-eps * kappa, the rounding error the assembly 1 - (A - B)/(C - D) admits.
+every residual whose closed-form value or run_cycle efficiency (``eta``, the
+oracle route) changed gets a row in the CSV.  ``moved`` names the route or
+routes that changed.  The row holds the old and new residual, the relative
+distance of the old and new closed-form value to an mpmath evaluation of the
+same closed form (every theta series summed term by term in 256-bit fixed
+point, no theta identity), the same distances for the old and new ``eta``,
+and eps * kappa, the rounding error the assembly 1 - (A - B)/(C - D) admits
+(the conditions of both differences, and the division's and the final
+subtraction's own roundings).
+The oracle's 1 - Q_out/Q_in has that same form (Q_in = C - D, Q_out = A - B),
+so one eps * kappa serves both routes.  Each route is summarized apart.
 Needs mpmath.
 """
 
@@ -108,7 +114,9 @@ def run_checkout(checkout: Path, out: Path) -> None:
             residuals.append({
                 "medium": s.medium, "hot": s.control_hot, "cold": s.control_cold,
                 "beta_h": s.beta_h, "beta_l": s.beta_l, "eps0": s.eps0, "length": s.cs_length,
-                "eta": eta, "value": value,
+                "alpha": s.cs_alpha, "eta": eta,
+                # cs-volume's pair is (eta, compression ratio); the others' (closed form, eta)
+                "value": reference if s.medium == "cs-volume" else value,
             })
             return value, reference
 
@@ -197,7 +205,12 @@ def gauss(lam, gamma, c, weighted, one_sided):
 
 
 def ratios(row) -> tuple:
-    """(A, B, C, D) with closed-form eta = 1 - (A - B)/(C - D), as closed_form assembles it."""
+    """(A, B, C, D) with eta = 1 - (A - B)/(C - D), as closed_form assembles it.
+
+    A and B sum the cold isochore's energies, C and D the hot one's, over the
+    hot (A, C) and cold (B, D) Gibbs states.  For cs-volume, where no theta
+    closed form is assembled, the same sums give eta = 1 - L2^2/L1^2.
+    """
     import mpmath
 
     bh, bl = mpmath.mpf(row["beta_h"]), mpmath.mpf(row["beta_l"])
@@ -214,38 +227,53 @@ def ratios(row) -> tuple:
         zh, zl = z(hot, bh), z(cold, bl)
         return u(cold, hot, bh) / zh, u(cold, cold, bl) / zl, u(hot, hot, bh) / zh, u(hot, cold, bl) / zl
 
-    unit = mpmath.pi**2 / mpmath.mpf(row["length"]) ** 2
-    a1, a2 = mpmath.mpf(row["cold"]), mpmath.mpf(row["hot"])
+    # The pair media: each isochore's level unit pi^2/L^2 and coupling alpha.
+    if row["medium"] == "cs-volume":
+        unit = {side: mpmath.pi**2 / mpmath.mpf(row[side]) ** 2 for side in ("hot", "cold")}
+        alpha = dict.fromkeys(("hot", "cold"), mpmath.mpf(row["alpha"]))
+    else:
+        unit = dict.fromkeys(("hot", "cold"), mpmath.pi**2 / mpmath.mpf(row["length"]) ** 2)
+        alpha = {side: mpmath.mpf(row[side]) for side in ("hot", "cold")}
 
-    def x(aw, ab, b):
-        c4 = 4 * b * unit
+    def x(w, s, b):
+        """sum of the ``w`` isochore's energies weighted by exp(-b E) of the ``s`` isochore."""
+        c4 = 4 * b * unit[s]
+        aw, ab = alpha[w], alpha[s]
         even = gauss(c4, 0, 0, True, False) * gauss(c4, ab / 2, 0, False, True) + gauss(
             c4, 0, 0, False, False
         ) * gauss(c4, ab / 2, aw / 2, True, True)
         odd = gauss(c4, -0.5, -0.5, True, False) * gauss(c4, (ab - 1) / 2, 0, False, True) + gauss(
             c4, -0.5, 0, False, False
         ) * gauss(c4, (ab - 1) / 2, (aw - 1) / 2, True, True)
-        return 4 * unit * (even + odd)
+        return 4 * unit[w] * (even + odd)
 
-    def z(a, b):
-        c4 = 4 * b * unit
+    def z(s, b):
+        c4 = 4 * b * unit[s]
+        a = alpha[s]
         return gauss(c4, 0, 0, False, False) * gauss(c4, a / 2, 0, False, True) + gauss(
             c4, -0.5, 0, False, False
         ) * gauss(c4, (a - 1) / 2, 0, False, True)
 
-    zh, zl = z(a2, bh), z(a1, bl)
-    return x(a1, a2, bh) / zh, x(a1, a1, bl) / zl, x(a2, a2, bh) / zh, x(a2, a1, bl) / zl
+    zh, zl = z("hot", bh), z("cold", bl)
+    return (
+        x("cold", "hot", bh) / zh, x("cold", "cold", bl) / zl,
+        x("hot", "hot", bh) / zh, x("hot", "cold", bl) / zl,
+    )
 
 
 def grade(row, values) -> tuple:
-    """(relative distance of each closed-form value to mpmath, eps * kappa of the assembly)."""
+    """(relative distance of each efficiency value to mpmath, eps * kappa of the assembly)."""
     import mpmath
 
     with mpmath.workdps(40):
         a, b, c, d = ratios(row)
         rho = (a - b) / (c - d)
         exact = 1 - rho
-        kappa = abs(rho / exact) * ((abs(a) + abs(b)) / abs(a - b) + (abs(c) + abs(d)) / abs(c - d))
+        # The four sums' relative errors carried into eta, plus half an ulp
+        # each for the division and the final subtraction.
+        gain = abs(rho / exact)
+        kappa = gain * ((abs(a) + abs(b)) / abs(a - b) + (abs(c) + abs(d)) / abs(c - d))
+        kappa += (gain + 1) / 2
         distances = [float(abs((mpmath.mpf(v) - exact) / exact)) for v in values]
         return distances, float(kappa) * 2.0**-52
 
@@ -256,9 +284,16 @@ def grade(row, values) -> tuple:
 
 WORKER = "--worker"
 FIELDS = (
-    "workload", "medium", "beta_h", "beta_l", "control_hot", "control_cold",
-    "residual_old", "residual_new", "mpmath_distance_old", "mpmath_distance_new", "eps_kappa",
+    "workload", "medium", "beta_h", "beta_l", "control_hot", "control_cold", "moved",
+    "residual_old", "residual_new", "mpmath_distance_old", "mpmath_distance_new",
+    "eta_distance_old", "eta_distance_new", "eps_kappa",
 )
+# Each route's CSV columns: its old and new distance to mpmath.
+ROUTES = (
+    ("closed_form", "value", "mpmath_distance_old", "mpmath_distance_new"),
+    ("oracle", "eta", "eta_distance_old", "eta_distance_new"),
+)
+DISTANCES = tuple(column for _, _, *pair in ROUTES for column in pair)
 
 
 def main(argv=None) -> int:
@@ -291,26 +326,28 @@ def main(argv=None) -> int:
             continue
         changed[group] += 1
         for r_old, r_new in zip(old["residuals"], new["residuals"]):
-            if r_old["value"] == r_new["value"]:
+            moved = [route for route, key, _, _ in ROUTES if r_old[key] != r_new[key]]
+            if not moved:
                 continue
-            (dist_old, dist_new), eps_kappa = grade(r_old, (r_old["value"], r_new["value"]))
-            rows.append({
+            values = [r[key] for _, key, _, _ in ROUTES for r in (r_old, r_new)]
+            distances, eps_kappa = grade(r_old, values)
+            row = {
                 "workload": old["tag"], "medium": r_old["medium"],
                 "beta_h": repr(r_old["beta_h"]), "beta_l": repr(r_old["beta_l"]),
                 "control_hot": repr(r_old["hot"]), "control_cold": repr(r_old["cold"]),
+                "moved": "+".join(moved),
                 "residual_old": f"{abs(r_old['value'] - r_old['eta']) / abs(r_old['eta']):.3e}",
                 "residual_new": f"{abs(r_new['value'] - r_new['eta']) / abs(r_new['eta']):.3e}",
-                "mpmath_distance_old": f"{dist_old:.3e}",
-                "mpmath_distance_new": f"{dist_new:.3e}",
                 "eps_kappa": f"{eps_kappa:.3e}",
-            })
+                **{column: f"{d:.3e}" for column, d in zip(DISTANCES, distances)},
+            }
+            rows.append(row)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, FIELDS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
     validates = [r for r in new_records if r["tag"] == "readme" and r["argv"][0] == "validate"]
-    away = [r for r in rows if float(r["mpmath_distance_new"]) > float(r["mpmath_distance_old"])]
     print(f"identical commands: {dict(same)}")
     print(f"changed commands:   {dict(changed)}")
     for r in validates:
@@ -319,13 +356,19 @@ def main(argv=None) -> int:
     for side in ("parent", "change"):
         warned = sum(r["slow_decay_warnings"] for r in sides[side]["records"])
         print(f"{side}: series counts {sides[side]['counts']}, slow-decay warnings {warned}")
-    print(f"changed residuals: {len(rows)}; closer to mpmath {len(rows) - len(away)}, further {len(away)}")
-    for key in ("mpmath_distance_old", "mpmath_distance_new"):
-        values = sorted(float(r[key]) for r in rows)
-        if values:
-            print(f"  {key}: max {values[-1]:.3e}, median {values[len(values) // 2]:.3e}, sum {sum(values):.3e}")
-    worst = max((float(r["mpmath_distance_new"]) / float(r["eps_kappa"]) for r in away), default=0.0)
-    print(f"  largest new distance / (eps kappa) among rows that moved further: {worst:.2f}")
+    print(f"changed residuals: {len(rows)}")
+    for route, _, key_old, key_new in ROUTES:
+        graded = [r for r in rows if route in r["moved"].split("+")]
+        away = [r for r in graded if float(r[key_new]) > float(r[key_old])]
+        print(f"{route} route changed in {len(graded)}: closer to mpmath {len(graded) - len(away)}, "
+              f"further {len(away)}")
+        for key in (key_old, key_new):
+            values = sorted(float(r[key]) for r in graded)
+            if values:
+                print(f"  {key}: max {values[-1]:.3e}, median {values[len(values) // 2]:.3e}, "
+                      f"sum {sum(values):.3e}")
+        worst = max((float(r[key_new]) / float(r["eps_kappa"]) for r in away), default=0.0)
+        print(f"  largest new distance / (eps kappa) among rows that moved further: {worst:.2f}")
     return 0
 
 

@@ -296,6 +296,8 @@ def _ring_partition_value(
     ring_arg = _check_variant(variant).ring_arg
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
+    if not eps0 > 0.0:
+        raise DomainError(f"eps0 must be positive, got {eps0}")
     lam = beta * eps0
     q = math.exp(-lam)
     return math.exp(-lam * alpha * alpha) * theta3(ring_arg(lam, alpha), q, acc)

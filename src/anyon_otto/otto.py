@@ -11,6 +11,14 @@ Populations transport across adiabats by quantum-number label, so
     Q_out = sum_n E_n(cold) [P_n(B) - P_n(A)]
     W_out = Q_in - Q_out,    eta = W_out / Q_in = 1 - Q_out / Q_in.
 
+These are plain sums over labels, in any order.  The cycle table sums them
+over one label box (``spectra.label_box``): the label-ascending set spanned
+by the label ranges of the levels each isochore's certified enumeration
+keeps, so it contains both downward-closed sets and each one's tail bound
+still holds.  Both spectra are evaluated once on the box, each weighted by
+its own Boltzmann factor and normalized over the box, and every sum is one
+``np.sum``, whose pairwise order does not depend on the BLAS thread count.
+
 Media and their control parameters:
 
 * ``ring``:        flux parameter alpha_h (hot) vs alpha_l (cold) at fixed eps0.
@@ -32,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import marshal
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -44,14 +51,14 @@ from .spectra import (
     RING_FLUX_LIMIT,
     RingAnyonSpectrum,
     frozen_array,
-    label_columns,
-    key_labels,
-    label_keys,
+    label_box,
     pair_length_in_range,
     require_finite,
+    require_finite_energies,
     require_tail_tol,
+    window_bounds,
 )
-from .thermo import DEFAULT_TAIL_TOL, gibbs, populations_entropy
+from .thermo import DEFAULT_TAIL_TOL, boltzmann, populations_entropy
 
 __all__ = [
     "MEDIA",
@@ -285,11 +292,13 @@ class OttoCycleSpec:
 
 @dataclass(frozen=True, eq=False)
 class CycleReport:
-    """Outcome of one cycle over the common (union) label set.
+    """Outcome of one cycle over the cycle table's label box.
 
-    ``labels`` is the label-ascending int64 union of both ensembles' labels,
-    shape (N,) or (N, 2) as in ``LevelSet``; the energy and population fields
-    are read-only float64 arrays in that order.  ``efficiency`` is the raw
+    ``labels`` is the label box, label-ascending int64 of shape (N,) or
+    (N, 2) as in ``LevelSet``: it holds every level that either isochore's
+    enumeration keeps (see ``spectra.label_box``).  The energy and population
+    fields are read-only float64 arrays in that order, each population
+    normalized over the box.  ``efficiency`` is the raw
     ratio 1 - Q_out/Q_in; interpret it through ``regime``.
     ``oracle_residual`` is filled in by callers that also evaluate a
     closed-form efficiency for the same cycle.
@@ -308,28 +317,10 @@ class CycleReport:
     oracle_residual: Optional[float] = None
 
 
-def _labelwise(ensemble, spec, labels, where):
-    """Energies and Boltzmann-consistent populations on the union label array.
-
-    ``where`` gives the position in ``labels`` of each level the ensemble
-    retained; those take the ensemble's energies and populations.  The
-    other labels are evaluated from ``spec`` with the ensemble's Boltzmann
-    factor, through math.exp: its rounding is what these populations have
-    always carried, and np.exp rounds differently in the last bit.
-    """
-    energies = np.empty(len(labels))
-    pops = np.empty(len(labels))
-    energies[where] = ensemble.levels.energies
-    pops[where] = ensemble.populations
-    missing = np.ones(len(labels), dtype=bool)
-    missing[where] = False
-    if missing.any():
-        e_missing = spec.energies(*label_columns(labels[missing]))
-        exponents = -ensemble.beta * (e_missing - ensemble.ground_energy)
-        boltzmann = np.fromiter(map(math.exp, exponents.tolist()), float, len(exponents))
-        energies[missing] = e_missing
-        pops[missing] = boltzmann / ensemble.shifted_z
-    return energies, pops
+def _labelwise(spec, beta: float, columns: tuple) -> tuple:
+    """One spectrum's energies and Gibbs populations at ``beta`` on the box's label columns."""
+    energies = require_finite_energies(spec.energies(*columns))
+    return energies, boltzmann(energies, beta)[0]
 
 
 def _call(compute, *args):
@@ -367,32 +358,16 @@ class _IsochoreMemo:
         return result
 
 
-def _keys_by_label(levels) -> np.ndarray:
-    """A level set's ``label_keys`` in label-ascending order, placed by ``label_rank``."""
-    keys = np.empty(len(levels.labels), dtype=np.int64)
-    keys[levels.label_rank] = label_keys(levels.labels)
-    return keys
-
-
 def _cycle_table(spec: OttoCycleSpec, reuse=_call):
+    """(labels, E_hot, E_cold, P_B, P_A) on the label box of the two isochores."""
     hot_spec = spec.spectrum_hot()
     cold_spec = spec.spectrum_cold()
-    ens_b = reuse(gibbs, hot_spec, spec.beta_h, spec.tail_tol)
-    ens_a = reuse(gibbs, cold_spec, spec.beta_l, spec.tail_tol)
-    # Each ensemble's keys in label order are one ascending run; the stable
-    # sort (timsort) finds the two runs and merges them in linear time.  The
-    # first of each run of equal keys is a union label, and the count of
-    # firsts up to a key is its position in the union.
-    keys = np.concatenate((_keys_by_label(ens_b.levels), _keys_by_label(ens_a.levels)))
-    order = np.argsort(keys, kind="stable")
-    merged = keys[order]
-    first = np.concatenate(([True], merged[1:] != merged[:-1]))
-    labels = key_labels(merged[first], ens_b.levels.labels.ndim)
-    position = np.empty(len(keys), dtype=np.int64)
-    position[order] = np.cumsum(first) - 1
-    n_b = len(ens_b.levels.labels)
-    e_hot, p_b = _labelwise(ens_b, hot_spec, labels, position[:n_b][ens_b.levels.label_rank])
-    e_cold, p_a = _labelwise(ens_a, cold_spec, labels, position[n_b:][ens_a.levels.label_rank])
+    labels, columns = label_box(
+        reuse(window_bounds, hot_spec, spec.beta_h, spec.tail_tol),
+        reuse(window_bounds, cold_spec, spec.beta_l, spec.tail_tol),
+    )
+    e_hot, p_b = _labelwise(hot_spec, spec.beta_h, columns)
+    e_cold, p_a = _labelwise(cold_spec, spec.beta_l, columns)
     return labels, e_hot, e_cold, p_b, p_a
 
 
@@ -408,8 +383,8 @@ def run_cycle(spec: OttoCycleSpec) -> CycleReport:
 
 def _cycle_report(labels, e_hot, e_cold, p_b, p_a) -> CycleReport:
     dp = p_b - p_a
-    q_in = float(e_hot @ dp)
-    q_out = float(e_cold @ dp)
+    q_in = float(np.sum(e_hot * dp))
+    q_out = float(np.sum(e_cold * dp))
     w_out = q_in - q_out
 
     scale = max(1.0, float(np.max(np.abs(e_hot)))) if len(labels) else 1.0
@@ -494,10 +469,10 @@ def cycle_strokes(spec: OttoCycleSpec, steps_per_stroke: int = 1000) -> StrokeRe
     s_a = populations_entropy(p_a)
     return StrokeReport(
         strokes=(
-            StrokeResult(name="A->B", heat=float(e_hot @ (p_b - p_a)), work=0.0),
-            StrokeResult(name="B->C", heat=0.0, work=float(p_b @ (e_cold - e_hot))),
-            StrokeResult(name="C->D", heat=float(e_cold @ (p_a - p_b)), work=0.0),
-            StrokeResult(name="D->A", heat=0.0, work=float(p_a @ (e_hot - e_cold))),
+            StrokeResult(name="A->B", heat=float(np.sum(e_hot * (p_b - p_a))), work=0.0),
+            StrokeResult(name="B->C", heat=0.0, work=float(np.sum(p_b * (e_cold - e_hot)))),
+            StrokeResult(name="C->D", heat=float(np.sum(e_cold * (p_a - p_b))), work=0.0),
+            StrokeResult(name="D->A", heat=0.0, work=float(np.sum(p_a * (e_hot - e_cold)))),
         ),
         entropy_a=s_a,
         entropy_b=s_b,
@@ -550,9 +525,10 @@ def _sweep_rows(template: OttoCycleSpec, field: str, values: Sequence[float]):
     """Yield the SweepRow of each value in turn: the row loop of every sweep.
 
     The rows share one ``_IsochoreMemo``, so a row whose isochore has the
-    (spectrum, beta, tail_tol) of one of the last two takes that Gibbs
-    ensemble instead of enumerating it again.  The memo lives as long as
-    this generator.
+    (spectrum, beta, tail_tol) of one of the last two takes that window's
+    label bounds instead of searching it again.  The box and its energies
+    depend on both isochores and are built per row.  The memo lives as long
+    as this generator.
     """
     reuse = _IsochoreMemo()
     for value in values:

@@ -16,14 +16,16 @@ Two one-parameter spectra are provided, in natural units hbar = m = kB = 1:
 omitted Boltzmann weight (measured relative to the ground state) is bounded
 analytically, and which is downward closed: no omitted level lies below any
 returned one.  Level sets hold integer label arrays: shape (N,) of n for the
-ring, shape (N, 2) of (n1, n2) rows for the pair.
+ring, shape (N, 2) of (n1, n2) rows for the pair.  ``window_bounds`` runs the
+same certified search but returns only each quantum number's label range,
+and ``label_box`` joins two such ranges into the label box the Otto cycle
+table sums over.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "LevelSet",
     "enumerate_levels",
     "pauli_energy",
+    "window_bounds",
 ]
 
 # Safety inflation applied to tail certificates to absorb floating-point
@@ -168,23 +171,47 @@ def label_columns(labels: np.ndarray) -> tuple:
     return tuple(labels.reshape(len(labels), -1).T)
 
 
-# Pair keys pack n1 and n2 into one int64, each offset into [0, 2^31); the
-# enumeration caps keep every quantum number far inside that range.
-_KEY_OFFSET = 1 << 30
+def _label_range(lo_b: int, hi_b: int, lo_a: int, hi_a: int) -> np.ndarray:
+    """The integers of [lo_b, hi_b] and [lo_a, hi_a], ascending.
+
+    One ``np.arange`` when the intervals overlap or touch, two otherwise, so
+    two far-apart windows never span the labels between them.
+    """
+    (lo1, hi1), (lo2, hi2) = sorted(((lo_b, hi_b), (lo_a, hi_a)))
+    if lo2 <= hi1 + 1:
+        return np.arange(lo1, max(hi1, hi2) + 1)
+    return np.concatenate((np.arange(lo1, hi1 + 1), np.arange(lo2, hi2 + 1)))
 
 
-def label_keys(labels: np.ndarray) -> np.ndarray:
-    """One int64 per label whose ascending order is the labels' lexicographic order."""
-    if labels.ndim == 1:
-        return labels
-    return ((labels[:, 0] + _KEY_OFFSET) << 32) | (labels[:, 1] + _KEY_OFFSET)
+def label_box(bounds_b: tuple, bounds_a: tuple) -> tuple:
+    """The label box of two level sets given by their ``window_bounds``: (labels, columns).
+
+    Each quantum number takes the union of its two label intervals.  The
+    ring's box is that range of n; the pair's is its rows n1 by its columns
+    n2, restricted to n1 <= n2, in row-major order.  Either way the labels
+    ascend and the box holds every level of both sets.  The ring's box holds
+    no label outside the two enumeration windows, and the pair's lies inside
+    the larger window.  ``columns`` is ``label_columns(labels)``, as
+    ``spec.energies`` takes it.
+    """
+    ranges = [_label_range(*b, *a) for b, a in zip(bounds_b, bounds_a)]
+    if len(ranges) == 1:
+        return ranges[0], (ranges[0],)
+    n1, n2 = _upper_pairs(*ranges)
+    return np.column_stack((n1, n2)), (n1, n2)
 
 
-def key_labels(keys: np.ndarray, ndim: int) -> np.ndarray:
-    """The labels of ``ndim`` dimensions that ``label_keys`` packed into ``keys``."""
-    if ndim == 1:
-        return keys
-    return np.column_stack(((keys >> 32) - _KEY_OFFSET, (keys & 0xFFFFFFFF) - _KEY_OFFSET))
+def _upper_pairs(rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """(n1, n2) over n1 in ``rows``, n2 in ``cols`` with n1 <= n2, in row-major order.
+
+    Both inputs ascend, so the pairs ascend lexicographically.
+    """
+    first = np.searchsorted(cols, rows)  # each row's first column with n2 >= n1
+    counts = len(cols) - first
+    n1 = np.repeat(rows, counts)
+    # The k-th entry of a row that starts at position s takes cols[first + k].
+    n2 = cols[np.arange(len(n1)) - np.repeat(np.cumsum(counts) - counts - first, counts)]
+    return n1, n2
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,13 +221,8 @@ class LevelSet:
     ``labels`` is an int64 array, shape (N,) of n for the ring and (N, 2) of
     (n1, n2) rows for the pair; ``energies`` is the float64 array of shape
     (N,).  Equal energies are ordered by label.  Both arrays are read-only.
-
-    ``label_rank`` is each level's position in label-ascending order, the
-    permutation ``enumerate_levels`` sorted its label-ascending window by:
-    one stable sort by energy orders equal energies by label, so the rank
-    is that sort's argsort and costs nothing extra.  ``otto._cycle_table``
-    reads it to merge two sets by label without sorting them again.  A set
-    built by hand may leave it None.
+    The cycle table builds no level sets: it evaluates both spectra on a
+    label box (``label_box``) that holds every level either set would keep.
 
     ``tail_bound`` certifies the truncation for the inverse temperature the
     set was built for: it bounds sum over omitted levels of
@@ -212,7 +234,6 @@ class LevelSet:
     energies: np.ndarray
     tail_bound: float
     beta: float
-    label_rank: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "labels", frozen_array(self.labels, np.int64))
@@ -221,8 +242,6 @@ class LevelSet:
             raise DomainError("labels and energies must have equal length")
         if self.tail_bound < 0.0:
             raise DomainError("tail_bound must be >= 0")
-        if self.label_rank is not None:
-            object.__setattr__(self, "label_rank", frozen_array(self.label_rank, np.int64))
 
 
 def pauli_energy(N: int, omega: float) -> float:
@@ -239,20 +258,24 @@ def pauli_energy(N: int, omega: float) -> float:
     return omega * N * (N - 1) / 2.0
 
 
+def require_finite_energies(energies: np.ndarray) -> np.ndarray:
+    """``energies``, after raising DomainError unless each is a finite double."""
+    if len(energies):
+        largest = float(energies.max())  # nan wins the max, as it would the sort
+        if not math.isfinite(largest):
+            raise DomainError(f"level energies leave the double range (largest {largest})")
+    return energies
+
+
 def _sorted_level_set(labels, energies, tail_bound, beta) -> LevelSet:
     # ``labels`` arrive label-ascending, so a stable sort by energy alone
-    # breaks ties by label; ``order`` is then each level's label rank.
+    # breaks ties by label.
     order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    # The sort puts inf and nan last, so one look checks the whole set.
-    if len(energies) and not math.isfinite(energies[-1]):
-        raise DomainError(f"level energies leave the double range (largest {energies[-1]})")
     return LevelSet(
         labels=labels[order],
-        energies=energies,
+        energies=energies[order],
         tail_bound=float(tail_bound),
         beta=float(beta),
-        label_rank=order,
     )
 
 
@@ -272,7 +295,11 @@ def _first_half_width(lam: float, lead: float, trail: float, tail_tol: float, ca
     return cap + 1
 
 
-def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> LevelSet:
+def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> tuple:
+    """The ring's window search: ((n,), energies, tail bound) of the levels it keeps.
+
+    The kept levels are an interval of n, label-ascending.
+    """
     lam = beta * spec.eps0
     gamma = spec.alpha
     peak = int(round(gamma))
@@ -307,11 +334,15 @@ def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> Level
         dropped = float(np.exp(-beta * (energies[~keep] - e_min)).sum())
         tail = (_exp_round_up(log_tail) + dropped) * _CERT_SLACK
         if tail <= tail_tol:
-            return _sorted_level_set(ns[keep], energies[keep], tail, beta)
+            return (ns[keep],), require_finite_energies(energies[keep]), tail
         K *= 2
 
 
-def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> LevelSet:
+def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> tuple:
+    """The pair's window search: ((n1, n2), energies, tail bound) of the levels it keeps.
+
+    The kept levels come in row-major order, so label-ascending.
+    """
     unit = math.pi**2 / spec.L**2
     lam = beta * unit  # decay rate in (m, n) coordinates
     alpha = spec.alpha
@@ -330,10 +361,8 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> LevelSet:
         inv_sqrt_lam = 1.0 / math.sqrt(lam)
         # Bound on a full or half lattice Gaussian sum with peak weight <= 1.
         log_lattice = math.log(2.0 + math.sqrt(math.pi / lam))
-        # Pairs n1 <= n2 in row-major order, without the full square grid.
-        n1, n2 = np.triu_indices(2 * K + 1)
-        n1 -= K
-        n2 -= K
+        window = np.arange(-K, K + 1)
+        n1, n2 = _upper_pairs(window, window)
         energies = spec.energies(n1, n2)
         e_min = float(energies.min())
 
@@ -352,26 +381,15 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> LevelSet:
         dropped = float(np.exp(-beta * (energies[~keep] - e_min)).sum())
         tail = (_exp_round_up(log_tail) + dropped) * _CERT_SLACK
         if tail <= tail_tol:
-            labels = np.column_stack((n1[keep], n2[keep]))
-            return _sorted_level_set(labels, energies[keep], tail, beta)
+            return (n1[keep], n2[keep]), require_finite_energies(energies[keep]), tail
         K *= 2
 
 
-def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
-    """Enumerate every level that matters at inverse temperature beta.
+def _kept_levels(spec, beta: float, tail_tol: float) -> tuple:
+    """The checks of ``enumerate_levels``, then the window search of ``spec``'s family.
 
-    The quantum-number window grows until the analytic bound on the omitted
-    ground-shifted Boltzmann weight drops below ``tail_tol``; the returned set
-    is then cut at an energy below every omitted level, so it is downward
-    closed in energy.  Levels come back energy-ascending, degeneracies as
-    separate labeled entries, equal energies in label order.
-
-    Both windows are built label-ascending (``np.arange`` for the ring,
-    row-major ``np.triu_indices`` for the pair), so one stable sort by energy
-    gives that order with no sort key for the labels; the sort's permutation
-    is kept as ``LevelSet.label_rank``.  Raises NoConvergence when the window
-    would pass its cap, and DomainError when an enumerated energy is not a
-    finite double.
+    Returns (label columns, energies, tail bound) of the kept levels,
+    label-ascending.
     """
     require_finite(beta=beta, tail_tol=tail_tol)
     if not beta > 0.0:
@@ -382,3 +400,36 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
     if isinstance(spec, CSPairSpectrum):
         return _cs_levels(spec, beta, tail_tol)
     raise DomainError(f"unsupported spectrum type: {type(spec).__name__}")
+
+
+def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
+    """Enumerate every level that matters at inverse temperature beta.
+
+    The quantum-number window grows until the analytic bound on the omitted
+    ground-shifted Boltzmann weight drops below ``tail_tol``; the returned set
+    is then cut at an energy below every omitted level, so it is downward
+    closed in energy.  Levels come back energy-ascending, degeneracies as
+    separate labeled entries, equal energies in label order.  The closed
+    forms' oracles read this order; the cycle table takes only the window's
+    label bounds (``window_bounds``) and sorts nothing.
+
+    Both windows are built label-ascending (``np.arange`` for the ring,
+    row-major pairs n1 <= n2 for the pair), so one stable sort by energy
+    gives that order with no sort key for the labels.  Raises NoConvergence
+    when the window would pass its cap, and DomainError when a kept energy is
+    not a finite double.
+    """
+    columns, energies, tail = _kept_levels(spec, beta, tail_tol)
+    labels = columns[0] if len(columns) == 1 else np.column_stack(columns)
+    return _sorted_level_set(labels, energies, tail, beta)
+
+
+def window_bounds(spec, beta: float, tail_tol: float) -> tuple:
+    """Per quantum number, the least and greatest label ``enumerate_levels`` keeps.
+
+    ((n_lo, n_hi),) for the ring, ((n1_lo, n1_hi), (n2_lo, n2_hi)) for the
+    pair, from the same window search, checks and errors, without building
+    or sorting a level set.
+    """
+    columns, _, _ = _kept_levels(spec, beta, tail_tol)
+    return tuple((int(c.min()), int(c.max())) for c in columns)

@@ -33,6 +33,7 @@ __all__ = [
     "GibbsEnsemble",
     "PathStep",
     "DEFAULT_TAIL_TOL",
+    "boltzmann",
     "ensemble_from_levels",
     "gibbs",
     "partition_function",
@@ -64,39 +65,40 @@ class GibbsEnsemble:
 
     @property
     def internal_energy(self) -> float:
-        """Mean energy sum P_n E_n."""
-        return float(self.populations @ self.levels.energies)
+        """Mean energy sum P_n E_n, in numpy's pairwise order (no BLAS threads)."""
+        return float(np.sum(self.populations * self.levels.energies))
 
     @property
     def entropy(self) -> float:
         """Von Neumann entropy -sum P ln P, floored at 0."""
         return max(populations_entropy(self.populations), 0.0)
 
-    @property
-    def ground_energy(self) -> float:
-        return float(self.levels.energies[0])
 
-    @property
-    def shifted_z(self) -> float:
-        """Partition function of the ground-shifted energies, sum exp(-beta (E - E0))."""
-        return math.exp(self.logZ + self.beta * self.ground_energy)
+def boltzmann(energies: np.ndarray, beta: float) -> tuple:
+    """(populations, logZ) of the Gibbs state at beta on the levels ``energies``.
+
+    Each weight is exp(-beta (E - E_min)), so the exponents stay in range;
+    the populations are the weights normalized over ``energies``, and logZ
+    refers to the unshifted energies.
+    """
+    e0 = energies.min()
+    weights = np.exp(-beta * (energies - e0))
+    z_shifted = float(weights.sum())
+    return weights / z_shifted, math.log(z_shifted) - beta * e0
 
 
 def ensemble_from_levels(levels: LevelSet, beta: float) -> GibbsEnsemble:
     """Build the Gibbs state for an already enumerated level set."""
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    energies = levels.energies
-    if energies.size == 0:
+    if levels.energies.size == 0:
         raise DomainError("cannot build an ensemble on an empty level set")
-    e0 = energies[0]
-    weights = np.exp(-beta * (energies - e0))
-    z_shifted = float(weights.sum())
+    populations, log_z = boltzmann(levels.energies, beta)
     return GibbsEnsemble(
         levels=levels,
         beta=float(beta),
-        populations=frozen_array(weights / z_shifted),
-        logZ=math.log(z_shifted) - beta * e0,
+        populations=frozen_array(populations),
+        logZ=log_z,
     )
 
 
@@ -158,8 +160,9 @@ def heat_work_split(path: Sequence[PathStep]) -> tuple:
     Per step, dQ = sum dP * E_mid and dW = sum P_mid * dE with midpoint
     (trapezoidal) pairing, so Q + W equals the total energy change exactly
     up to floating-point roundoff.  The path is stacked into (steps, levels)
-    arrays and each total is one array reduction.  Steps must share one label
-    set; a path whose steps disagree in length raises ShapeError.
+    arrays and each total is one ``np.sum``, the reduction the cycle uses.
+    Steps must share one label set; a path whose steps disagree in length
+    raises ShapeError.
     """
     steps = list(path)
     if len({len(step.energies_before) for step in steps}) > 1:
@@ -168,8 +171,8 @@ def heat_work_split(path: Sequence[PathStep]) -> tuple:
     ea = np.array([step.energies_after for step in steps], dtype=float)
     pb = np.array([step.populations_before for step in steps], dtype=float)
     pa = np.array([step.populations_after for step in steps], dtype=float)
-    q = float(np.vdot(pa - pb, (ea + eb) * 0.5))
-    w = float(np.vdot((pa + pb) * 0.5, ea - eb))
+    q = float(np.sum((pa - pb) * ((ea + eb) * 0.5)))
+    w = float(np.sum((pa + pb) * 0.5 * (ea - eb)))
     return q, w
 
 

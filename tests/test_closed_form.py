@@ -157,6 +157,19 @@ class TestRingPartitionClosed:
         with pytest.raises(DomainError):
             ring_partition_closed(0.0, 0.8, variant=VARIANT_MAIN)
 
+    @pytest.mark.parametrize("eps0", [-1000.0, -1.0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda eps0: ring_partition_closed(0.5, 1.0, eps0=eps0),
+            lambda eps0: ring_efficiency_value(0.1, 0.3, 1.0, 2.0, eps0=eps0),
+        ],
+        ids=["partition", "efficiency"],
+    )
+    def test_nonpositive_eps0_is_domain_error(self, call, eps0):
+        with pytest.raises(DomainError, match=rf"^eps0 must be positive, got {eps0}$"):
+            call(eps0)
+
 
 class TestRingEfficiencyClosed:
     def test_matches_cycle_oracle_on_engine_point(self):

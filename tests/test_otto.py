@@ -22,44 +22,8 @@ from anyon_otto.otto import (
     sweep_axes,
     sweep_efficiency,
 )
-from anyon_otto.spectra import CSPairSpectrum, RingAnyonSpectrum, label_columns
-from anyon_otto.thermo import adiabat_path, gibbs, heat_work_split, linear_isochore_path
-
-
-def _hashable(labels):
-    rows = labels.tolist()
-    return [tuple(row) for row in rows] if labels.ndim == 2 else rows
-
-
-def _reference_labelwise(ensemble, spec, labels):
-    """Label-by-label dict lookup, as the cycle table did with tuple labels."""
-    index = {lab: i for i, lab in enumerate(_hashable(ensemble.levels.labels))}
-    e0 = ensemble.ground_energy
-    z_shifted = ensemble.shifted_z
-    beta = ensemble.beta
-    energies = np.empty(len(labels))
-    pops = np.empty(len(labels))
-    for k, lab in enumerate(labels):
-        i = index.get(lab)
-        if i is not None:
-            energies[k] = ensemble.levels.energies[i]
-            pops[k] = ensemble.populations[i]
-        else:
-            e = spec.energy(*lab) if isinstance(lab, tuple) else spec.energy(lab)
-            energies[k] = e
-            pops[k] = math.exp(-beta * (e - e0)) / z_shifted
-    return energies, pops
-
-
-def _reference_cycle_table(spec):
-    hot_spec = spec.spectrum_hot()
-    cold_spec = spec.spectrum_cold()
-    ens_b = gibbs(hot_spec, spec.beta_h, spec.tail_tol)
-    ens_a = gibbs(cold_spec, spec.beta_l, spec.tail_tol)
-    labels = sorted(set(_hashable(ens_b.levels.labels)) | set(_hashable(ens_a.levels.labels)))
-    e_hot, p_b = _reference_labelwise(ens_b, hot_spec, labels)
-    e_cold, p_a = _reference_labelwise(ens_a, cold_spec, labels)
-    return labels, e_hot, e_cold, p_b, p_a
+from anyon_otto.spectra import CSPairSpectrum, RingAnyonSpectrum, label_columns, window_bounds
+from anyon_otto.thermo import adiabat_path, heat_work_split, linear_isochore_path
 
 
 def _reference_cycle_strokes(spec, steps_per_stroke):
@@ -277,27 +241,6 @@ class TestRunCycle:
         assert n_engine >= 5
 
 
-class TestCycleTable:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 25.0),
-            OttoCycleSpec.ring_cycle(0.1, 0.4, 2e-5, 1e-4),
-            OttoCycleSpec.cs_volume_cycle(1.0, 0.5, 0.5, 0.05, 0.3),
-            OttoCycleSpec.cs_volume_cycle(1.0, 0.6, 0.3, 3e-4, 1e-3),
-            OttoCycleSpec.cs_coupling_cycle(0.0, 1.0, 0.05, 0.1),
-            OttoCycleSpec.cs_coupling_cycle(0.2, 0.7, 1e-3, 5e-3),
-        ],
-        ids=["ring", "ring-hot", "cs-volume", "cs-volume-hot", "cs-coupling", "cs-coupling-hot"],
-    )
-    def test_arrays_equal_dict_reference_bit_for_bit(self, spec):
-        labels, *columns = _cycle_table(spec)
-        ref_labels, *ref_columns = _reference_cycle_table(spec)
-        assert np.array_equal(labels, np.asarray(ref_labels))
-        for got, want in zip(columns, ref_columns):
-            assert np.array_equal(got, want)
-
-
 class TestEfficiencyCsVolume:
     def test_no_compression_no_work(self):
         assert efficiency_cs_volume(1.0, 1.0) == 0.0
@@ -443,7 +386,7 @@ def _independent_row(template, field, value):
 
 
 class TestSweepSharing:
-    """Rows share the unswept isochore's ensemble, and equal independent cycles bit for bit."""
+    """Rows share the unswept isochore's window search, and equal independent cycles bit for bit."""
 
     def check_rows(self, template, axis, values):
         field = MEDIUM[template.medium].axis_fields[axis]
@@ -477,18 +420,18 @@ class TestSweepSharing:
         assert rows[3].error.startswith("DegenerateCycle: ")
         assert all(row.report is not None for row in rows[::2])
 
-    def count_gibbs(self, monkeypatch):
+    def count_windows(self, monkeypatch):
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return gibbs(*args)
+            return window_bounds(*args)
 
-        monkeypatch.setattr(otto, "gibbs", counted)
+        monkeypatch.setattr(otto, "window_bounds", counted)
         return calls
 
     def test_unswept_isochore_computed_once(self, monkeypatch):
-        calls = self.count_gibbs(monkeypatch)
+        calls = self.count_windows(monkeypatch)
         template = OttoCycleSpec.cs_coupling_cycle(0.0, 0.5, 0.05, 0.1)
         values = [k / 20 for k in range(21)]
         sweep_efficiency(template, "alpha2", values)
@@ -498,13 +441,13 @@ class TestSweepSharing:
         assert len(calls) == 44
 
     def test_axis_moving_both_isochores_shares_nothing(self, monkeypatch):
-        calls = self.count_gibbs(monkeypatch)
+        calls = self.count_windows(monkeypatch)
         template = OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 5.0)
         sweep_efficiency(template, "eps0", [0.5 + k / 20 for k in range(21)])
         assert len(calls) == 42
 
     def test_run_cycle_shares_nothing(self, monkeypatch):
-        calls = self.count_gibbs(monkeypatch)
+        calls = self.count_windows(monkeypatch)
         spec = OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 5.0)
         run_cycle(spec)
         run_cycle(spec)
