@@ -360,8 +360,9 @@ def main(argv=None) -> int:
     for route, _, key_old, key_new in ROUTES:
         graded = [r for r in rows if route in r["moved"].split("+")]
         away = [r for r in graded if float(r[key_new]) > float(r[key_old])]
-        print(f"{route} route changed in {len(graded)}: closer to mpmath {len(graded) - len(away)}, "
-              f"further {len(away)}")
+        closer = len(graded) - len(away)
+        print(f"{route} route changed in {len(graded)}: "
+              f"closer to mpmath {closer}, further {len(away)}")
         for key in (key_old, key_new):
             values = sorted(float(r[key]) for r in graded)
             if values:

@@ -119,7 +119,8 @@ def label_set(labels) -> set:
 @pytest.mark.parametrize("spec", BOX_CYCLES, ids=_cycle_id)
 def test_box_holds_both_level_sets(spec):
     box = label_set(otto._cycle_table(spec)[0])
-    for medium_spec, beta in ((spec.spectrum_hot(), spec.beta_h), (spec.spectrum_cold(), spec.beta_l)):
+    isochores = ((spec.spectrum_hot(), spec.beta_h), (spec.spectrum_cold(), spec.beta_l))
+    for medium_spec, beta in isochores:
         assert label_set(enumerate_levels(medium_spec, beta, spec.tail_tol).labels) <= box
 
 
@@ -135,7 +136,10 @@ def mpmath_energies(spec, control, labels):
     if spec.medium == "ring":
         eps0, alpha = mpmath.mpf(spec.eps0), mpmath.mpf(control)
         return [eps0 * (int(n) - alpha) ** 2 for n in labels.tolist()]
-    length, alpha = (control, spec.cs_alpha) if spec.medium == "cs-volume" else (spec.cs_length, control)
+    if spec.medium == "cs-volume":
+        length, alpha = control, spec.cs_alpha
+    else:
+        length, alpha = spec.cs_length, control
     unit, alpha = mpmath.pi**2 / mpmath.mpf(length) ** 2, mpmath.mpf(alpha)
     return [
         unit * alpha**2 + 2 * unit * (n1 * n1 + n2 * n2 + alpha * (n1 - n2))
@@ -156,10 +160,9 @@ def test_box_sums_match_mpmath(spec):
     with mpmath.workdps(30):
         e_hot = mpmath_energies(spec, spec.control_hot, report.labels)
         e_cold = mpmath_energies(spec, spec.control_cold, report.labels)
-        dp = [
-            b - a
-            for b, a in zip(mpmath_populations(e_hot, spec.beta_h), mpmath_populations(e_cold, spec.beta_l))
-        ]
+        p_b = mpmath_populations(e_hot, spec.beta_h)
+        p_a = mpmath_populations(e_cold, spec.beta_l)
+        dp = [b - a for b, a in zip(p_b, p_a)]
         q_in = mpmath.fsum(e * d for e, d in zip(e_hot, dp))
         eta = 1 - mpmath.fsum(e * d for e, d in zip(e_cold, dp)) / q_in
         # the pinned cycle-identity tolerance of test_otto
@@ -187,6 +190,6 @@ def test_disjoint_ring_windows_stay_apart():
     ids=["ring", "pair"],
 )
 def test_non_finite_box_energies_are_domain_errors(medium_spec, labels):
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DomainError, match=r"^level energies leave the double range \(largest inf\)$"):
-            otto._labelwise(medium_spec, 1.0, label_columns(labels))
+    message = r"^level energies leave the double range \(largest inf\)$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match=message):
+        otto._labelwise(medium_spec, 1.0, label_columns(labels))
