@@ -21,9 +21,7 @@ routes that changed.  The row holds the old and new residual, the relative
 distance of the old and new closed-form value to an mpmath evaluation of the
 same closed form (every theta series summed term by term in 256-bit fixed
 point, no theta identity), the same distances for the old and new ``eta``,
-and eps * kappa, the rounding error the assembly 1 - (A - B)/(C - D) admits
-(the conditions of both differences, and the division's and the final
-subtraction's own roundings).
+and eps * kappa, the rounding error the assembly 1 - (A - B)/(C - D) admits.
 The oracle's 1 - Q_out/Q_in has that same form (Q_in = C - D, Q_out = A - B),
 so one eps * kappa serves both routes.  Each route is summarized apart.
 Needs mpmath.
@@ -269,11 +267,7 @@ def grade(row, values) -> tuple:
         a, b, c, d = ratios(row)
         rho = (a - b) / (c - d)
         exact = 1 - rho
-        # The four sums' relative errors carried into eta, plus half an ulp
-        # each for the division and the final subtraction.
-        gain = abs(rho / exact)
-        kappa = gain * ((abs(a) + abs(b)) / abs(a - b) + (abs(c) + abs(d)) / abs(c - d))
-        kappa += (gain + 1) / 2
+        kappa = abs(rho / exact) * ((abs(a) + abs(b)) / abs(a - b) + (abs(c) + abs(d)) / abs(c - d))
         distances = [float(abs((mpmath.mpf(v) - exact) / exact)) for v in values]
         return distances, float(kappa) * 2.0**-52
 
@@ -369,7 +363,9 @@ def main(argv=None) -> int:
                 print(f"  {key}: max {values[-1]:.3e}, median {values[len(values) // 2]:.3e}, "
                       f"sum {sum(values):.3e}")
         worst = max((float(r[key_new]) / float(r["eps_kappa"]) for r in away), default=0.0)
-        print(f"  largest new distance / (eps kappa) among rows that moved further: {worst:.2f}")
+        past = sum(float(r[key_new]) > float(r["eps_kappa"]) for r in away)
+        print(f"  largest new distance / (eps kappa) among rows that moved further: {worst:.2f}"
+              f" ({past} past eps kappa)")
     return 0
 
 

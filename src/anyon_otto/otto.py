@@ -17,7 +17,8 @@ by the label ranges of the levels each isochore's certified enumeration
 keeps, so it contains both downward-closed sets and each one's tail bound
 still holds.  Both spectra are evaluated once on the box, each weighted by
 its own Boltzmann factor and normalized over the box, and every sum is one
-``np.sum``, whose pairwise order does not depend on the BLAS thread count.
+``thermo.sum_of_products``: the products' sum as ``math.fsum`` rounds it,
+in an order that does not depend on the BLAS thread count.
 
 Media and their control parameters:
 
@@ -58,7 +59,7 @@ from .spectra import (
     require_tail_tol,
     window_bounds,
 )
-from .thermo import DEFAULT_TAIL_TOL, boltzmann, populations_entropy
+from .thermo import DEFAULT_TAIL_TOL, boltzmann, populations_entropy, sum_of_products
 
 __all__ = [
     "MEDIA",
@@ -383,8 +384,8 @@ def run_cycle(spec: OttoCycleSpec) -> CycleReport:
 
 def _cycle_report(labels, e_hot, e_cold, p_b, p_a) -> CycleReport:
     dp = p_b - p_a
-    q_in = float(np.sum(e_hot * dp))
-    q_out = float(np.sum(e_cold * dp))
+    q_in = sum_of_products(e_hot, dp)
+    q_out = sum_of_products(e_cold, dp)
     w_out = q_in - q_out
 
     scale = max(1.0, float(np.max(np.abs(e_hot)))) if len(labels) else 1.0
@@ -469,10 +470,10 @@ def cycle_strokes(spec: OttoCycleSpec, steps_per_stroke: int = 1000) -> StrokeRe
     s_a = populations_entropy(p_a)
     return StrokeReport(
         strokes=(
-            StrokeResult(name="A->B", heat=float(np.sum(e_hot * (p_b - p_a))), work=0.0),
-            StrokeResult(name="B->C", heat=0.0, work=float(np.sum(p_b * (e_cold - e_hot)))),
-            StrokeResult(name="C->D", heat=float(np.sum(e_cold * (p_a - p_b))), work=0.0),
-            StrokeResult(name="D->A", heat=0.0, work=float(np.sum(p_a * (e_hot - e_cold)))),
+            StrokeResult(name="A->B", heat=sum_of_products(e_hot, p_b - p_a), work=0.0),
+            StrokeResult(name="B->C", heat=0.0, work=sum_of_products(p_b, e_cold - e_hot)),
+            StrokeResult(name="C->D", heat=sum_of_products(e_cold, p_a - p_b), work=0.0),
+            StrokeResult(name="D->A", heat=0.0, work=sum_of_products(p_a, e_hot - e_cold)),
         ),
         entropy_a=s_a,
         entropy_b=s_b,

@@ -163,12 +163,9 @@ def frozen_array(values, dtype=None) -> np.ndarray:
     return arr
 
 
-def label_columns(labels: np.ndarray) -> tuple:
-    """The quantum-number columns of a label array, as ``spec.energies`` takes them.
-
-    (n,) for ring labels of shape (N,); (n1, n2) for pair labels of shape (N, 2).
-    """
-    return tuple(labels.reshape(len(labels), -1).T)
+def _column_labels(columns: tuple) -> np.ndarray:
+    """The label array of quantum-number columns: (N,) of n, or (N, 2) rows of (n1, n2)."""
+    return columns[0] if len(columns) == 1 else np.column_stack(columns)
 
 
 def _label_range(lo_b: int, hi_b: int, lo_a: int, hi_a: int) -> np.ndarray:
@@ -191,14 +188,12 @@ def label_box(bounds_b: tuple, bounds_a: tuple) -> tuple:
     n2, restricted to n1 <= n2, in row-major order.  Either way the labels
     ascend and the box holds every level of both sets.  The ring's box holds
     no label outside the two enumeration windows, and the pair's lies inside
-    the larger window.  ``columns`` is ``label_columns(labels)``, as
-    ``spec.energies`` takes it.
+    the larger window.  ``columns`` holds the labels' quantum-number columns,
+    (n,) or (n1, n2), as ``spec.energies`` takes them.
     """
     ranges = [_label_range(*b, *a) for b, a in zip(bounds_b, bounds_a)]
-    if len(ranges) == 1:
-        return ranges[0], (ranges[0],)
-    n1, n2 = _upper_pairs(*ranges)
-    return np.column_stack((n1, n2)), (n1, n2)
+    columns = (ranges[0],) if len(ranges) == 1 else _upper_pairs(*ranges)
+    return _column_labels(columns), columns
 
 
 def _upper_pairs(rows: np.ndarray, cols: np.ndarray) -> tuple:
@@ -420,7 +415,7 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
     not a finite double.
     """
     columns, energies, tail = _kept_levels(spec, beta, tail_tol)
-    labels = columns[0] if len(columns) == 1 else np.column_stack(columns)
+    labels = _column_labels(columns)
     return _sorted_level_set(labels, energies, tail, beta)
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "PathStep",
     "DEFAULT_TAIL_TOL",
     "boltzmann",
+    "sum_of_products",
     "ensemble_from_levels",
     "gibbs",
     "partition_function",
@@ -85,6 +86,41 @@ def boltzmann(energies: np.ndarray, beta: float) -> tuple:
     weights = np.exp(-beta * (energies - e0))
     z_shifted = float(weights.sum())
     return weights / z_shifted, math.log(z_shifted) - beta * e0
+
+
+# Elements per block in sum_of_products: 32 kB temporaries, which the
+# allocator serves from its heap instead of mapping fresh pages per call.
+_SUM_BLOCK = 4096
+
+
+def sum_of_products(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a_n b_n: each product rounded once, their sum as good as ``math.fsum``'s.
+
+    One exact extraction (Rump's ExtractVector) splits each product x into
+    hi + lo.  sigma is a power of two with n max|x| < sigma / 2, so every hi is
+    a multiple of sigma 2^-53 below sigma and their sum is exact in any
+    order; the lo parts are below sigma 2^-52, so their pairwise ``np.sum``
+    errs by about n^2 eps^2 max|x|.  The result is therefore the correctly
+    rounded sum of the products except within that distance of a tie, and
+    no step depends on the BLAS thread count.  Products so large that sigma
+    would overflow, and non-finite ones, get the plain pairwise ``np.sum``.
+    """
+    x = (a * b).ravel()
+    m = max(float(x.max()), -float(x.min())) if x.size else 0.0
+    if not 0.0 < m < math.inf:
+        return float(np.sum(x))
+    try:
+        sigma = math.ldexp(1.0, math.frexp(m)[1] + (x.size + 1).bit_length() + 1)
+    except OverflowError:
+        return float(np.sum(x))
+    high = 0.0
+    for start in range(0, x.size, _SUM_BLOCK):
+        part = x[start:start + _SUM_BLOCK]
+        hi = part + sigma
+        hi -= sigma
+        high += float(np.sum(hi))
+        part -= hi  # x now holds the lo parts
+    return high + float(np.sum(x))
 
 
 def ensemble_from_levels(levels: LevelSet, beta: float) -> GibbsEnsemble:
@@ -160,7 +196,8 @@ def heat_work_split(path: Sequence[PathStep]) -> tuple:
     Per step, dQ = sum dP * E_mid and dW = sum P_mid * dE with midpoint
     (trapezoidal) pairing, so Q + W equals the total energy change exactly
     up to floating-point roundoff.  The path is stacked into (steps, levels)
-    arrays and each total is one ``np.sum``, the reduction the cycle uses.
+    arrays and each total is one ``sum_of_products``, the reduction the cycle
+    uses.
     Steps must share one label set; a path whose steps disagree in length
     raises ShapeError.
     """
@@ -171,8 +208,8 @@ def heat_work_split(path: Sequence[PathStep]) -> tuple:
     ea = np.array([step.energies_after for step in steps], dtype=float)
     pb = np.array([step.populations_before for step in steps], dtype=float)
     pa = np.array([step.populations_after for step in steps], dtype=float)
-    q = float(np.sum((pa - pb) * ((ea + eb) * 0.5)))
-    w = float(np.sum((pa + pb) * 0.5 * (ea - eb)))
+    q = sum_of_products(pa - pb, (ea + eb) * 0.5)
+    w = sum_of_products((pa + pb) * 0.5, ea - eb)
     return q, w
 
 

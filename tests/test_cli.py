@@ -344,10 +344,8 @@ class TestConfigFile:
             ["cycle", "--config", str(cfg), "--l2", "1.5"], capsys
         )
         assert code in (0, 2)
-        # 1 - 1.5^2/2^2 = 0.4375 (1 - 1^2/2^2 = 0.75 had the flag lost), to a
-        # few ulps: the summed heats may round either way in the last bit
-        efficiency = float(out.split("efficiency = ")[1].split("\n")[0])
-        assert math.isclose(efficiency, 0.4375, rel_tol=1e-15)
+        # 1 - 1.5^2/2^2 = 0.4375
+        assert "efficiency = 0.4375" in out
 
     def test_unknown_config_key_exits_64(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -22,7 +22,7 @@ from anyon_otto.otto import (
     sweep_axes,
     sweep_efficiency,
 )
-from anyon_otto.spectra import CSPairSpectrum, RingAnyonSpectrum, label_columns, window_bounds
+from anyon_otto.spectra import CSPairSpectrum, RingAnyonSpectrum, window_bounds
 from anyon_otto.thermo import adiabat_path, heat_work_split, linear_isochore_path
 
 
@@ -34,7 +34,7 @@ def _reference_cycle_strokes(spec, steps_per_stroke):
     populations; each path goes through ``heat_work_split``.
     """
     labels, e_hot, e_cold, p_b, p_a = _cycle_table(spec)
-    columns = label_columns(labels)
+    columns = tuple(labels.reshape(len(labels), -1).T)
     controls = np.linspace(spec.control_hot, spec.control_cold, steps_per_stroke + 1)
     grids_fwd = [spec.spectrum_at(float(cv)).energies(*columns) for cv in controls]
     paths = (

@@ -18,6 +18,7 @@ from anyon_otto.thermo import (
     heat_work_split,
     linear_isochore_path,
     partition_function,
+    sum_of_products,
 )
 
 PI2 = math.pi**2
@@ -151,6 +152,43 @@ class TestEntropyAndShiftInvariance:
             nz = q > 0.0
             trial_entropy = float(-(q[nz] * np.log(q[nz])).sum())
             assert trial_entropy <= ens.entropy + 1e-12
+
+
+class TestSumOfProducts:
+    """sum_of_products rounds the sum of the rounded products as math.fsum does."""
+
+    @pytest.mark.parametrize("n", [1, 7, 4095, 4096, 4097, 20000])
+    def test_equals_fsum_of_the_products(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            b = rng.random(n) - 0.3
+            assert sum_of_products(a, b) == math.fsum((a * b).tolist())
+
+    def test_cancellation_keeps_the_small_term(self):
+        a = np.array([1e16, 1.0, -1e16])
+        assert float(np.sum(a)) == 0.0
+        assert sum_of_products(a, np.ones(3)) == 1.0
+
+    def test_two_dimensional_inputs_sum_every_entry(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.random((3, 5000)), rng.random((3, 5000)) - 0.5
+        assert sum_of_products(a, b) == sum_of_products(a.ravel(), b.ravel())
+        assert sum_of_products(a, b) == math.fsum((a * b).ravel().tolist())
+
+    def test_edge_inputs_take_the_pairwise_sum(self):
+        empty = np.array([])
+        assert sum_of_products(empty, empty) == 0.0
+        assert sum_of_products(np.zeros(3), np.ones(3)) == 0.0
+        assert sum_of_products(np.array([1.0, np.inf]), np.ones(2)) == math.inf
+        assert math.isnan(sum_of_products(np.array([1.0, np.nan]), np.ones(2)))
+        # sigma would pass the double range: the plain pairwise sum, inf included
+        huge = np.full(4, 1.5e308)
+        assert sum_of_products(huge, np.array([1.0, -1.0, 0.5, 0.25])) == float(
+            np.sum(huge * np.array([1.0, -1.0, 0.5, 0.25]))
+        )
+        with np.errstate(over="ignore"):
+            assert sum_of_products(huge, np.ones(4)) == math.inf
 
 
 def _loop_heat_work_split(path):
