@@ -100,7 +100,7 @@ def sum_of_products(a: np.ndarray, b: np.ndarray) -> float:
     hi + lo.  sigma is a power of two with n max|x| < sigma / 2, so every hi is
     a multiple of sigma 2^-53 below sigma and their sum is exact in any
     order; the lo parts are below sigma 2^-52, so their pairwise ``np.sum``
-    errs by about n^2 eps^2 max|x|.  The result is therefore the correctly
+    errs by at most about n^2 log2(n) eps^2 max|x|.  The result is the correctly
     rounded sum of the products except within that distance of a tie, and
     no step depends on the BLAS thread count.  Products so large that sigma
     would overflow, and non-finite ones, get the plain pairwise ``np.sum``.
