@@ -23,7 +23,9 @@ same closed form (every theta series summed term by term in 256-bit fixed
 point, no theta identity), the same distances for the old and new ``eta``,
 and eps * kappa, the rounding error the assembly 1 - (A - B)/(C - D) admits.
 The oracle's 1 - Q_out/Q_in has that same form (Q_in = C - D, Q_out = A - B),
-so one eps * kappa serves both routes.  Each route is summarized apart.
+so one eps * kappa serves both routes.  Each route is summarized apart: how
+many of its changed rows moved closer to mpmath, and how many lie past
+eps * kappa before and after the change, with the rows that crossed it.
 Needs mpmath.
 """
 
@@ -363,9 +365,13 @@ def main(argv=None) -> int:
                 print(f"  {key}: max {values[-1]:.3e}, median {values[len(values) // 2]:.3e}, "
                       f"sum {sum(values):.3e}")
         worst = max((float(r[key_new]) / float(r["eps_kappa"]) for r in away), default=0.0)
-        past = sum(float(r[key_new]) > float(r["eps_kappa"]) for r in away)
-        print(f"  largest new distance / (eps kappa) among rows that moved further: {worst:.2f}"
-              f" ({past} past eps kappa)")
+        print(f"  largest new distance / (eps kappa) among rows that moved further: {worst:.2f}")
+        # Past eps kappa before and after the change, over every row this route
+        # changed, and the rows that crossed the bound each way.
+        before = {id(r) for r in graded if float(r[key_old]) > float(r["eps_kappa"])}
+        after = {id(r) for r in graded if float(r[key_new]) > float(r["eps_kappa"])}
+        print(f"  past eps kappa: {len(before)} before, {len(after)} after; crossed outward "
+              f"{len(after - before)}, inward {len(before - after)}")
     return 0
 
 

@@ -40,8 +40,9 @@ from .otto import (
     run_cycle,
     sweep_axes,
 )
-from .special_functions import SumAccuracy
+from .special_functions import DEFAULT_ACCURACY, SumAccuracy
 from .spectra import require_finite, require_tail_tol
+from .thermo import DEFAULT_TAIL_TOL
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -95,7 +96,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--rel-tol", dest="rel_tol", type=float, help="series relative tolerance")
         p.add_argument("--tail-tol", dest="tail_tol", type=float, help="enumeration tail tolerance")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--format", help="comma-separated subset of csv,json,svg")
+        p.add_argument("--format", help="comma-separated subset of csv,json,svg (cycle: no svg)")
         p.add_argument(
             "--seed", type=int, help="seed for validate's random grids; cycle and sweep ignore it"
         )
@@ -209,13 +210,22 @@ def _cycle_spec(cfg: _RunConfig, fallback: dict | None = None) -> OttoCycleSpec:
     medium = req("medium")
     if medium not in MEDIA:
         raise ConfigError(f"medium must be one of {MEDIA}, got {medium!r}")
-    fields = {"beta_h": req("beta_h"), "beta_l": req("beta_l")}
-    for p in MEDIUM[medium].params:
-        fields[p.field] = req(p.name) if p.required else get(p.name, p.default)
+    beta_h, beta_l = req("beta_h"), req("beta_l")
+    values = [req(p.name) if p.required else get(p.name, p.default) for p in MEDIUM[medium].params]
     try:
-        return OttoCycleSpec(medium=medium, tail_tol=get("tail_tol", 1e-13), **fields)
+        return OttoCycleSpec._of(medium, beta_h, beta_l, get("tail_tol", DEFAULT_TAIL_TOL), *values)
     except AnyonOttoError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _closed_form(efficiency, s: OttoCycleSpec, acc, reuse) -> float:
+    """``cf._ring_efficiency`` or ``cf._cs_efficiency`` at ``s``.
+
+    Both take the medium's named parameters in table order, with the two
+    temperatures after the two controls.
+    """
+    first, second, fixed = MEDIUM[s.medium].values(s)
+    return efficiency(first, second, s.beta_h, s.beta_l, fixed, acc, cf.VARIANT_REDERIVED, reuse)
 
 
 # Per medium, the (value, reference) pair whose relative residual the CLI
@@ -223,23 +233,11 @@ def _cycle_spec(cfg: _RunConfig, fallback: dict | None = None) -> OttoCycleSpec:
 # ring and cs-coupling, eta against the compression ratio for cs-volume.
 # ``reuse`` supplies the closed forms' per-isochore factors (see otto._call).
 _RESIDUALS = {
-    "ring": lambda s, eta, acc, reuse: (
-        cf._ring_efficiency(
-            s.control_hot, s.control_cold, s.beta_h, s.beta_l, s.eps0, acc,
-            cf.VARIANT_REDERIVED, reuse,
-        ),
-        eta,
-    ),
+    "ring": lambda s, eta, acc, reuse: (_closed_form(cf._ring_efficiency, s, acc, reuse), eta),
     "cs-volume": lambda s, eta, acc, reuse: (
-        eta, efficiency_cs_volume(s.control_cold, s.control_hot)
+        eta, efficiency_cs_volume(*MEDIUM["cs-volume"].values(s)[:2])
     ),
-    "cs-coupling": lambda s, eta, acc, reuse: (
-        cf._cs_efficiency(
-            s.control_cold, s.control_hot, s.beta_h, s.beta_l, s.cs_length, acc,
-            cf.VARIANT_REDERIVED, reuse,
-        ),
-        eta,
-    ),
+    "cs-coupling": lambda s, eta, acc, reuse: (_closed_form(cf._cs_efficiency, s, acc, reuse), eta),
 }
 
 
@@ -249,7 +247,7 @@ def _closed_form_residual(spec: OttoCycleSpec, efficiency: float, cfg: _RunConfi
     ``efficiency`` is the caller's run_cycle result for ``spec``: the same
     oracle ``cf.*_efficiency_closed`` would compute, so it is not run twice.
     """
-    acc = SumAccuracy(rel_tol=cfg.get("rel_tol", 1e-12))
+    acc = SumAccuracy(rel_tol=cfg.get("rel_tol", DEFAULT_ACCURACY.rel_tol))
     try:
         return cf.relative_residual(*_RESIDUALS[spec.medium](spec, efficiency, acc, reuse))
     except AnyonOttoError:
@@ -286,6 +284,11 @@ def _out_dir(cfg: _RunConfig, required: bool) -> Path | None:
 def _cmd_cycle(args) -> int:
     cfg = _RunConfig(args)
     spec = _cycle_spec(cfg)
+    # A cycle writes csv and json.  svg, a sweep's plot, may stay in the list,
+    # so that one config file serves every command, but cannot be all of it.
+    formats = _parse_formats(cfg) if cfg.get("out") is not None else []
+    if formats and not {"csv", "json"} & set(formats):
+        raise ConfigError(f"cycle writes csv and json only, got format {','.join(formats)}")
     try:
         report = run_cycle(spec)
     except DegenerateCycle as exc:
@@ -306,7 +309,6 @@ def _cmd_cycle(args) -> int:
 
     out = _out_dir(cfg, required=False)
     if out is not None:
-        formats = _parse_formats(cfg)
         payload = {
             "medium": spec.medium,
             "beta_h": spec.beta_h,
@@ -394,6 +396,7 @@ def _sweep_svg(axis: str, rows) -> str:
     width, height = 640, 440
     ml, mr, mt, mb = 70, 20, 20, 60
     plot_w, plot_h = width - ml - mr, height - mt - mb
+    right, bottom = ml + plot_w, mt + plot_h
     pts = [
         (row.value, row.report.efficiency, row.report.regime)
         for row in rows
@@ -438,12 +441,15 @@ def _sweep_svg(axis: str, rows) -> str:
         fx = x_lo + (x_hi - x_lo) * k / 4
         fy = y_lo + (y_hi - y_lo) * k / 4
         gx, gy = sx(fx), sy(fy)
-        parts.append(f'<line class="grid" x1="{gx:.2f}" y1="{mt}" x2="{gx:.2f}" y2="{mt+plot_h}"/>')
-        parts.append(f'<line class="grid" x1="{ml}" y1="{gy:.2f}" x2="{ml+plot_w}" y2="{gy:.2f}"/>')
-        parts.append(f'<text x="{gx:.2f}" y="{mt+plot_h+16}" text-anchor="middle">{fx:.4g}</text>')
-        parts.append(f'<text x="{ml-6}" y="{gy:.2f}" text-anchor="end" dominant-baseline="middle">{fy:.4g}</text>')
-    parts.append(f'<line class="axis" x1="{ml}" y1="{mt+plot_h}" x2="{ml+plot_w}" y2="{mt+plot_h}"/>')
-    parts.append(f'<line class="axis" x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt+plot_h}"/>')
+        parts.append(f'<line class="grid" x1="{gx:.2f}" y1="{mt}" x2="{gx:.2f}" y2="{bottom}"/>')
+        parts.append(f'<line class="grid" x1="{ml}" y1="{gy:.2f}" x2="{right}" y2="{gy:.2f}"/>')
+        parts.append(f'<text x="{gx:.2f}" y="{bottom+16}" text-anchor="middle">{fx:.4g}</text>')
+        parts.append(
+            f'<text x="{ml-6}" y="{gy:.2f}" text-anchor="end" dominant-baseline="middle">'
+            f"{fy:.4g}</text>"
+        )
+    parts.append(f'<line class="axis" x1="{ml}" y1="{bottom}" x2="{right}" y2="{bottom}"/>')
+    parts.append(f'<line class="axis" x1="{ml}" y1="{mt}" x2="{ml}" y2="{bottom}"/>')
     parts.append(
         f'<text x="{ml+plot_w/2:.2f}" y="{height-20}" text-anchor="middle">{axis}</text>'
     )
@@ -462,10 +468,8 @@ def _sweep_svg(axis: str, rows) -> str:
     legend_y = mt + 8
     for i, regime in enumerate(("engine", "refrigerator", "degenerate")):
         cy = legend_y + i * 16
-        parts.append(
-            f'<circle class="pt {regime}" cx="{ml+plot_w-110}" cy="{cy}" r="4"/>'
-        )
-        parts.append(f'<text x="{ml+plot_w-100}" y="{cy+4}">{regime}</text>')
+        parts.append(f'<circle class="pt {regime}" cx="{right-110}" cy="{cy}" r="4"/>')
+        parts.append(f'<text x="{right-100}" y="{cy+4}">{regime}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -509,7 +513,8 @@ def _cmd_sweep(args) -> int:
 
     try:
         if "csv" in formats:
-            (out / "sweep.csv").write_text(_sweep_csv(axis, rows, residuals), encoding="utf-8", newline="")
+            csv_text = _sweep_csv(axis, rows, residuals)
+            (out / "sweep.csv").write_text(csv_text, encoding="utf-8", newline="")
         if "json" in formats:
             payload = {
                 "version": __version__,
@@ -551,13 +556,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _RunConfig(args)
-    rel_tol = cfg.get("rel_tol", 1e-12)
-    tail_tol = cfg.get("tail_tol", 1e-14)
-    seed = cfg.get("seed", 0)
-    variant = cfg.get("variant", cf.VARIANT_REDERIVED)
-    results = run_validation(
-        rel_tol=rel_tol, tail_tol=tail_tol, seed=seed, variant=variant
-    )
+    # A key the user leaves unset takes run_validation's own default.
+    given = {key: cfg.get(key) for key in ("rel_tol", "tail_tol", "seed", "variant")}
+    results = run_validation(**{key: value for key, value in given.items() if value is not None})
     worst = None
     for res in results:
         status = "PASS" if res.passed else "FAIL"

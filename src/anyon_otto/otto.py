@@ -116,10 +116,15 @@ class Medium:
         """Sweepable name -> OttoCycleSpec field: both temperatures, then ``params``."""
         return {"beta_h": "beta_h", "beta_l": "beta_l", **{p.name: p.field for p in self.params}}
 
+    def values(self, spec) -> tuple:
+        """``spec``'s values of ``params``, in table order."""
+        return tuple(getattr(spec, p.field) for p in self.params)
 
-# The one place a medium is declared; spec checks, spectra, sweep axes, CLI
-# flags and config keys read it.  The CLI keeps each medium's closed-form
-# residual beside its own code, because closed_form imports this module.
+
+# The one place a medium is declared; spec checks, spectra, sweep axes, the
+# per-medium constructors, CLI flags and config keys read it.  The CLI keeps
+# each medium's closed-form residual beside its own code, because closed_form
+# imports this module.
 MEDIUM = {
     "ring": Medium(
         params=(
@@ -180,8 +185,8 @@ class OttoCycleSpec:
 
     ``control_hot`` / ``control_cold`` are the control-parameter values of
     the hot and cold isochores (ring: alpha; cs-volume: L; cs-coupling:
-    alpha).  Use the per-medium constructors, which spell out which named
-    parameter lands on which side.
+    alpha).  Use the per-medium constructors, which take the medium's named
+    parameters; its ``MEDIUM`` entry says which one lands on which side.
     """
 
     medium: str
@@ -219,6 +224,12 @@ class OttoCycleSpec:
                 raise DomainError(message)
 
     @classmethod
+    def _of(cls, medium: str, beta_h, beta_l, tail_tol, *values) -> "OttoCycleSpec":
+        """The ``medium`` cycle whose named parameters take ``values``, in MEDIUM order."""
+        fields = {p.field: value for p, value in zip(MEDIUM[medium].params, values)}
+        return cls(medium=medium, beta_h=beta_h, beta_l=beta_l, tail_tol=tail_tol, **fields)
+
+    @classmethod
     def ring_cycle(
         cls,
         alpha_h: float,
@@ -229,15 +240,7 @@ class OttoCycleSpec:
         tail_tol: float = DEFAULT_TAIL_TOL,
     ) -> "OttoCycleSpec":
         """Ring medium: hot isochore at flux alpha_h, cold at alpha_l."""
-        return cls(
-            medium="ring",
-            beta_h=beta_h,
-            beta_l=beta_l,
-            control_hot=alpha_h,
-            control_cold=alpha_l,
-            eps0=eps0,
-            tail_tol=tail_tol,
-        )
+        return cls._of("ring", beta_h, beta_l, tail_tol, alpha_h, alpha_l, eps0)
 
     @classmethod
     def cs_volume_cycle(
@@ -250,15 +253,7 @@ class OttoCycleSpec:
         tail_tol: float = DEFAULT_TAIL_TOL,
     ) -> "OttoCycleSpec":
         """Variable-volume pair medium: compression L1 -> L2, heat intake at L2."""
-        return cls(
-            medium="cs-volume",
-            beta_h=beta_h,
-            beta_l=beta_l,
-            control_hot=l2,
-            control_cold=l1,
-            cs_alpha=alpha,
-            tail_tol=tail_tol,
-        )
+        return cls._of("cs-volume", beta_h, beta_l, tail_tol, l1, l2, alpha)
 
     @classmethod
     def cs_coupling_cycle(
@@ -271,15 +266,7 @@ class OttoCycleSpec:
         tail_tol: float = DEFAULT_TAIL_TOL,
     ) -> "OttoCycleSpec":
         """Variable-coupling pair medium: heat intake at alpha2, rejection at alpha1."""
-        return cls(
-            medium="cs-coupling",
-            beta_h=beta_h,
-            beta_l=beta_l,
-            control_hot=alpha2,
-            control_cold=alpha1,
-            cs_length=length,
-            tail_tol=tail_tol,
-        )
+        return cls._of("cs-coupling", beta_h, beta_l, tail_tol, alpha1, alpha2, length)
 
     def spectrum_at(self, control: float):
         return MEDIUM[self.medium].spectrum(self, control)
@@ -301,8 +288,6 @@ class CycleReport:
     fields are read-only float64 arrays in that order, each population
     normalized over the box.  ``efficiency`` is the raw
     ratio 1 - Q_out/Q_in; interpret it through ``regime``.
-    ``oracle_residual`` is filled in by callers that also evaluate a
-    closed-form efficiency for the same cycle.
     """
 
     q_in: float
@@ -315,7 +300,6 @@ class CycleReport:
     energies_cold: np.ndarray
     populations_b: np.ndarray
     populations_a: np.ndarray
-    oracle_residual: Optional[float] = None
 
 
 def _labelwise(spec, beta: float, columns: tuple) -> tuple:

@@ -59,6 +59,10 @@ __all__ = [
 
 # Below this decay rate the ring sums need O(1/sqrt(lam)) terms per digit.
 SLOW_DECAY_LAMBDA = 0.05
+# The slow-decay test is lam < _SLOW_DECAY_BELOW: the tiny slack keeps the
+# boundary value itself (reached via -log(exp(-x)) roundtrips) on the direct,
+# unwarned route, in ``_lattice_sum`` and ``_theta_series`` alike.
+_SLOW_DECAY_BELOW = SLOW_DECAY_LAMBDA * (1.0 - 1e-9)
 
 # Smallest positive normal double; used as a floor in relative comparisons.
 _TINY = 2.2250738585072014e-308
@@ -166,9 +170,7 @@ def _lattice_sum(
     order, and it joins the running absolute total as one addend.
     """
     max_terms = acc.max_terms
-    # The tiny slack keeps the boundary value itself (reached via -log(exp(-x))
-    # roundtrips) out of the slow path.
-    if lam < SLOW_DECAY_LAMBDA * (1.0 - 1e-9):
+    if lam < _SLOW_DECAY_BELOW:
         warnings.warn(
             f"slow Gaussian decay (lambda={lam:g} < {SLOW_DECAY_LAMBDA}); "
             "raising the term cap",
@@ -278,9 +280,7 @@ def _theta_series(
     the dual stops at the first K >= 1 where that bound is at most
     rel_tol |T_w| and reports 2K + 1 terms.
     """
-    # The same slack as _lattice_sum's warning test keeps the boundary value
-    # itself on the direct route.
-    if one_sided or not lam < SLOW_DECAY_LAMBDA * (1.0 - 1e-9):
+    if one_sided or not lam < _SLOW_DECAY_BELOW:
         return _lattice_sum(lam, gamma, 0.0, weight, one_sided, acc, lam * gamma * gamma)
 
     log_pref = lam * gamma * gamma

@@ -75,15 +75,19 @@ class GibbsEnsemble:
         return max(populations_entropy(self.populations), 0.0)
 
 
+def _ground_weights(energies: np.ndarray, beta: float) -> tuple:
+    """(exp(-beta (E - E_min)), E_min): every Gibbs weight in this module, exponents in range."""
+    e0 = energies.min()
+    return np.exp(-beta * (energies - e0)), e0
+
+
 def boltzmann(energies: np.ndarray, beta: float) -> tuple:
     """(populations, logZ) of the Gibbs state at beta on the levels ``energies``.
 
-    Each weight is exp(-beta (E - E_min)), so the exponents stay in range;
-    the populations are the weights normalized over ``energies``, and logZ
-    refers to the unshifted energies.
+    The populations are the ground-shifted weights normalized over
+    ``energies``, and logZ refers to the unshifted energies.
     """
-    e0 = energies.min()
-    weights = np.exp(-beta * (energies - e0))
+    weights, e0 = _ground_weights(energies, beta)
     z_shifted = float(weights.sum())
     return weights / z_shifted, math.log(z_shifted) - beta * e0
 
@@ -150,10 +154,8 @@ def partition_function(spec, beta: float, tail_tol: float = DEFAULT_TAIL_TOL) ->
     theta identity enters, only exp(-beta E) term by term (evaluated against
     the ground state for range, then rescaled).
     """
-    levels = enumerate_levels(spec, beta, tail_tol)
-    energies = levels.energies
-    e0 = energies[0]
-    return float(np.exp(-beta * (energies - e0)).sum() * math.exp(-beta * e0))
+    weights, e0 = _ground_weights(enumerate_levels(spec, beta, tail_tol).energies, beta)
+    return float(weights.sum() * math.exp(-beta * e0))
 
 
 def populations_entropy(populations: np.ndarray) -> float:
@@ -228,14 +230,11 @@ def gibbs_isochore_path(
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-    levels = enumerate_levels(spec, min(beta_start, beta_end), tail_tol)
-    energies = levels.energies
-    e0 = energies[0]
+    energies = enumerate_levels(spec, min(beta_start, beta_end), tail_tol).energies
     e_tuple = tuple(float(e) for e in energies)
 
     def pops(beta: float) -> tuple:
-        w = np.exp(-beta * (energies - e0))
-        return tuple(float(v) for v in w / w.sum())
+        return tuple(float(v) for v in boltzmann(energies, beta)[0])
 
     betas = np.linspace(beta_start, beta_end, n_steps + 1)
     steps = []

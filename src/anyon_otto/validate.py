@@ -19,7 +19,7 @@ import numpy as np
 from . import closed_form as cf
 from .errors import AnyonOttoError
 from .otto import OttoCycleSpec, efficiency_cs_volume, run_cycle
-from .special_functions import SumAccuracy, gauss_sum_full, partial_theta, theta3
+from .special_functions import DEFAULT_ACCURACY, SumAccuracy, gauss_sum_full, partial_theta, theta3
 
 __all__ = ["FamilyResult", "run_validation", "THRESHOLD_FACTORS"]
 
@@ -79,7 +79,7 @@ def _family(name: str, variant: str, rel_tol: float, points) -> FamilyResult:
 
 
 def run_validation(
-    rel_tol: float = 1e-12,
+    rel_tol: float = DEFAULT_ACCURACY.rel_tol,
     tail_tol: float = 1e-14,
     seed: int = 0,
     variant: str = cf.VARIANT_REDERIVED,

@@ -1,15 +1,20 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anyon_otto import cli
 from anyon_otto import closed_form as cf
@@ -127,6 +132,26 @@ class TestCycleCommand:
         for key in ("efficiency", "q_in", "q_out", "w_out"):
             assert math.isclose(float(cols[key]), payload[key], rel_tol=1e-15)
         assert cols["regime"] == payload["regime"] == "engine"
+
+    RING = ["cycle", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
+    RING += ["--beta-h", "0.5", "--beta-l", "25"]
+
+    def test_svg_only_format_exits_64_and_writes_nothing(self, capsys, tmp_path):
+        out_dir = tmp_path / "svg"
+        code, out, err = run_cli(self.RING + ["--out", str(out_dir), "--format", "svg"], capsys)
+        message = "cycle writes csv and json only, got format svg"
+        assert (code, out, err) == (64, "", f"config error: {message}\n")
+        assert not out_dir.exists()
+
+    def test_shared_config_with_svg_writes_csv_and_json(self, capsys, tmp_path):
+        # one config file serves every command: cycle ignores svg, as it ignores seed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = csv,json,svg\nseed = 3\n")
+        out_dir = tmp_path / "shared"
+        code, out, _ = run_cli(self.RING + ["--config", str(cfg), "--out", str(out_dir)], capsys)
+        assert code == 0
+        assert "regime = engine" in out
+        assert sorted(p.name for p in out_dir.iterdir()) == ["cycle.csv", "cycle.json"]
 
     def test_closed_form_residual_reported(self, capsys):
         code, out, _ = run_cli(
@@ -805,3 +830,51 @@ class TestRangeErrors:
         rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == 2
         assert "NoConvergence: pair window exceeded K=1500" in rows[1]
+
+
+# Floats log-uniform over [1e-300, 1e300]; then with signs, zeros, infinities and nan.
+_MAGNITUDES = st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)
+_ANY_FLOAT = st.one_of(
+    st.builds(lambda m, sign: sign * m, _MAGNITUDES, st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def _cycle_argv(draw):
+    """``cycle`` flags for any medium: any floats, or values that pass the spec's sign checks.
+
+    The second kind has beta_h <= beta_l and positive parameters, so that it
+    reaches the cycle unless a range check stops it.
+    """
+    medium = draw(st.sampled_from(MEDIA))
+    names = ["beta_h", "beta_l"] + [p.name for p in MEDIUM[medium].params]
+    if draw(st.booleans()):
+        values = [draw(_ANY_FLOAT) for _ in names]
+    else:
+        values = sorted(draw(_MAGNITUDES) for _ in range(2))
+        values += [draw(_MAGNITUDES) for _ in names[2:]]
+    flags = [f"--{name.replace('_', '-')}={value!r}" for name, value in zip(names, values)]
+    return ["cycle", f"--medium={medium}"] + flags
+
+
+class TestCycleFuzz:
+    """Every cycle input ends in a documented exit code, never a traceback."""
+
+    # 2,000 examples pass too; half of that keeps tier-1 quick.
+    @settings(
+        max_examples=1000,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(argv=_cycle_argv())
+    def test_documented_exit_code(self, argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        assert code in (0, 1, 2, 64), argv
+        assert "Traceback" not in stderr.getvalue()
