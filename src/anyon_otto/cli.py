@@ -276,6 +276,30 @@ def _out_dir(cfg: _RunConfig, required: bool) -> Path | None:
     return path
 
 
+# The stdout labels of a cycle record's keys; its CSV header and JSON keep the keys.
+_LABELS = {"q_in": "Q_in", "q_out": "Q_out", "w_out": "W_out", "residual": "closed_form_residual"}
+
+
+def _cell(value) -> str:
+    """A record value as text: None empty, strings without commas or newlines, numbers _fmt."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ")
+    return _fmt(value)
+
+
+def _csv(header, records) -> str:
+    lines = [",".join(header)] + [",".join(map(_cell, r.values())) for r in records]
+    return "\n".join(lines) + "\n"
+
+
+def _print_record(record: dict) -> None:
+    for key, value in record.items():
+        if value is not None:
+            print(f"{_LABELS.get(key, key)} = {_cell(value)}")
+
+
 # ---------------------------------------------------------------------------
 # cycle
 # ---------------------------------------------------------------------------
@@ -292,61 +316,40 @@ def _cmd_cycle(args) -> int:
     try:
         report = run_cycle(spec)
     except DegenerateCycle as exc:
-        print(f"medium = {spec.medium}")
-        print("regime = degenerate")
-        print(f"note = {exc}")
+        _print_record({"medium": spec.medium, "regime": "degenerate", "note": str(exc)})
         return EXIT_NON_ENGINE
 
-    residual = _closed_form_residual(spec, report.efficiency, cfg)
-    print(f"medium = {spec.medium}")
-    print(f"efficiency = {_fmt(report.efficiency)}")
-    print(f"regime = {report.regime}")
-    print(f"Q_in = {_fmt(report.q_in)}")
-    print(f"Q_out = {_fmt(report.q_out)}")
-    print(f"W_out = {_fmt(report.w_out)}")
-    if residual is not None:
-        print(f"closed_form_residual = {_fmt(residual)}")
-
+    record = {
+        "medium": spec.medium,
+        "efficiency": report.efficiency,
+        "regime": report.regime,
+        "q_in": report.q_in,
+        "q_out": report.q_out,
+        "w_out": report.w_out,
+        "residual": _closed_form_residual(spec, report.efficiency, cfg),
+    }
+    _print_record(record)
     out = _out_dir(cfg, required=False)
-    if out is not None:
-        payload = {
-            "medium": spec.medium,
-            "beta_h": spec.beta_h,
-            "beta_l": spec.beta_l,
-            "control_hot": spec.control_hot,
-            "control_cold": spec.control_cold,
-            "efficiency": report.efficiency,
-            "regime": report.regime,
-            "q_in": report.q_in,
-            "q_out": report.q_out,
-            "w_out": report.w_out,
-            "closed_form_residual": residual,
-            "n_levels": len(report.labels),
-        }
-        if "json" in formats:
-            (out / "cycle.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-        if "csv" in formats:
-            header = "medium,efficiency,regime,q_in,q_out,w_out,residual"
-            row = ",".join(
-                [
-                    spec.medium,
-                    _fmt(report.efficiency),
-                    report.regime,
-                    _fmt(report.q_in),
-                    _fmt(report.q_out),
-                    _fmt(report.w_out),
-                    "" if residual is None else _fmt(residual),
-                ]
-            )
-            (out / "cycle.csv").write_text(header + "\n" + row + "\n", encoding="utf-8")
+    if out is not None and "json" in formats:
+        payload = {k: getattr(spec, k) for k in ("beta_h", "beta_l", "control_hot", "control_cold")}
+        payload.update(record, n_levels=len(report.labels))
+        payload["closed_form_residual"] = payload.pop("residual")
+        (out / "cycle.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    if out is not None and "csv" in formats:
+        (out / "cycle.csv").write_text(_csv(record, [record]), encoding="utf-8")
     return EXIT_OK if report.regime == REGIME_ENGINE else EXIT_NON_ENGINE
 
 
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
+
+
+# One sweep row's record: the swept value, the cycle's results, and the error
+# message of a row that has no cycle.
+_SWEEP_KEYS = ("value", "efficiency", "q_in", "q_out", "w_out", "regime", "residual", "error")
 
 
 def _parse_grid(raw: str) -> list:
@@ -358,65 +361,48 @@ def _parse_grid(raw: str) -> list:
         steps = int(parts[2])
     except ValueError:
         raise ConfigError(f"grid must be numeric start:stop:steps, got {raw!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(stop - start)):
+        raise ConfigError(f"grid start, stop and stop - start must be finite, got {raw!r}")
     if steps < 0:
         raise ConfigError("grid steps must be >= 0")
     if steps == 0:
         return []
     if steps == 1:
         return [start]
-    return [start + (stop - start) * k / (steps - 1) for k in range(steps)]
+    # (stop - start) * k may overflow where (stop - start) * (k / n) does not.
+    span, n = stop - start, steps - 1
+    return [
+        start + (span * k / n if math.isfinite(span * k) else span * (k / n)) for k in range(steps)
+    ]
 
 
-def _sweep_csv(axis: str, rows, residuals) -> str:
-    lines = [f"{axis},efficiency,q_in,q_out,w_out,regime,residual,error"]
-    for row, residual in zip(rows, residuals):
-        if row.report is None:
-            err = (row.error or "error").replace(",", ";").replace("\n", " ")
-            lines.append(f"{_fmt(row.value)},,,,,,,{err}")
-        else:
-            r = row.report
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(row.value),
-                        _fmt(r.efficiency),
-                        _fmt(r.q_in),
-                        _fmt(r.q_out),
-                        _fmt(r.w_out),
-                        r.regime,
-                        "" if residual is None else _fmt(residual),
-                        "",
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+def _plot_range(values: list) -> tuple:
+    """Axis limits: the values' range padded by 5% a side.
+
+    A single value gets a width of 1, or of half its size where 1 is below
+    its rounding step, so that the range never has zero width.
+    """
+    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+    if hi == lo:
+        lo, hi = lo - 0.5, hi + 0.5
+    if hi == lo:
+        lo, hi = lo - abs(lo) / 4, hi + abs(hi) / 4
+    pad = 0.05 * (hi - lo)
+    return lo - pad, hi + pad
 
 
-def _sweep_svg(axis: str, rows) -> str:
+def _sweep_svg(axis: str, records) -> str:
     width, height = 640, 440
     ml, mr, mt, mb = 70, 20, 20, 60
     plot_w, plot_h = width - ml - mr, height - mt - mb
     right, bottom = ml + plot_w, mt + plot_h
     pts = [
-        (row.value, row.report.efficiency, row.report.regime)
-        for row in rows
-        if row.report is not None and math.isfinite(row.report.efficiency)
+        (r["value"], r["efficiency"], r["regime"])
+        for r in records
+        if r["efficiency"] is not None and math.isfinite(r["efficiency"])
     ]
-    if pts:
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
-    else:
-        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    x_pad = 0.05 * (x_hi - x_lo)
-    y_pad = 0.05 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    x_lo, x_hi = _plot_range([p[0] for p in pts])
+    y_lo, y_hi = _plot_range([p[1] for p in pts])
 
     def sx(x):
         return ml + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -497,55 +483,42 @@ def _cmd_sweep(args) -> int:
     # One row loop with sweep_efficiency; the closed forms get a memo of their
     # own, so the theta factors of the unswept isochore are summed once.
     closed_forms = _IsochoreMemo()
-    rows = []
-    residuals = []
+    records = []
     wall_times = []
     t0 = time.perf_counter()
     for row in _sweep_rows(template, MEDIUM[medium].axis_fields[axis], grid):
-        residual = None
-        if row.report is not None:
-            residual = _closed_form_residual(row.spec, row.report.efficiency, cfg, closed_forms)
-        rows.append(row)
-        residuals.append(residual)
+        r = row.report
+        values = (None,) * 6
+        if r is not None:
+            residual = _closed_form_residual(row.spec, r.efficiency, cfg, closed_forms)
+            values = (r.efficiency, r.q_in, r.q_out, r.w_out, r.regime, residual)
+        records.append(dict(zip(_SWEEP_KEYS, (row.value, *values, row.error))))
         t1 = time.perf_counter()
         wall_times.append(t1 - t0)
         t0 = t1
 
     try:
         if "csv" in formats:
-            csv_text = _sweep_csv(axis, rows, residuals)
+            csv_text = _csv((axis,) + _SWEEP_KEYS[1:], records)
             (out / "sweep.csv").write_text(csv_text, encoding="utf-8", newline="")
         if "json" in formats:
             payload = {
                 "version": __version__,
                 "medium": template.medium,
                 "axis": axis,
-                "rows": [
-                    {
-                        "value": row.value,
-                        "efficiency": None if row.report is None else row.report.efficiency,
-                        "q_in": None if row.report is None else row.report.q_in,
-                        "q_out": None if row.report is None else row.report.q_out,
-                        "w_out": None if row.report is None else row.report.w_out,
-                        "regime": None if row.report is None else row.report.regime,
-                        "residual": residual,
-                        "error": row.error,
-                        "wall_time_s": wt,
-                    }
-                    for row, residual, wt in zip(rows, residuals, wall_times)
-                ],
+                "rows": [dict(r, wall_time_s=wt) for r, wt in zip(records, wall_times)],
             }
             (out / "sweep.json").write_text(
                 json.dumps(payload, indent=2) + "\n", encoding="utf-8"
             )
         if "svg" in formats:
-            (out / "sweep.svg").write_text(_sweep_svg(axis, rows), encoding="utf-8")
+            (out / "sweep.svg").write_text(_sweep_svg(axis, records), encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    n_ok = sum(1 for r in rows if r.report is not None)
-    print(f"sweep {axis}: {len(rows)} points, {n_ok} computed, written to {out}")
+    n_ok = sum(r["error"] is None for r in records)
+    print(f"sweep {axis}: {len(records)} points, {n_ok} computed, written to {out}")
     return EXIT_OK
 
 

@@ -80,6 +80,7 @@ REGIME_REFRIGERATOR = "refrigerator"
 REGIME_DEGENERATE = "degenerate"
 
 _ZERO_SCALE = 1e-300
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -361,7 +362,8 @@ def run_cycle(spec: OttoCycleSpec) -> CycleReport:
 
     Raises DegenerateCycle when Q_in vanishes identically (for example
     beta_h = beta_l with identical hot and cold controls), where the
-    efficiency ratio is 0/0.
+    efficiency ratio is 0/0, or so small that the efficiency is only the
+    populations' rounding noise.
     """
     return _cycle_report(*_cycle_table(spec))
 
@@ -373,7 +375,7 @@ def _cycle_report(labels, e_hot, e_cold, p_b, p_a) -> CycleReport:
     w_out = q_in - q_out
 
     scale = max(1.0, float(np.max(np.abs(e_hot)))) if len(labels) else 1.0
-    if abs(q_in) < _ZERO_SCALE * scale:
+    if abs(q_in) < _ZERO_SCALE * scale or _ratio_is_noise(e_hot, e_cold, p_b, p_a, q_in, q_out):
         raise DegenerateCycle(
             "denominator sum E_hot (P_B - P_A) vanishes; hot and cold states coincide"
         )
@@ -397,6 +399,20 @@ def _cycle_report(labels, e_hot, e_cold, p_b, p_a) -> CycleReport:
         populations_b=frozen_array(p_b),
         populations_a=frozen_array(p_a),
     )
+
+
+def _ratio_is_noise(e_hot, e_cold, p_b, p_a, q_in: float, q_out: float) -> bool:
+    """Whether rounding the populations alone may move r = Q_out/Q_in by max(1, |1 - r|).
+
+    A relative error eps in each population moves r by up to
+    eps sum |E_cold - r E_hot| (P_B + P_A) / |Q_in|.  Where Q_in is that
+    small, the efficiency 1 - r has no digit left.  Heats that are only
+    noise still give an exact r where the two spectra are proportional
+    (cs-volume), since the noise then cancels in the ratio.
+    """
+    r = q_out / q_in
+    noise = _EPS * float(np.sum(np.abs(e_cold - r * e_hot) * (p_b + p_a)))
+    return noise >= abs(q_in) * max(1.0, abs(1.0 - r))
 
 
 def efficiency_cs_volume(l1: float, l2: float) -> float:

@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from anyon_otto import cli
 from anyon_otto import closed_form as cf
 from anyon_otto.cli import main
-from anyon_otto.otto import MEDIA, MEDIUM, OttoCycleSpec, run_cycle
+from anyon_otto.otto import MEDIA, MEDIUM, OttoCycleSpec, run_cycle, sweep_axes
 
 
 def run_cli(args, capsys):
@@ -255,7 +257,7 @@ class TestCycleCommand:
 
     def test_closed_form_overflow_prints_cycle_without_residual(self, capsys):
         argv = ["cycle", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
-        code, out, err = run_cli(argv + ["--beta-h", "100", "--beta-l", "2000"], capsys)
+        code, out, err = run_cli(argv + ["--beta-h", "30", "--beta-l", "2000"], capsys)
         assert code == 0
         assert "regime = engine" in out
         assert "residual" not in out
@@ -832,6 +834,85 @@ class TestRangeErrors:
         assert "NoConvergence: pair window exceeded K=1500" in rows[1]
 
 
+class TestSweepRanges:
+    """A grid whose start, stop or span is not a finite double is exit 64; any grid plots."""
+
+    BASE = [
+        "sweep", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3",
+        "--beta-h", "1", "--beta-l", "5", "--sweep", "alpha_l",
+    ]
+
+    @pytest.mark.parametrize("grid", ["-1e308:1e308:3", "1e300:inf:3", "nan:1:2"])
+    def test_non_finite_grid_exits_64_before_writing(self, grid, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(self.BASE + [f"--grid={grid}", "--out", str(out_dir)], capsys)
+        assert code == 64
+        assert "grid" in err and "finite" in err
+        assert not out_dir.exists()
+
+    def test_wide_finite_grid_keeps_its_endpoints(self, capsys, tmp_path):
+        # (stop - start) * 2 overflows here, though the span itself does not.
+        code, _, _ = run_cli(self.BASE + ["--grid=0:1.7e308:3", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.85e308, 1.7e308]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # one point at x = 1.17e16, where x - 0.5 == x
+            ["--medium=ring", "--sweep=beta_h", "--grid=1.1719142372802612e+16:1:1",
+             "--beta-l=1.1719142372802612e+16", "--alpha-h=1", "--alpha-l=2.718281828459045"],
+            # one point at efficiency -3.2e16
+            ["--medium=cs-volume", "--sweep=l2", "--grid=2.718281828459045:1:1",
+             "--beta-h=1", "--beta-l=1", "--l1=1.522997974471263e-08", "--alpha=1"],
+        ],
+    )
+    def test_single_large_point_plots(self, flags, capsys, tmp_path):
+        argv = ["sweep"] + flags + ["--out", str(tmp_path), "--format", "csv,svg"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and "1 points, 1 computed" in out
+        svg = (tmp_path / "sweep.svg").read_text()
+        assert "<title>" in svg
+        assert not re.search(r"\b(nan|inf)\b", svg)
+
+
+class TestRoundingNoiseCycle:
+    """A cycle whose efficiency is only the populations' rounding noise is degenerate."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # Q_in = 8.2e-16 against sum |E_hot| (P_B + P_A) = 19.74: r may move by 5.3 |1 - r|.
+            ["--medium", "cs-coupling", "--alpha1", "1.0000610370189331", "--alpha2", "1",
+             "--beta-h", "1", "--beta-l", "1.0000610370189331"],
+            # P_B's ground population rounds to 1 and loses the excited weight
+            # 1.8e-35 that makes Q_in: the efficiency came out 0.395, not 0.5.
+            ["--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3",
+             "--beta-h", "100", "--beta-l", "2000"],
+        ],
+    )
+    def test_noise_efficiency_is_degenerate(self, flags, capsys):
+        code, out, _ = run_cli(["cycle"] + flags, capsys)
+        assert code == 2
+        assert "regime = degenerate" in out
+        assert "efficiency" not in out
+
+    def test_proportional_spectra_keep_their_exact_ratio(self, capsys):
+        # Q_in = 2.7e-20 is noise (eps sum |E_hot| (P_B + P_A) / |Q_in| = 5.9e4),
+        # but every level scales as 1/L^2, so Q_out/Q_in is still L2^2/L1^2.
+        l1, l2 = 1.0186704433417662, 0.30560113300252983
+        code, out, _ = run_cli(
+            ["cycle", "--medium", "cs-volume", f"--l1={l1!r}", f"--l2={l2!r}",
+             "--alpha", "0.1826552308180282", "--beta-h", "0.2948301381845095",
+             "--beta-l", "4.822518358972034"],
+            capsys,
+        )
+        assert code == 0
+        eta = float(out.split("efficiency = ")[1].split()[0])
+        assert eta == pytest.approx(1.0 - (l2 / l1) ** 2, rel=1e-15)
+
+
 # Floats log-uniform over [1e-300, 1e300]; then with signs, zeros, infinities and nan.
 _MAGNITUDES = st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)
 _ANY_FLOAT = st.one_of(
@@ -878,3 +959,54 @@ class TestCycleFuzz:
                 code = main(argv)
         assert code in (0, 1, 2, 64), argv
         assert "Traceback" not in stderr.getvalue()
+
+
+@st.composite
+def _sweep_argv(draw):
+    """``sweep`` flags for any medium and axis, with a grid of 0-3 points.
+
+    The fixed values and grid ends are any floats, or positive ones with
+    beta_h <= beta_l, so that the rows reach the cycle unless a range check
+    stops them.  Returns the argv and the grid's point count.
+    """
+    medium = draw(st.sampled_from(MEDIA))
+    axis = draw(st.sampled_from(sweep_axes(medium)))
+    positive = draw(st.booleans())
+    floats = _MAGNITUDES if positive else _ANY_FLOAT
+    names = ["beta_h", "beta_l"] + [p.name for p in MEDIUM[medium].params]
+    values = {name: draw(floats) for name in names if name != axis}
+    if positive and axis not in ("beta_h", "beta_l"):
+        values["beta_h"], values["beta_l"] = sorted((values["beta_h"], values["beta_l"]))
+    flags = [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
+    steps = draw(st.integers(0, 3))
+    grid = f"--grid={draw(floats)!r}:{draw(floats)!r}:{steps}"
+    return ["sweep", f"--medium={medium}", f"--sweep={axis}", grid] + flags, steps
+
+
+class TestSweepFuzz:
+    """Every sweep input ends in a documented exit code; a written CSV has every grid point."""
+
+    @settings(
+        max_examples=1000,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_sweep_argv())
+    def test_documented_exit_code(self, case):
+        argv, steps = case
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / "out"
+            argv = argv + [f"--out={out_dir}", "--format=csv,json,svg"]
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+            assert code in (0, 1, 64), argv
+            assert "Traceback" not in stderr.getvalue()
+            if code == 0:
+                rows = (out_dir / "sweep.csv").read_text().splitlines()[1:]
+                assert len(rows) == steps, argv
+                assert all(math.isfinite(float(row.split(",")[0])) for row in rows), argv
