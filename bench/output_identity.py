@@ -21,11 +21,13 @@ routes that changed.  The row holds the old and new residual, the relative
 distance of the old and new closed-form value to an mpmath evaluation of the
 same closed form (every theta series summed term by term in 256-bit fixed
 point, no theta identity), the same distances for the old and new ``eta``,
-and eps * kappa, the rounding error the assembly 1 - (A - B)/(C - D) admits.
-The oracle's 1 - Q_out/Q_in has that same form (Q_in = C - D, Q_out = A - B),
-so one eps * kappa serves both routes.  Each route is summarized apart: how
-many of its changed rows moved closer to mpmath, and how many lie past
-eps * kappa before and after the change, with the rows that crossed it.
+and two bounds on the rounding error the assembly 1 - (A - B)/(C - D)
+admits: eps * kappa from the four sums' errors alone, and the same with the
+assembly's own division and subtraction counted (see ``grade``).  The
+oracle's 1 - Q_out/Q_in has that same form (Q_in = C - D, Q_out = A - B), so
+one pair of bounds serves both routes.  Each route is summarized apart: how
+many of its changed rows moved closer to mpmath, and how many lie past each
+bound before and after the change, with the rows that crossed it.
 Needs mpmath.
 """
 
@@ -262,7 +264,17 @@ def ratios(row) -> tuple:
 
 
 def grade(row, values) -> tuple:
-    """(relative distance of each efficiency value to mpmath, eps * kappa of the assembly)."""
+    """(relative distance of each efficiency value to mpmath, eps * kappa, eps * kappa_rounded).
+
+    With eta = 1 - rho and rho = (A - B)/(C - D), relative errors of eps in A,
+    B, C and D move eta by eps * kappa, where
+    kappa = |rho/eta| ((|A|+|B|)/|A-B| + (|C|+|D|)/|C-D|).  The assembly then
+    rounds twice more, each time by at most eps/2 relative: the division
+    moves rho, and so eta, by |rho/eta| eps/2, and the final subtraction moves
+    eta by eps/2.  kappa_rounded = kappa + (|rho/eta| + 1)/2 counts both; where
+    kappa < 1, kappa alone lies below one ulp of eta, so a correctly rounded
+    eta can exceed it.
+    """
     import mpmath
 
     with mpmath.workdps(40):
@@ -270,8 +282,9 @@ def grade(row, values) -> tuple:
         rho = (a - b) / (c - d)
         exact = 1 - rho
         kappa = abs(rho / exact) * ((abs(a) + abs(b)) / abs(a - b) + (abs(c) + abs(d)) / abs(c - d))
+        rounded = kappa + (abs(rho / exact) + 1) / 2
         distances = [float(abs((mpmath.mpf(v) - exact) / exact)) for v in values]
-        return distances, float(kappa) * 2.0**-52
+        return distances, float(kappa) * 2.0**-52, float(rounded) * 2.0**-52
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +295,11 @@ WORKER = "--worker"
 FIELDS = (
     "workload", "medium", "beta_h", "beta_l", "control_hot", "control_cold", "moved",
     "residual_old", "residual_new", "mpmath_distance_old", "mpmath_distance_new",
-    "eta_distance_old", "eta_distance_new", "eps_kappa",
+    "eta_distance_old", "eta_distance_new", "eps_kappa", "eps_kappa_rounded",
 )
+# The two bounds each route is counted against: the sums' errors alone, and
+# those plus the assembly's own roundings (see ``grade``).
+BOUNDS = (("eps kappa", "eps_kappa"), ("eps kappa_rounded", "eps_kappa_rounded"))
 # Each route's CSV columns: its old and new distance to mpmath.
 ROUTES = (
     ("closed_form", "value", "mpmath_distance_old", "mpmath_distance_new"),
@@ -326,7 +342,7 @@ def main(argv=None) -> int:
             if not moved:
                 continue
             values = [r[key] for _, key, _, _ in ROUTES for r in (r_old, r_new)]
-            distances, eps_kappa = grade(r_old, values)
+            distances, eps_kappa, eps_kappa_rounded = grade(r_old, values)
             row = {
                 "workload": old["tag"], "medium": r_old["medium"],
                 "beta_h": repr(r_old["beta_h"]), "beta_l": repr(r_old["beta_l"]),
@@ -335,6 +351,7 @@ def main(argv=None) -> int:
                 "residual_old": f"{abs(r_old['value'] - r_old['eta']) / abs(r_old['eta']):.3e}",
                 "residual_new": f"{abs(r_new['value'] - r_new['eta']) / abs(r_new['eta']):.3e}",
                 "eps_kappa": f"{eps_kappa:.3e}",
+                "eps_kappa_rounded": f"{eps_kappa_rounded:.3e}",
                 **{column: f"{d:.3e}" for column, d in zip(DISTANCES, distances)},
             }
             rows.append(row)
@@ -366,12 +383,13 @@ def main(argv=None) -> int:
                       f"sum {sum(values):.3e}")
         worst = max((float(r[key_new]) / float(r["eps_kappa"]) for r in away), default=0.0)
         print(f"  largest new distance / (eps kappa) among rows that moved further: {worst:.2f}")
-        # Past eps kappa before and after the change, over every row this route
-        # changed, and the rows that crossed the bound each way.
-        before = {id(r) for r in graded if float(r[key_old]) > float(r["eps_kappa"])}
-        after = {id(r) for r in graded if float(r[key_new]) > float(r["eps_kappa"])}
-        print(f"  past eps kappa: {len(before)} before, {len(after)} after; crossed outward "
-              f"{len(after - before)}, inward {len(before - after)}")
+        # Past each bound before and after the change, over every row this
+        # route changed, and the rows that crossed the bound each way.
+        for name, bound in BOUNDS:
+            before = {id(r) for r in graded if float(r[key_old]) > float(r[bound])}
+            after = {id(r) for r in graded if float(r[key_new]) > float(r[bound])}
+            print(f"  past {name}: {len(before)} before, {len(after)} after; crossed outward "
+                  f"{len(after - before)}, inward {len(before - after)}")
     return 0
 
 
