@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+from collections import ChainMap
 from pathlib import Path
 
 from . import __version__
@@ -123,6 +124,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_config_file(path: str) -> dict:
+    """The file's settings, each value typed as its key's flag would type it."""
     cfg = {}
     p = Path(path)
     if not p.is_file():
@@ -137,16 +139,28 @@ def _load_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _ALL_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key: {key}")
-        cfg[key] = value.strip()
+        value = value.strip()
+        convert = float if key in _FLOAT_KEYS else int if key in _INT_KEYS else str
+        try:
+            cfg[key] = convert(value)
+        except ValueError:
+            raise ConfigError(f"config value for {key} is not a number: {value!r}") from None
     return cfg
 
 
-class _RunConfig:
-    """Merged view of config file and flags; flags win."""
+def _require(mapping, key: str):
+    value = mapping.get(key)
+    if value is None:
+        raise ConfigError(f"missing required key: {key}")
+    return value
+
+
+class _RunConfig(ChainMap):
+    """The run's settings: the flags that were given, then the config file."""
 
     def __init__(self, args: argparse.Namespace):
-        self._file = _load_config_file(args.config) if getattr(args, "config", None) else {}
-        self._args = args
+        given = {key: value for key, value in vars(args).items() if value is not None}
+        super().__init__(given, _load_config_file(args.config) if "config" in given else {})
         # The tolerances, the seed and the variant are checked once, here, so that
         # a bad one is a configuration error on every command before any work starts.
         rel_tol, tail_tol, seed = self.get("rel_tol"), self.get("tail_tol"), self.get("seed")
@@ -164,28 +178,6 @@ class _RunConfig:
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def get(self, key: str, default=None):
-        cli_val = getattr(self._args, key, None)
-        if cli_val is not None:
-            return cli_val
-        if key in self._file:
-            raw = self._file[key]
-            try:
-                if key in _FLOAT_KEYS:
-                    return float(raw)
-                if key in _INT_KEYS:
-                    return int(raw)
-            except ValueError:
-                raise ConfigError(f"config value for {key} is not a number: {raw!r}") from None
-            return raw
-        return default
-
-    def require(self, key: str):
-        value = self.get(key)
-        if value is None:
-            raise ConfigError(f"missing required key: {key}")
-        return value
-
 
 # A swept temperature stands in with the other bath's value, so the template
 # satisfies beta_h <= beta_l; rows that violate it are recorded per row.
@@ -193,27 +185,18 @@ _TEMPERATURE_PARTNERS = {"beta_h": "beta_l", "beta_l": "beta_h"}
 
 
 def _cycle_spec(cfg: _RunConfig, fallback: dict | None = None) -> OttoCycleSpec:
-    fallback = fallback or {}
-
-    def get(key: str, default=None):
-        value = cfg.get(key)
-        if value is None:
-            value = fallback.get(key)
-        return default if value is None else value
-
-    def req(key: str):
-        value = get(key)
-        if value is None:
-            raise ConfigError(f"missing required key: {key}")
-        return value
-
-    medium = req("medium")
+    settings = ChainMap(*cfg.maps, fallback or {})
+    medium = _require(settings, "medium")
     if medium not in MEDIA:
         raise ConfigError(f"medium must be one of {MEDIA}, got {medium!r}")
-    beta_h, beta_l = req("beta_h"), req("beta_l")
-    values = [req(p.name) if p.required else get(p.name, p.default) for p in MEDIUM[medium].params]
+    beta_h, beta_l = _require(settings, "beta_h"), _require(settings, "beta_l")
+    values = [
+        _require(settings, p.name) if p.required else settings.get(p.name, p.default)
+        for p in MEDIUM[medium].params
+    ]
+    tail_tol = settings.get("tail_tol", DEFAULT_TAIL_TOL)
     try:
-        return OttoCycleSpec._of(medium, beta_h, beta_l, get("tail_tol", DEFAULT_TAIL_TOL), *values)
+        return OttoCycleSpec._of(medium, beta_h, beta_l, tail_tol, *values)
     except AnyonOttoError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -266,10 +249,8 @@ def _parse_formats(cfg: _RunConfig) -> list:
 
 
 def _out_dir(cfg: _RunConfig, required: bool) -> Path | None:
-    out = cfg.get("out")
+    out = _require(cfg, "out") if required else cfg.get("out")
     if out is None:
-        if required:
-            raise ConfigError("missing required key: out")
         return None
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -310,9 +291,10 @@ def _cmd_cycle(args) -> int:
     spec = _cycle_spec(cfg)
     # A cycle writes csv and json.  svg, a sweep's plot, may stay in the list,
     # so that one config file serves every command, but cannot be all of it.
-    formats = _parse_formats(cfg) if cfg.get("out") is not None else []
+    formats = _parse_formats(cfg) if "out" in cfg else []
     if formats and not {"csv", "json"} & set(formats):
         raise ConfigError(f"cycle writes csv and json only, got format {','.join(formats)}")
+    out = _out_dir(cfg, required=False)
     try:
         report = run_cycle(spec)
     except DegenerateCycle as exc:
@@ -329,7 +311,6 @@ def _cmd_cycle(args) -> int:
         "residual": _closed_form_residual(spec, report.efficiency, cfg),
     }
     _print_record(record)
-    out = _out_dir(cfg, required=False)
     if out is not None and "json" in formats:
         payload = {k: getattr(spec, k) for k in ("beta_h", "beta_l", "control_hot", "control_cold")}
         payload.update(record, n_levels=len(report.labels))
@@ -462,9 +443,9 @@ def _sweep_svg(axis: str, records) -> str:
 
 def _cmd_sweep(args) -> int:
     cfg = _RunConfig(args)
-    axis = cfg.require("sweep")
-    grid = _parse_grid(cfg.require("grid"))
-    medium = cfg.require("medium")
+    axis = _require(cfg, "sweep")
+    grid = _parse_grid(_require(cfg, "grid"))
+    medium = _require(cfg, "medium")
     if medium not in MEDIA:
         raise ConfigError(f"medium must be one of {MEDIA}, got {medium!r}")
     if axis not in sweep_axes(medium):
@@ -473,24 +454,24 @@ def _cmd_sweep(args) -> int:
             f"choose one of {sweep_axes(medium)}"
         )
     if axis in _TEMPERATURE_PARTNERS:
-        fallback = {axis: cfg.require(_TEMPERATURE_PARTNERS[axis])}
+        fallback = {axis: _require(cfg, _TEMPERATURE_PARTNERS[axis])}
     else:
         fallback = {p.name: p.default for p in MEDIUM[medium].params if p.name == axis}
     template = _cycle_spec(cfg, fallback)
     out = _out_dir(cfg, required=True)
     formats = _parse_formats(cfg)
 
-    # One row loop with sweep_efficiency; the closed forms get a memo of their
-    # own, so the theta factors of the unswept isochore are summed once.
-    closed_forms = _IsochoreMemo()
+    # One row loop with sweep_efficiency, and one memo for the rows' windows and
+    # closed forms, so the unswept isochore's bounds and theta factors come once.
+    reuse = _IsochoreMemo()
     records = []
     wall_times = []
     t0 = time.perf_counter()
-    for row in _sweep_rows(template, MEDIUM[medium].axis_fields[axis], grid):
+    for row in _sweep_rows(template, MEDIUM[medium].axis_fields[axis], grid, reuse):
         r = row.report
         values = (None,) * 6
         if r is not None:
-            residual = _closed_form_residual(row.spec, r.efficiency, cfg, closed_forms)
+            residual = _closed_form_residual(row.spec, r.efficiency, cfg, reuse)
             values = (r.efficiency, r.q_in, r.q_out, r.w_out, r.regime, residual)
         records.append(dict(zip(_SWEEP_KEYS, (row.value, *values, row.error))))
         t1 = time.perf_counter()
@@ -530,8 +511,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = _RunConfig(args)
     # A key the user leaves unset takes run_validation's own default.
-    given = {key: cfg.get(key) for key in ("rel_tol", "tail_tol", "seed", "variant")}
-    results = run_validation(**{key: value for key, value in given.items() if value is not None})
+    keys = ("rel_tol", "tail_tol", "seed", "variant")
+    results = run_validation(**{key: cfg[key] for key in keys if key in cfg})
     worst = None
     for res in results:
         status = "PASS" if res.passed else "FAIL"

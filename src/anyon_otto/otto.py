@@ -519,19 +519,17 @@ def sweep_efficiency(
             f"cannot sweep {sweep_axis!r} for medium {template.medium!r}; "
             f"choose one of {sweep_axes(template.medium)}"
         ) from None
-    return list(_sweep_rows(template, field, values))
+    return list(_sweep_rows(template, field, values, _IsochoreMemo()))
 
 
-def _sweep_rows(template: OttoCycleSpec, field: str, values: Sequence[float]):
+def _sweep_rows(template: OttoCycleSpec, field: str, values: Sequence[float], reuse):
     """Yield the SweepRow of each value in turn: the row loop of every sweep.
 
-    The rows share one ``_IsochoreMemo``, so a row whose isochore has the
-    (spectrum, beta, tail_tol) of one of the last two takes that window's
-    label bounds instead of searching it again.  The box and its energies
-    depend on both isochores and are built per row.  The memo lives as long
-    as this generator.
+    The rows share the sweep's ``_IsochoreMemo`` ``reuse``, so a row whose
+    isochore has the (spectrum, beta, tail_tol) of one of the last two takes
+    that window's label bounds instead of searching it again.  The box and
+    its energies depend on both isochores and are built per row.
     """
-    reuse = _IsochoreMemo()
     for value in values:
         cycle_spec = None
         try:

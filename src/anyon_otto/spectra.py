@@ -321,15 +321,12 @@ def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> tuple
         log_tail = beta * e_min + _logaddexp(
             _log_gauss_tail(lam, u_hi, 0.0, 0), _log_gauss_tail(lam, u_lo, 0.0, 0)
         )
-
-        # Downward closure: drop window levels above the lowest omitted energy
-        # and charge their weight to the tail bound.
-        e_floor = spec.eps0 * min((peak + K + 1 - gamma) ** 2, (peak - K - 1 - gamma) ** 2)
-        keep = energies <= e_floor
-        dropped = float(np.exp(-beta * (energies[~keep] - e_min)).sum())
-        tail = (_exp_round_up(log_tail) + dropped) * _CERT_SLACK
+        # The window is downward closed as it stands: its farthest level lies
+        # K + |gamma - peak| <= K + 1/2 from gamma, the nearest omitted one
+        # K + 1 - |gamma - peak| >= K + 1/2, and rounding keeps that order.
+        tail = _exp_round_up(log_tail) * _CERT_SLACK
         if tail <= tail_tol:
-            return (ns[keep],), require_finite_energies(energies[keep]), tail
+            return (ns,), require_finite_energies(energies), tail
         K *= 2
 
 
@@ -401,12 +398,13 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
     """Enumerate every level that matters at inverse temperature beta.
 
     The quantum-number window grows until the analytic bound on the omitted
-    ground-shifted Boltzmann weight drops below ``tail_tol``; the returned set
-    is then cut at an energy below every omitted level, so it is downward
-    closed in energy.  Levels come back energy-ascending, degeneracies as
-    separate labeled entries, equal energies in label order.  The closed
-    forms' oracles read this order; the cycle table takes only the window's
-    label bounds (``window_bounds``) and sorts nothing.
+    ground-shifted Boltzmann weight drops below ``tail_tol``.  The set is
+    downward closed in energy: the pair's window is cut at an energy below
+    every omitted level, and the ring's window needs no cut.  Levels come
+    back energy-ascending, degeneracies as separate labeled entries, equal
+    energies in label order.  The closed forms' oracles read this order; the
+    cycle table takes only the window's label bounds (``window_bounds``) and
+    sorts nothing.
 
     Both windows are built label-ascending (``np.arange`` for the ring,
     row-major pairs n1 <= n2 for the pair), so one stable sort by energy

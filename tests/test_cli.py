@@ -1010,3 +1010,100 @@ class TestSweepFuzz:
                 rows = (out_dir / "sweep.csv").read_text().splitlines()[1:]
                 assert len(rows) == steps, argv
                 assert all(math.isfinite(float(row.split(",")[0])) for row in rows), argv
+
+
+class TestConfigLoader:
+    """Each config-file error is exit 64 with its message and nothing on stdout."""
+
+    RING = TestToleranceConfig.RING
+
+    def run_file(self, capsys, path, argv):
+        return run_cli(["cycle", "--config", str(path)] + argv, capsys)
+
+    def test_missing_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.cfg"
+        code, out, err = self.run_file(capsys, path, self.RING)
+        assert (code, out, err) == (64, "", f"config error: config file not found: {path}\n")
+
+    def test_line_without_equals(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# header\nmedium ring  # no separator\n")
+        code, out, err = self.run_file(capsys, path, self.RING)
+        message = f"{path}:2: expected key=value, got 'medium ring  # no separator'"
+        assert (code, out, err) == (64, "", f"config error: {message}\n")
+
+    def test_unknown_key(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("medium = ring\nbogus-key = 1\n")
+        code, out, err = self.run_file(capsys, path, self.RING)
+        assert (code, out, err) == (64, "", f"config error: {path}:2: unknown key: bogus_key\n")
+
+    @pytest.mark.parametrize(
+        "text, key, raw",
+        [("alpha_l = 0.3\nalpha_h =  fast \n", "alpha_h", "fast"), ("seed = 1.5\n", "seed", "1.5")],
+        ids=["float-key", "int-key"],
+    )
+    def test_non_number_in_a_key_the_command_reads(self, capsys, tmp_path, text, key, raw):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        argv = ["--medium", "ring", "--beta-h", "0.5", "--beta-l", "2"]
+        code, out, err = self.run_file(capsys, path, argv)
+        message = f"config value for {key} is not a number: {raw!r}"
+        assert (code, out, err) == (64, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, argv, key, raw",
+        [
+            # cs-volume reads no eps0
+            ("eps0 = abc\n", ["--medium", "cs-volume", "--l1", "2", "--l2", "1"]
+             + ["--beta-h", "0.01", "--beta-l", "0.1"], "eps0", "abc"),
+            # the flag overrides the file's beta_h
+            ("beta_h = x\n", RING, "beta_h", "x"),
+        ],
+        ids=["unread-key", "overridden-key"],
+    )
+    def test_non_number_in_a_key_the_command_does_not_read(
+        self, capsys, tmp_path, text, argv, key, raw
+    ):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        code, out, err = self.run_file(capsys, path, argv)
+        message = f"config value for {key} is not a number: {raw!r}"
+        assert (code, out, err) == (64, "", f"config error: {message}\n")
+
+
+class TestOutputPath:
+    """An --out that cannot be made or written is exit 1 with the OS error, before any work."""
+
+    CYCLE = TestCycleCommand.RING
+    SWEEP = TestSweepCommand.BASE
+
+    @pytest.mark.parametrize("argv", [CYCLE, SWEEP], ids=["cycle", "sweep"])
+    def test_regular_file_as_out_exits_1_before_running(self, tmp_path, argv):
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "anyon_otto.cli"] + argv + ["--out", str(blocker)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: [Errno 17] File exists: '{blocker}'\n"
+
+    def test_sweep_write_error_exits_1(self, capsys, tmp_path):
+        (tmp_path / "sweep.csv").mkdir()
+        code, out, err = run_cli(self.SWEEP + ["--out", str(tmp_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write output: ")
+        assert "Traceback" not in err
+
+    def test_degenerate_cycle_leaves_an_empty_directory(self, capsys, tmp_path):
+        argv = ["cycle", "--medium", "ring", "--alpha-h", "0.2", "--alpha-l", "0.2"]
+        argv += ["--beta-h", "1", "--beta-l", "1", "--out", str(tmp_path / "out")]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 2
+        assert "regime = degenerate" in out
+        assert list((tmp_path / "out").iterdir()) == []

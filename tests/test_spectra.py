@@ -295,3 +295,45 @@ class TestWindowAndEnergyRange:
     def test_largest_finite_energies_pass(self):
         levels = enumerate_levels(CSPairSpectrum(1e-152, 0.5), 0.05, 1e-13)
         assert np.all(np.isfinite(levels.energies))
+
+
+class TestRingWindowNeedsNoCut:
+    """The ring keeps its whole window [p-K, p+K], p = round(alpha), uncut.
+
+    Its farthest level lies K + |alpha - p| <= K + 1/2 from alpha and the
+    nearest omitted one K + 1 - |alpha - p| >= K + 1/2, so the downward-closure
+    cut the pair window needs would drop nothing here.  Each draw re-applies
+    that cut to the returned levels.
+    """
+
+    @staticmethod
+    def draws(n, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            eps0, beta, tail_tol = 10.0 ** rng.uniform((-3, -7, -15), (3, 3, -1))
+            kind = rng.integers(4)
+            if kind == 0:
+                alpha = rng.uniform(-3.0, 3.0)
+            elif kind == 1:
+                alpha = float(rng.integers(-5, 6))
+            elif kind == 2:
+                alpha = rng.integers(-5, 6) + 0.5
+            else:
+                alpha = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 15.0)
+            yield float(eps0), float(alpha), float(beta), float(tail_tol)
+
+    def test_seeded_draws_keep_the_whole_window(self):
+        kept = 0
+        for eps0, alpha, beta, tail_tol in self.draws(2000, seed=20261019):
+            spec = RingAnyonSpectrum(eps0, alpha)
+            try:
+                levels = enumerate_levels(spec, beta, tail_tol)
+            except NoConvergence:  # a window past the cap
+                continue
+            ns = np.sort(levels.labels)
+            p, K = int(round(alpha)), (len(ns) - 1) // 2
+            assert np.array_equal(ns, np.arange(p - K, p + K + 1))
+            e_floor = eps0 * min((p + K + 1 - alpha) ** 2, (p - K - 1 - alpha) ** 2)
+            assert (levels.energies <= e_floor).all()
+            kept += 1
+        assert kept >= 1990
