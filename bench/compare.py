@@ -45,7 +45,8 @@ def workload_arg(text: str) -> tuple:
 
 def tree_sha256(root: Path, sub: str) -> str:
     digest = hashlib.sha256()
-    for file in sorted(p for p in (root / sub).rglob("*") if p.is_file() and "__pycache__" not in p.parts):
+    files = (p for p in (root / sub).rglob("*") if p.is_file() and "__pycache__" not in p.parts)
+    for file in sorted(files):
         digest.update(file.relative_to(root).as_posix().encode() + b"\0")
         digest.update(file.read_bytes())
     return digest.hexdigest()
@@ -53,9 +54,10 @@ def tree_sha256(root: Path, sub: str) -> str:
 
 def checkout_record(path: Path) -> dict:
     """The checkout's git commit, whether its sources differ from it, and content hashes."""
-    head = subprocess.run(["git", "-C", str(path), "rev-parse", "HEAD"], capture_output=True, text=True)
+    git = ["git", "-C", str(path)]
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
     dirty = subprocess.run(
-        ["git", "-C", str(path), "status", "--porcelain", "--", "src"], capture_output=True, text=True
+        git + ["status", "--porcelain", "--", "src"], capture_output=True, text=True
     )
     in_git = head.returncode == 0
     return {
@@ -73,7 +75,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     ]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+        command = " ".join(argv)
+        raise RuntimeError(f"{command} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 

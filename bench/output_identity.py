@@ -50,10 +50,12 @@ from pathlib import Path
 
 README = [
     "cycle --medium cs-volume --l1 2 --l2 1 --beta-h 0.01 --beta-l 0.1",
-    "cycle --medium ring --alpha-h 0.1 --alpha-l 0.3 --beta-h 0.5 --beta-l 25 --out OUT --format csv,json",
+    "cycle --medium ring --alpha-h 0.1 --alpha-l 0.3 --beta-h 0.5 --beta-l 25"
+    " --out OUT --format csv,json",
     "sweep --medium cs-coupling --alpha1 0 --beta-h 0.05 --beta-l 0.1 --sweep alpha2 --grid 0:1:11"
     " --out OUT --format csv,json,svg",
-    "sweep --medium ring --alpha-h 0.1 --alpha-l 0.3 --beta-l 5 --sweep beta_h --grid 0.1:1:3 --out OUT",
+    "sweep --medium ring --alpha-h 0.1 --alpha-l 0.3 --beta-l 5 --sweep beta_h --grid 0.1:1:3"
+    " --out OUT",
     "validate",
     "validate --variant paper-main-text",
     "validate --variant paper-appendix",
@@ -227,7 +229,12 @@ def ratios(row) -> tuple:
             return gauss(b * eps0, a, 0, False, False)
 
         zh, zl = z(hot, bh), z(cold, bl)
-        return u(cold, hot, bh) / zh, u(cold, cold, bl) / zl, u(hot, hot, bh) / zh, u(hot, cold, bl) / zl
+        return (
+            u(cold, hot, bh) / zh,
+            u(cold, cold, bl) / zl,
+            u(hot, hot, bh) / zh,
+            u(hot, cold, bl) / zl,
+        )
 
     # The pair media: each isochore's level unit pi^2/L^2 and coupling alpha.
     if row["medium"] == "cs-volume":

@@ -20,6 +20,13 @@ ring, shape (N, 2) of (n1, n2) rows for the pair.  ``window_bounds`` runs the
 same certified search but returns only each quantum number's label range,
 and ``label_box`` joins two such ranges into the label box the Otto cycle
 table sums over.
+
+The ring's search evaluates its O(K) window of n.  The pair's window holds
+O(K^2) levels, and its search evaluates none of them in bulk: the levels it
+keeps are the lattice points of a disk, so the ground energy, the label
+bounds and the weight the disk's edge drops follow from a few labels and
+O(K) row tails.  ``enumerate_levels`` then evaluates the pair energies only
+on the disk's label box.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ __all__ = [
 # Safety inflation applied to tail certificates to absorb floating-point
 # rounding in their own evaluation.
 _CERT_SLACK = 1.0 + 1e-9
+_EPS = np.finfo(float).eps
 
 _RING_WINDOW_CAP = 1_000_000
 _CS_WINDOW_CAP = 1_500
@@ -330,10 +338,112 @@ def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> tuple
         K *= 2
 
 
-def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> tuple:
-    """The pair's window search: ((n1, n2), energies, tail bound) of the levels it keeps.
+def _pair_ground(spec: CSPairSpectrum) -> float:
+    """The least pair energy, from the at most 4 labels nearest (-alpha/2, alpha/2).
 
-    The kept levels come in row-major order, so label-ascending.
+    nan if one of them is nan: a window holds a nan energy exactly when its
+    unit terms overflow, and then these labels hold one too.
+    """
+    m1, m2 = math.floor(-0.5 * spec.alpha), math.floor(0.5 * spec.alpha)
+    lows = [spec.energy(i, j) for i in (m1, m1 + 1) for j in (m2, m2 + 1) if i <= j]
+    return math.nan if any(map(math.isnan, lows)) else min(lows)
+
+
+def _cut_bounds(spec: CSPairSpectrum, unit: float, K: int, e_floor: float) -> tuple:
+    """((n1_lo, n1_hi), (n2_lo, n2_hi)) of the window's levels at or below ``e_floor``.
+
+    Row n1's lowest level lies at n2 = max(n1, nearest(alpha/2)), so the
+    rows that keep a level form an interval; each end is walked to from the
+    disk's analytic edge, deciding every step on ``spec.energy``'s doubles.
+    E(n1, n2) = E(-n2, -n1) bit for bit, so the columns mirror the rows.
+    """
+    if e_floor == math.inf:  # the cut keeps the whole window, whose highest level is (K, K)
+        require_finite_energies(np.array([spec.energy(K, K)]))
+        return (-K, K), (-K, K)
+    half = 0.5 * spec.alpha
+    c = math.floor(half)  # a row n1 <= c has its lowest level at n2 = c or c + 1
+
+    def row_kept(n1: int) -> bool:
+        return min(spec.energy(n1, max(c, n1)), spec.energy(n1, max(c + 1, n1))) <= e_floor
+
+    rho2 = e_floor / (2.0 * unit)  # the disk's squared radius in (n1, n2)
+    y0 = min(half - c, c + 1 - half)
+    reach = math.sqrt(max(rho2 - y0 * y0, 0.0))
+    lo = min(max(math.ceil(-half - reach), -K), K)
+    while lo > -K and row_kept(lo - 1):
+        lo -= 1
+    while lo < K and not row_kept(lo):
+        lo += 1
+    hi = math.floor(-half + reach)
+    if hi > c:  # past c the lowest level is the diagonal's, 2 unit (2 n1^2 + alpha^2/2)
+        hi = max(c, math.floor(math.sqrt(max(0.5 * rho2 - half * half, 0.0))))
+    hi = min(max(hi, lo), K)
+    while hi < K and row_kept(hi + 1):
+        hi += 1
+    while hi > lo and not row_kept(hi):
+        hi -= 1
+    return (lo, hi), (-hi, -lo)
+
+
+def _cut_weight(beta, unit, alpha, K, e_min, e_floor, target) -> float:
+    """An upper bound on the ground-shifted weight the cut drops from the window, or inf.
+
+    The window's level count times the weight at the cut, O(1); where that
+    is above ``target``, the smaller of it and the row tails' O(K) bound.
+    """
+    gap = e_floor - e_min
+    if not gap > 0.0:  # nan, or the cut drops the ground level (weight 1)
+        return math.inf
+    bound = math.exp(math.log((2 * K + 1) * (K + 1)) - beta * gap)
+    if bound <= target:
+        return bound
+    return min(bound, _row_tails(beta, unit, alpha, K, e_min, e_floor))
+
+
+def _row_tails(beta, unit, alpha, K, e_min, e_floor) -> float:
+    """An upper bound on the weight the cut drops, summed over the window's rows n1.
+
+    With x = n1 + alpha/2 and y = n2 - alpha/2, the cut keeps |y| <= r in a
+    row, r^2 = rho^2 - x^2, so the row drops at most two one-sided lattice
+    Gaussian tails: y from the first label past r up to n2 = K, and y from
+    the first label below -r down to n2 = n1.  Where the cut keeps none of
+    the row, the two tails split it at y = 0.  rho^2 is lowered to cover the
+    energies' rounding, so no label the doubles drop lies within r.
+    """
+    lam2 = 2.0 * beta * unit  # the decay rate in x and y
+    half = 0.5 * alpha
+    rho2 = e_floor / (2.0 * unit) - 64.0 * _EPS * (alpha + 2.0 * K + 1.0) ** 2
+    n1 = np.arange(-K, K + 1)
+    x2 = (n1 + half) ** 2
+    cut = rho2 > x2
+    r = np.sqrt(np.where(cut, rho2 - x2, 0.0))
+    first_up = np.maximum(np.where(cut, np.floor(half + r) + 1.0, math.ceil(half)), n1)
+    last_down = np.where(cut, np.ceil(half - r), math.ceil(half)) - 1.0
+    log_rows = beta * e_min - lam2 * x2
+    rows = 0.0
+    with np.errstate(over="ignore"):
+        for y, empty in ((first_up - half, first_up > K), (half - last_down, last_down < n1)):
+            # sum_{j >= 0} exp(-lam2 (y + j)^2) over y >= 0, as a geometric series
+            # in exp(-lam2 (2y + 1)), or as its first term plus the integral
+            # bound on erfc (Abramowitz and Stegun 7.1.13).
+            ly = lam2 * y
+            series = np.minimum(
+                1.0 / -np.expm1(-(2.0 * ly + lam2)),
+                1.0 + 1.0 / (ly + np.sqrt(ly * ly + lam2 * (4.0 / math.pi))),
+            )
+            rows = rows + np.where(empty, 0.0, np.exp(log_rows - ly * y) * series)
+    return float(rows.sum())
+
+
+def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> tuple:
+    """The pair's window search: (label bounds, energy cut, tail bound) of the levels it keeps.
+
+    The window holds the pairs n1 <= n2 with |n1|, |n2| <= K, and keeps
+    those at or below the cut e_floor.  As E = 2 unit [(n1 + alpha/2)^2 +
+    (n2 - alpha/2)^2], they are the lattice points of a disk about
+    (-alpha/2, alpha/2).  No step evaluates the window level by level: the
+    ground energy, the label bounds and the dropped weight come from a few
+    labels and O(K) row tails.
     """
     unit = math.pi**2 / spec.L**2
     lam = beta * unit  # decay rate in (m, n) coordinates
@@ -344,6 +454,7 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> tuple:
     K = 3 + int(math.ceil(alpha / 2.0))
     if K <= _CS_WINDOW_CAP:  # else alpha alone is past the cap, and alpha**2 may overflow
         K = max(K, _first_half_width(lam, alpha**2, 1.0, tail_tol, _CS_WINDOW_CAP))
+        e_min = _pair_ground(spec)  # the same in every window
     while True:
         if K > _CS_WINDOW_CAP:
             raise NoConvergence(
@@ -353,10 +464,6 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> tuple:
         inv_sqrt_lam = 1.0 / math.sqrt(lam)
         # Bound on a full or half lattice Gaussian sum with peak weight <= 1.
         log_lattice = math.log(2.0 + math.sqrt(math.pi / lam))
-        window = np.arange(-K, K + 1)
-        n1, n2 = _upper_pairs(window, window)
-        energies = spec.energies(n1, n2)
-        e_min = float(energies.min())
 
         if (K - alpha) < inv_sqrt_lam or K < inv_sqrt_lam:
             K *= 2
@@ -367,31 +474,40 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> tuple:
         log_tail_m = math.log(2.0) + _log_gauss_tail(lam, float(K), 0.0, 0) + log_lattice
         log_tail_n = _log_gauss_tail(lam, float(K - alpha), 0.0, 0) + log_lattice
         log_tail = beta * e_min + _logaddexp(log_tail_m, log_tail_n)
+        outside = _exp_round_up(log_tail)
 
         e_floor = unit * min((K + 1.0) ** 2 + mu_n, (K + 1.0 - alpha) ** 2)
-        keep = energies <= e_floor
-        dropped = float(np.exp(-beta * (energies[~keep] - e_min)).sum())
-        tail = (_exp_round_up(log_tail) + dropped) * _CERT_SLACK
+        if e_floor == math.inf and not math.isnan(e_min):
+            dropped = 0.0  # no energy lies above the cut, and none is nan
+        else:
+            target = tail_tol / _CERT_SLACK - outside
+            dropped = _cut_weight(beta, unit, alpha, K, e_min, e_floor, target)
+        tail = (outside + dropped) * _CERT_SLACK
         if tail <= tail_tol:
-            return (n1[keep], n2[keep]), require_finite_energies(energies[keep]), tail
+            return _cut_bounds(spec, unit, K, e_floor), e_floor, tail
         K *= 2
 
 
-def _kept_levels(spec, beta: float, tail_tol: float) -> tuple:
-    """The checks of ``enumerate_levels``, then the window search of ``spec``'s family.
+def _cs_cut_levels(spec: CSPairSpectrum, bounds: tuple, e_floor: float) -> tuple:
+    """((n1, n2), energies) of the levels at or below ``e_floor`` in the label box ``bounds``.
 
-    Returns (label columns, energies, tail bound) of the kept levels,
-    label-ascending.
+    Row-major over the box, so in the order the whole window would give them.
     """
+    (lo1, hi1), (lo2, hi2) = bounds
+    n1, n2 = _upper_pairs(np.arange(lo1, hi1 + 1), np.arange(lo2, hi2 + 1))
+    energies = spec.energies(n1, n2)
+    keep = energies <= e_floor
+    return (n1[keep], n2[keep]), energies[keep]
+
+
+def _require_search_inputs(spec, beta: float, tail_tol: float) -> None:
+    """The checks of ``enumerate_levels`` and ``window_bounds``, in order."""
     require_finite(beta=beta, tail_tol=tail_tol)
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     require_tail_tol(tail_tol)
-    if isinstance(spec, RingAnyonSpectrum):
-        return _ring_levels(spec, beta, tail_tol)
-    if isinstance(spec, CSPairSpectrum):
-        return _cs_levels(spec, beta, tail_tol)
-    raise DomainError(f"unsupported spectrum type: {type(spec).__name__}")
+    if not isinstance(spec, (RingAnyonSpectrum, CSPairSpectrum)):
+        raise DomainError(f"unsupported spectrum type: {type(spec).__name__}")
 
 
 def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
@@ -406,15 +522,21 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
     cycle table takes only the window's label bounds (``window_bounds``) and
     sorts nothing.
 
-    Both windows are built label-ascending (``np.arange`` for the ring,
-    row-major pairs n1 <= n2 for the pair), so one stable sort by energy
+    The ring's window is its ``np.arange`` of n.  The pair's levels are
+    evaluated only on the label box its search returns, row-major pairs
+    n1 <= n2 cut at the search's energy: the set and order the whole window
+    would give.  Both are label-ascending, so one stable sort by energy
     gives that order with no sort key for the labels.  Raises NoConvergence
     when the window would pass its cap, and DomainError when a kept energy is
     not a finite double.
     """
-    columns, energies, tail = _kept_levels(spec, beta, tail_tol)
-    labels = _column_labels(columns)
-    return _sorted_level_set(labels, energies, tail, beta)
+    _require_search_inputs(spec, beta, tail_tol)
+    if isinstance(spec, RingAnyonSpectrum):
+        columns, energies, tail = _ring_levels(spec, beta, tail_tol)
+    else:
+        bounds, e_floor, tail = _cs_levels(spec, beta, tail_tol)
+        columns, energies = _cs_cut_levels(spec, bounds, e_floor)
+    return _sorted_level_set(_column_labels(columns), energies, tail, beta)
 
 
 def window_bounds(spec, beta: float, tail_tol: float) -> tuple:
@@ -422,7 +544,11 @@ def window_bounds(spec, beta: float, tail_tol: float) -> tuple:
 
     ((n_lo, n_hi),) for the ring, ((n1_lo, n1_hi), (n2_lo, n2_hi)) for the
     pair, from the same window search, checks and errors, without building
-    or sorting a level set.
+    or sorting a level set.  The pair's search returns its bounds directly
+    and evaluates no level beyond a few per row it walks.
     """
-    columns, _, _ = _kept_levels(spec, beta, tail_tol)
-    return tuple((int(c.min()), int(c.max())) for c in columns)
+    _require_search_inputs(spec, beta, tail_tol)
+    if isinstance(spec, CSPairSpectrum):
+        return _cs_levels(spec, beta, tail_tol)[0]
+    (ns,), _, _ = _ring_levels(spec, beta, tail_tol)
+    return ((int(ns[0]), int(ns[-1])),)

@@ -554,7 +554,8 @@ class TestSweepCommand:
     ):
         out_dir = tmp_path / axis
         argv = ["sweep", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"] + fixed
-        code, _, _ = run_cli(argv + ["--sweep", axis, "--grid", grid, "--out", str(out_dir)], capsys)
+        argv += ["--sweep", axis, "--grid", grid, "--out", str(out_dir)]
+        code, _, _ = run_cli(argv, capsys)
         assert code == 0
         lines = (out_dir / "sweep.csv").read_text().strip().split("\n")
         assert lines[0].startswith(f"{axis},")
@@ -824,7 +825,8 @@ class TestRangeErrors:
         assert "nan" not in out
 
     def test_sweep_records_the_error_row(self, capsys, tmp_path):
-        argv = ["sweep"] + self.CS[1:] + ["--beta-h", "0.05", "--beta-l", "0.1", "--sweep", "length"]
+        argv = ["sweep"] + self.CS[1:] + ["--beta-h", "0.05", "--beta-l", "0.1"]
+        argv += ["--sweep", "length"]
         argv += ["--grid", "1:1e154:2", "--out", str(tmp_path)]
         with np.errstate(over="ignore", invalid="ignore"):
             code, _, _ = run_cli(argv, capsys)

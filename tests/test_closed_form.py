@@ -354,7 +354,8 @@ class TestEfficiencyReportIsValuePlusOracle:
     def test_ring(self):
         rep = ring_efficiency_closed(0.1, 0.3, 0.5, 25.0)
         assert rep.value == ring_efficiency_value(0.1, 0.3, 0.5, 25.0)
-        assert rep.oracle_value == run_cycle(OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 25.0)).efficiency
+        oracle = run_cycle(OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 25.0))
+        assert rep.oracle_value == oracle.efficiency
 
     def test_cs_coupling(self):
         rep = cs_efficiency_closed(0.2, 0.7, 0.05, 0.1)

@@ -489,7 +489,9 @@ class TestPoissonDual:
         rep = _dual(lam, gamma, weight)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            direct = sf._lattice_sum(lam, gamma, 0.0, weight, False, DEFAULT_ACCURACY, lam * gamma**2)
+            direct = sf._lattice_sum(
+                lam, gamma, 0.0, weight, False, DEFAULT_ACCURACY, lam * gamma**2
+            )
         if side > 0:
             assert rep == direct  # at and above the switch the series is summed directly
         else:

@@ -15,6 +15,7 @@ from anyon_otto.spectra import (
     enumerate_levels,
     pair_length_in_range,
     pauli_energy,
+    window_bounds,
 )
 
 PI2 = math.pi**2
@@ -274,9 +275,10 @@ class TestWindowAndEnergyRange:
             (RingAnyonSpectrum(1.0, 0.1), 1e-300, "ring window exceeded 1000000 levels"),
         ],
     )
-    def test_window_past_cap_raises_no_convergence(self, spec, beta, message):
+    @pytest.mark.parametrize("search", [enumerate_levels, window_bounds])
+    def test_window_past_cap_raises_no_convergence(self, spec, beta, message, search):
         with pytest.raises(NoConvergence, match=message):
-            enumerate_levels(spec, beta, 1e-13)
+            search(spec, beta, 1e-13)
 
     @pytest.mark.parametrize(
         "spec, beta",
@@ -285,10 +287,12 @@ class TestWindowAndEnergyRange:
             (RingAnyonSpectrum(1e308, 0.1), 1e-300),
         ],
     )
-    def test_infinite_energies_raise_domain_error(self, spec, beta):
+    @pytest.mark.parametrize("search", [enumerate_levels, window_bounds])
+    def test_infinite_energies_raise_domain_error(self, spec, beta, search):
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DomainError, match="leave the double range"):
-                enumerate_levels(spec, beta, 1e-13)
+            message = r"^level energies leave the double range \(largest inf\)$"
+            with pytest.raises(DomainError, match=message):
+                search(spec, beta, 1e-13)
             with pytest.raises(DomainError, match="leave the double range"):
                 thermo.gibbs(spec, beta, 1e-13)
 
