@@ -488,18 +488,6 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> tuple:
         K *= 2
 
 
-def _cs_cut_levels(spec: CSPairSpectrum, bounds: tuple, e_floor: float) -> tuple:
-    """((n1, n2), energies) of the levels at or below ``e_floor`` in the label box ``bounds``.
-
-    Row-major over the box, so in the order the whole window would give them.
-    """
-    (lo1, hi1), (lo2, hi2) = bounds
-    n1, n2 = _upper_pairs(np.arange(lo1, hi1 + 1), np.arange(lo2, hi2 + 1))
-    energies = spec.energies(n1, n2)
-    keep = energies <= e_floor
-    return (n1[keep], n2[keep]), energies[keep]
-
-
 def _require_search_inputs(spec, beta: float, tail_tol: float) -> None:
     """The checks of ``enumerate_levels`` and ``window_bounds``, in order."""
     require_finite(beta=beta, tail_tol=tail_tol)
@@ -535,7 +523,10 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
         columns, energies, tail = _ring_levels(spec, beta, tail_tol)
     else:
         bounds, e_floor, tail = _cs_levels(spec, beta, tail_tol)
-        columns, energies = _cs_cut_levels(spec, bounds, e_floor)
+        n1, n2 = _upper_pairs(*(np.arange(lo, hi + 1) for lo, hi in bounds))
+        energies = spec.energies(n1, n2)
+        keep = energies <= e_floor
+        columns, energies = (n1[keep], n2[keep]), energies[keep]
     return _sorted_level_set(_column_labels(columns), energies, tail, beta)
 
 

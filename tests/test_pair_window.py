@@ -106,7 +106,7 @@ def loose_specs(n, seed):
 
 
 def window_weights(spec, beta, K, e0):
-    """Every pair n1 <= n2 of the window |n1|, |n2| <= K: labels and exp(-beta (E - e0))."""
+    """Every pair n1 <= n2 of the window |n1|, |n2| <= K: energies E and exp(-beta (E - e0))."""
     n1, n2 = spectra._upper_pairs(np.arange(-K, K + 1), np.arange(-K, K + 1))
     energies = spec.energies(n1, n2)
     return energies, np.exp(-beta * (energies - e0))
