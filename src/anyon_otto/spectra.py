@@ -404,11 +404,12 @@ def _row_tails(beta, unit, alpha, K, e_min, e_floor) -> float:
     """An upper bound on the weight the cut drops, summed over the window's rows n1.
 
     With x = n1 + alpha/2 and y = n2 - alpha/2, the cut keeps |y| <= r in a
-    row, r^2 = rho^2 - x^2, so the row drops at most two one-sided lattice
-    Gaussian tails: y from the first label past r up to n2 = K, and y from
-    the first label below -r down to n2 = n1.  Where the cut keeps none of
-    the row, the two tails split it at y = 0.  rho^2 is lowered to cover the
-    energies' rounding, so no label the doubles drop lies within r.
+    row, r^2 = rho^2 - x^2.  The row drops at most the labels past r and
+    those below -r, each side bounded by a one-sided lattice Gaussian tail
+    from its first label in n1 <= n2 <= K, or by 0 where it has none.  Where
+    the cut keeps none of the row, the two sides split it at y = 0.  rho^2
+    is lowered to cover the energies' rounding, so no label the doubles drop
+    lies within r.
     """
     lam2 = 2.0 * beta * unit  # the decay rate in x and y
     half = 0.5 * alpha
