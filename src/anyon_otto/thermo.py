@@ -78,7 +78,9 @@ class GibbsEnsemble:
 def _ground_weights(energies: np.ndarray, beta: float) -> tuple:
     """(exp(-beta (E - E_min)), E_min): every Gibbs weight in this module, exponents in range."""
     e0 = energies.min()
-    return np.exp(-beta * (energies - e0)), e0
+    weights = energies - e0
+    weights *= -beta
+    return np.exp(weights, out=weights), e0
 
 
 def boltzmann(energies: np.ndarray, beta: float) -> tuple:
@@ -89,7 +91,8 @@ def boltzmann(energies: np.ndarray, beta: float) -> tuple:
     """
     weights, e0 = _ground_weights(energies, beta)
     z_shifted = float(weights.sum())
-    return weights / z_shifted, math.log(z_shifted) - beta * e0
+    weights /= z_shifted
+    return weights, math.log(z_shifted) - beta * e0
 
 
 # Elements per block in sum_of_products: 32 kB temporaries, which the

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -56,24 +56,28 @@ class FamilyResult:
         return self.n_errors == 0 and self.max_residual <= self.threshold
 
 
-def _family(name: str, variant: str, rel_tol: float, points) -> FamilyResult:
-    """Check one identity at each ``(point label, residual thunk)`` pair.
+def _family(name: str, variant: str, rel_tol: float, label: str, residual, grid) -> FamilyResult:
+    """Check one identity at each point of ``grid``, a sequence of argument tuples.
 
-    A thunk returns the point's relative residual; one that raises
-    ``AnyonOttoError`` is an error point, which makes the residual infinite
-    and names the point and the message as the worst.
+    ``residual(*args)`` returns the point's relative residual and
+    ``label.format(*args)`` names the point; a label is formatted only for the
+    point kept as the worst and for error points.  A residual that raises
+    ``AnyonOttoError`` marks an error point: the family's residual becomes
+    infinite, and the point and the message are named as the worst.
     """
-    max_residual, worst_point, n_points, n_errors = 0.0, "", 0, 0
-    for point, residual in points:
+    max_residual, worst_point, worst_args, n_points, n_errors = 0.0, "", None, 0, 0
+    for args in grid:
         n_points += 1
         try:
-            r = residual()
+            r = residual(*args)
         except AnyonOttoError as exc:
             n_errors += 1
-            max_residual, worst_point = math.inf, f"{point} ({exc})"
+            max_residual, worst_point, worst_args = math.inf, f"{label.format(*args)} ({exc})", None
             continue
         if r > max_residual:
-            max_residual, worst_point = r, point
+            max_residual, worst_args = r, args
+    if worst_args is not None:
+        worst_point = label.format(*worst_args)
     threshold = THRESHOLD_FACTORS[name] * rel_tol
     return FamilyResult(name, max_residual, threshold, worst_point, n_points, n_errors, variant)
 
@@ -92,16 +96,19 @@ def run_validation(
     qs = rng.uniform(0.01, 0.9, random_points)
 
     # --- theta identities -------------------------------------------------
-    def random_theta_points(residual):
-        for x, q in zip(xs, qs):
-            yield f"x={x:.6g}, q={q:.6g}", partial(residual, x, q)
+    # theta-symmetry keeps theta3(x, q) at each random point for theta-split.
+    # A call that raised is not kept, so theta-split calls again and records
+    # the point as an error too.
+    thetas = {}
 
     def symmetry(x, q):
-        t = theta3(x, q, acc)
+        t = thetas[x, q] = theta3(x, q, acc)
         return cf.relative_residual(theta3(1.0 / x, q, acc), t)
 
     def split(x, q):
-        t = theta3(x, q, acc)
+        t = thetas.pop((x, q), None)
+        if t is None:
+            t = theta3(x, q, acc)
         halves = partial_theta(x, q, acc) + partial_theta(1.0 / x, q, acc) - 1.0
         return cf.relative_residual(halves, t)
 
@@ -116,10 +123,6 @@ def run_validation(
             raise AnyonOttoError("not strictly increasing")
         return 0.0
 
-    def monotonic_points():
-        for q in np.linspace(0.02, 0.95, 60):
-            yield f"q={q:.6g}", partial(rises, float(q))
-
     def gauss_vs_theta(lam, gamma):
         direct = gauss_sum_full(lam, gamma, 0.0, 0, acc)
         closed = math.exp(-lam * gamma * gamma) * theta3(
@@ -127,90 +130,100 @@ def run_validation(
         )
         return cf.relative_residual(closed, direct)
 
-    def gauss_points():
-        for lam in (0.05, 0.2, 1.0, 5.0, 20.0):
-            for gamma in (-5.0, -1.7, 0.0, 0.4, 2.3, 5.0):
-                yield f"lam={lam:g}, gamma={gamma:g}", partial(gauss_vs_theta, lam, gamma)
-
     # --- closed forms against their oracles ---------------------------------
     def closed_form(form, *args):
-        return lambda: form(*args, variant=variant).rel_residual
+        return form(*args, variant=variant).rel_residual
 
-    def ring_partition_points():
-        for lam in (0.05, 0.2, 1.0, 5.0, 20.0):
-            for alpha in (0.0, 0.2, 0.5, 0.77, 1.0):
-                point = f"lam={lam:g}, alpha={alpha:g}"
-                yield point, closed_form(cf.ring_partition_closed, alpha, lam, 1.0, tail_tol, acc)
+    def ring_partition(lam, alpha):
+        return closed_form(cf.ring_partition_closed, alpha, lam, 1.0, tail_tol, acc)
 
-    def ring_energy_sum_points():
-        for lam in (0.1, 0.5, 2.0, 8.0):
-            for a_b in (0.0, 0.3, 0.7):
-                for a_w in (0.15, 0.5, 0.9):
-                    point = f"lam={lam:g}, boltz={a_b:g}, weight={a_w:g}"
-                    yield point, closed_form(cf.ring_weighted_energy_sum, a_w, a_b, lam, 1.0, acc)
+    def ring_energy_sum(lam, a_b, a_w):
+        return closed_form(cf.ring_weighted_energy_sum, a_w, a_b, lam, 1.0, acc)
 
-    def ring_efficiency_points():
-        for alpha_h in (0.05, 0.2, 0.35):
-            for alpha_l in (alpha_h + 0.15, alpha_h + 0.4):
-                for beta_h in (0.1, 0.5, 1.5):
-                    for mult in (4.0, 20.0):
-                        beta_l = beta_h * mult
-                        point = (
-                            f"alpha_h={alpha_h:g}, alpha_l={alpha_l:g}, "
-                            f"beta_h={beta_h:g}, beta_l={beta_l:g}"
-                        )
-                        args = (alpha_h, alpha_l, beta_h, beta_l, 1.0, tail_tol, acc)
-                        yield point, closed_form(cf.ring_efficiency_closed, *args)
+    def ring_efficiency(*point):
+        return closed_form(cf.ring_efficiency_closed, *point, 1.0, tail_tol, acc)
 
-    def cs_partition_points():
-        for c in (0.05, 0.2, 1.0, 5.0, 20.0):
-            beta = c / math.pi**2  # L = 1
-            for alpha in (0.0, 0.3, 0.5, 0.8, 1.0):
-                point = f"beta*pi^2/L^2={c:g}, alpha={alpha:g}"
-                yield point, closed_form(cf.cs_partition_closed, alpha, beta, 1.0, tail_tol, acc)
+    def cs_partition(c, alpha):
+        beta = c / math.pi**2  # L = 1
+        return closed_form(cf.cs_partition_closed, alpha, beta, 1.0, tail_tol, acc)
 
-    def cs_energy_sum_points():
-        for c in (0.2, 1.0, 5.0):
-            beta = c / math.pi**2
-            for a_b in (0.0, 0.5, 1.0):
-                for a_w in (0.0, 0.4, 1.0):
-                    point = f"beta*pi^2/L^2={c:g}, boltz={a_b:g}, weight={a_w:g}"
-                    args = (a_w, a_b, beta, 1.0, tail_tol, acc)
-                    yield point, closed_form(cf.cs_weighted_energy_sum, *args)
+    def cs_energy_sum(c, a_b, a_w):
+        beta = c / math.pi**2
+        return closed_form(cf.cs_weighted_energy_sum, a_w, a_b, beta, 1.0, tail_tol, acc)
 
-    def cs_efficiency_points():
-        for alpha1, alpha2 in ((0.0, 1.0), (0.0, 0.5), (0.2, 0.8), (0.5, 1.0)):
-            for beta_h, beta_l in ((0.05, 0.1), (0.02, 0.08), (0.1, 0.3)):
-                point = (
-                    f"alpha1={alpha1:g}, alpha2={alpha2:g}, beta_h={beta_h:g}, beta_l={beta_l:g}"
-                )
-                args = (alpha1, alpha2, beta_h, beta_l, 1.0, tail_tol, acc)
-                yield point, closed_form(cf.cs_efficiency_closed, *args)
+    def cs_efficiency(*point):
+        return closed_form(cf.cs_efficiency_closed, *point, 1.0, tail_tol, acc)
 
     # --- the volume cycle against its analytic efficiency --------------------
     def cs_volume(l1, l2, alpha):
         rep = run_cycle(OttoCycleSpec.cs_volume_cycle(l1, l2, alpha, 0.05, 0.2, tail_tol))
         return cf.relative_residual(rep.efficiency, efficiency_cs_volume(l1, l2))
 
-    def cs_volume_points():
-        for l1 in (1.0, 1.5, 2.0):
-            for ratio in (0.3, 0.6, 0.9):
-                l2 = l1 * ratio
-                for alpha in (0.0, 0.5):
-                    point = f"L1={l1:g}, L2={l2:g}, alpha={alpha:g}"
-                    yield point, partial(cs_volume, l1, l2, alpha)
-
+    ring_efficiency_grid = [
+        (alpha_h, alpha_l, beta_h, beta_h * mult)
+        for alpha_h in (0.05, 0.2, 0.35)
+        for alpha_l in (alpha_h + 0.15, alpha_h + 0.4)
+        for beta_h in (0.1, 0.5, 1.5)
+        for mult in (4.0, 20.0)
+    ]
+    cs_efficiency_grid = [
+        alphas + betas
+        for alphas in ((0.0, 1.0), (0.0, 0.5), (0.2, 0.8), (0.5, 1.0))
+        for betas in ((0.05, 0.1), (0.02, 0.08), (0.1, 0.3))
+    ]
+    cs_volume_grid = [
+        (l1, l1 * ratio, alpha)
+        for l1 in (1.0, 1.5, 2.0)
+        for ratio in (0.3, 0.6, 0.9)
+        for alpha in (0.0, 0.5)
+    ]
+    lams = (0.05, 0.2, 1.0, 5.0, 20.0)
+    theta_label = "x={:.6g}, q={:.6g}"
     rederived = cf.VARIANT_REDERIVED
     return [
-        _family("theta-symmetry", rederived, rel_tol, random_theta_points(symmetry)),
-        _family("theta-split", rederived, rel_tol, random_theta_points(split)),
-        _family("theta-monotonic", rederived, rel_tol, monotonic_points()),
-        _family("gauss-vs-theta", rederived, rel_tol, gauss_points()),
-        _family("ring-partition", variant, rel_tol, ring_partition_points()),
-        _family("ring-energy-sum", variant, rel_tol, ring_energy_sum_points()),
-        _family("ring-efficiency", variant, rel_tol, ring_efficiency_points()),
-        _family("cs-partition", variant, rel_tol, cs_partition_points()),
-        _family("cs-energy-sum", variant, rel_tol, cs_energy_sum_points()),
-        _family("cs-efficiency", variant, rel_tol, cs_efficiency_points()),
-        _family("cs-volume", rederived, rel_tol, cs_volume_points()),
+        _family(
+            "theta-symmetry", rederived, rel_tol, theta_label, symmetry,
+            zip(xs.tolist(), qs.tolist()),
+        ),
+        _family(
+            "theta-split", rederived, rel_tol, theta_label, split, zip(xs.tolist(), qs.tolist())
+        ),
+        _family(
+            "theta-monotonic", rederived, rel_tol, "q={:.6g}", rises,
+            [(q,) for q in np.linspace(0.02, 0.95, 60).tolist()],
+        ),
+        _family(
+            "gauss-vs-theta", rederived, rel_tol, "lam={:g}, gamma={:g}", gauss_vs_theta,
+            product(lams, (-5.0, -1.7, 0.0, 0.4, 2.3, 5.0)),
+        ),
+        _family(
+            "ring-partition", variant, rel_tol, "lam={:g}, alpha={:g}", ring_partition,
+            product(lams, (0.0, 0.2, 0.5, 0.77, 1.0)),
+        ),
+        _family(
+            "ring-energy-sum", variant, rel_tol, "lam={:g}, boltz={:g}, weight={:g}",
+            ring_energy_sum, product((0.1, 0.5, 2.0, 8.0), (0.0, 0.3, 0.7), (0.15, 0.5, 0.9)),
+        ),
+        _family(
+            "ring-efficiency", variant, rel_tol,
+            "alpha_h={:g}, alpha_l={:g}, beta_h={:g}, beta_l={:g}",
+            ring_efficiency, ring_efficiency_grid,
+        ),
+        _family(
+            "cs-partition", variant, rel_tol, "beta*pi^2/L^2={:g}, alpha={:g}", cs_partition,
+            product(lams, (0.0, 0.3, 0.5, 0.8, 1.0)),
+        ),
+        _family(
+            "cs-energy-sum", variant, rel_tol, "beta*pi^2/L^2={:g}, boltz={:g}, weight={:g}",
+            cs_energy_sum, product((0.2, 1.0, 5.0), (0.0, 0.5, 1.0), (0.0, 0.4, 1.0)),
+        ),
+        _family(
+            "cs-efficiency", variant, rel_tol,
+            "alpha1={:g}, alpha2={:g}, beta_h={:g}, beta_l={:g}",
+            cs_efficiency, cs_efficiency_grid,
+        ),
+        _family(
+            "cs-volume", rederived, rel_tol, "L1={:g}, L2={:g}, alpha={:g}", cs_volume,
+            cs_volume_grid,
+        ),
     ]

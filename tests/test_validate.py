@@ -1,12 +1,15 @@
 """Validation families: names, order, grids, thresholds and error points."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from anyon_otto import closed_form as cf
 from anyon_otto import validate
 from anyon_otto.errors import NoConvergence
+from anyon_otto.special_functions import DEFAULT_ACCURACY, SumAccuracy, partial_theta, theta3
 from anyon_otto.validate import run_validation
 
 # (name, threshold at rel_tol 1e-12, n_points), in the order validate prints them
@@ -101,3 +104,72 @@ def test_flat_theta_fails_monotonic_at_every_later_point(monkeypatch):
     fam = _by_name(run_validation(random_points=10))["theta-monotonic"]
     assert (fam.n_points, fam.n_errors, fam.max_residual) == (60, 59, math.inf)
     assert fam.worst_point == "q=0.95 (not strictly increasing)"
+
+
+def _random_grid(seed, n):
+    """The (x, q) points of the two random theta families, as numpy scalars."""
+    rng = np.random.default_rng(seed)
+    xs = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+    qs = rng.uniform(0.01, 0.9, n)
+    return list(zip(xs, qs))
+
+
+def test_random_theta3_is_evaluated_once_and_errors_are_not_kept(monkeypatch):
+    grid = [(float(x), float(q)) for x, q in _random_grid(0, 10)]
+    failing = grid[3]
+    calls = Counter()
+    real = validate.theta3
+
+    def counted(x, q, acc):
+        calls[x, q] += 1
+        return real(x, q, acc)
+
+    monkeypatch.setattr(validate, "theta3", counted)
+    clean = _by_name(run_validation(random_points=10))
+    assert [calls[point] for point in grid] == [1] * 10
+    assert clean["theta-symmetry"].n_errors == clean["theta-split"].n_errors == 0
+
+    def stalls_at_one_point(x, q, acc):
+        if (x, q) == failing:
+            calls[x, q] += 1
+            raise NoConvergence("series stalled")
+        return counted(x, q, acc)
+
+    calls.clear()
+    monkeypatch.setattr(validate, "theta3", stalls_at_one_point)
+    results = _by_name(run_validation(random_points=10))
+    # a call that raised is not kept: theta-split tries the point again
+    assert [calls[point] for point in grid] == [1, 1, 1, 2, 1, 1, 1, 1, 1, 1]
+    x, q = failing
+    for name in ("theta-symmetry", "theta-split"):
+        fam = results[name]
+        assert (fam.n_points, fam.n_errors, fam.max_residual) == (10, 1, math.inf)
+        assert fam.worst_point == f"x={x:.6g}, q={q:.6g} (series stalled)"
+    assert all(r.n_errors == 0 for name, r in results.items() if not name.startswith("theta-s"))
+
+
+def _worst(rows):
+    """(max residual, its label) over (residual, label) rows; the first wins a tie."""
+    max_residual, worst_point = 0.0, ""
+    for residual, label in rows:
+        if residual > max_residual:
+            max_residual, worst_point = residual, label
+    return max_residual, worst_point
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_theta_families_match_a_direct_recomputation(seed):
+    acc = SumAccuracy(rel_tol=DEFAULT_ACCURACY.rel_tol)
+    symmetry, split = [], []
+    for x, q in _random_grid(seed, 200):
+        label = f"x={x:.6g}, q={q:.6g}"
+        symmetry.append((cf.relative_residual(theta3(1.0 / x, q, acc), theta3(x, q, acc)), label))
+        halves = partial_theta(x, q, acc) + partial_theta(1.0 / x, q, acc) - 1.0
+        split.append((cf.relative_residual(halves, theta3(x, q, acc)), label))
+    results = _by_name(run_validation(seed=seed, random_points=200))
+    for name, rows in (("theta-symmetry", symmetry), ("theta-split", split)):
+        max_residual, worst_point = _worst(rows)
+        fam = results[name]
+        assert fam.max_residual.hex() == max_residual.hex()
+        assert fam.worst_point == worst_point
+        assert max_residual > 0.0
