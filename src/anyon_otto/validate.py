@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -96,17 +96,17 @@ def run_validation(
     qs = rng.uniform(0.01, 0.9, random_points)
 
     # --- theta identities -------------------------------------------------
-    # theta-symmetry keeps theta3(x, q) at each random point for theta-split.
-    # A call that raised is not kept, so theta-split calls again and records
-    # the point as an error too.
-    thetas = {}
+    # theta-symmetry keeps theta3(x, q) at random point i for theta-split.  A
+    # call that raised keeps None, so theta-split calls again and records the
+    # point as an error too.
+    thetas = [None] * random_points
 
-    def symmetry(x, q):
-        t = thetas[x, q] = theta3(x, q, acc)
+    def symmetry(i, x, q):
+        t = thetas[i] = theta3(x, q, acc)
         return cf.relative_residual(theta3(1.0 / x, q, acc), t)
 
-    def split(x, q):
-        t = thetas.pop((x, q), None)
+    def split(i, x, q):
+        t = thetas[i]
         if t is None:
             t = theta3(x, q, acc)
         halves = partial_theta(x, q, acc) + partial_theta(1.0 / x, q, acc) - 1.0
@@ -178,15 +178,16 @@ def run_validation(
         for alpha in (0.0, 0.5)
     ]
     lams = (0.05, 0.2, 1.0, 5.0, 20.0)
-    theta_label = "x={:.6g}, q={:.6g}"
+    theta_label = "x={1:.6g}, q={2:.6g}"
     rederived = cf.VARIANT_REDERIVED
     return [
         _family(
             "theta-symmetry", rederived, rel_tol, theta_label, symmetry,
-            zip(xs.tolist(), qs.tolist()),
+            zip(count(), xs.tolist(), qs.tolist()),
         ),
         _family(
-            "theta-split", rederived, rel_tol, theta_label, split, zip(xs.tolist(), qs.tolist())
+            "theta-split", rederived, rel_tol, theta_label, split,
+            zip(count(), xs.tolist(), qs.tolist()),
         ),
         _family(
             "theta-monotonic", rederived, rel_tol, "q={:.6g}", rises,
