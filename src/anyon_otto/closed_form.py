@@ -47,10 +47,16 @@ value c whose spectrum weights it.  U(c) comes from series triples
 
 So both weights of one isochore (alpha_h and alpha_l, or alpha1 and alpha2)
 share its triples, and the weighted sums ``*_weighted_energy_sum`` use the
-same U(c).  The private ``_ring_efficiency``/``_cs_efficiency`` take a
-``reuse(f, *args)`` through which each factor is obtained: a CLI sweep
-passes a memo, so the isochore its axis leaves alone is summed once per
-sweep.
+same U(c).  The pair's two theta3 factors and its full-lattice triples do not
+depend on alpha at all.
+
+The reports and the private ``_ring_efficiency``/``_cs_efficiency`` take a
+``reuse(f, *args)`` through which each per-isochore factor, each alpha-free
+pair factor, each cycle oracle's window searches and each pair energy sum's
+enumeration is obtained; the default, ``otto._call``, computes it.  A CLI
+sweep passes one ``otto._IsochoreMemo``, so the isochore its axis leaves
+alone is summed once per sweep and the alpha-free pair factors once per
+temperature; ``validate`` passes one for its whole run.
 """
 
 from __future__ import annotations
@@ -245,6 +251,7 @@ def ring_weighted_energy_sum(
     eps0: float = 1.0,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
+    reuse=_call,
 ) -> ClosedFormReport:
     """sum_n E_n(alpha_weight) exp(-beta E_n(alpha_boltz)) for ring levels.
 
@@ -252,7 +259,7 @@ def ring_weighted_energy_sum(
     gamma = alpha_boltz, c = alpha_weight; oracle by direct weighted
     summation (gauss_sum_full, weight 2).
     """
-    value = _ring_energy_sum(alpha_boltz, beta, eps0, acc, variant)(alpha_weight)
+    value = reuse(_ring_energy_sum, alpha_boltz, beta, eps0, acc, variant)(alpha_weight)
     oracle = eps0 * gauss_sum_full(beta * eps0, alpha_boltz, alpha_weight, 2, acc)
     return _report(value, oracle, variant)
 
@@ -278,6 +285,7 @@ def ring_partition_closed(
     tail_tol: float = DEFAULT_TAIL_TOL,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
+    reuse=_call,
 ) -> ClosedFormReport:
     """Ring partition function exp(-lam alpha^2) theta3(exp(2 lam alpha), exp(-lam)).
 
@@ -285,7 +293,7 @@ def ring_partition_closed(
     (no exponential, no factor 2) and fail the oracle; they also require
     alpha > 0 since theta3 needs a positive first argument.
     """
-    value = _ring_partition_value(alpha, beta, eps0, acc, variant)
+    value = reuse(_ring_partition_value, alpha, beta, eps0, acc, variant)
     oracle = partition_function(RingAnyonSpectrum(eps0=eps0, alpha=alpha), beta, tail_tol)
     return _report(value, oracle, variant)
 
@@ -346,11 +354,12 @@ def ring_efficiency_closed(
     tail_tol: float = DEFAULT_TAIL_TOL,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
+    reuse=_call,
 ) -> ClosedFormReport:
     """``ring_efficiency_value`` checked against its oracle, run_cycle."""
-    value = ring_efficiency_value(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant)
+    value = _ring_efficiency(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant, reuse)
     oracle = run_cycle(
-        OttoCycleSpec.ring_cycle(alpha_h, alpha_l, beta_h, beta_l, eps0, tail_tol)
+        OttoCycleSpec.ring_cycle(alpha_h, alpha_l, beta_h, beta_l, eps0, tail_tol), reuse
     ).efficiency
     return _report(value, oracle, variant)
 
@@ -366,12 +375,14 @@ def cs_partition_parity_terms(
     L: float,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
+    reuse=_call,
 ) -> tuple:
     """(even, odd) parity-sector terms of the pair partition function.
 
     Even sector: m = n1+n2 and n = n2-n1 both even; odd sector: both odd.
     Each term is a theta3 (center-of-mass) times partial_theta (relative)
-    product; the printed variants flip the sign of the relative shift.
+    product; the printed variants flip the sign of the relative shift.  The
+    two theta3 factors do not depend on alpha and come from ``reuse``.
     """
     sign = _check_variant(variant).pair_sign
     if not beta > 0.0:
@@ -380,12 +391,12 @@ def cs_partition_parity_terms(
     c = beta * math.pi**2 / (L * L)
     q4 = math.exp(-4.0 * c)
     shift = sign * alpha
-    even = math.exp(-c * alpha * alpha) * theta3(1.0, q4, acc) * partial_theta(
+    even = math.exp(-c * alpha * alpha) * reuse(theta3, 1.0, q4, acc) * partial_theta(
         _theta_arg(4.0 * c * shift), q4, acc
     )
     odd = (
         math.exp(-c * (1.0 + (1.0 - shift) ** 2))
-        * theta3(q4, q4, acc)
+        * reuse(theta3, q4, q4, acc)
         * partial_theta(_theta_arg(-4.0 * c * (1.0 - shift)), q4, acc)
     )
     return even, odd
@@ -398,12 +409,13 @@ def cs_partition_closed(
     tail_tol: float = DEFAULT_TAIL_TOL,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
+    reuse=_call,
 ) -> ClosedFormReport:
     """Pair partition function from the parity-split theta product form.
 
     Oracle: direct truncated summation over enumerated (n1, n2) levels.
     """
-    even, odd = cs_partition_parity_terms(alpha, beta, L, acc, variant)
+    even, odd = reuse(cs_partition_parity_terms, alpha, beta, L, acc, variant, reuse)
     value = even + odd
     oracle = partition_function(CSPairSpectrum(L=L, alpha=alpha), beta, tail_tol)
     return _report(value, oracle, variant)
@@ -417,6 +429,7 @@ def cs_weighted_energy_sum(
     tail_tol: float = DEFAULT_TAIL_TOL,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
+    reuse=_call,
 ) -> ClosedFormReport:
     """sum over n1 <= n2 of E(alpha_weight) exp(-beta E(alpha_boltz)).
 
@@ -428,19 +441,22 @@ def cs_weighted_energy_sum(
     so they always raise DomainError; they are kept only so validation can name them.
     Oracle: direct double sum over the enumerated level set.
     """
-    value = _cs_energy_sum(alpha_boltz, beta, L, acc, variant)(alpha_weight)
-    levels = enumerate_levels(CSPairSpectrum(L=L, alpha=alpha_boltz), beta, tail_tol)
+    value = reuse(_cs_energy_sum, alpha_boltz, beta, L, acc, variant, reuse)(alpha_weight)
+    levels = reuse(enumerate_levels, CSPairSpectrum(L=L, alpha=alpha_boltz), beta, tail_tol)
     weights = CSPairSpectrum(L=L, alpha=alpha_weight).energies(*levels.labels.T)
     oracle = float((weights * np.exp(-beta * levels.energies)).sum())
     return _report(value, oracle, variant)
 
 
-def _cs_energy_sum(alpha_boltz: float, beta: float, L: float, acc: SumAccuracy, variant: str):
+def _cs_energy_sum(
+    alpha_boltz: float, beta: float, L: float, acc: SumAccuracy, variant: str, reuse=_call
+):
     """c -> sum over n1 <= n2 of E(c) exp(-beta E(alpha_boltz)), from four series triples.
 
     All four are at decay rate 4 beta pi^2 / L^2: the full lattice at
-    gamma 0 (even sector) and -1/2 (odd), the half lattice at alpha_boltz/2
-    and (alpha_boltz - 1)/2.
+    gamma 0 (even sector) and -1/2 (odd), which do not depend on alpha and
+    come from ``reuse``, and the half lattice at alpha_boltz/2 and
+    (alpha_boltz - 1)/2.
     """
     _check_variant(variant)
     if not beta > 0.0:
@@ -452,9 +468,9 @@ def _cs_energy_sum(alpha_boltz: float, beta: float, L: float, acc: SumAccuracy, 
         raise DomainError(f"series decay rate must be positive, got {-beta * unit}")
     c4 = 4.0 * beta * unit
     ab = alpha_boltz
-    full_even = _triple(c4, 0.0, False, acc)
+    full_even = reuse(_triple, c4, 0.0, False, acc)
     half_even = _triple(c4, ab / 2.0, True, acc)
-    full_odd = _triple(c4, -0.5, False, acc)
+    full_odd = reuse(_triple, c4, -0.5, False, acc)
     half_odd = _triple(c4, (ab - 1.0) / 2.0, True, acc)
 
     def energy_sum(aw: float) -> float:
@@ -496,10 +512,10 @@ def _cs_efficiency(alpha1, alpha2, beta_h, beta_l, L, acc, variant, reuse) -> fl
     _check_variant(variant)
     if alpha1 == alpha2:
         raise DegenerateCycle("alpha1 == alpha2: numerator equals denominator")
-    even_h, odd_h = reuse(cs_partition_parity_terms, alpha2, beta_h, L, acc, variant)
-    even_l, odd_l = reuse(cs_partition_parity_terms, alpha1, beta_l, L, acc, variant)
-    x_h = reuse(_cs_energy_sum, alpha2, beta_h, L, acc, variant)
-    x_l = reuse(_cs_energy_sum, alpha1, beta_l, L, acc, variant)
+    even_h, odd_h = reuse(cs_partition_parity_terms, alpha2, beta_h, L, acc, variant, reuse)
+    even_l, odd_l = reuse(cs_partition_parity_terms, alpha1, beta_l, L, acc, variant, reuse)
+    x_h = reuse(_cs_energy_sum, alpha2, beta_h, L, acc, variant, reuse)
+    x_l = reuse(_cs_energy_sum, alpha1, beta_l, L, acc, variant, reuse)
     return _assemble(even_h + odd_h, even_l + odd_l, x_h, x_l, alpha2, alpha1, _TINY)
 
 
@@ -512,10 +528,11 @@ def cs_efficiency_closed(
     tail_tol: float = DEFAULT_TAIL_TOL,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
+    reuse=_call,
 ) -> ClosedFormReport:
     """``cs_efficiency_value`` checked against its oracle, run_cycle on cs-coupling."""
-    value = cs_efficiency_value(alpha1, alpha2, beta_h, beta_l, L, acc, variant)
+    value = _cs_efficiency(alpha1, alpha2, beta_h, beta_l, L, acc, variant, reuse)
     oracle = run_cycle(
-        OttoCycleSpec.cs_coupling_cycle(alpha1, alpha2, beta_h, beta_l, L, tail_tol)
+        OttoCycleSpec.cs_coupling_cycle(alpha1, alpha2, beta_h, beta_l, L, tail_tol), reuse
     ).efficiency
     return _report(value, oracle, variant)

@@ -318,30 +318,29 @@ _PLAIN = (float, int, str)
 
 
 class _IsochoreMemo:
-    """A ``reuse(compute, *args)`` that keeps, per ``compute``, its last two results.
+    """A ``reuse(compute, *args)`` that keeps every result for one command.
 
     A cycle has two isochores, and a sweep whose axis moves one of them finds
-    the other's result here in every row.  Arguments are floats, ints,
+    the other's window and closed-form factors here in every row; ``validate``
+    finds each isochore its grids visit again.  Arguments are floats, ints,
     strings, or dataclasses of them (spectra, ``SumAccuracy``); they are
     matched by their ``marshal`` bytes, a dataclass by its field dict.  That
     compares floats bit for bit, so it tells -0.0 from 0.0 where == does not,
-    and formats nothing.  One instance serves one sweep and is dropped with it.
+    and formats nothing.  The memo itself, passed on to a factor that fetches
+    its own factors through it, is left out of the key.  A computation that
+    raised keeps nothing.  One instance serves one sweep or one validation
+    run and is dropped with it.
     """
 
     def __init__(self):
         self._results = {}
 
     def __call__(self, compute, *args):
-        key = (compute, marshal.dumps([a if isinstance(a, _PLAIN) else vars(a) for a in args]))
-        if key in self._results:
-            result = self._results.pop(key)
-        else:
-            result = compute(*args)
-            same = [k for k in self._results if k[0] is compute]
-            if len(same) == 2:
-                del self._results[same[0]]
-        self._results[key] = result
-        return result
+        fields = [a if isinstance(a, _PLAIN) else vars(a) for a in args if a is not self]
+        key = (compute, marshal.dumps(fields))
+        if key not in self._results:
+            self._results[key] = compute(*args)
+        return self._results[key]
 
 
 def _cycle_table(spec: OttoCycleSpec, reuse=_call):
@@ -357,15 +356,16 @@ def _cycle_table(spec: OttoCycleSpec, reuse=_call):
     return labels, e_hot, e_cold, p_b, p_a
 
 
-def run_cycle(spec: OttoCycleSpec) -> CycleReport:
+def run_cycle(spec: OttoCycleSpec, reuse=_call) -> CycleReport:
     """Run one Otto cycle and report heats, work, efficiency and regime.
 
     Raises DegenerateCycle when Q_in vanishes identically (for example
     beta_h = beta_l with identical hot and cold controls), where the
     efficiency ratio is 0/0, or so small that the efficiency is only the
-    populations' rounding noise.
+    populations' rounding noise.  ``reuse`` supplies the two window searches
+    (see ``_IsochoreMemo``); the default computes both.
     """
-    return _cycle_report(*_cycle_table(spec))
+    return _cycle_report(*_cycle_table(spec, reuse))
 
 
 def _cycle_report(labels, e_hot, e_cold, p_b, p_a) -> CycleReport:
@@ -526,17 +526,15 @@ def _sweep_rows(template: OttoCycleSpec, field: str, values: Sequence[float], re
     """Yield the SweepRow of each value in turn: the row loop of every sweep.
 
     The rows share the sweep's ``_IsochoreMemo`` ``reuse``, so a row whose
-    isochore has the (spectrum, beta, tail_tol) of one of the last two takes
-    that window's label bounds instead of searching it again.  The box and
-    its energies depend on both isochores and are built per row.
+    isochore has the (spectrum, beta, tail_tol) of an earlier row takes that
+    window's label bounds instead of searching it again.  The box and its
+    energies depend on both isochores and are built per row.
     """
     for value in values:
         cycle_spec = None
         try:
             cycle_spec = dataclasses.replace(template, **{field: float(value)})
-            row = SweepRow(
-                float(value), _cycle_report(*_cycle_table(cycle_spec, reuse)), spec=cycle_spec
-            )
+            row = SweepRow(float(value), run_cycle(cycle_spec, reuse), spec=cycle_spec)
         except (AnyonOttoError, ValueError) as exc:
             row = SweepRow(
                 value=float(value),

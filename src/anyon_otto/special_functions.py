@@ -141,12 +141,6 @@ def _exp_round_up(log_x: float) -> float:
     return val if val > 0.0 else 5e-324
 
 
-def _term_overflow(n: int, expo: float) -> NoConvergence:
-    return NoConvergence(
-        f"term at n={n} exceeds the double-precision range (exponent {expo:.1f})"
-    )
-
-
 def _lattice_sum(
     lam: float,
     gamma: float,
@@ -188,11 +182,14 @@ def _lattice_sum(
     inv_sqrt_lam = 1.0 / math.sqrt(lam)
     b = abs(gamma - c)
 
-    # Each term is written out in place: t(n) = (n-c)^weight * exp(expo).
+    # Each term is written out in place: t(n) = (n-c)^weight * exp(expo).  Only
+    # the peak is tested for overflow: it minimises |n - gamma|, and rounding is monotone.
     n = peak
     expo = -lam * (n - gamma) ** 2 + log_pref
     if expo > 709.0:
-        raise _term_overflow(n, expo)
+        raise NoConvergence(
+            f"term at n={n} exceeds the double-precision range (exponent {expo:.1f})"
+        )
     mag = exp(expo)
     t = mag if weight == 0 else (n - c) * mag if weight == 1 else (n - c) ** 2 * mag
     total = 0.0 + t  # turns a lone -0.0 into 0.0
@@ -202,20 +199,14 @@ def _lattice_sum(
     while True:
         n_hi += 1
         n = n_hi
-        expo = -lam * (n - gamma) ** 2 + log_pref
-        if expo > 709.0:
-            raise _term_overflow(n, expo)
-        mag = exp(expo)
+        mag = exp(-lam * (n - gamma) ** 2 + log_pref)
         t = mag if weight == 0 else (n - c) * mag if weight == 1 else (n - c) ** 2 * mag
         total += t
         ring_abs = abs(t)
         if two_sided or n_lo > 0:
             n_lo -= 1
             n = n_lo
-            expo = -lam * (n - gamma) ** 2 + log_pref
-            if expo > 709.0:
-                raise _term_overflow(n, expo)
-            mag = exp(expo)
+            mag = exp(-lam * (n - gamma) ** 2 + log_pref)
             t = mag if weight == 0 else (n - c) * mag if weight == 1 else (n - c) ** 2 * mag
             total += t
             ring_abs += abs(t)

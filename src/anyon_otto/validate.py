@@ -6,6 +6,8 @@ so loosening ``rel_tol`` loosens the gates proportionally.  The CLI
 ``validate`` subcommand prints one line per family and fails (exit 3) when
 any family exceeds its threshold; pointing ``formula_variant`` at one of the
 printed variants is expected to fail and names the variant in the summary.
+One ``otto._IsochoreMemo`` serves the whole run (see ``run_validation``), so
+the output is that of computing every point afresh, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import closed_form as cf
 from .errors import AnyonOttoError
-from .otto import OttoCycleSpec, efficiency_cs_volume, run_cycle
+from .otto import OttoCycleSpec, _IsochoreMemo, efficiency_cs_volume, run_cycle
 from .special_functions import DEFAULT_ACCURACY, SumAccuracy, gauss_sum_full, partial_theta, theta3
 
 __all__ = ["FamilyResult", "run_validation", "THRESHOLD_FACTORS"]
@@ -89,8 +91,15 @@ def run_validation(
     variant: str = cf.VARIANT_REDERIVED,
     random_points: int = 1000,
 ) -> list:
-    """Run every validation family; returns a list of FamilyResult."""
+    """Run every validation family; returns a list of FamilyResult.
+
+    The closed-form families and cs-volume share one ``_IsochoreMemo``: a
+    closed form's per-isochore factors and alpha-free pair factors, a cycle's
+    window searches and the pair energy sums' enumerations are each computed
+    once per run, wherever the grids meet the same isochore again.
+    """
     acc = SumAccuracy(rel_tol=rel_tol)
+    reuse = _IsochoreMemo()
     rng = np.random.default_rng(seed)
     xs = np.exp(rng.uniform(math.log(0.1), math.log(10.0), random_points))
     qs = rng.uniform(0.01, 0.9, random_points)
@@ -132,7 +141,7 @@ def run_validation(
 
     # --- closed forms against their oracles ---------------------------------
     def closed_form(form, *args):
-        return form(*args, variant=variant).rel_residual
+        return form(*args, variant=variant, reuse=reuse).rel_residual
 
     def ring_partition(lam, alpha):
         return closed_form(cf.ring_partition_closed, alpha, lam, 1.0, tail_tol, acc)
@@ -156,7 +165,7 @@ def run_validation(
 
     # --- the volume cycle against its analytic efficiency --------------------
     def cs_volume(l1, l2, alpha):
-        rep = run_cycle(OttoCycleSpec.cs_volume_cycle(l1, l2, alpha, 0.05, 0.2, tail_tol))
+        rep = run_cycle(OttoCycleSpec.cs_volume_cycle(l1, l2, alpha, 0.05, 0.2, tail_tol), reuse)
         return cf.relative_residual(rep.efficiency, efficiency_cs_volume(l1, l2))
 
     ring_efficiency_grid = [

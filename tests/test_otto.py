@@ -455,7 +455,7 @@ class TestSweepSharing:
 
 
 class TestIsochoreMemo:
-    def test_keeps_the_last_two_results_per_function(self):
+    def test_keeps_every_result_per_function(self):
         calls = []
 
         def f(x):
@@ -463,14 +463,36 @@ class TestIsochoreMemo:
             return [x]
 
         reuse = otto._IsochoreMemo()
-        first = reuse(f, 1.0)
-        assert reuse(f, 1.0) is first
-        reuse(f, 2.0)
-        reuse(f, 1.0)  # a hit makes 1.0 the most recent
-        reuse(f, 3.0)  # evicts 2.0, the least recent
-        assert reuse(f, 1.0) is first
-        reuse(f, 2.0)
-        assert calls == [1.0, 2.0, 3.0, 2.0]
+        first = {x: reuse(f, x) for x in (1.0, 2.0, 3.0)}
+        for x in (3.0, 1.0, 2.0, 1.0):
+            assert reuse(f, x) is first[x]
+        assert calls == [1.0, 2.0, 3.0]
+
+    def test_a_computation_that_raised_is_not_kept(self):
+        calls = []
+
+        def fails_once(x):
+            calls.append(x)
+            if len(calls) == 1:
+                raise DomainError("first call fails")
+            return x
+
+        reuse = otto._IsochoreMemo()
+        with pytest.raises(DomainError):
+            reuse(fails_once, 1.0)
+        assert (reuse(fails_once, 1.0), reuse(fails_once, 1.0)) == (1.0, 1.0)
+        assert calls == [1.0, 1.0]
+
+    def test_the_memo_passed_on_is_not_part_of_the_key(self):
+        calls = []
+
+        def outer(x, reuse):
+            calls.append(x)
+            return reuse(math.sqrt, x)
+
+        reuse = otto._IsochoreMemo()
+        assert reuse(outer, 4.0, reuse) == reuse(outer, 4.0, reuse) == 2.0
+        assert calls == [4.0]
 
     def test_signed_zeros_are_distinct_keys(self):
         reuse = otto._IsochoreMemo()

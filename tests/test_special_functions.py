@@ -219,7 +219,43 @@ class TestSumOverflow:
             series(x, q)
 
 
-class TestTailCertificates:
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+class TestPeakExponentIsTheGreatest:
+    """``_lattice_sum`` tests only its peak term's exponent for overflow.
+
+    That is sound if no summed index has a greater exponent, computed as the
+    engine computes it, in floating point.
+    """
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(
+        lam=_log_uniform(1e-6, 1e6),
+        gamma=st.one_of(
+            st.floats(min_value=-1e6, max_value=1e6),
+            st.integers(min_value=-2 * 10**6, max_value=2 * 10**6).map(lambda k: k / 2.0),
+        ),
+        one_sided=st.booleans(),
+        with_pref=st.booleans(),
+        far=st.integers(min_value=3, max_value=10**7),
+    )
+    def test_no_summed_index_exceeds_the_peak(self, lam, gamma, one_sided, with_pref, far):
+        log_pref = lam * gamma * gamma if with_pref else 0.0
+
+        def expo(n):  # as _lattice_sum writes it
+            return -lam * (n - gamma) ** 2 + log_pref
+
+        # the peak as _lattice_sum picks it
+        peak = int(round(gamma))
+        if one_sided and peak < 0:
+            peak = 0
+        offsets = (1, 2, far)
+        indices = [peak + k for k in offsets] + [peak - k for k in offsets]
+        for n in indices:
+            if n >= 0 or not one_sided:
+                assert expo(n) <= expo(peak), (n, peak)
     @pytest.mark.parametrize("lam", [0.05, 0.5, 3.0, 20.0])
     @pytest.mark.parametrize("gamma", [-2.3, 0.0, 1.1])
     @pytest.mark.parametrize("weight", [0, 2])

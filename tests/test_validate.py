@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from anyon_otto import closed_form as cf
-from anyon_otto import validate
-from anyon_otto.errors import NoConvergence
+from anyon_otto import otto, validate
+from anyon_otto.errors import AnyonOttoError, NoConvergence
 from anyon_otto.special_functions import DEFAULT_ACCURACY, SumAccuracy, partial_theta, theta3
 from anyon_otto.validate import run_validation
 
@@ -174,3 +174,68 @@ def test_theta_families_match_a_direct_recomputation(seed):
         assert fam.max_residual.hex() == max_residual.hex()
         assert fam.worst_point == worst_point
         assert max_residual > 0.0
+
+
+# The factors, window searches and enumerations that validate's memo shares,
+# with the number of distinct argument lists one run gives each.
+SHARED = {
+    (cf, "_ring_partition_value"): 64,
+    (cf, "_ring_energy_sum"): 51,
+    (cf, "cs_partition_parity_terms"): 42,
+    (cf, "_cs_energy_sum"): 26,
+    (cf, "enumerate_levels"): 9,
+    (otto, "window_bounds"): 78,
+}
+
+
+def _record_shared(monkeypatch):
+    """Patch each SHARED function to log (name, args, raised) per call; returns the log."""
+    log = []
+    for module, name in SHARED:
+        real = getattr(module, name)
+
+        def recorded(*args, real=real, name=name):
+            # the reuse a factor passes on is not one of its arguments
+            key = (name, repr([a for a in args if not callable(a)]))
+            try:
+                result = real(*args)
+            except AnyonOttoError:
+                log.append(key + (True,))
+                raise
+            log.append(key + (False,))
+            return result
+
+        monkeypatch.setattr(module, name, recorded)
+    return log
+
+
+def _fields(results):
+    return [
+        (r.name, r.max_residual.hex(), r.threshold.hex(), r.worst_point, r.n_points,
+         r.n_errors, r.formula_variant)
+        for r in results
+    ]
+
+
+@pytest.mark.parametrize("variant", cf.VARIANTS)
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_memo_gives_the_bits_of_computing_afresh(monkeypatch, seed, variant):
+    log = _record_shared(monkeypatch)
+    shared = _fields(run_validation(seed=seed, variant=variant))
+    shared_log = list(log)
+    log.clear()
+    monkeypatch.setattr(validate, "_IsochoreMemo", lambda: otto._call)
+    assert _fields(run_validation(seed=seed, variant=variant)) == shared
+    # a computation that raised is not kept: the memo runs each one again
+    raised = [c for c in log if c[2]]
+    assert [c for c in shared_log if c[2]] == raised
+    assert bool(raised) == (variant != cf.VARIANT_REDERIVED)
+    assert len(shared_log) < len(log)
+
+
+def test_each_factor_window_and_enumeration_runs_once(monkeypatch):
+    log = _record_shared(monkeypatch)
+    run_validation(random_points=10)
+    calls = Counter(name for name, _, _ in log)
+    assert len(set(log)) == len(log)
+    assert calls == {name: n for (_, name), n in SHARED.items()}
