@@ -246,7 +246,7 @@ class TestEachSeriesOnce:
         assert self.count_series(monkeypatch, cf.cs_efficiency_value, 0.2, 0.7, 0.05, 0.1) == 24
 
     def test_cs_coupling_sweep_sums_alpha_free_series_once_per_temperature(
-        self, monkeypatch, capsys, tmp_path
+        self, monkeypatch, tmp_path
     ):
         # The two-sided pair series do not depend on alpha: theta3(1, q4),
         # theta3(q4, q4) and the full-lattice triples at gamma 0 and -1/2.
@@ -263,9 +263,8 @@ class TestEachSeriesOnce:
 
         monkeypatch.setattr(cf, "theta3", counted_theta3)
         monkeypatch.setattr(cf, "_theta_series", counted_series)
-        argv = ["sweep", "--medium", "cs-coupling", "--alpha1", "0", "--sweep", "alpha2",
-                "--grid", "0:1:21", "--beta-h", "0.1", "--beta-l", "1", "--out", str(tmp_path)]
-        assert cli.main(argv) == 0
+        argv = "sweep --medium cs-coupling --alpha1 0 --sweep alpha2 --grid 0:1:21 --beta-h 0.1"
+        assert cli.main(argv.split() + ["--beta-l", "1", "--out", str(tmp_path)]) == 0
         residuals = [row.split(",")[-2] for row in (tmp_path / "sweep.csv").read_text().split()]
         assert residuals[1] == "" and all(residuals[2:])  # no closed form where alpha2 == alpha1
         assert len(set(calls)) == len(calls) == 2 * (2 + 3 * 2)

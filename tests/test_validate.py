@@ -210,9 +210,9 @@ def _record_shared(monkeypatch):
 
 
 def _fields(results):
+    """Every FamilyResult field, the floats as their exact hex strings."""
     return [
-        (r.name, r.max_residual.hex(), r.threshold.hex(), r.worst_point, r.n_points,
-         r.n_errors, r.formula_variant)
+        dict(vars(r), max_residual=r.max_residual.hex(), threshold=r.threshold.hex())
         for r in results
     ]
 
