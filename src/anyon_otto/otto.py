@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import marshal
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -423,7 +424,12 @@ def efficiency_cs_volume(l1: float, l2: float) -> float:
     """
     if not (l1 > 0.0 and l2 > 0.0):
         raise DomainError("ring sizes must be positive")
-    return 1.0 - (l2 * l2) / (l1 * l1)
+    require_finite(l1=l1, l2=l2)
+    l1_sq = l1 * l1
+    eta = 1.0 - (l2 * l2) / l1_sq if l1_sq > 0.0 else math.nan
+    if not math.isfinite(eta):
+        raise DomainError(f"L2^2/L1^2 leaves the double range at l1={l1}, l2={l2}")
+    return eta
 
 
 @dataclass(frozen=True)

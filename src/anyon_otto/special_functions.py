@@ -68,6 +68,13 @@ _SLOW_DECAY_BELOW = SLOW_DECAY_LAMBDA * (1.0 - 1e-9)
 _TINY = 2.2250738585072014e-308
 
 
+def require_finite(**values) -> None:
+    """Raise DomainError naming the first keyword argument that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SumAccuracy:
     """Truncation policy: relative tolerance and a hard cap on summed terms."""
@@ -336,6 +343,8 @@ def _theta_params(x: float, q: float) -> tuple[float, float]:
         raise DomainError(f"q must lie in (0, 1), got {q}")
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
+    if x == math.inf:
+        raise DomainError(f"x must be finite, got {x}")
     lam = -math.log(q)
     gamma = math.log(x) / (2.0 * lam)
     return lam, gamma
@@ -382,6 +391,27 @@ def _check_gauss_args(lam: float, weight: int) -> None:
         raise DomainError(f"weight must be 0, 1 or 2, got {weight}")
 
 
+def _gauss_sum(lam, gamma, c, weight, one_sided, acc) -> SumReport:
+    """The oracle sums' checks, in order, then ``_lattice_sum``.
+
+    |gamma| must stay below 2^52, as a ring flux must: past 2^53 the labels
+    n near gamma lose their unit spacing as doubles, and terms repeat.  A
+    term whose ``**`` overflows raises NoConvergence here, off the engine's
+    per-term path.
+    """
+    _check_gauss_args(lam, weight)
+    if not (lam < math.inf and abs(gamma) < 2.0**52 and math.isfinite(c)):
+        require_finite(**{"lambda": lam}, gamma=gamma, c=c)
+        raise DomainError(f"gamma must satisfy |gamma| < 2^52, got {gamma}")
+    try:
+        return _lattice_sum(lam, gamma, c, weight, one_sided, acc)
+    except OverflowError:
+        raise NoConvergence(
+            f"lattice sum term exceeds the double-precision range "
+            f"(lambda={lam:g}, gamma={gamma:g}, c={c:g}, weight={weight})"
+        ) from None
+
+
 def gauss_sum_full_report(
     lam: float,
     gamma: float,
@@ -390,8 +420,7 @@ def gauss_sum_full_report(
     acc: SumAccuracy = DEFAULT_ACCURACY,
 ) -> SumReport:
     """gauss_sum_full with its truncation certificate."""
-    _check_gauss_args(lam, weight)
-    return _lattice_sum(lam, gamma, c, weight, False, acc)
+    return _gauss_sum(lam, gamma, c, weight, False, acc)
 
 
 def gauss_sum_full(
@@ -418,8 +447,7 @@ def gauss_sum_half_report(
     acc: SumAccuracy = DEFAULT_ACCURACY,
 ) -> SumReport:
     """gauss_sum_half with its truncation certificate."""
-    _check_gauss_args(lam, weight)
-    return _lattice_sum(lam, gamma, c, weight, True, acc)
+    return _gauss_sum(lam, gamma, c, weight, True, acc)
 
 
 def gauss_sum_half(

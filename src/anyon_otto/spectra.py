@@ -21,12 +21,11 @@ same certified search but returns only each quantum number's label range,
 and ``label_box`` joins two such ranges into the label box the Otto cycle
 table sums over.
 
-The ring's search evaluates its O(K) window of n.  The pair's window holds
-O(K^2) levels, and its search evaluates none of them in bulk: the levels it
-keeps are the lattice points of a disk, so the ground energy, the label
-bounds and the weight the disk's edge drops follow from a few labels and
-O(K) row tails.  ``enumerate_levels`` then evaluates the pair energies only
-on the disk's label box.
+Both window searches return (label bounds, energy cut, tail bound) without
+evaluating the window in bulk: the ring keeps an interval of n whole, from
+three levels; the pair keeps the lattice points of a disk, whose ground
+energy, label bounds and dropped edge weight follow from a few labels and
+O(K) row tails.  ``enumerate_levels`` evaluates energies on the label box.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoConvergence, OrderingError
-from .special_functions import _log_gauss_tail, _logaddexp, _exp_round_up
+from .special_functions import _exp_round_up, _log_gauss_tail, _logaddexp, require_finite
 
 __all__ = [
     "RingAnyonSpectrum",
@@ -60,13 +59,6 @@ _CS_WINDOW_CAP = 1_500
 # fractional part left, and past 2^53 the window labels n lose their unit
 # spacing when converted to float, so the window energies collapse.
 RING_FLUX_LIMIT = 2.0**52
-
-
-def require_finite(**values) -> None:
-    """Raise DomainError naming the first keyword argument that is not finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
 
 
 def pair_length_in_range(L: float) -> bool:
@@ -199,9 +191,14 @@ def label_box(bounds_b: tuple, bounds_a: tuple) -> tuple:
     the larger window.  ``columns`` holds the labels' quantum-number columns,
     (n,) or (n1, n2), as ``spec.energies`` takes them.
     """
-    ranges = [_label_range(*b, *a) for b, a in zip(bounds_b, bounds_a)]
-    columns = (ranges[0],) if len(ranges) == 1 else _upper_pairs(*ranges)
+    columns = _box_columns(bounds_b, bounds_a)
     return _column_labels(columns), columns
+
+
+def _box_columns(bounds_b: tuple, bounds_a: tuple) -> tuple:
+    """The quantum-number columns of ``label_box``: (n,) or (n1, n2)."""
+    ranges = [_label_range(*b, *a) for b, a in zip(bounds_b, bounds_a)]
+    return (ranges[0],) if len(ranges) == 1 else _upper_pairs(*ranges)
 
 
 def _upper_pairs(rows: np.ndarray, cols: np.ndarray) -> tuple:
@@ -258,7 +255,14 @@ def pauli_energy(N: int, omega: float) -> float:
         raise DomainError(f"N must be a positive integer, got {N!r}")
     if not omega > 0.0:
         raise DomainError(f"omega must be positive, got {omega}")
-    return omega * N * (N - 1) / 2.0
+    require_finite(omega=omega)
+    try:
+        gap = omega * N * (N - 1) / 2.0
+    except OverflowError:  # N itself is past the double range
+        gap = math.inf
+    if not math.isfinite(gap):
+        raise DomainError(f"omega N (N - 1) / 2 leaves the double range at omega={omega}")
+    return gap
 
 
 def require_finite_energies(energies: np.ndarray) -> np.ndarray:
@@ -299,14 +303,17 @@ def _first_half_width(lam: float, lead: float, trail: float, tail_tol: float, ca
 
 
 def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> tuple:
-    """The ring's window search: ((n,), energies, tail bound) of the levels it keeps.
+    """The ring's window search: (label bounds, energy cut, tail bound) of the levels it keeps.
 
-    The kept levels are an interval of n, label-ascending.
+    The window is n within K of peak = round(alpha), kept whole.  Each
+    rounding step of E is monotone in |n - alpha|, so E(peak) is its least
+    level and one of its ends its largest: the search evaluates only those.
     """
     lam = beta * spec.eps0
     gamma = spec.alpha
     peak = int(round(gamma))
     g_shift = (peak - gamma) ** 2  # dimensionless ground energy E_min/eps0
+    e_min = spec.energy(peak)
 
     # Initial half-width from the analytic tail, then verify and grow.
     K = max(3, _first_half_width(lam, g_shift, 0.0, tail_tol, _RING_WINDOW_CAP))
@@ -317,10 +324,6 @@ def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> tuple
             )
         # Past the cap check, which a lam that underflowed to 0 never passes.
         inv_sqrt_lam = 1.0 / math.sqrt(lam)
-        ns = np.arange(peak - K, peak + K + 1)
-        energies = spec.energies(ns)
-        e_min = float(energies.min())
-
         u_hi = (peak + K) - gamma
         u_lo = gamma - (peak - K)
         if min(u_hi, u_lo) < inv_sqrt_lam:
@@ -334,7 +337,10 @@ def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> tuple
         # K + 1 - |gamma - peak| >= K + 1/2, and rounding keeps that order.
         tail = _exp_round_up(log_tail) * _CERT_SLACK
         if tail <= tail_tol:
-            return (ns,), require_finite_energies(energies), tail
+            largest = max(spec.energy(peak - K), spec.energy(peak + K))
+            if largest == math.inf:  # E has no nan: eps0 and alpha are finite
+                require_finite_energies(np.array([largest]))
+            return ((peak - K, peak + K),), math.inf, tail
         K *= 2
 
 
@@ -489,14 +495,17 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> tuple:
         K *= 2
 
 
-def _require_search_inputs(spec, beta: float, tail_tol: float) -> None:
-    """The checks of ``enumerate_levels`` and ``window_bounds``, in order."""
+def _search(spec, beta: float, tail_tol: float) -> tuple:
+    """After the input checks, in order: (label bounds, energy cut, tail bound) of the search."""
     require_finite(beta=beta, tail_tol=tail_tol)
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     require_tail_tol(tail_tol)
-    if not isinstance(spec, (RingAnyonSpectrum, CSPairSpectrum)):
-        raise DomainError(f"unsupported spectrum type: {type(spec).__name__}")
+    if isinstance(spec, RingAnyonSpectrum):
+        return _ring_levels(spec, beta, tail_tol)
+    if isinstance(spec, CSPairSpectrum):
+        return _cs_levels(spec, beta, tail_tol)
+    raise DomainError(f"unsupported spectrum type: {type(spec).__name__}")
 
 
 def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
@@ -511,23 +520,18 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
     cycle table takes only the window's label bounds (``window_bounds``) and
     sorts nothing.
 
-    The ring's window is its ``np.arange`` of n.  The pair's levels are
-    evaluated only on the label box its search returns, row-major pairs
-    n1 <= n2 cut at the search's energy: the set and order the whole window
-    would give.  Both are label-ascending, so one stable sort by energy
-    gives that order with no sort key for the labels.  Raises NoConvergence
-    when the window would pass its cap, and DomainError when a kept energy is
-    not a finite double.
+    The energies are evaluated once, on the label box of the search's
+    bounds, laid out as ``label_box`` does and cut where the search's cut is
+    finite.  The box ascends by label, so one stable sort by energy gives
+    the order.  Raises NoConvergence when the window would pass its cap, and
+    DomainError when a kept energy is not a finite double.
     """
-    _require_search_inputs(spec, beta, tail_tol)
-    if isinstance(spec, RingAnyonSpectrum):
-        columns, energies, tail = _ring_levels(spec, beta, tail_tol)
-    else:
-        bounds, e_floor, tail = _cs_levels(spec, beta, tail_tol)
-        n1, n2 = _upper_pairs(*(np.arange(lo, hi + 1) for lo, hi in bounds))
-        energies = spec.energies(n1, n2)
+    bounds, e_floor, tail = _search(spec, beta, tail_tol)
+    columns = _box_columns(bounds, bounds)
+    energies = spec.energies(*columns)
+    if e_floor < math.inf:
         keep = energies <= e_floor
-        columns, energies = (n1[keep], n2[keep]), energies[keep]
+        columns, energies = [c[keep] for c in columns], energies[keep]
     return _sorted_level_set(_column_labels(columns), energies, tail, beta)
 
 
@@ -536,11 +540,6 @@ def window_bounds(spec, beta: float, tail_tol: float) -> tuple:
 
     ((n_lo, n_hi),) for the ring, ((n1_lo, n1_hi), (n2_lo, n2_hi)) for the
     pair, from the same window search, checks and errors, without building
-    or sorting a level set.  The pair's search returns its bounds directly
-    and evaluates no level beyond a few per row it walks.
+    or sorting a level set.  Neither search evaluates its window in bulk.
     """
-    _require_search_inputs(spec, beta, tail_tol)
-    if isinstance(spec, CSPairSpectrum):
-        return _cs_levels(spec, beta, tail_tol)[0]
-    (ns,), _, _ = _ring_levels(spec, beta, tail_tol)
-    return ((int(ns[0]), int(ns[-1])),)
+    return _search(spec, beta, tail_tol)[0]

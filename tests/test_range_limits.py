@@ -1,14 +1,17 @@
 """Inputs at the ends of the double range: a typed error or an honest result, never a traceback."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from anyon_otto import cli
-from anyon_otto.errors import DomainError
-from anyon_otto.otto import OttoCycleSpec
-from anyon_otto.spectra import RING_FLUX_LIMIT, RingAnyonSpectrum, enumerate_levels
+from anyon_otto import closed_form as cf
+from anyon_otto import special_functions as sf
+from anyon_otto.errors import AnyonOttoError, DomainError, NoConvergence
+from anyon_otto.otto import OttoCycleSpec, efficiency_cs_volume
+from anyon_otto.spectra import RING_FLUX_LIMIT, RingAnyonSpectrum, enumerate_levels, pauli_energy
 from anyon_otto.special_functions import _log_gauss_tail
 
 RING = ["cycle", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
@@ -85,3 +88,99 @@ class TestRingFluxLimit:
         assert levels.energies.tolist() == [(float(k) - alpha) ** 2 for k in n.tolist()]
         assert levels.energies[0] == 0.25
         assert {int(n[0]), int(n[1])} == {2**52 - 1, 2**52}
+
+
+# Each real argument of the public functions below is drawn from these.
+VALUES = (math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, -1.0, 0.5, 2.0, 1e10)
+
+
+def finite_or_typed(f, *args):
+    """f(*args) is a finite float (or a report with a finite value), or raises AnyonOttoError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = f(*args)
+    except AnyonOttoError:
+        return
+    except Exception as exc:  # noqa: BLE001 - the test names every bare exception
+        pytest.fail(f"{f.__name__}{args}: {type(exc).__name__}: {exc}")
+    value = getattr(value, "value", value)
+    assert math.isfinite(value), (f.__name__, args, value)
+
+
+def report_value(report):
+    return lambda *args: report(*args).value
+
+
+class TestSeriesRangeLimits:
+    @pytest.mark.parametrize(
+        "series",
+        [sf.theta3, sf.partial_theta, sf.theta3_report, sf.partial_theta_report],
+    )
+    def test_theta(self, series):
+        for x, q in itertools.product(VALUES, VALUES):
+            finite_or_typed(series, x, q)
+
+    @pytest.mark.parametrize("series", [cf.theta3_weighted, cf.partial_theta_weighted])
+    @pytest.mark.parametrize("weight", [0, 1, 2])
+    def test_weighted_theta(self, series, weight):
+        for x, q in itertools.product(VALUES, VALUES):
+            finite_or_typed(series, x, q, weight)
+
+    @pytest.mark.parametrize(
+        "series",
+        [sf.gauss_sum_full, sf.gauss_sum_half, sf.gauss_sum_full_report, sf.gauss_sum_half_report],
+    )
+    @pytest.mark.parametrize("weight", [0, 1, 2])
+    def test_gauss_sums(self, series, weight):
+        for lam, gamma, c in itertools.product(VALUES, VALUES, VALUES):
+            finite_or_typed(series, lam, gamma, c, weight)
+
+    def test_ring_partition_closed(self):
+        for alpha, beta, eps0 in itertools.product(VALUES, VALUES, VALUES):
+            finite_or_typed(cf.ring_partition_closed, alpha, beta, eps0)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: sf.theta3(math.inf, 0.5), DomainError, "x must be finite, got inf"),
+            (lambda: sf.partial_theta(math.inf, 0.5), DomainError, "x must be finite, got inf"),
+            (lambda: cf.theta3_weighted(math.inf, 0.5, 2), DomainError, "x must be finite"),
+            (lambda: cf.ring_partition_closed(math.inf, 1.0), DomainError, "x must be finite"),
+            (lambda: sf.gauss_sum_full(1.0, math.inf, 0.0, 0), DomainError, "gamma must be finite"),
+            (lambda: sf.gauss_sum_half(1.0, math.nan, 0.0, 0), DomainError, "gamma must be finite"),
+            (lambda: sf.gauss_sum_full(0.5, 1e10, 1e308, 2), NoConvergence, "term exceeds"),
+            # past 2^53 the labels near gamma repeat as doubles: a wrong sum, not a slow one
+            (lambda: sf.gauss_sum_full(2.0, 2.0**53, 0.0, 0), DomainError, r"\|gamma\| < 2\^52"),
+            (lambda: sf.gauss_sum_half(2.0, -1e308, 0.0, 0), DomainError, r"\|gamma\| < 2\^52"),
+            # existing messages keep their place ahead of the finiteness checks
+            (lambda: sf.theta3(math.nan, 0.5), DomainError, "x must be positive, got nan"),
+            (lambda: sf.gauss_sum_full(-1.0, math.inf, 0, 0), DomainError, "lambda must be pos"),
+        ],
+    )
+    def test_named_errors(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+
+class TestClosedFormulaRangeLimits:
+    def test_pauli_energy(self):
+        for N, omega in itertools.product((1, 2, 3, 10**200, 10**400) + VALUES, VALUES):
+            finite_or_typed(pauli_energy, N, omega)
+
+    @pytest.mark.parametrize(
+        "N, omega", [(1, math.inf), (2, math.inf), (10**200, 1e300), (10**400, 1.0)]
+    )
+    def test_pauli_energy_errors(self, N, omega):
+        with pytest.raises(DomainError):
+            pauli_energy(N, omega)
+
+    def test_pauli_energy_keeps_its_values(self):
+        assert pauli_energy(3, 2.0) == 6.0
+        assert pauli_energy(1, 1e308) == 0.0
+
+    def test_efficiency_cs_volume(self):
+        for l1, l2 in itertools.product(VALUES, VALUES):
+            finite_or_typed(efficiency_cs_volume, l1, l2)
+        with pytest.raises(DomainError, match="l1 must be finite, got inf"):
+            efficiency_cs_volume(math.inf, math.inf)
+        assert efficiency_cs_volume(2.0, 1.0) == 0.75
