@@ -34,7 +34,6 @@ from .otto import (
     MEDIUM,
     REGIME_ENGINE,
     OttoCycleSpec,
-    _call,
     _IsochoreMemo,
     _sweep_rows,
     efficiency_cs_volume,
@@ -43,7 +42,7 @@ from .otto import (
 )
 from .special_functions import DEFAULT_ACCURACY, SumAccuracy
 from .spectra import require_finite, require_tail_tol
-from .thermo import DEFAULT_TAIL_TOL
+from .thermo import DEFAULT_TAIL_TOL, _call
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -214,7 +213,7 @@ def _closed_form(efficiency, s: OttoCycleSpec, acc, reuse) -> float:
 # Per medium, the (value, reference) pair whose relative residual the CLI
 # reports for a cycle of efficiency eta: the theta closed forms against eta for
 # ring and cs-coupling, eta against the compression ratio for cs-volume.
-# ``reuse`` supplies the closed forms' per-isochore factors (see otto._call).
+# ``reuse`` supplies the closed forms' per-isochore factors (see thermo._call).
 _RESIDUALS = {
     "ring": lambda s, eta, acc, reuse: (_closed_form(cf._ring_efficiency, s, acc, reuse), eta),
     "cs-volume": lambda s, eta, acc, reuse: (

@@ -52,8 +52,8 @@ depend on alpha at all.
 
 The reports and the private ``_ring_efficiency``/``_cs_efficiency`` take a
 ``reuse(f, *args)`` through which each per-isochore factor, each alpha-free
-pair factor, each cycle oracle's window searches and each pair energy sum's
-enumeration is obtained; the default, ``otto._call``, computes it.  A CLI
+pair factor, each cycle oracle's window searches and each pair oracle's
+enumeration is obtained; the default, ``thermo._call``, computes it.  A CLI
 sweep passes one ``otto._IsochoreMemo``, so the isochore its axis leaves
 alone is summed once per sweep and the alpha-free pair factors once per
 temperature; ``validate`` passes one for its whole run.
@@ -68,7 +68,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateCycle, DomainError, NoConvergence
-from .otto import OttoCycleSpec, _call, run_cycle
+from .otto import OttoCycleSpec, run_cycle
 from .special_functions import (
     DEFAULT_ACCURACY,
     SumAccuracy,
@@ -77,10 +77,11 @@ from .special_functions import (
     _theta_series,
     gauss_sum_full,
     partial_theta,
+    require_finite,
     theta3,
 )
 from .spectra import CSPairSpectrum, RingAnyonSpectrum, enumerate_levels, require_pair_length
-from .thermo import DEFAULT_TAIL_TOL, partition_function
+from .thermo import DEFAULT_TAIL_TOL, _call, partition_function
 
 __all__ = [
     "VARIANTS",
@@ -149,10 +150,21 @@ def _check_variant(variant: str) -> _Formulas:
 
 
 def _series(lam: float, gamma: float, weight: int, one_sided: bool, acc: SumAccuracy) -> float:
-    """T_w = sum n^w q^(n^2) x^n at x = exp(2 lam gamma), q = exp(-lam)."""
+    """T_w = sum n^w q^(n^2) x^n at x = exp(2 lam gamma), q = exp(-lam).
+
+    A series whose terms' ``**`` overflows raises NoConvergence, as the
+    oracle Gaussian sums do.
+    """
     if not lam > 0.0:
         raise DomainError(f"series decay rate must be positive, got {lam}")
-    return _theta_series(lam, gamma, weight, one_sided, acc).value
+    if not math.isfinite(gamma):
+        require_finite(gamma=gamma)
+    try:
+        return _theta_series(lam, gamma, weight, one_sided, acc).value
+    except OverflowError:
+        raise NoConvergence(
+            f"series term exceeds the double-precision range (lambda={lam:g}, gamma={gamma:g})"
+        ) from None
 
 
 def _weighted_theta(x: float, q: float, weight: int, one_sided: bool, acc: SumAccuracy) -> float:
@@ -417,7 +429,7 @@ def cs_partition_closed(
     """
     even, odd = reuse(cs_partition_parity_terms, alpha, beta, L, acc, variant, reuse)
     value = even + odd
-    oracle = partition_function(CSPairSpectrum(L=L, alpha=alpha), beta, tail_tol)
+    oracle = partition_function(CSPairSpectrum(L=L, alpha=alpha), beta, tail_tol, reuse)
     return _report(value, oracle, variant)
 
 

@@ -20,6 +20,16 @@ its own Boltzmann factor and normalized over the box, and every sum is one
 ``thermo.sum_of_products``: the products' sum as ``math.fsum`` rounds it,
 in an order that does not depend on the BLAS thread count.
 
+The table is one (4, N) float64 block with rows E_hot, E_cold, P_B and P_A,
+filled in place.  The box's label columns are converted to float once per
+cycle.  Each spectrum writes its energies into its energy row; a pair
+spectrum keeps its one intermediate term in the populations row, which
+``thermo.boltzmann`` then fills.  A hot pair box holds 20,000 to 60,000
+levels, and the table peaks at 64 bytes per level: the int64 labels (16),
+their float columns (16) and the block (32).  An array of that size that a
+cycle allocates and frees can come back as fresh pages, which the next
+cycle faults in again, so the table allocates nothing else of that size.
+
 Media and their control parameters:
 
 * ``ring``:        flux parameter alpha_h (hot) vs alpha_l (cold) at fixed eps0.
@@ -60,7 +70,7 @@ from .spectra import (
     require_tail_tol,
     window_bounds,
 )
-from .thermo import DEFAULT_TAIL_TOL, boltzmann, populations_entropy, sum_of_products
+from .thermo import DEFAULT_TAIL_TOL, _call, boltzmann, populations_entropy, sum_of_products
 
 __all__ = [
     "MEDIA",
@@ -287,9 +297,9 @@ class CycleReport:
     ``labels`` is the label box, label-ascending int64 of shape (N,) or
     (N, 2) as in ``LevelSet``: it holds every level that either isochore's
     enumeration keeps (see ``spectra.label_box``).  The energy and population
-    fields are read-only float64 arrays in that order, each population
-    normalized over the box.  ``efficiency`` is the raw
-    ratio 1 - Q_out/Q_in; interpret it through ``regime``.
+    fields are read-only float64 arrays in that order, the rows of the cycle
+    table's block, each population normalized over the box.  ``efficiency``
+    is the raw ratio 1 - Q_out/Q_in; interpret it through ``regime``.
     """
 
     q_in: float
@@ -304,15 +314,14 @@ class CycleReport:
     populations_a: np.ndarray
 
 
-def _labelwise(spec, beta: float, columns: tuple) -> tuple:
-    """One spectrum's energies and Gibbs populations at ``beta`` on the box's label columns."""
-    energies = require_finite_energies(spec.energies(*columns))
-    return energies, boltzmann(energies, beta)[0]
+def _labelwise(spec, beta: float, columns: tuple, energies, populations) -> None:
+    """One spectrum's energies and Gibbs populations at ``beta`` on the box's label columns.
 
-
-def _call(compute, *args):
-    """``compute(*args)``: the ``reuse`` of a single cycle, which shares nothing."""
-    return compute(*args)
+    They are written into ``energies`` and ``populations``; the populations
+    array serves as the energies' scratch until it is filled.
+    """
+    require_finite_energies(spec.energies(*columns, out=energies, scratch=populations))
+    boltzmann(energies, beta, out=populations)
 
 
 _PLAIN = (float, int, str)
@@ -345,15 +354,23 @@ class _IsochoreMemo:
 
 
 def _cycle_table(spec: OttoCycleSpec, reuse=_call):
-    """(labels, E_hot, E_cold, P_B, P_A) on the label box of the two isochores."""
+    """(labels, E_hot, E_cold, P_B, P_A) on the label box of the two isochores.
+
+    The four level arrays are the rows of one (4, N) float64 block, filled in
+    place from the box's label columns, converted to float once.  The block
+    is allocated before those float columns, which it outlives, so that
+    freeing them leaves no hole below it.
+    """
     hot_spec = spec.spectrum_hot()
     cold_spec = spec.spectrum_cold()
     labels, columns = label_box(
         reuse(window_bounds, hot_spec, spec.beta_h, spec.tail_tol),
         reuse(window_bounds, cold_spec, spec.beta_l, spec.tail_tol),
     )
-    e_hot, p_b = _labelwise(hot_spec, spec.beta_h, columns)
-    e_cold, p_a = _labelwise(cold_spec, spec.beta_l, columns)
+    e_hot, e_cold, p_b, p_a = np.empty((4, len(labels)))
+    columns = [c.astype(float) for c in columns]
+    _labelwise(hot_spec, spec.beta_h, columns, e_hot, p_b)
+    _labelwise(cold_spec, spec.beta_l, columns, e_cold, p_a)
     return labels, e_hot, e_cold, p_b, p_a
 
 
@@ -373,9 +390,10 @@ def _cycle_report(labels, e_hot, e_cold, p_b, p_a) -> CycleReport:
     dp = p_b - p_a
     q_in = sum_of_products(e_hot, dp)
     q_out = sum_of_products(e_cold, dp)
+    del dp
     w_out = q_in - q_out
 
-    scale = max(1.0, float(np.max(np.abs(e_hot)))) if len(labels) else 1.0
+    scale = max(1.0, float(max(e_hot.max(), -e_hot.min()))) if len(labels) else 1.0
     if abs(q_in) < _ZERO_SCALE * scale or _ratio_is_noise(e_hot, e_cold, p_b, p_a, q_in, q_out):
         raise DegenerateCycle(
             "denominator sum E_hot (P_B - P_A) vanishes; hot and cold states coincide"
@@ -412,7 +430,11 @@ def _ratio_is_noise(e_hot, e_cold, p_b, p_a, q_in: float, q_out: float) -> bool:
     (cs-volume), since the noise then cancels in the ratio.
     """
     r = q_out / q_in
-    noise = _EPS * float(np.sum(np.abs(e_cold - r * e_hot) * (p_b + p_a)))
+    spread = np.multiply(r, e_hot)
+    np.subtract(e_cold, spread, out=spread)
+    np.abs(spread, out=spread)
+    spread *= p_b + p_a
+    noise = _EPS * float(np.sum(spread))
     return noise >= abs(q_in) * max(1.0, abs(1.0 - r))
 
 

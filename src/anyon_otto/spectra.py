@@ -117,8 +117,16 @@ class RingAnyonSpectrum:
         d = n - self.alpha
         return self.eps0 * (d * d)
 
-    def energies(self, n: np.ndarray) -> np.ndarray:
-        return self.eps0 * (np.asarray(n, dtype=float) - self.alpha) ** 2
+    def energies(self, n: np.ndarray, out: np.ndarray = None, scratch=None) -> np.ndarray:
+        """E at each label of ``n``, written into ``out`` when one is given.
+
+        ``scratch`` is accepted as ``CSPairSpectrum.energies`` takes it; the
+        ring needs none.
+        """
+        d = np.subtract(np.asarray(n, dtype=float), self.alpha, out=out)
+        d *= d
+        d *= self.eps0
+        return d
 
 
 @dataclass(frozen=True)
@@ -139,21 +147,45 @@ class CSPairSpectrum:
         if self.alpha < 0.0:
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
 
+    def _square_error(self) -> DomainError:
+        """The error of ``energy`` and ``energies`` where alpha^2 leaves the double range."""
+        return DomainError(f"alpha^2 leaves the double range, got alpha={self.alpha}")
+
     def energy(self, n1: int, n2: int) -> float:
         if n1 > n2:
             raise OrderingError(f"require n1 <= n2, got ({n1}, {n2})")
         unit = math.pi**2 / self.L**2
-        return unit * self.alpha**2 + 2.0 * unit * (
-            n1 * n1 + n2 * n2 + self.alpha * (n1 - n2)
-        )
+        try:
+            offset = unit * self.alpha**2
+        except OverflowError:
+            raise self._square_error() from None
+        return offset + 2.0 * unit * (n1 * n1 + n2 * n2 + self.alpha * (n1 - n2))
 
-    def energies(self, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    def energies(
+        self, n1: np.ndarray, n2: np.ndarray, out: np.ndarray = None, scratch=None
+    ) -> np.ndarray:
+        """E at each label (n1, n2), written into ``out`` when one is given.
+
+        ``scratch``, a float64 array of the labels' length, holds the one
+        intermediate term, which is allocated when none is given.  The
+        operations are ``energy``'s, in its order, so the two agree bit for bit.
+        """
+        unit = math.pi**2 / self.L**2
+        try:
+            offset = unit * self.alpha**2
+        except OverflowError:
+            raise self._square_error() from None
         n1 = np.asarray(n1, dtype=float)
         n2 = np.asarray(n2, dtype=float)
-        unit = math.pi**2 / self.L**2
-        return unit * self.alpha**2 + 2.0 * unit * (
-            n1 * n1 + n2 * n2 + self.alpha * (n1 - n2)
-        )
+        e = np.multiply(n1, n1, out=out)
+        term = np.multiply(n2, n2, out=scratch)
+        e += term
+        np.subtract(n1, n2, out=term)
+        term *= self.alpha
+        e += term
+        e *= 2.0 * unit
+        e += offset
+        return e
 
 
 def frozen_array(values, dtype=None) -> np.ndarray:
@@ -189,29 +221,31 @@ def label_box(bounds_b: tuple, bounds_a: tuple) -> tuple:
     ascend and the box holds every level of both sets.  The ring's box holds
     no label outside the two enumeration windows, and the pair's lies inside
     the larger window.  ``columns`` holds the labels' quantum-number columns,
-    (n,) or (n1, n2), as ``spec.energies`` takes them.
+    (n,) or (n1, n2), as views of ``labels`` that ``spec.energies`` takes.
     """
-    columns = _box_columns(bounds_b, bounds_a)
-    return _column_labels(columns), columns
-
-
-def _box_columns(bounds_b: tuple, bounds_a: tuple) -> tuple:
-    """The quantum-number columns of ``label_box``: (n,) or (n1, n2)."""
     ranges = [_label_range(*b, *a) for b, a in zip(bounds_b, bounds_a)]
-    return (ranges[0],) if len(ranges) == 1 else _upper_pairs(*ranges)
+    if len(ranges) == 1:
+        return ranges[0], (ranges[0],)
+    labels = _upper_pairs(*ranges)
+    return labels, tuple(labels.T)
 
 
-def _upper_pairs(rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """(n1, n2) over n1 in ``rows``, n2 in ``cols`` with n1 <= n2, in row-major order.
+def _upper_pairs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (N, 2) int64 rows (n1, n2) over n1 in ``rows``, n2 in ``cols`` with n1 <= n2.
 
-    Both inputs ascend, so the pairs ascend lexicographically.
+    Row-major order: both inputs ascend, so the pairs ascend lexicographically.
+    The array is allocated before the temporaries that fill it, so that
+    freeing them leaves no hole below it.
     """
     first = np.searchsorted(cols, rows)  # each row's first column with n2 >= n1
     counts = len(cols) - first
-    n1 = np.repeat(rows, counts)
+    pairs = np.empty((int(counts.sum()), 2), dtype=np.int64)
+    pairs[:, 0] = np.repeat(rows, counts)
     # The k-th entry of a row that starts at position s takes cols[first + k].
-    n2 = cols[np.arange(len(n1)) - np.repeat(np.cumsum(counts) - counts - first, counts)]
-    return n1, n2
+    index = np.arange(len(pairs))
+    index -= np.repeat(np.cumsum(counts) - counts - first, counts)
+    pairs[:, 1] = cols[index]
+    return pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,12 +561,12 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
     DomainError when a kept energy is not a finite double.
     """
     bounds, e_floor, tail = _search(spec, beta, tail_tol)
-    columns = _box_columns(bounds, bounds)
+    labels, columns = label_box(bounds, bounds)
     energies = spec.energies(*columns)
     if e_floor < math.inf:
         keep = energies <= e_floor
-        columns, energies = [c[keep] for c in columns], energies[keep]
-    return _sorted_level_set(_column_labels(columns), energies, tail, beta)
+        labels, energies = _column_labels([c[keep] for c in columns]), energies[keep]
+    return _sorted_level_set(labels, energies, tail, beta)
 
 
 def window_bounds(spec, beta: float, tail_tol: float) -> tuple:

@@ -75,21 +75,25 @@ class GibbsEnsemble:
         return max(populations_entropy(self.populations), 0.0)
 
 
-def _ground_weights(energies: np.ndarray, beta: float) -> tuple:
-    """(exp(-beta (E - E_min)), E_min): every Gibbs weight in this module, exponents in range."""
+def _ground_weights(energies: np.ndarray, beta: float, out: np.ndarray = None) -> tuple:
+    """(exp(-beta (E - E_min)), E_min): every Gibbs weight in this module, exponents in range.
+
+    The weights are written into ``out`` when one is given.
+    """
     e0 = energies.min()
-    weights = energies - e0
+    weights = np.subtract(energies, e0, out=out)
     weights *= -beta
     return np.exp(weights, out=weights), e0
 
 
-def boltzmann(energies: np.ndarray, beta: float) -> tuple:
+def boltzmann(energies: np.ndarray, beta: float, out: np.ndarray = None) -> tuple:
     """(populations, logZ) of the Gibbs state at beta on the levels ``energies``.
 
     The populations are the ground-shifted weights normalized over
-    ``energies``, and logZ refers to the unshifted energies.
+    ``energies``, written into ``out`` when one is given, and logZ refers to
+    the unshifted energies.
     """
-    weights, e0 = _ground_weights(energies, beta)
+    weights, e0 = _ground_weights(energies, beta, out)
     z_shifted = float(weights.sum())
     weights /= z_shifted
     return weights, math.log(z_shifted) - beta * e0
@@ -150,14 +154,21 @@ def gibbs(spec, beta: float, tail_tol: float = DEFAULT_TAIL_TOL) -> GibbsEnsembl
     return ensemble_from_levels(enumerate_levels(spec, beta, tail_tol), beta)
 
 
-def partition_function(spec, beta: float, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
+def _call(compute, *args):
+    """``compute(*args)``: the ``reuse`` of a single computation, which shares nothing."""
+    return compute(*args)
+
+
+def partition_function(spec, beta: float, tail_tol: float = DEFAULT_TAIL_TOL, reuse=_call) -> float:
     """Truncated partition function by direct summation over enumerated levels.
 
     This is the summation oracle for the theta-function closed forms: no
     theta identity enters, only exp(-beta E) term by term (evaluated against
-    the ground state for range, then rescaled).
+    the ground state for range, then rescaled).  ``reuse`` supplies the
+    enumeration (see ``otto._IsochoreMemo``); the default computes it.
     """
-    weights, e0 = _ground_weights(enumerate_levels(spec, beta, tail_tol).energies, beta)
+    levels = reuse(enumerate_levels, spec, beta, tail_tol)
+    weights, e0 = _ground_weights(levels.energies, beta)
     return float(weights.sum() * math.exp(-beta * e0))
 
 

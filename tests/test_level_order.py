@@ -191,4 +191,6 @@ def test_disjoint_ring_windows_stay_apart():
 def test_non_finite_box_energies_are_domain_errors(medium_spec, labels):
     message = r"^level energies leave the double range \(largest inf\)$"
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match=message):
-        otto._labelwise(medium_spec, 1.0, tuple(labels.reshape(len(labels), -1).T))
+        otto._labelwise(
+            medium_spec, 1.0, tuple(labels.reshape(len(labels), -1).T), *np.empty((2, len(labels)))
+        )

@@ -39,7 +39,7 @@ def reference_search(spec, beta, tail_tol, past=0):
         inv_sqrt_lam = 1.0 / math.sqrt(lam)
         log_lattice = math.log(2.0 + math.sqrt(math.pi / lam))
         window = np.arange(-K, K + 1)
-        n1, n2 = spectra._upper_pairs(window, window)
+        n1, n2 = spectra._upper_pairs(window, window).T
         energies = spec.energies(n1, n2)
         e_min = float(energies.min())
         if (K - alpha) < inv_sqrt_lam or K < inv_sqrt_lam:
@@ -107,7 +107,7 @@ def loose_specs(n, seed):
 
 def window_weights(spec, beta, K, e0):
     """Every pair n1 <= n2 of the window |n1|, |n2| <= K: energies E and exp(-beta (E - e0))."""
-    n1, n2 = spectra._upper_pairs(np.arange(-K, K + 1), np.arange(-K, K + 1))
+    n1, n2 = spectra._upper_pairs(np.arange(-K, K + 1), np.arange(-K, K + 1)).T
     energies = spec.energies(n1, n2)
     return energies, np.exp(-beta * (energies - e0))
 

@@ -11,7 +11,13 @@ from anyon_otto import closed_form as cf
 from anyon_otto import special_functions as sf
 from anyon_otto.errors import AnyonOttoError, DomainError, NoConvergence
 from anyon_otto.otto import OttoCycleSpec, efficiency_cs_volume
-from anyon_otto.spectra import RING_FLUX_LIMIT, RingAnyonSpectrum, enumerate_levels, pauli_energy
+from anyon_otto.spectra import (
+    RING_FLUX_LIMIT,
+    CSPairSpectrum,
+    RingAnyonSpectrum,
+    enumerate_levels,
+    pauli_energy,
+)
 from anyon_otto.special_functions import _log_gauss_tail
 
 RING = ["cycle", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
@@ -135,6 +141,13 @@ class TestSeriesRangeLimits:
         for lam, gamma, c in itertools.product(VALUES, VALUES, VALUES):
             finite_or_typed(series, lam, gamma, c, weight)
 
+    def test_weighted_energy_sums(self):
+        for alpha in VALUES:
+            finite_or_typed(cf.ring_weighted_energy_sum, 0.3, alpha, 0.5)
+            finite_or_typed(cf.ring_weighted_energy_sum, alpha, 0.3, 0.5)
+            finite_or_typed(cf.cs_weighted_energy_sum, 0.3, alpha, 0.5, 1.0)
+            finite_or_typed(cf.cs_weighted_energy_sum, alpha, 0.3, 0.5, 1.0)
+
     def test_ring_partition_closed(self):
         for alpha, beta, eps0 in itertools.product(VALUES, VALUES, VALUES):
             finite_or_typed(cf.ring_partition_closed, alpha, beta, eps0)
@@ -152,6 +165,17 @@ class TestSeriesRangeLimits:
             # past 2^53 the labels near gamma repeat as doubles: a wrong sum, not a slow one
             (lambda: sf.gauss_sum_full(2.0, 2.0**53, 0.0, 0), DomainError, r"\|gamma\| < 2\^52"),
             (lambda: sf.gauss_sum_half(2.0, -1e308, 0.0, 0), DomainError, r"\|gamma\| < 2\^52"),
+            # the closed forms' series check their centre before _lattice_sum rounds it
+            (
+                lambda: cf.ring_weighted_energy_sum(0.3, math.inf, 0.5),
+                DomainError,
+                "gamma must be finite, got inf",
+            ),
+            (
+                lambda: cf.cs_weighted_energy_sum(0.3, math.nan, 0.5, 1.0),
+                DomainError,
+                "gamma must be finite, got nan",
+            ),
             # existing messages keep their place ahead of the finiteness checks
             (lambda: sf.theta3(math.nan, 0.5), DomainError, "x must be positive, got nan"),
             (lambda: sf.gauss_sum_full(-1.0, math.inf, 0, 0), DomainError, "lambda must be pos"),
@@ -160,6 +184,36 @@ class TestSeriesRangeLimits:
     def test_named_errors(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
+
+
+class TestPairEnergyRange:
+    """alpha^2 past the double range is a DomainError; finite energies keep their bits."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: CSPairSpectrum(L=1.0, alpha=1e200).energies([0], [1]),
+            lambda: CSPairSpectrum(L=1.0, alpha=1e200).energy(0, 1),
+            lambda: cf.cs_weighted_energy_sum(1e308, 0.0, 0.5, 1.0),
+        ],
+        ids=["energies", "energy", "cs-weighted-energy-sum"],
+    )
+    def test_overflowing_alpha_is_domain_error(self, call):
+        with pytest.raises(DomainError, match=r"^alpha\^2 leaves the double range, got alpha="):
+            call()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 7.5, 1e100, 1.3e154])
+    def test_finite_energies_keep_their_bits(self, alpha):
+        spec = CSPairSpectrum(L=0.7, alpha=alpha)
+        n1, n2 = np.array([-3, 0, 0, 2, -40]), np.array([5, 0, 1, 2, 17])
+        unit = math.pi**2 / 0.7**2
+        f1, f2 = n1.astype(float), n2.astype(float)
+        expected = unit * alpha**2 + 2.0 * unit * (f1 * f1 + f2 * f2 + alpha * (f1 - f2))
+        assert spec.energies(n1, n2).tobytes() == expected.tobytes()
+        out = np.empty(5)
+        assert spec.energies(f1, f2, out=out, scratch=np.empty(5)) is out
+        assert out.tobytes() == expected.tobytes()
+        assert [spec.energy(int(i), int(j)) for i, j in zip(n1, n2)] == expected.tolist()
 
 
 class TestClosedFormulaRangeLimits:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from anyon_otto import closed_form as cf
-from anyon_otto import otto, validate
+from anyon_otto import otto, spectra, thermo, validate
 from anyon_otto.errors import AnyonOttoError, NoConvergence
 from anyon_otto.special_functions import DEFAULT_ACCURACY, SumAccuracy, partial_theta, theta3
 from anyon_otto.validate import run_validation
@@ -239,3 +239,18 @@ def test_each_factor_window_and_enumeration_runs_once(monkeypatch):
     calls = Counter(name for name, _, _ in log)
     assert len(set(log)) == len(log)
     assert calls == {name: n for (_, name), n in SHARED.items()}
+
+
+def test_partition_oracles_enumerate_through_the_memo(monkeypatch):
+    # cs-partition's oracle and the pair energy sums meet the same level sets;
+    # each is enumerated once per run, whichever family asks first
+    calls = []
+
+    def counted(spec, beta, tail_tol, real=spectra.enumerate_levels):
+        calls.append(repr((spec, beta.hex(), tail_tol.hex())))
+        return real(spec, beta, tail_tol)
+
+    for module in (cf, thermo):
+        monkeypatch.setattr(module, "enumerate_levels", counted)
+    run_validation(random_points=10)
+    assert len(calls) == len(set(calls)) == 50
