@@ -18,7 +18,8 @@ keeps, so it contains both downward-closed sets and each one's tail bound
 still holds.  Both spectra are evaluated once on the box, each weighted by
 its own Boltzmann factor and normalized over the box, and every sum is one
 ``thermo.sum_of_products``: the products' sum as ``math.fsum`` rounds it,
-in an order that does not depend on the BLAS thread count.
+in an order that does not depend on the BLAS thread count.  The report's
+per-stroke ledger (``CycleReport.strokes``) is read from the same rows.
 
 The table is one (4, N) float64 block with rows E_hot, E_cold, P_B and P_A,
 filled in place.  The box's label columns are converted to float once per
@@ -70,7 +71,9 @@ from .spectra import (
     require_tail_tol,
     window_bounds,
 )
-from .thermo import DEFAULT_TAIL_TOL, _call, boltzmann, populations_entropy, sum_of_products
+from .thermo import (
+    DEFAULT_TAIL_TOL, _call, boltzmann, populations_entropy, require_step_count, sum_of_products
+)
 
 __all__ = [
     "MEDIA",
@@ -299,7 +302,8 @@ class CycleReport:
     enumeration keeps (see ``spectra.label_box``).  The energy and population
     fields are read-only float64 arrays in that order, the rows of the cycle
     table's block, each population normalized over the box.  ``efficiency``
-    is the raw ratio 1 - Q_out/Q_in; interpret it through ``regime``.
+    is the raw ratio 1 - Q_out/Q_in; interpret it through ``regime``.  The
+    per-stroke ledger is a function of these fields alone (``strokes``).
     """
 
     q_in: float
@@ -312,6 +316,25 @@ class CycleReport:
     energies_cold: np.ndarray
     populations_b: np.ndarray
     populations_a: np.ndarray
+
+    def strokes(self) -> "StrokeReport":
+        """The four strokes' heat and work, and the corner entropies, from this report.
+
+        Both count energy into the system, as in ``thermo.heat_work_split``.  A
+        stroke holds the levels (isochore) or the populations (adiabat) fixed, so
+        it telescopes to its endpoints: heat Q_in or -Q_out, or work P . dE at
+        P_B or P_A, and an exact zero for the other half.
+        """
+        e_hot, e_cold = self.energies_hot, self.energies_cold
+        p_b, p_a = self.populations_b, self.populations_a
+        strokes = (
+            StrokeResult("A->B", heat=self.q_in, work=0.0),
+            StrokeResult("B->C", heat=0.0, work=sum_of_products(p_b, e_cold - e_hot)),
+            StrokeResult("C->D", heat=-self.q_out, work=0.0),
+            StrokeResult("D->A", heat=0.0, work=sum_of_products(p_a, e_hot - e_cold)),
+        )
+        s_b, s_a = populations_entropy(p_b), populations_entropy(p_a)
+        return StrokeReport(strokes, entropy_a=s_a, entropy_b=s_b, entropy_c=s_b, entropy_d=s_a)
 
 
 def _labelwise(spec, beta: float, columns: tuple, energies, populations) -> None:
@@ -356,10 +379,8 @@ class _IsochoreMemo:
 def _cycle_table(spec: OttoCycleSpec, reuse=_call):
     """(labels, E_hot, E_cold, P_B, P_A) on the label box of the two isochores.
 
-    The four level arrays are the rows of one (4, N) float64 block, filled in
-    place from the box's label columns, converted to float once.  The block
-    is allocated before those float columns, which it outlives, so that
-    freeing them leaves no hole below it.
+    The (4, N) block of the level rows is allocated before the label columns'
+    float copies, which it outlives, so that freeing them leaves no hole below it.
     """
     hot_spec = spec.spectrum_hot()
     cold_spec = spec.spectrum_cold()
@@ -472,42 +493,13 @@ class StrokeReport:
     entropy_d: float
 
     def stroke(self, name: str) -> StrokeResult:
-        for s in self.strokes:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return {s.name: s for s in self.strokes}[name]
 
 
 def cycle_strokes(spec: OttoCycleSpec, steps_per_stroke: int = 1000) -> StrokeReport:
-    """Per-stroke heat and work of the cycle, with corner entropies.
-
-    Heat and work follow the convention of ``thermo.heat_work_split``: both
-    count energy into the system, so the cycle's output work is minus the
-    summed adiabat work.  The strokes come from the four corner states:
-    isochores hold the levels fixed (Q = E . dP, W = 0 exactly) and adiabats
-    hold the populations fixed (W = P . dE, Q = 0 exactly), so the
-    trapezoidal ``heat_work_split`` of any discretized linear path telescopes
-    to these endpoint values.  ``steps_per_stroke`` must be at least 1 but
-    does not change the result: any step count gives these values up to
-    roundoff, and one step gives them bit for bit.
-    """
-    if steps_per_stroke < 1:
-        raise DomainError(f"steps_per_stroke must be >= 1, got {steps_per_stroke}")
-    _, e_hot, e_cold, p_b, p_a = _cycle_table(spec)
-    s_b = populations_entropy(p_b)
-    s_a = populations_entropy(p_a)
-    return StrokeReport(
-        strokes=(
-            StrokeResult(name="A->B", heat=sum_of_products(e_hot, p_b - p_a), work=0.0),
-            StrokeResult(name="B->C", heat=0.0, work=sum_of_products(p_b, e_cold - e_hot)),
-            StrokeResult(name="C->D", heat=sum_of_products(e_cold, p_a - p_b), work=0.0),
-            StrokeResult(name="D->A", heat=0.0, work=sum_of_products(p_a, e_hot - e_cold)),
-        ),
-        entropy_a=s_a,
-        entropy_b=s_b,
-        entropy_c=s_b,  # populations are carried unchanged across B -> C
-        entropy_d=s_a,  # and across D -> A
-    )
+    """``run_cycle(spec).strokes()``, DegenerateCycle too; ``steps_per_stroke`` changes nothing."""
+    require_step_count(steps_per_stroke, "steps_per_stroke")
+    return run_cycle(spec).strokes()
 
 
 @dataclass(frozen=True)

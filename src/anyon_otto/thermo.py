@@ -12,15 +12,16 @@ fixed levels) and work (level shifts at fixed populations).  Discretized
 parameter paths are lists of PathStep records; ``heat_work_split`` pairs
 midpoint energies with population increments and midpoint populations with
 energy increments, which makes Q + W telescope to the exact endpoint energy
-difference at any step count.  It is a first-law checker for such paths:
-the cycle's own strokes (``otto.cycle_strokes``) hold either the levels or
-the populations fixed, so their sums telescope exactly to endpoint dot
-products, and the cycle computes those directly instead of building a path.
+difference at any step count.  The cycle builds no path: its strokes hold
+the levels or the populations fixed, so their sums telescope to endpoint dot
+products, which ``otto.CycleReport.strokes`` reads from the cycle's rows.
+The paths serve as the stepped reference the tests check those against.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,8 +72,8 @@ class GibbsEnsemble:
 
     @property
     def entropy(self) -> float:
-        """Von Neumann entropy -sum P ln P, floored at 0."""
-        return max(populations_entropy(self.populations), 0.0)
+        """Von Neumann entropy -sum P ln P (``populations_entropy``)."""
+        return populations_entropy(self.populations)
 
 
 def _ground_weights(energies: np.ndarray, beta: float, out: np.ndarray = None) -> tuple:
@@ -119,19 +120,19 @@ def sum_of_products(a: np.ndarray, b: np.ndarray) -> float:
     x = (a * b).ravel()
     m = max(float(x.max()), -float(x.min())) if x.size else 0.0
     if not 0.0 < m < math.inf:
-        return float(np.sum(x))
+        return float(x.sum())
     try:
         sigma = math.ldexp(1.0, math.frexp(m)[1] + (x.size + 1).bit_length() + 1)
     except OverflowError:
-        return float(np.sum(x))
+        return float(x.sum())
     high = 0.0
     for start in range(0, x.size, _SUM_BLOCK):
         part = x[start:start + _SUM_BLOCK]
         hi = part + sigma
         hi -= sigma
-        high += float(np.sum(hi))
+        high += float(hi.sum())
         part -= hi  # x now holds the lo parts
-    return high + float(np.sum(x))
+    return high + float(x.sum())
 
 
 def ensemble_from_levels(levels: LevelSet, beta: float) -> GibbsEnsemble:
@@ -174,13 +175,21 @@ def partition_function(spec, beta: float, tail_tol: float = DEFAULT_TAIL_TOL, re
 
 def populations_entropy(populations: np.ndarray) -> float:
     """Von Neumann entropy -sum P ln P of a populations array (0 ln 0 = 0)."""
-    nz = populations > 0.0
-    return float(-(populations[nz] * np.log(populations[nz])).sum())
+    p = populations[populations > 0.0]
+    return float(-(p * np.log(p)).sum())
 
 
 def entropy(ensemble: GibbsEnsemble) -> float:
     """Von Neumann entropy -sum P ln P of the ensemble's populations (0 ln 0 = 0)."""
     return populations_entropy(ensemble.populations)
+
+
+def require_step_count(n, name: str) -> None:
+    """Raise DomainError unless ``n`` is an integer >= 1 (a float, even 2.0, is not)."""
+    if not isinstance(n, numbers.Integral):
+        raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+    if n < 1:
+        raise DomainError(f"{name} must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -242,28 +251,17 @@ def gibbs_isochore_path(
     and held fixed; the energies never change along the path, so W = 0
     exactly and Q equals the endpoint energy difference.
     """
-    if n_steps < 1:
-        raise DomainError("n_steps must be >= 1")
+    require_step_count(n_steps, "n_steps")
     energies = enumerate_levels(spec, min(beta_start, beta_end), tail_tol).energies
     e_tuple = tuple(float(e) for e in energies)
-
-    def pops(beta: float) -> tuple:
-        return tuple(float(v) for v in boltzmann(energies, beta)[0])
-
     betas = np.linspace(beta_start, beta_end, n_steps + 1)
-    steps = []
-    prev = pops(betas[0])
-    for b in betas[1:]:
-        cur = pops(float(b))
-        steps.append(PathStep(e_tuple, e_tuple, prev, cur))
-        prev = cur
-    return steps
+    pops = [tuple(float(v) for v in boltzmann(energies, float(b))[0]) for b in betas]
+    return [PathStep(e_tuple, e_tuple, p0, p1) for p0, p1 in zip(pops, pops[1:])]
 
 
 def linear_isochore_path(energies, pops_start, pops_end, n_steps: int) -> list:
     """Isochore with populations interpolated linearly between two states."""
-    if n_steps < 1:
-        raise DomainError("n_steps must be >= 1")
+    require_step_count(n_steps, "n_steps")
     e_tuple = tuple(float(e) for e in energies)
     p0 = np.asarray(pops_start, dtype=float)
     p1 = np.asarray(pops_end, dtype=float)

@@ -306,6 +306,21 @@ class TestCycleStrokes:
         assert got.stroke("A->B").heat == report.q_in
         assert got.stroke("C->D").heat == -report.q_out
         assert got == cycle_strokes(spec, 1)
+        assert got == run_cycle(spec).strokes()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            OttoCycleSpec.cs_coupling_cycle(1.0000610370189331, 1.0, 1.0, 1.0000610370189331),
+            OttoCycleSpec.ring_cycle(0.2, 0.2, 1.0, 1.0),
+        ],
+        ids=["rounding-noise", "identical-controls"],
+    )
+    def test_degenerate_cycle_raises_as_run_cycle_does(self, spec):
+        with pytest.raises(DegenerateCycle):
+            run_cycle(spec)
+        with pytest.raises(DegenerateCycle):
+            cycle_strokes(spec)
 
     def test_step_count_below_one_is_domain_error(self):
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ from anyon_otto import cli
 from anyon_otto import closed_form as cf
 from anyon_otto import special_functions as sf
 from anyon_otto.errors import AnyonOttoError, DomainError, NoConvergence
-from anyon_otto.otto import OttoCycleSpec, efficiency_cs_volume
+from anyon_otto.otto import OttoCycleSpec, cycle_strokes, efficiency_cs_volume
 from anyon_otto.spectra import (
     RING_FLUX_LIMIT,
     CSPairSpectrum,
@@ -19,6 +19,7 @@ from anyon_otto.spectra import (
     pauli_energy,
 )
 from anyon_otto.special_functions import _log_gauss_tail
+from anyon_otto.thermo import gibbs_isochore_path, linear_isochore_path
 
 RING = ["cycle", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
 CS = ["cycle", "--medium", "cs-coupling", "--alpha1", "0", "--alpha2", "0.5"]
@@ -238,3 +239,44 @@ class TestClosedFormulaRangeLimits:
         with pytest.raises(DomainError, match="l1 must be finite, got inf"):
             efficiency_cs_volume(math.inf, math.inf)
         assert efficiency_cs_volume(2.0, 1.0) == 0.75
+
+
+class TestStepCounts:
+    """Every step count is an integer >= 1; anything else is a DomainError naming it."""
+
+    # call -> (the name its step count goes by, the call at step count n)
+    CALLS = {
+        "cycle_strokes": (
+            "steps_per_stroke",
+            lambda n: cycle_strokes(OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 25.0), n),
+        ),
+        "gibbs_isochore_path": (
+            "n_steps",
+            lambda n: gibbs_isochore_path(RingAnyonSpectrum(1.0, 0.2), 2.0, 1.0, n),
+        ),
+        "linear_isochore_path": (
+            "n_steps",
+            lambda n: linear_isochore_path((0.0, 1.0), (0.6, 0.4), (0.3, 0.7), n),
+        ),
+    }
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 2.5, 2.0, "3", None])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_non_integers(self, call, n):
+        name, run = self.CALLS[call]
+        with pytest.raises(DomainError) as info:
+            run(n)
+        assert str(info.value) == f"{name} must be an integer >= 1, got {n!r}"
+
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_below_one(self, call, n):
+        name, run = self.CALLS[call]
+        with pytest.raises(DomainError) as info:
+            run(n)
+        assert str(info.value) == f"{name} must be >= 1, got {n}"
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_numpy_integers_are_step_counts(self, call):
+        _, run = self.CALLS[call]
+        assert run(np.int64(3)) == run(3)
