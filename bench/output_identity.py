@@ -18,12 +18,12 @@ Commands whose outputs are equal on both sides are counted; for the others,
 every residual whose closed-form value or run_cycle efficiency (``eta``, the
 oracle route) changed gets a row in the CSV.  ``moved`` names the route or
 routes that changed.  The row holds the old and new residual, the relative
-distance of the old and new closed-form value to an mpmath evaluation of the
-same closed form (every theta series summed term by term in 256-bit fixed
-point, no theta identity), the same distances for the old and new ``eta``,
-and two bounds on the rounding error the assembly 1 - (A - B)/(C - D)
-admits: eps * kappa from the four sums' errors alone, and the same with the
-assembly's own division and subtraction counted (see ``grade``).  The
+distance of the old and new closed-form value to a ground-shifted mpmath
+sum over the levels at 40 digits (``shifted_sums``, no theta identity), the
+same distances for the old and new ``eta``, and two bounds on the rounding
+error the assembly 1 - (A - B)/(C - D) admits: eps * kappa from the four
+sums' errors alone, and the same with the assembly's own division and
+subtraction counted (see ``grade``).  The
 oracle's 1 - Q_out/Q_in has that same form (Q_in = C - D, Q_out = A - B), so
 one pair of bounds serves both routes.  Each route is summarized apart: how
 many of its changed rows moved closer to mpmath, and how many lie past each
@@ -34,6 +34,7 @@ Needs mpmath.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import csv
 import hashlib
@@ -160,120 +161,99 @@ def run_checkout(checkout: Path, out: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# mpmath reference for the closed forms
+# mpmath reference: ground-shifted direct sums
 # ---------------------------------------------------------------------------
 
-BITS = 256
+DIGITS = 40
+# Levels whose ground-shifted exponent beta (E - E_0) passes this are left out:
+# 3 labels past the first excited one, their weights lie below e^-120 of it.
+EXPONENT_CUT = 120
 
 
-def series(lam, gamma, one_sided):
-    """(T_0, T_1, T_2), T_w = sum n^w exp(-lam n^2 + 2 lam gamma n), full lattice or n >= 0."""
-    import mpmath
-
-    with mpmath.workprec(BITS + 64):
-        lam, gamma = mpmath.mpf(lam), mpmath.mpf(gamma)
-        width = int(math.sqrt(100.0 / float(lam))) + 2
-        lo = int(round(float(gamma))) - width
-        hi = lo + 2 * width
-        if one_sided:
-            lo = max(lo, 0)
-        n0 = min(max(int(round(float(gamma))), lo), hi)
-        q2 = int(mpmath.nint(mpmath.ldexp(mpmath.exp(-2 * lam), BITS)))
-        sums = [0, 0, 0]
-        # Outward from the peak, so every term is a ratio below one of a
-        # term near 2^BITS: up from n0, then down from n0 - 1.
-        for start, stop, step in ((n0, hi + 1, 1), (n0 - 1, lo - 1, -1)):
-            if (stop - start) * step <= 0:
-                continue
-            term = int(mpmath.nint(mpmath.ldexp(mpmath.exp(-lam * (start - gamma) ** 2), BITS)))
-            log_ratio = -lam * (2 * start + step) * step + 2 * lam * gamma * step
-            ratio = int(mpmath.nint(mpmath.ldexp(mpmath.exp(log_ratio), BITS)))
-            for n in range(start, stop, step):
-                sums[0] += term
-                sums[1] += n * term
-                sums[2] += n * n * term
-                term = (term * ratio) >> BITS
-                ratio = (ratio * q2) >> BITS
-        scale = mpmath.ldexp(mpmath.exp(lam * gamma * gamma), -BITS)
-        return [s * scale for s in sums]
+def _axis(centre, decay) -> list:
+    """The integers within sqrt(EXPONENT_CUT / decay) + 3 of ``centre``."""
+    reach = math.sqrt(EXPONENT_CUT / float(decay)) + 3
+    return list(range(math.floor(float(centre) - reach), math.ceil(float(centre) + reach) + 1))
 
 
-def gauss(lam, gamma, c, weighted, one_sided):
-    """sum (n-c)^2 exp(-lam (n-gamma)^2) if weighted, else sum exp(-lam (n-gamma)^2)."""
-    import mpmath
-
-    lam, gamma, c = mpmath.mpf(lam), mpmath.mpf(gamma), mpmath.mpf(c)
-    t0, t1, t2 = series(lam, gamma, one_sided)
-    pref = mpmath.exp(-lam * gamma * gamma)
-    return pref * (c * c * t0 - 2 * c * t1 + t2) if weighted else pref * t0
+def _union(ranges) -> list:
+    return list(range(min(r[0] for r in ranges), max(r[-1] for r in ranges) + 1))
 
 
-def ratios(row) -> tuple:
-    """(A, B, C, D) with eta = 1 - (A - B)/(C - D), as closed_form assembles it.
+def shifted_sums(row) -> tuple:
+    """(A', B', C', D') with eta = 1 - (A' - B')/(C' - D'), and the grounds (E_cold,0, E_hot,0).
 
-    A and B sum the cold isochore's energies, C and D the hot one's, over the
-    hot (A, C) and cold (B, D) Gibbs states.  For cs-volume, where no theta
-    closed form is assembled, the same sums give eta = 1 - L2^2/L1^2.
+    A' and B' sum the cold isochore's ground-shifted energies E - E_0, C' and D'
+    the hot one's, over the hot (A', C') and cold (B', D') Gibbs states, each
+    weighted by exp(-beta (E - E_0)) of its own spectrum: a direct sum over
+    the levels, no theta identity.  With A = A' + E_cold,0 and so on, these are
+    the sums the closed form assembles, but the ground's term is 0 in each,
+    however close to 1 both ground populations are.  The pair's levels are
+    its (n1 <= n2) pairs, E = 2 unit ((n1 + alpha/2)^2 + (n2 - alpha/2)^2), and
+    each weight is a row factor times a column factor.
     """
     import mpmath
 
-    bh, bl = mpmath.mpf(row["beta_h"]), mpmath.mpf(row["beta_l"])
+    beta = {"hot": mpmath.mpf(row["beta_h"]), "cold": mpmath.mpf(row["beta_l"])}
     if row["medium"] == "ring":
         eps0 = mpmath.mpf(row["eps0"])
-        hot, cold = row["hot"], row["cold"]
-
-        def u(aw, ab, b):
-            return eps0 * gauss(b * eps0, ab, aw, True, False)
-
-        def z(a, b):
-            return gauss(b * eps0, a, 0, False, False)
-
-        zh, zl = z(hot, bh), z(cold, bl)
-        return (
-            u(cold, hot, bh) / zh,
-            u(cold, cold, bl) / zl,
-            u(hot, hot, bh) / zh,
-            u(hot, cold, bl) / zl,
-        )
-
-    # The pair media: each isochore's level unit pi^2/L^2 and coupling alpha.
-    if row["medium"] == "cs-volume":
-        unit = {side: mpmath.pi**2 / mpmath.mpf(row[side]) ** 2 for side in ("hot", "cold")}
-        alpha = dict.fromkeys(("hot", "cold"), mpmath.mpf(row["alpha"]))
+        flux = {side: mpmath.mpf(row[side]) for side in beta}
+        labels = _union([_axis(flux[s], beta[s] * eps0) for s in beta])
+        energy = {s: [eps0 * (n - flux[s]) ** 2 for n in labels] for s in beta}
+        ground = {s: min(energy[s]) for s in beta}
+        shifted = {s: [e - ground[s] for e in energy[s]] for s in beta}
+        sums = {}
+        for state in beta:
+            weights = [mpmath.exp(-beta[state] * x) for x in shifted[state]]
+            z = mpmath.fsum(weights)
+            for side in beta:
+                sums[side, state] = mpmath.fsum(x * w for x, w in zip(shifted[side], weights)) / z
     else:
-        unit = dict.fromkeys(("hot", "cold"), mpmath.pi**2 / mpmath.mpf(row["length"]) ** 2)
-        alpha = {side: mpmath.mpf(row[side]) for side in ("hot", "cold")}
-
-    def x(w, s, b):
-        """sum of the ``w`` isochore's energies weighted by exp(-b E) of the ``s`` isochore."""
-        c4 = 4 * b * unit[s]
-        aw, ab = alpha[w], alpha[s]
-        even = gauss(c4, 0, 0, True, False) * gauss(c4, ab / 2, 0, False, True) + gauss(
-            c4, 0, 0, False, False
-        ) * gauss(c4, ab / 2, aw / 2, True, True)
-        odd = gauss(c4, -0.5, -0.5, True, False) * gauss(c4, (ab - 1) / 2, 0, False, True) + gauss(
-            c4, -0.5, 0, False, False
-        ) * gauss(c4, (ab - 1) / 2, (aw - 1) / 2, True, True)
-        return 4 * unit[w] * (even + odd)
-
-    def z(s, b):
-        c4 = 4 * b * unit[s]
-        a = alpha[s]
-        return gauss(c4, 0, 0, False, False) * gauss(c4, a / 2, 0, False, True) + gauss(
-            c4, -0.5, 0, False, False
-        ) * gauss(c4, (a - 1) / 2, 0, False, True)
-
-    zh, zl = z("hot", bh), z("cold", bl)
+        if row["medium"] == "cs-volume":
+            unit = {s: mpmath.pi**2 / mpmath.mpf(row[s]) ** 2 for s in beta}
+            alpha = dict.fromkeys(beta, mpmath.mpf(row["alpha"]))
+        else:
+            unit = dict.fromkeys(beta, mpmath.pi**2 / mpmath.mpf(row["length"]) ** 2)
+            alpha = {s: mpmath.mpf(row[s]) for s in beta}
+        rows = _union([_axis(-alpha[s] / 2, 2 * beta[s] * unit[s]) for s in beta])
+        cols = _union([_axis(alpha[s] / 2, 2 * beta[s] * unit[s]) for s in beta])
+        # E = x(n1) + y(n2); for alpha >= 0 the least x and the least y lie at
+        # n1 <= 0 <= n2, so their sum is the least level
+        x = {s: [2 * unit[s] * (n + alpha[s] / 2) ** 2 for n in rows] for s in beta}
+        y = {s: [2 * unit[s] * (n - alpha[s] / 2) ** 2 for n in cols] for s in beta}
+        x = {s: [v - min(x[s]) for v in x[s]] for s in beta}
+        y = {s: [v - min(y[s]) for v in y[s]] for s in beta}
+        ground = {
+            s: 2 * unit[s] * (min((n + alpha[s] / 2) ** 2 for n in rows)
+                              + min((n - alpha[s] / 2) ** 2 for n in cols))
+            for s in beta
+        }
+        sums = {}
+        for state in beta:
+            f = [mpmath.exp(-beta[state] * v) for v in x[state]]
+            g = [mpmath.exp(-beta[state] * v) for v in y[state]]
+            z, totals = [], {side: [] for side in beta}
+            for i, n1 in enumerate(rows):
+                for j in range(bisect.bisect_left(cols, n1), len(cols)):
+                    w = f[i] * g[j]
+                    z.append(w)
+                    for side in beta:
+                        totals[side].append((x[side][i] + y[side][j]) * w)
+            z = mpmath.fsum(z)
+            for side in beta:
+                sums[side, state] = mpmath.fsum(totals[side]) / z
     return (
-        x("cold", "hot", bh) / zh, x("cold", "cold", bl) / zl,
-        x("hot", "hot", bh) / zh, x("hot", "cold", bl) / zl,
+        sums["cold", "hot"], sums["cold", "cold"], sums["hot", "hot"], sums["hot", "cold"],
+        ground["cold"], ground["hot"],
     )
 
 
 def grade(row, values) -> tuple:
     """(relative distance of each efficiency value to mpmath, eps * kappa, eps * kappa_rounded).
 
-    With eta = 1 - rho and rho = (A - B)/(C - D), relative errors of eps in A,
+    The exact eta = 1 - (A' - B')/(C' - D') comes from ``shifted_sums`` at
+    ``DIGITS`` digits.  With eta = 1 - rho and rho = (A - B)/(C - D) over the
+    unshifted sums the closed form assembles, relative errors of eps in A,
     B, C and D move eta by eps * kappa, where
     kappa = |rho/eta| ((|A|+|B|)/|A-B| + (|C|+|D|)/|C-D|).  The assembly then
     rounds twice more, each time by at most eps/2 relative: the division
@@ -284,10 +264,11 @@ def grade(row, values) -> tuple:
     """
     import mpmath
 
-    with mpmath.workdps(40):
-        a, b, c, d = ratios(row)
-        rho = (a - b) / (c - d)
+    with mpmath.workdps(DIGITS):
+        a1, b1, c1, d1, cold0, hot0 = shifted_sums(row)
+        rho = (a1 - b1) / (c1 - d1)
         exact = 1 - rho
+        a, b, c, d = a1 + cold0, b1 + cold0, c1 + hot0, d1 + hot0
         kappa = abs(rho / exact) * ((abs(a) + abs(b)) / abs(a - b) + (abs(c) + abs(d)) / abs(c - d))
         rounded = kappa + (abs(rho / exact) + 1) / 2
         distances = [float(abs((mpmath.mpf(v) - exact) / exact)) for v in values]

@@ -312,7 +312,7 @@ def _cmd_cycle(args) -> int:
     _print_record(record)
     if out is not None and "json" in formats:
         payload = {k: getattr(spec, k) for k in ("beta_h", "beta_l", "control_hot", "control_cold")}
-        payload.update(record, n_levels=len(report.labels))
+        payload.update(record, n_levels=report.n_levels)
         payload["closed_form_residual"] = payload.pop("residual")
         (out / "cycle.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -15,21 +15,27 @@ These are plain sums over labels, in any order.  The cycle table sums them
 over one label box (``spectra.label_box``): the label-ascending set spanned
 by the label ranges of the levels each isochore's certified enumeration
 keeps, so it contains both downward-closed sets and each one's tail bound
-still holds.  Both spectra are evaluated once on the box, each weighted by
-its own Boltzmann factor and normalized over the box, and every sum is one
-``thermo.sum_of_products``: the products' sum as ``math.fsum`` rounds it,
-in an order that does not depend on the BLAS thread count.  The report's
-per-stroke ledger (``CycleReport.strokes``) is read from the same rows.
+still holds.  Each spectrum is weighted by its own Boltzmann factor and
+normalized over the box.  As sum_n [P_n(B) - P_n(A)] = 0, each heat sums
+ground-shifted energies, (E - E_ground) dP: at low temperature both ground
+populations round to 1 and their difference to 0, and the ground's term is
+then 0 as it should be, where the unshifted E_ground dP would lose the
+excited weight that makes the heat.  Every sum is one
+``thermo.sum_of_products``: the products' sum as ``math.fsum`` rounds it, in
+an order that does not depend on the BLAS thread count.
 
-The table is one (4, N) float64 block with rows E_hot, E_cold, P_B and P_A,
-filled in place.  The box's label columns are converted to float once per
-cycle.  Each spectrum writes its energies into its energy row; a pair
-spectrum keeps its one intermediate term in the populations row, which
-``thermo.boltzmann`` then fills.  A hot pair box holds 20,000 to 60,000
-levels, and the table peaks at 64 bytes per level: the int64 labels (16),
-their float columns (16) and the block (32).  An array of that size that a
-cycle allocates and frees can come back as fresh pages, which the next
-cycle faults in again, so the table allocates nothing else of that size.
+Each isochore's state is kept by label axis (``_Isochore``).  The ring's one
+axis is its levels n, a few thousand at most.  The pair's energy separates,
+E(n1, n2) = constant + A(n1) + B(n2) (``CSPairSpectrum.split_energies``), so
+its Gibbs weight is f(n1) g(n2) and its box, rows n1 by columns n2 cut to
+n1 <= n2, has two marginals, each one running sum over the other axis.  The
+heats, the noise rule's bound, the adiabats' work and the entropies are then
+O(K) sums over K ~ 10-600 labels a side, where the box holds up to 60,000
+levels.  This is still the direct sum of exp(-beta E) over the box, in
+another order; no theta identity enters.  The per-level rows (labels,
+E_hot, E_cold, P_B, P_A) of a pair box are built only when a report's
+arrays are read, as one (4, N) block filled in place: 64 bytes a level
+with the labels and their float columns.
 
 Media and their control parameters:
 
@@ -65,15 +71,14 @@ from .spectra import (
     RingAnyonSpectrum,
     frozen_array,
     label_box,
+    label_ranges,
     pair_length_in_range,
     require_finite,
     require_finite_energies,
     require_tail_tol,
     window_bounds,
 )
-from .thermo import (
-    DEFAULT_TAIL_TOL, _call, boltzmann, populations_entropy, require_step_count, sum_of_products
-)
+from .thermo import DEFAULT_TAIL_TOL, _call, boltzmann, require_step_count, sum_of_products
 
 __all__ = [
     "MEDIA",
@@ -300,10 +305,12 @@ class CycleReport:
     ``labels`` is the label box, label-ascending int64 of shape (N,) or
     (N, 2) as in ``LevelSet``: it holds every level that either isochore's
     enumeration keeps (see ``spectra.label_box``).  The energy and population
-    fields are read-only float64 arrays in that order, the rows of the cycle
-    table's block, each population normalized over the box.  ``efficiency``
-    is the raw ratio 1 - Q_out/Q_in; interpret it through ``regime``.  The
-    per-stroke ledger is a function of these fields alone (``strokes``).
+    fields are read-only float64 arrays in that order, each population
+    normalized over the box.  A pair cycle builds these five arrays when one
+    of them is first read; its heats and ledger come from the label axes
+    alone.  ``efficiency`` is the raw ratio 1 - Q_out/Q_in; interpret it
+    through ``regime``.  ``table`` is the cycle table (box, hot, cold) that
+    the arrays and the per-stroke ledger (``strokes``) are read from.
     """
 
     q_in: float
@@ -311,11 +318,35 @@ class CycleReport:
     w_out: float
     efficiency: float
     regime: str
-    labels: np.ndarray
-    energies_hot: np.ndarray
-    energies_cold: np.ndarray
-    populations_b: np.ndarray
-    populations_a: np.ndarray
+    table: tuple = dataclasses.field(repr=False)
+
+    @property
+    def n_levels(self) -> int:
+        """The box's level count, ``len(labels)``, read without building the labels."""
+        return len(self.table[0])
+
+    def _rows(self) -> tuple:
+        return self.table[0].rows(*self.table[1:])
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._rows()[0]
+
+    @property
+    def energies_hot(self) -> np.ndarray:
+        return self._rows()[1]
+
+    @property
+    def energies_cold(self) -> np.ndarray:
+        return self._rows()[2]
+
+    @property
+    def populations_b(self) -> np.ndarray:
+        return self._rows()[3]
+
+    @property
+    def populations_a(self) -> np.ndarray:
+        return self._rows()[4]
 
     def strokes(self) -> "StrokeReport":
         """The four strokes' heat and work, and the corner entropies, from this report.
@@ -323,18 +354,57 @@ class CycleReport:
         Both count energy into the system, as in ``thermo.heat_work_split``.  A
         stroke holds the levels (isochore) or the populations (adiabat) fixed, so
         it telescopes to its endpoints: heat Q_in or -Q_out, or work P . dE at
-        P_B or P_A, and an exact zero for the other half.
+        P_B or P_A, and an exact zero for the other half.  Each is a sum over
+        the label axes (see ``_Isochore``).
         """
-        e_hot, e_cold = self.energies_hot, self.energies_cold
-        p_b, p_a = self.populations_b, self.populations_a
+        _, hot, cold = self.table
         strokes = (
             StrokeResult("A->B", heat=self.q_in, work=0.0),
-            StrokeResult("B->C", heat=0.0, work=sum_of_products(p_b, e_cold - e_hot)),
+            StrokeResult("B->C", heat=0.0, work=hot.work_to(cold)),
             StrokeResult("C->D", heat=-self.q_out, work=0.0),
-            StrokeResult("D->A", heat=0.0, work=sum_of_products(p_a, e_hot - e_cold)),
+            StrokeResult("D->A", heat=0.0, work=cold.work_to(hot)),
         )
-        s_b, s_a = populations_entropy(p_b), populations_entropy(p_a)
+        s_b, s_a = hot.entropy(), cold.entropy()
         return StrokeReport(strokes, entropy_a=s_a, entropy_b=s_b, entropy_c=s_b, entropy_d=s_a)
+
+
+@dataclass(frozen=True, eq=False)
+class _Isochore:
+    """One isochore's Gibbs state on the label box, as sums over the box's label axes.
+
+    Each level's energy is ``constant`` plus one entry of ``energies`` per
+    quantum number: the ring has one axis, its levels n, and a constant 0;
+    the pair has two, the box's rows n1 followed by its columns n2, each
+    shifted to its least entry.  ``populations`` are the state's marginal
+    populations on the same entries, so every sum of a level function that
+    separates by label is one O(K) sum over them.  ``shift`` is the entries'
+    ground (the ring's least level; 0 for the pair), subtracted inside each
+    heat sum, and ``log_z`` the log of the partition sum of the ground-shifted
+    weights.  ``scale`` bounds the magnitude of every term a box level's
+    energy sums, the energy included.
+    """
+
+    spectrum: object
+    beta: float
+    energies: np.ndarray
+    populations: np.ndarray
+    shift: float
+    constant: float
+    log_z: float
+    scale: float
+
+    def heat(self, dp: np.ndarray) -> float:
+        """sum (E - ground) dP: the constant and the ground cancel, as sum dP = 0."""
+        return sum_of_products(self.energies, dp, self.shift)
+
+    def work_to(self, other: "_Isochore") -> float:
+        """sum P (E_other - E) at this state's populations: an adiabat's work."""
+        gap = other.constant - self.constant
+        return gap + sum_of_products(self.populations, other.energies - self.energies)
+
+    def entropy(self) -> float:
+        """-sum P ln P = beta <E - ground> + ln Z' over the ground-shifted weights."""
+        return self.beta * sum_of_products(self.energies, self.populations, self.shift) + self.log_z
 
 
 def _labelwise(spec, beta: float, columns: tuple, energies, populations) -> None:
@@ -345,6 +415,141 @@ def _labelwise(spec, beta: float, columns: tuple, energies, populations) -> None
     """
     require_finite_energies(spec.energies(*columns, out=energies, scratch=populations))
     boltzmann(energies, beta, out=populations)
+
+
+class _RingBox:
+    """The ring's label box, one range of n, evaluated level by level.
+
+    The levels are the ring's one label axis, so its rows are its isochores'
+    arrays, and the noise rule's spread is exact.
+    """
+
+    def __init__(self, bounds_b: tuple, bounds_a: tuple):
+        (self.labels,) = label_ranges(bounds_b, bounds_a)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def isochore(self, spectrum, beta: float) -> _Isochore:
+        energies, populations = np.empty((2, len(self.labels)))
+        _labelwise(spectrum, beta, (self.labels.astype(float),), energies, populations)
+        # The ground's shifted weight is exp(0) = 1, so its population is 1/Z'.
+        log_z = -math.log(float(populations.max()))
+        e_min, e_max = float(energies.min()), float(energies.max())
+        return _Isochore(spectrum, beta, energies, populations, e_min, 0.0, log_z, e_max)
+
+    def rows(self, hot: _Isochore, cold: _Isochore) -> tuple:
+        arrays = (self.labels, hot.energies, cold.energies, hot.populations, cold.populations)
+        return tuple(map(frozen_array, arrays))
+
+    def is_noise(self, hot: _Isochore, cold: _Isochore, r: float, limit: float) -> bool:
+        return _EPS * _spread(hot, cold, r) >= limit
+
+
+class _PairBox:
+    """The pair's label box: rows n1 by columns n2, cut to n1 <= n2, by its two label axes.
+
+    Either range may come in two pieces (``spectra._label_range``), so each
+    row's first column n2 >= n1 and each column's last row n1 <= n2 are
+    found by position.  The per-level rows are built only on request, once.
+    """
+
+    def __init__(self, bounds_b: tuple, bounds_a: tuple):
+        self.bounds = (bounds_b, bounds_a)
+        self.n1, self.n2 = label_ranges(bounds_b, bounds_a)
+        self.first = self.n2.searchsorted(self.n1)  # each row's first column n2 >= n1
+        self.last = self.n1.searchsorted(self.n2, "right")  # each column's rows n1 <= n2
+        self.size = len(self.n1) * len(self.n2) - int(self.first.sum())
+        self._rows = None
+
+    def __len__(self) -> int:
+        return self.size
+
+    def isochore(self, spectrum, beta: float) -> _Isochore:
+        """The state's marginals on the rows and the columns.
+
+        p(n1) = f(n1) sum_{n2 >= n1} g / Z' and p(n2) = g(n2) sum_{n1 <= n2} f / Z',
+        where f = exp(-beta A) and g = exp(-beta B) weigh the split's row and
+        column terms (``CSPairSpectrum.split_energies``), each 0 at its least
+        label: a level's weight is f(n1) g(n2), and the ground's is 1.  The
+        head and tail sums are running sums (``np.add.accumulate``); each tail
+        runs up from the smallest weights.
+        """
+        constant, energies = spectrum.split_energies(self.n1, self.n2)
+        k = len(self.n1)
+        # A and B are convex in the label, so each axis peaks at one of its ends
+        top = max(energies[0], energies[k - 1]) + max(energies[k], energies[-1])
+        top = constant + float(top)
+        if not math.isfinite(top):
+            require_finite_energies(np.array([top]))
+        populations = np.multiply(energies, -beta)
+        np.exp(populations, out=populations)
+        # heads[i] = sum_{n1 < n1[i]} f, then tails[j] = sum_{n2 >= n2[j]} g
+        sums = np.zeros(len(energies) + 2)
+        heads, tails = sums[:k + 1], sums[k + 1:]
+        np.add.accumulate(populations[:k], out=heads[1:])
+        np.add.accumulate(populations[:k - 1:-1], out=tails[-2::-1])
+        populations[:k] *= tails[self.first]
+        populations[k:] *= heads[self.last]
+        z = float(populations[:k].sum())
+        populations /= z
+        scale = spectrum.term_bound(top)
+        return _Isochore(spectrum, beta, energies, populations, 0.0, constant, math.log(z), scale)
+
+    def rows(self, hot: _Isochore, cold: _Isochore) -> tuple:
+        """(labels, E_hot, E_cold, P_B, P_A) level by level, as ``_labelwise`` evaluates them.
+
+        The (4, N) block of the level rows is allocated before the label
+        columns' float copies, which it outlives, so that freeing them leaves
+        no hole below it.  They peak at 64 bytes a level.
+        """
+        if self._rows is None:
+            labels, columns = label_box(*self.bounds)
+            block = np.empty((4, len(labels)))
+            columns = [c.astype(float) for c in columns]
+            _labelwise(hot.spectrum, hot.beta, columns, block[0], block[2])
+            _labelwise(cold.spectrum, cold.beta, columns, block[1], block[3])
+            self._rows = tuple(map(frozen_array, (labels, *block)))
+        return self._rows
+
+    def is_noise(self, hot: _Isochore, cold: _Isochore, r: float, limit: float) -> bool:
+        """The noise rule on the rows, taken only where a bound by label axes reaches ``limit``.
+
+        The rule's sum |(E_cold - ground) - r (E_hot - ground)| (P_B + P_A) does
+        not separate by label.  With the split E - constant = A(n1) + B(n2),
+        |u(n1) + v(n2)| <= |u(n1)| + |v(n2)| bounds it by the axes' own spread.
+        The bound is then raised past what rounding may add to either side: by
+        2^-20 relative for the populations, and by 2^-29 of the terms' scale for
+        the energies.  Below ``limit`` so is the rule's sum; else the rows decide.
+        """
+        bound = _spread(hot, cold, r) * (1.0 + 2.0**-20)
+        bound += 2.0**-29 * (cold.scale + abs(r) * hot.scale)
+        return _EPS * bound >= limit and _rows_are_noise(self.rows(hot, cold), r, limit)
+
+
+def _spread(hot: _Isochore, cold: _Isochore, r: float) -> float:
+    """sum |(E_cold - shift) - r (E_hot - shift)| (P_B + P_A) over the isochores' label axes."""
+    return _shifted_spread(
+        hot.energies, cold.energies, hot.populations, cold.populations, hot.shift, cold.shift, r
+    )
+
+
+def _shifted_spread(e_hot, e_cold, p_b, p_a, shift_hot, shift_cold, r) -> float:
+    """sum |(e_cold - shift_cold) - r (e_hot - shift_hot)| (p_b + p_a), in one temporary."""
+    spread = np.subtract(e_hot, shift_hot)
+    spread *= r
+    np.subtract(e_cold, spread, out=spread)
+    spread -= shift_cold
+    np.abs(spread, out=spread)
+    spread *= p_b + p_a
+    return float(np.sum(spread))
+
+
+def _rows_are_noise(rows: tuple, r: float, limit: float) -> bool:
+    """The noise rule level by level, on the rows shifted to their least energies."""
+    _, e_hot, e_cold, p_b, p_a = rows
+    spread = _shifted_spread(e_hot, e_cold, p_b, p_a, e_hot.min(), e_cold.min(), r)
+    return _EPS * spread >= limit
 
 
 _PLAIN = (float, int, str)
@@ -377,22 +582,19 @@ class _IsochoreMemo:
 
 
 def _cycle_table(spec: OttoCycleSpec, reuse=_call):
-    """(labels, E_hot, E_cold, P_B, P_A) on the label box of the two isochores.
+    """(box, hot, cold): the label box of the two isochores and each one's Gibbs state on it.
 
-    The (4, N) block of the level rows is allocated before the label columns'
-    float copies, which it outlives, so that freeing them leaves no hole below it.
+    ``len(box)`` is the box's level count; ``box.rows(hot, cold)`` gives
+    (labels, E_hot, E_cold, P_B, P_A) level by level.
     """
     hot_spec = spec.spectrum_hot()
     cold_spec = spec.spectrum_cold()
-    labels, columns = label_box(
+    bounds = (
         reuse(window_bounds, hot_spec, spec.beta_h, spec.tail_tol),
         reuse(window_bounds, cold_spec, spec.beta_l, spec.tail_tol),
     )
-    e_hot, e_cold, p_b, p_a = np.empty((4, len(labels)))
-    columns = [c.astype(float) for c in columns]
-    _labelwise(hot_spec, spec.beta_h, columns, e_hot, p_b)
-    _labelwise(cold_spec, spec.beta_l, columns, e_cold, p_a)
-    return labels, e_hot, e_cold, p_b, p_a
+    box = (_PairBox if len(bounds[0]) == 2 else _RingBox)(*bounds)
+    return box, box.isochore(hot_spec, spec.beta_h), box.isochore(cold_spec, spec.beta_l)
 
 
 def run_cycle(spec: OttoCycleSpec, reuse=_call) -> CycleReport:
@@ -407,15 +609,15 @@ def run_cycle(spec: OttoCycleSpec, reuse=_call) -> CycleReport:
     return _cycle_report(*_cycle_table(spec, reuse))
 
 
-def _cycle_report(labels, e_hot, e_cold, p_b, p_a) -> CycleReport:
-    dp = p_b - p_a
-    q_in = sum_of_products(e_hot, dp)
-    q_out = sum_of_products(e_cold, dp)
+def _cycle_report(box, hot: _Isochore, cold: _Isochore) -> CycleReport:
+    dp = hot.populations - cold.populations
+    q_in = hot.heat(dp)
+    q_out = cold.heat(dp)
     del dp
     w_out = q_in - q_out
 
-    scale = max(1.0, float(max(e_hot.max(), -e_hot.min()))) if len(labels) else 1.0
-    if abs(q_in) < _ZERO_SCALE * scale or _ratio_is_noise(e_hot, e_cold, p_b, p_a, q_in, q_out):
+    scale = max(1.0, hot.scale)
+    if abs(q_in) < _ZERO_SCALE * scale or _ratio_is_noise(box, hot, cold, q_in, q_out):
         raise DegenerateCycle(
             "denominator sum E_hot (P_B - P_A) vanishes; hot and cold states coincide"
         )
@@ -433,30 +635,22 @@ def _cycle_report(labels, e_hot, e_cold, p_b, p_a) -> CycleReport:
         w_out=w_out,
         efficiency=1.0 - q_out / q_in,
         regime=regime,
-        labels=frozen_array(labels),
-        energies_hot=frozen_array(e_hot),
-        energies_cold=frozen_array(e_cold),
-        populations_b=frozen_array(p_b),
-        populations_a=frozen_array(p_a),
+        table=(box, hot, cold),
     )
 
 
-def _ratio_is_noise(e_hot, e_cold, p_b, p_a, q_in: float, q_out: float) -> bool:
+def _ratio_is_noise(box, hot: _Isochore, cold: _Isochore, q_in: float, q_out: float) -> bool:
     """Whether rounding the populations alone may move r = Q_out/Q_in by max(1, |1 - r|).
 
     A relative error eps in each population moves r by up to
-    eps sum |E_cold - r E_hot| (P_B + P_A) / |Q_in|.  Where Q_in is that
+    eps sum |E_cold - r E_hot| (P_B + P_A) / |Q_in|, with each spectrum's
+    energies shifted to its ground as the heats are.  Where Q_in is that
     small, the efficiency 1 - r has no digit left.  Heats that are only
     noise still give an exact r where the two spectra are proportional
     (cs-volume), since the noise then cancels in the ratio.
     """
     r = q_out / q_in
-    spread = np.multiply(r, e_hot)
-    np.subtract(e_cold, spread, out=spread)
-    np.abs(spread, out=spread)
-    spread *= p_b + p_a
-    noise = _EPS * float(np.sum(spread))
-    return noise >= abs(q_in) * max(1.0, abs(1.0 - r))
+    return box.is_noise(hot, cold, r, abs(q_in) * max(1.0, abs(1.0 - r)))
 
 
 def efficiency_cs_volume(l1: float, l2: float) -> float:

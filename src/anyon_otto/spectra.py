@@ -151,14 +151,18 @@ class CSPairSpectrum:
         """The error of ``energy`` and ``energies`` where alpha^2 leaves the double range."""
         return DomainError(f"alpha^2 leaves the double range, got alpha={self.alpha}")
 
+    def _unit_offset(self) -> tuple:
+        """(pi^2/L^2, pi^2 alpha^2/L^2): the level unit and the energy's constant term."""
+        unit = math.pi**2 / self.L**2
+        try:
+            return unit, unit * self.alpha**2
+        except OverflowError:
+            raise self._square_error() from None
+
     def energy(self, n1: int, n2: int) -> float:
         if n1 > n2:
             raise OrderingError(f"require n1 <= n2, got ({n1}, {n2})")
-        unit = math.pi**2 / self.L**2
-        try:
-            offset = unit * self.alpha**2
-        except OverflowError:
-            raise self._square_error() from None
+        unit, offset = self._unit_offset()
         return offset + 2.0 * unit * (n1 * n1 + n2 * n2 + self.alpha * (n1 - n2))
 
     def energies(
@@ -170,11 +174,7 @@ class CSPairSpectrum:
         intermediate term, which is allocated when none is given.  The
         operations are ``energy``'s, in its order, so the two agree bit for bit.
         """
-        unit = math.pi**2 / self.L**2
-        try:
-            offset = unit * self.alpha**2
-        except OverflowError:
-            raise self._square_error() from None
+        unit, offset = self._unit_offset()
         n1 = np.asarray(n1, dtype=float)
         n2 = np.asarray(n2, dtype=float)
         e = np.multiply(n1, n1, out=out)
@@ -186,6 +186,46 @@ class CSPairSpectrum:
         e *= 2.0 * unit
         e += offset
         return e
+
+    def split_energies(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
+        """(constant, terms): E(n1, n2) = constant + A(n1) + B(n2) on ``rows`` x ``cols``.
+
+        With unit = pi^2/L^2, x = n1 + alpha/2 and y = n2 - alpha/2, the energy
+        is 2 unit (x^2 + y^2).  A is the x term less its least value over
+        ``rows``, taken at the row r nearest -alpha/2, and B the y term less its
+        least over ``cols``, at the column c nearest alpha/2.  Both are
+        evaluated in factored form, A(n) = 2 unit (n - r)(n + r + alpha) and
+        B(n) = 2 unit (n - c)(n + c - alpha), so each keeps its own relative
+        accuracy, and constant = E(r, c).  ``terms`` holds A on ``rows``, then B
+        on ``cols``.  As alpha >= 0, r <= 0 <= c: where the two windows'
+        grounds are in the labels, E(r, c) is the least level.
+        """
+        unit, _ = self._unit_offset()
+        half = 0.5 * self.alpha
+        k = len(rows)
+        n = np.concatenate((rows, cols)).astype(float)
+        r = n[:k][np.abs(n[:k] + half).argmin()]
+        c = n[k:][np.abs(n[k:] - half).argmin()]
+        least = np.empty(len(n))
+        least[:k] = r
+        least[k:] = c
+        terms = n + least
+        terms[:k] += self.alpha
+        terms[k:] -= self.alpha
+        n -= least
+        terms *= n
+        terms *= 2.0 * unit
+        x, y = r + half, c - half
+        return 2.0 * unit * (x * x + y * y), terms
+
+    def term_bound(self, energy: float) -> float:
+        """A bound on the magnitudes of the terms ``energies`` adds up for a level of ``energy``.
+
+        The terms are unit alpha^2, 2 unit n1^2, 2 unit n2^2 and 2 unit alpha (n1 - n2).
+        With n2 - n1 = y - x + alpha and 4 alpha |x| <= 2 x^2 + 2 alpha^2, their
+        magnitudes add to at most 2 E + 8 unit alpha^2.
+        """
+        return 2.0 * energy + 8.0 * self._unit_offset()[1]
 
 
 def frozen_array(values, dtype=None) -> np.ndarray:
@@ -212,6 +252,14 @@ def _label_range(lo_b: int, hi_b: int, lo_a: int, hi_a: int) -> np.ndarray:
     return np.concatenate((np.arange(lo1, hi1 + 1), np.arange(lo2, hi2 + 1)))
 
 
+def label_ranges(bounds_b: tuple, bounds_a: tuple) -> list:
+    """Per quantum number, the ascending union of its label intervals in two ``window_bounds``.
+
+    The ring's is its range of n; the pair's are its rows n1 and its columns n2.
+    """
+    return [_label_range(*b, *a) for b, a in zip(bounds_b, bounds_a)]
+
+
 def label_box(bounds_b: tuple, bounds_a: tuple) -> tuple:
     """The label box of two level sets given by their ``window_bounds``: (labels, columns).
 
@@ -223,7 +271,7 @@ def label_box(bounds_b: tuple, bounds_a: tuple) -> tuple:
     the larger window.  ``columns`` holds the labels' quantum-number columns,
     (n,) or (n1, n2), as views of ``labels`` that ``spec.energies`` takes.
     """
-    ranges = [_label_range(*b, *a) for b, a in zip(bounds_b, bounds_a)]
+    ranges = label_ranges(bounds_b, bounds_a)
     if len(ranges) == 1:
         return ranges[0], (ranges[0],)
     labels = _upper_pairs(*ranges)

@@ -880,18 +880,16 @@ class TestSweepRanges:
 
 
 class TestRoundingNoiseCycle:
-    """A cycle whose efficiency is only the populations' rounding noise is degenerate."""
+    """An efficiency with no digit left is degenerate; ground-shifted heats keep their digits."""
 
     @pytest.mark.parametrize(
         "flags",
         [
-            # Q_in = 8.2e-16 against sum |E_hot| (P_B + P_A) = 19.74: r may move by 5.3 |1 - r|.
-            ["--medium", "cs-coupling", "--alpha1", "1.0000610370189331", "--alpha2", "1",
-             "--beta-h", "1", "--beta-l", "1.0000610370189331"],
-            # P_B's ground population rounds to 1 and loses the excited weight
-            # 1.8e-35 that makes Q_in: the efficiency came out 0.395, not 0.5.
-            ["--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3",
-             "--beta-h", "100", "--beta-l", "2000"],
+            # identical couplings and temperatures: P_B = P_A, so Q_in is exactly 0
+            ["--medium", "cs-coupling", "--alpha1", "1", "--alpha2", "1",
+             "--beta-h", "1", "--beta-l", "1"],
+            ["--medium", "ring", "--alpha-h", "0.2", "--alpha-l", "0.2",
+             "--beta-h", "1", "--beta-l", "1"],
         ],
     )
     def test_noise_efficiency_is_degenerate(self, flags, capsys):
@@ -900,9 +898,30 @@ class TestRoundingNoiseCycle:
         assert "regime = degenerate" in out
         assert "efficiency" not in out
 
+    @pytest.mark.parametrize(
+        "flags, eta",
+        [
+            # Q_in = 6.8e-19.  Summed over unshifted energies, it came out 8.2e-16,
+            # which the noise rule called degenerate.
+            (["--medium", "cs-coupling", "--alpha1", "1.0000610370189331", "--alpha2", "1",
+              "--beta-h", "1", "--beta-l", "1.0000610370189331"], -1067474982891.08),
+            # P_B's ground population rounds to 1 and would lose the excited
+            # weight 1.8e-35 that makes Q_in: unshifted, the efficiency came out 0.395.
+            (["--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3",
+              "--beta-h", "100", "--beta-l", "2000"], 0.5),
+        ],
+    )
+    def test_shifted_heats_match_mpmath(self, flags, eta, capsys):
+        # eta from a 50-digit, ground-shifted mpmath sum over the same box
+        # (tests/cycle_reference.py), within the pinned cycle-identity tolerance
+        code, out, _ = run_cli(["cycle"] + flags, capsys)
+        printed = float(out.split("efficiency = ")[1].split()[0])
+        assert printed == pytest.approx(eta, rel=1e-10)
+        assert code == (0 if eta > 0 else 2)
+
     def test_proportional_spectra_keep_their_exact_ratio(self, capsys):
-        # Q_in = 2.7e-20 is noise (eps sum |E_hot| (P_B + P_A) / |Q_in| = 5.9e4),
-        # but every level scales as 1/L^2, so Q_out/Q_in is still L2^2/L1^2.
+        # Q_in = 2.6e-20, mpmath's to its last digits (unshifted sums gave 2.7e-20);
+        # every level scales as 1/L^2, so Q_out/Q_in is L2^2/L1^2 either way.
         l1, l2 = 1.0186704433417662, 0.30560113300252983
         code, out, _ = run_cli(
             ["cycle", "--medium", "cs-volume", f"--l1={l1!r}", f"--l2={l2!r}",

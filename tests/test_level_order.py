@@ -5,14 +5,12 @@ sort of a label-ascending window; it is checked against the three-key
 ``np.lexsort`` it replaced, kept as a reference.  ``otto._cycle_table`` sums
 over one label box (``spectra.label_box``); the box must hold every level of
 both isochores' level sets, ascend strictly by label, and give Q_in and eta
-that agree with an mpmath sum over the same box.  The tie-heavy spectra are
+that agree with a ground-shifted mpmath sum of the exact energies over the
+same box (``cycle_reference``).  The tie-heavy spectra are
 the ones where order matters: ring alpha 0 and 0.5 (E_n = E_{-n} and
 E_n = E_{1-n}) and pair alpha 0 and 1.
 """
 
-import math
-
-import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +22,7 @@ from anyon_otto.spectra import (
     RingAnyonSpectrum,
     enumerate_levels,
 )
+from cycle_reference import box_reference, exact_energies, table_rows
 
 TAIL_TOL = 1e-13
 
@@ -117,7 +116,7 @@ def label_set(labels) -> set:
 
 @pytest.mark.parametrize("spec", BOX_CYCLES, ids=_cycle_id)
 def test_box_holds_both_level_sets(spec):
-    box = label_set(otto._cycle_table(spec)[0])
+    box = label_set(table_rows(spec)[0])
     isochores = ((spec.spectrum_hot(), spec.beta_h), (spec.spectrum_cold(), spec.beta_l))
     for medium_spec, beta in isochores:
         assert label_set(enumerate_levels(medium_spec, beta, spec.tail_tol).labels) <= box
@@ -125,54 +124,29 @@ def test_box_holds_both_level_sets(spec):
 
 @pytest.mark.parametrize("spec", BOX_CYCLES, ids=_cycle_id)
 def test_box_labels_strictly_ascend(spec):
-    labels = otto._cycle_table(spec)[0]
+    labels = table_rows(spec)[0]
     assert labels.dtype == np.int64
     assert strictly_ascending(labels)
-
-
-def mpmath_energies(spec, control, labels):
-    """Exact level energies of the cycle's spectrum at ``control`` on ``labels``."""
-    if spec.medium == "ring":
-        eps0, alpha = mpmath.mpf(spec.eps0), mpmath.mpf(control)
-        return [eps0 * (int(n) - alpha) ** 2 for n in labels.tolist()]
-    if spec.medium == "cs-volume":
-        length, alpha = control, spec.cs_alpha
-    else:
-        length, alpha = spec.cs_length, control
-    unit, alpha = mpmath.pi**2 / mpmath.mpf(length) ** 2, mpmath.mpf(alpha)
-    return [
-        unit * alpha**2 + 2 * unit * (n1 * n1 + n2 * n2 + alpha * (n1 - n2))
-        for n1, n2 in labels.tolist()
-    ]
-
-
-def mpmath_populations(energies, beta):
-    e0 = min(energies)
-    weights = [mpmath.exp(-mpmath.mpf(beta) * (e - e0)) for e in energies]
-    z = mpmath.fsum(weights)
-    return [w / z for w in weights]
 
 
 @pytest.mark.parametrize("spec", BOX_CYCLES, ids=_cycle_id)
 def test_box_sums_match_mpmath(spec):
     report = run_cycle(spec)
-    with mpmath.workdps(30):
-        e_hot = mpmath_energies(spec, spec.control_hot, report.labels)
-        e_cold = mpmath_energies(spec, spec.control_cold, report.labels)
-        p_b = mpmath_populations(e_hot, spec.beta_h)
-        p_a = mpmath_populations(e_cold, spec.beta_l)
-        dp = [b - a for b, a in zip(p_b, p_a)]
-        q_in = mpmath.fsum(e * d for e, d in zip(e_hot, dp))
-        eta = 1 - mpmath.fsum(e * d for e, d in zip(e_cold, dp)) / q_in
-        # the pinned cycle-identity tolerance of test_otto
-        assert abs((report.q_in - q_in) / q_in) < 1e-10
-        assert abs((report.efficiency - eta) / eta) < 1e-10
+    exact = box_reference(
+        spec,
+        exact_energies(spec, spec.control_hot, report.labels),
+        exact_energies(spec, spec.control_cold, report.labels),
+    )
+    q_in, eta = exact["q_in"], exact["efficiency"]
+    # the pinned cycle-identity tolerance of test_otto
+    assert abs((report.q_in - q_in) / q_in) < 1e-10
+    assert abs((report.efficiency - eta) / eta) < 1e-10
 
 
 def test_disjoint_ring_windows_stay_apart():
     # alpha 0 and 1e6 keep far-apart label intervals; the box must not span the gap
     spec = OttoCycleSpec.ring_cycle(0.0, 1e6, 10.0, 20.0)
-    labels = otto._cycle_table(spec)[0]
+    labels = table_rows(spec)[0]
     levels_b = enumerate_levels(spec.spectrum_hot(), spec.beta_h, spec.tail_tol)
     levels_a = enumerate_levels(spec.spectrum_cold(), spec.beta_l, spec.tail_tol)
     assert len(labels) <= len(levels_b.labels) + len(levels_a.labels)

@@ -15,7 +15,6 @@ from anyon_otto.otto import (
     REGIME_ENGINE,
     OttoCycleSpec,
     StrokeResult,
-    _cycle_table,
     cycle_strokes,
     efficiency_cs_volume,
     run_cycle,
@@ -24,23 +23,26 @@ from anyon_otto.otto import (
 )
 from anyon_otto.spectra import CSPairSpectrum, RingAnyonSpectrum, window_bounds
 from anyon_otto.thermo import adiabat_path, heat_work_split, linear_isochore_path
+from cycle_reference import report_reference, table_rows
 
 
 def _reference_cycle_strokes(spec, steps_per_stroke):
     """The four strokes as discretized paths, as cycle_strokes built them.
 
-    Isochores interpolate populations linearly at fixed levels; adiabats move
-    the control linearly through ``steps_per_stroke + 1`` spectra at frozen
-    populations; each path goes through ``heat_work_split``.
+    Isochores interpolate populations linearly at fixed levels, each shifted
+    to its ground as the cycle's heats are; adiabats move the control
+    linearly through ``steps_per_stroke + 1`` spectra at frozen populations;
+    each path goes through ``heat_work_split``.
     """
-    labels, e_hot, e_cold, p_b, p_a = _cycle_table(spec)
+    labels, e_hot, e_cold, p_b, p_a = table_rows(spec)
     columns = tuple(labels.reshape(len(labels), -1).T)
     controls = np.linspace(spec.control_hot, spec.control_cold, steps_per_stroke + 1)
     grids_fwd = [spec.spectrum_at(float(cv)).energies(*columns) for cv in controls]
+    x_hot, x_cold = e_hot - e_hot.min(), e_cold - e_cold.min()
     paths = (
-        ("A->B", linear_isochore_path(e_hot, p_a, p_b, steps_per_stroke)),
+        ("A->B", linear_isochore_path(x_hot, p_a, p_b, steps_per_stroke)),
         ("B->C", adiabat_path(grids_fwd, p_b)),
-        ("C->D", linear_isochore_path(e_cold, p_b, p_a, steps_per_stroke)),
+        ("C->D", linear_isochore_path(x_cold, p_b, p_a, steps_per_stroke)),
         ("D->A", adiabat_path(grids_fwd[::-1], p_a)),
     )
     return tuple(StrokeResult(name, *heat_work_split(path)) for name, path in paths)
@@ -297,8 +299,20 @@ class TestCycleStrokes:
         for stroke, ref in zip(got.strokes, reference):
             assert abs(stroke.heat - ref.heat) <= 1e-10 * abs(report.q_in)
             assert abs(stroke.work - ref.work) <= 1e-10 * abs(report.q_in)
-        if steps == 1:
+        if steps == 1 and spec.medium == "ring":
             assert got.strokes == reference
+        if spec.medium != "ring":
+            # the pair sums by label axis: its ledger is graded against mpmath
+            exact = report_reference(spec, report)
+            for value, key in (
+                (got.stroke("A->B").heat, "q_in"),
+                (-got.stroke("C->D").heat, "q_out"),
+                (got.stroke("B->C").work, "work_bc"),
+                (got.stroke("D->A").work, "work_da"),
+                (got.entropy_b, "entropy_b"),
+                (got.entropy_a, "entropy_a"),
+            ):
+                assert abs(value - exact[key]) <= 1e-12 * abs(exact[key]), key
         assert got.stroke("A->B").work == 0.0
         assert got.stroke("C->D").work == 0.0
         assert got.stroke("B->C").heat == 0.0
@@ -311,7 +325,11 @@ class TestCycleStrokes:
     @pytest.mark.parametrize(
         "spec",
         [
-            OttoCycleSpec.cs_coupling_cycle(1.0000610370189331, 1.0, 1.0, 1.0000610370189331),
+            # a coupling and a temperature one ulp apart: the computed Q_in is
+            # 3.5e-94, where mpmath gives -5.5e-32 over the same box
+            OttoCycleSpec.cs_coupling_cycle(
+                0.5733383427082137, 0.5733383427082136, 4.783041680893518, 4.783041680893519
+            ),
             OttoCycleSpec.ring_cycle(0.2, 0.2, 1.0, 1.0),
         ],
         ids=["rounding-noise", "identical-controls"],

@@ -118,6 +118,10 @@ class TestEntropyAndShiftInvariance:
         ens = ensemble_from_levels(levels, 10.0)
         assert ens.entropy < 1e-200
 
+    def test_pure_state_entropy_is_positive_zero(self):
+        # -(1 ln 1) is -0.0; the entropy of a pure state is +0.0
+        assert gibbs(RingAnyonSpectrum(1.0, 0.0), 1e6).entropy.hex() == "0x0.0p+0"
+
     def test_energy_shift_invariance(self):
         base = gibbs(RingAnyonSpectrum(1.0, 0.2), 0.9).levels
         shift = 7.25
