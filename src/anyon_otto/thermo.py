@@ -14,7 +14,7 @@ midpoint energies with population increments and midpoint populations with
 energy increments, which makes Q + W telescope to the exact endpoint energy
 difference at any step count.  The cycle builds no path: its strokes hold
 the levels or the populations fixed, so their sums telescope to endpoint dot
-products, which ``otto.CycleReport.strokes`` reads from the cycle's rows.
+products, which ``otto.CycleReport.strokes`` reads from the cycle's table.
 The paths serve as the stepped reference the tests check those against.
 """
 

@@ -12,13 +12,13 @@ grades only how the report assembled them (``report_reference``);
 import mpmath
 import numpy as np
 
+from anyon_otto import otto
+
 DIGITS = 50
 
 
 def table_rows(spec) -> tuple:
     """(labels, E_hot, E_cold, P_B, P_A) of the cycle table, level by level, degenerate or not."""
-    from anyon_otto import otto
-
     box, hot, cold = otto._cycle_table(spec)
     return box.rows(hot, cold)
 
