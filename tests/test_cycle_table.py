@@ -237,9 +237,9 @@ def test_axis_sums_match_the_level_rows(spec):
         assert abs(iso.heat(dp) - level) <= bound
 
 
-# Cycles whose Q_in is at most rounding noise: a coupling and a temperature one
-# ulp apart.  The first is noise by the elementwise rule; the others are not,
-# but their axis bound reaches the limit, so the rows decide.
+# Cycles whose Q_in is at most rounding noise: couplings or temperatures an ulp
+# or two apart.  The first is noise by the elementwise rule; the others are
+# not, but their axis bound reaches the limit, so the rows decide.
 NOISE_SPECS = [
     OttoCycleSpec.cs_coupling_cycle(0.5733383427082137, 0.5733383427082136, 4.783041680893518,
                                     4.783041680893519),
