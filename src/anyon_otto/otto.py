@@ -379,9 +379,8 @@ class _Isochore:
     populations on the same entries, so every sum of a level function that
     separates by label is one O(K) sum over them.  ``shift`` is the entries'
     ground (the ring's least level; 0 for the pair), subtracted inside each
-    heat sum, and ``log_z`` the log of the partition sum of the ground-shifted
-    weights.  ``scale`` bounds the magnitude of every term a box level's
-    energy sums, the energy included.
+    heat sum, ``log_z`` the log of the partition sum of the ground-shifted
+    weights, and ``top`` an upper bound on the box's energies.
     """
 
     spectrum: object
@@ -391,7 +390,7 @@ class _Isochore:
     shift: float
     constant: float
     log_z: float
-    scale: float
+    top: float
 
     def heat(self, dp: np.ndarray) -> float:
         """sum (E - ground) dP: the constant and the ground cancel, as sum dP = 0."""
@@ -493,8 +492,7 @@ class _PairBox:
         populations[k:] *= heads[self.last]
         z = float(populations[:k].sum())
         populations /= z
-        scale = spectrum.term_bound(top)
-        return _Isochore(spectrum, beta, energies, populations, 0.0, constant, math.log(z), scale)
+        return _Isochore(spectrum, beta, energies, populations, 0.0, constant, math.log(z), top)
 
     def rows(self, hot: _Isochore, cold: _Isochore) -> tuple:
         """(labels, E_hot, E_cold, P_B, P_A) level by level, as ``_labelwise`` evaluates them.
@@ -520,10 +518,12 @@ class _PairBox:
         |u(n1) + v(n2)| <= |u(n1)| + |v(n2)| bounds it by the axes' own spread.
         The bound is then raised past what rounding may add to either side: by
         2^-20 relative for the populations, and by 2^-29 of the terms' scale for
-        the energies.  Below ``limit`` so is the rule's sum; else the rows decide.
+        the energies (``CSPairSpectrum.term_bound``).  Below ``limit`` so is the
+        rule's sum; else the rows decide.
         """
         bound = _spread(hot, cold, r) * (1.0 + 2.0**-20)
-        bound += 2.0**-29 * (cold.scale + abs(r) * hot.scale)
+        terms = cold.spectrum.term_bound(cold.top) + abs(r) * hot.spectrum.term_bound(hot.top)
+        bound += 2.0**-29 * terms
         return _EPS * bound >= limit and _rows_are_noise(self.rows(hot, cold), r, limit)
 
 
@@ -616,7 +616,7 @@ def _cycle_report(box, hot: _Isochore, cold: _Isochore) -> CycleReport:
     del dp
     w_out = q_in - q_out
 
-    scale = max(1.0, hot.scale)
+    scale = max(1.0, hot.top)
     if abs(q_in) < _ZERO_SCALE * scale or _ratio_is_noise(box, hot, cold, q_in, q_out):
         raise DegenerateCycle(
             "denominator sum E_hot (P_B - P_A) vanishes; hot and cold states coincide"
