@@ -11,8 +11,9 @@ records the exit code, stdout, stderr and every written file (``sweep.json``
 without its wall times), counts slow-decay warnings, and records each
 residual the CLI prints: the cycle's parameters, the run_cycle efficiency
 and the closed-form efficiency behind it.  It also counts, over all commands,
-the direct ``_lattice_sum`` calls and terms and, where the checkout has it,
-the Poisson-dual calls and terms of ``_theta_series``.
+the direct ``_lattice_sum`` calls and terms and, where the checkout has them,
+the Poisson-dual calls and terms of ``_theta_series`` and the runs and terms
+of ``_euler_maclaurin`` (one run sums a triple T_0, T_1, T_2).
 
 Commands whose outputs are equal on both sides are counted; for the others,
 every residual whose closed-form value or run_cycle efficiency (``eta``, the
@@ -110,6 +111,17 @@ def run_checkout(checkout: Path, out: Path) -> None:
             return rep
 
         sf._theta_series = cf._theta_series = counted_theta_series
+    if hasattr(sf, "_euler_maclaurin"):
+        euler_maclaurin = sf._euler_maclaurin
+
+        def counted_euler_maclaurin(*args):
+            reports = euler_maclaurin(*args)
+            if reports is not None:
+                counts["euler_maclaurin_runs"] += 1
+                counts["euler_maclaurin_terms"] += reports[0].terms_used
+            return reports
+
+        sf._euler_maclaurin = counted_euler_maclaurin
 
     residuals = []
     for medium, pair in list(cli._RESIDUALS.items()):

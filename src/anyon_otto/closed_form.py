@@ -75,6 +75,7 @@ from .special_functions import (
     _check_gauss_args,
     _theta_params,
     _theta_series,
+    _theta_triple,
     gauss_sum_full,
     partial_theta,
     require_finite,
@@ -149,8 +150,8 @@ def _check_variant(variant: str) -> _Formulas:
     return _FORMULAS[variant]
 
 
-def _series(lam: float, gamma: float, weight: int, one_sided: bool, acc: SumAccuracy) -> float:
-    """T_w = sum n^w q^(n^2) x^n at x = exp(2 lam gamma), q = exp(-lam).
+def _checked(series, lam: float, gamma: float, *args):
+    """``series(lam, gamma, *args)`` after the decay-rate and gamma checks.
 
     A series whose terms' ``**`` overflows raises NoConvergence, as the
     oracle Gaussian sums do.
@@ -160,11 +161,16 @@ def _series(lam: float, gamma: float, weight: int, one_sided: bool, acc: SumAccu
     if not math.isfinite(gamma):
         require_finite(gamma=gamma)
     try:
-        return _theta_series(lam, gamma, weight, one_sided, acc).value
+        return series(lam, gamma, *args)
     except OverflowError:
         raise NoConvergence(
             f"series term exceeds the double-precision range (lambda={lam:g}, gamma={gamma:g})"
         ) from None
+
+
+def _series(lam: float, gamma: float, weight: int, one_sided: bool, acc: SumAccuracy) -> float:
+    """T_w = sum n^w q^(n^2) x^n at x = exp(2 lam gamma), q = exp(-lam)."""
+    return _checked(_theta_series, lam, gamma, weight, one_sided, acc).value
 
 
 def _weighted_theta(x: float, q: float, weight: int, one_sided: bool, acc: SumAccuracy) -> float:
@@ -191,7 +197,7 @@ def partial_theta_weighted(
 
 def _triple(lam: float, gamma: float, one_sided: bool, acc: SumAccuracy) -> tuple:
     """(T_0, T_1, T_2) at (lam, gamma), each series summed once."""
-    return tuple(_series(lam, gamma, weight, one_sided, acc) for weight in (0, 1, 2))
+    return tuple(report.value for report in _checked(_theta_triple, lam, gamma, one_sided, acc))
 
 
 def _plain(t: tuple, lam: float, gamma: float) -> float:

@@ -78,7 +78,14 @@ from .spectra import (
     require_tail_tol,
     window_bounds,
 )
-from .thermo import DEFAULT_TAIL_TOL, _call, boltzmann, require_step_count, sum_of_products
+from .thermo import (
+    DEFAULT_TAIL_TOL,
+    _call,
+    _log_shifted_partition,
+    boltzmann,
+    require_step_count,
+    sum_of_products,
+)
 
 __all__ = [
     "MEDIA",
@@ -433,7 +440,7 @@ class _RingBox:
         energies, populations = np.empty((2, len(self.labels)))
         _labelwise(spectrum, beta, (self.labels.astype(float),), energies, populations)
         # The ground's shifted weight is exp(0) = 1, so its population is 1/Z'.
-        log_z = -math.log(float(populations.max()))
+        log_z = _log_shifted_partition(populations, int(populations.argmax()))
         e_min, e_max = float(energies.min()), float(energies.max())
         return _Isochore(spectrum, beta, energies, populations, e_min, 0.0, log_z, e_max)
 
@@ -489,10 +496,29 @@ class _PairBox:
         np.add.accumulate(populations[:k], out=heads[1:])
         np.add.accumulate(populations[:k - 1:-1], out=tails[-2::-1])
         populations[:k] *= tails[self.first]
-        populations[k:] *= heads[self.last]
         z = float(populations[:k].sum())
+        log_z = math.log(z) if z > 2.0 else math.log1p(self._excited(energies, populations, tails))
+        populations[k:] *= heads[self.last]
         populations /= z
-        return _Isochore(spectrum, beta, energies, populations, 0.0, constant, math.log(z), top)
+        return _Isochore(spectrum, beta, energies, populations, 0.0, constant, log_z, top)
+
+    def _excited(self, energies: np.ndarray, weights: np.ndarray, tails: np.ndarray) -> float:
+        """Z' - 1, never formed from Z': the sum of the excited levels' weights.
+
+        ``weights`` holds each row's weight f(n1) sum_{n2 >= n1} g and then each
+        column's g(n2), and ``tails`` the column tail sums.  The ground is the
+        row and the column where A and B are 0 (r <= c, see
+        ``CSPairSpectrum.split_energies``), each of weight 1, so Z' - 1 is every
+        other row's weight plus the ground row's other columns: the tail past
+        the ground column and the few columns from the row's first up to it.
+        Where Z' < 2 the box is small, so the sums run over lists.
+        """
+        k = len(self.n1)
+        row, col = int(energies[:k].argmin()), int(energies[k:].argmin())
+        rows = weights[:k].tolist()
+        rows[row] = 0.0
+        before_ground = weights[k + self.first[row]:k + col].tolist()
+        return sum(rows) + float(tails[col + 1]) + sum(before_ground)
 
     def rows(self, hot: _Isochore, cold: _Isochore) -> tuple:
         """(labels, E_hot, E_cold, P_B, P_A) level by level, as ``_labelwise`` evaluates them.

@@ -16,22 +16,31 @@ bound on the discarded Gaussian tail (an integral comparison, evaluated in
 log space so it never over- or underflows) certifies the same tolerance.
 
 Theta-side series T_w = sum n^w q^(n^2) x^n (w = 0, 1, 2; the theta
-functions and the closed forms' derivative series) are routed by decay rate
-in ``_theta_series``.  Below SLOW_DECAY_LAMBDA the direct sum needs
-O(1/sqrt(lam)) terms, so full-lattice T_w go through Jacobi's imaginary
-transformation (Poisson summation, DLMF 20.7(viii)), whose dual series
-decays at pi^2/lam > 197 and is certified after one or two terms.  Partial
-theta has no such transformation and stays direct, as do all sums at
-lam >= SLOW_DECAY_LAMBDA.  This gives up the earlier single code path on
-purpose: the direct engine needs ~1,000 terms per sum at lam = 1e-4 and
-loses digits at weight 1, while the dual is both cheaper and closer to the
-exact value.
+functions and the closed forms' derivative series) take one of three routes,
+chosen by decay rate in ``_theta_series``:
+
+* direct: ``_lattice_sum``, for every series at lam >= SLOW_DECAY_LAMBDA;
+* dual: below SLOW_DECAY_LAMBDA the direct sum needs O(1/sqrt(lam)) terms,
+  so full-lattice T_w go through Jacobi's imaginary transformation (Poisson
+  summation, DLMF 20.7(viii)), whose dual series decays at pi^2/lam > 197
+  and is certified after one or two terms;
+* Euler-Maclaurin: partial theta has no such transformation, so one-sided
+  T_w below SLOW_DECAY_LAMBDA are the integral through erfc plus Bernoulli
+  corrections (DLMF 2.10(i)), certified by a bound on the remainder after 3
+  to 9 corrections at rel_tol 1e-12.  Where sqrt(lam) gamma < -1/2 their
+  integral cancels, and they stay direct.
+
+This gives up the earlier single code path on purpose: the direct engine
+needs ~1,000 terms per sum at lam = 1e-4 and loses digits at weight 1, while
+the dual and Euler-Maclaurin are both cheaper and closer to the exact value.
 
 The gauss_sum_* functions always sum directly and never route through theta
-identities or the dual; they are the brute-force oracles that the
-closed-form expressions elsewhere in the package are validated against, so
-the two routes stay independent at every decay rate.  At small lam the
-direct engine widens its term cap and emits a RuntimeWarning.
+identities, the dual or Euler-Maclaurin; they are the brute-force oracles
+that the closed-form expressions elsewhere in the package are validated
+against, so the two routes stay independent at every decay rate.  At small
+lam the direct engine widens its term cap and emits a RuntimeWarning, so
+the sums that can still warn are the oracles and the one-sided theta-side
+series below sqrt(lam) gamma = -1/2.
 """
 
 from __future__ import annotations
@@ -67,6 +76,47 @@ _SLOW_DECAY_BELOW = SLOW_DECAY_LAMBDA * (1.0 - 1e-9)
 # Smallest positive normal double; used as a floor in relative comparisons.
 _TINY = 2.2250738585072014e-308
 
+# B_2k / (2k)! for k = 1..20 (DLMF 24.2.1): the Euler-Maclaurin coefficients.
+_EM_COEF = (
+    0.08333333333333333,
+    -0.001388888888888889,
+    3.306878306878307e-05,
+    -8.267195767195768e-07,
+    2.08767569878681e-08,
+    -5.284190138687493e-10,
+    1.3382536530684679e-11,
+    -3.3896802963225827e-13,
+    8.586062056277845e-15,
+    -2.174868698558062e-16,
+    5.5090028283602295e-18,
+    -1.3954464685812522e-19,
+    3.534707039629467e-21,
+    -8.953517427037546e-23,
+    2.267952452337683e-24,
+    -5.744790668872202e-26,
+    1.455172475614865e-27,
+    -3.6859949406653103e-29,
+    9.336734257095045e-31,
+    -2.36502241570063e-32,
+)
+# Per correction count p: (B_2p/(2p)!, its remainder factor |B_2p|/(2p)! pi^(1/4)
+# sqrt(2^(2p) (2p)!), sqrt(p), sqrt(2p (2p-1))/2); see ``_euler_maclaurin``.
+_EM_TERMS = tuple(
+    (
+        c,
+        abs(c) * math.pi**0.25 * math.sqrt(4.0**p * math.factorial(2 * p)),
+        math.sqrt(p),
+        math.sqrt(2 * p * (2 * p - 1)) / 2.0,
+    )
+    for p, c in enumerate(_EM_COEF, start=1)
+)
+# sqrt(Gamma(i + 1/2)) for i = 0, 1, 2: the Gaussian moments in the remainder bound.
+_EM_MOMENTS = (math.pi**0.25, (math.pi / 4.0) ** 0.25, (9.0 * math.pi / 16.0) ** 0.25)
+# Euler-Maclaurin takes a one-sided series only while sqrt(lam) gamma >= -_EM_SIGMA.
+# Below it the weight-1 and weight-2 integrals cancel against 1/(2 lam): at -1
+# the values' rounding error reaches 16 ulps, at -1/2 it stays within 3.
+_EM_SIGMA = 0.5
+
 
 def require_finite(**values) -> None:
     """Raise DomainError naming the first keyword argument that is not finite."""
@@ -96,7 +146,9 @@ class SumReport(NamedTuple):
     """A truncated sum together with its certificate.
 
     ``tail_bound`` is an analytic upper bound on the total absolute
-    contribution of every term beyond the last summed index.
+    contribution of every term beyond the last summed index; for an
+    Euler-Maclaurin sum it bounds the remainder, and ``terms_used`` counts
+    the integral and the correction terms (see ``_euler_maclaurin``).
     """
 
     value: float
@@ -255,14 +307,129 @@ def _lattice_sum(
                     )
 
 
+def _two_product(a: float, b: float) -> tuple:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker), if nothing overflows."""
+    p = a * b
+    c = 134217729.0 * a  # 2^27 + 1 splits a double into two 26-bit halves
+    a_hi = c - (c - a)
+    c = 134217729.0 * b
+    b_hi = c - (c - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _euler_maclaurin(lam: float, gamma: float, acc: SumAccuracy) -> tuple | None:
+    """One-sided T_w = sum_{n >= 0} n^w q^(n^2) x^n, w = 0, 1, 2, by Euler-Maclaurin.
+
+    With E = exp(lam gamma^2) and g(t) = exp(-lam (t - gamma)^2), T_w is E
+    times the sum over n >= 0 of f(n) = n^w g(n), and for p >= 1 (DLMF 2.10.1)
+
+        sum f(n) = int_0^inf f + f(0)/2 - sum_{k=1}^p B_2k/(2k)! f^(2k-1)(0) + R_p,
+        |R_p| <= |B_2p|/(2p)! int_0^inf |f^(2p)|.
+
+    E times the integral is J, 1/(2 lam) + gamma J and gamma/(2 lam) +
+    (gamma^2 + 1/(2 lam)) J for w = 0, 1, 2, with J = E sqrt(pi/lam)
+    erfc(-sqrt(lam) gamma)/2; E f(0)/2 is 1/2 for w = 0 and 0 otherwise.  The
+    derivatives come from one Hermite recurrence: E g^(m)(0) = h_m =
+    (-sqrt(lam))^m H_m(-sqrt(lam) gamma), so h_0 = 1, h_1 = 2 lam gamma and
+    h_(m+1) = 2 lam gamma h_m - 2 m lam h_(m-1), and E f^(m)(0) is h_m,
+    m h_(m-1) and m (m-1) h_(m-2) for w = 0, 1, 2.
+
+    The remainder bound: Leibniz splits (t^w g)^(2p) into at most three
+    terms t^j g^(m); on t >= 0, t = gamma + s/sqrt(lam) gives t^j <= (|gamma|
+    + |s|/sqrt(lam))^j, and Cauchy-Schwarz bounds each int |s|^i |H_m(s)|
+    e^(-s^2) ds by sqrt(Gamma(i + 1/2)) sqrt(sqrt(pi) 2^m m!).  The three
+    series share one run, which stops at the first p where every bound
+    E |R_p| is at most rel_tol |T_w|.  Each report's ``tail_bound`` is its
+    bound at that p, and its ``terms_used`` is p + 1: the integral and p
+    correction terms.
+
+    Returns the three reports, or None, for the caller to sum directly, where
+    sqrt(lam) gamma < -_EM_SIGMA (the integral cancels there for w = 1, 2)
+    and where no p in ``_EM_COEF`` certifies rel_tol.  A value past the
+    double range is left infinite for the caller to refuse.
+    """
+    root = math.sqrt(lam)
+    if root * gamma < -_EM_SIGMA:
+        return None
+    lam_gamma, err = _two_product(lam, gamma)
+    log_pref, err2 = _two_product(lam_gamma, gamma)
+    if log_pref > 709.0:
+        raise NoConvergence(
+            f"theta series prefactor exceeds the double-precision range "
+            f"(exponent {log_pref:.1f})"
+        )
+    pref = math.exp(log_pref)
+    if log_pref > 1.0:  # carry the product's rounding, which exp magnifies log_pref-fold
+        pref *= 1.0 + (err2 + err * gamma)
+    inv_root = 1.0 / root
+    half_inv_lam = 0.5 / lam
+    j = 0.5 * math.sqrt(math.pi) * inv_root * math.erfc(-root * gamma) * pref
+    t0 = j + 0.5
+    t1 = half_inv_lam + gamma * j
+    t2 = gamma * half_inv_lam + (gamma * gamma + half_inv_lam) * j
+    # moments of (|gamma| + |s|/sqrt(lam))^j against |H_m(s)| e^(-s^2), j = 0, 1, 2
+    m0, m1, m2 = _EM_MOMENTS
+    g = abs(gamma)
+    p1 = g * m0 + m1 * inv_root
+    p2 = g * g * m0 + 2.0 * g * m1 * inv_root + m2 * inv_root * inv_root
+    u, v = 2.0 * lam_gamma, 2.0 * lam
+    h_odd, h_even = 0.0, 1.0  # h_(2p-3) and h_(2p-2), with h_(-1) = 0
+    scale = pref * inv_root  # E lam^(p - 1/2)
+    rel_tol = acc.rel_tol
+    for p, (coef, bound_coef, root_p, half_root_2p) in enumerate(_EM_TERMS, start=1):
+        t2 -= coef * ((2 * p - 1) * (2 * p - 2)) * h_odd
+        t1 -= coef * (2 * p - 1) * h_even
+        h_odd = u * h_even - v * (2 * p - 2) * h_odd
+        t0 -= coef * h_odd
+        h_even = u * h_odd - v * (2 * p - 1) * h_even
+        scale *= lam
+        b = scale * bound_coef
+        b0 = b * m0
+        b1 = b * (p1 + root_p * m0 * inv_root)
+        b2 = b * (p2 + (2.0 * root_p * p1 + half_root_2p * m0 * inv_root) * inv_root)
+        if b0 <= rel_tol * abs(t0) and b1 <= rel_tol * abs(t1) and b2 <= rel_tol * abs(t2):
+            break
+    else:
+        return None
+    return tuple(
+        SumReport(0.0 + t, bound if bound > 0.0 else 5e-324, p + 1)
+        for t, bound in ((t0, b0), (t1, b1), (t2, b2))
+    )
+
+
+def _require_finite_sum(report: SumReport, lam: float, gamma: float, weight: int) -> SumReport:
+    """``report``, or NoConvergence where its value lies past the double range."""
+    if not math.isfinite(report.value):
+        raise NoConvergence(
+            f"lattice sum exceeds the double-precision range "
+            f"(lambda={lam:g}, gamma={gamma:g}, weight={weight})"
+        )
+    return report
+
+
+def _theta_triple(lam: float, gamma: float, one_sided: bool, acc: SumAccuracy) -> tuple:
+    """The reports of T_0, T_1 and T_2 at (lam, gamma), routed as ``_theta_series`` routes.
+
+    A slow one-sided triple is one Euler-Maclaurin run, which the three
+    weights share.
+    """
+    if one_sided and lam < _SLOW_DECAY_BELOW:
+        reports = _euler_maclaurin(lam, gamma, acc)
+        if reports is not None:
+            return tuple(_require_finite_sum(r, lam, gamma, w) for w, r in enumerate(reports))
+    return tuple(_theta_series(lam, gamma, weight, one_sided, acc) for weight in (0, 1, 2))
+
+
 def _theta_series(
     lam: float, gamma: float, weight: int, one_sided: bool, acc: SumAccuracy
 ) -> SumReport:
     """T_w = sum n^w q^(n^2) x^n at x = exp(2 lam gamma), q = exp(-lam), certified.
 
     Full-lattice series with lam below SLOW_DECAY_LAMBDA (the test under which
-    ``_lattice_sum`` warns) are summed in the Poisson dual; every other series
-    is ``_lattice_sum`` with the prefactor exp(lam gamma^2) in its terms.
+    ``_lattice_sum`` warns) are summed in the Poisson dual and one-sided ones
+    by ``_euler_maclaurin`` where it takes them; every other series is
+    ``_lattice_sum`` with the prefactor exp(lam gamma^2) in its terms.
 
     The dual: with mu = pi^2/lam, r = sqrt(pi/lam) and, over k >= 1,
 
@@ -278,6 +445,10 @@ def _theta_series(
     the dual stops at the first K >= 1 where that bound is at most
     rel_tol |T_w| and reports 2K + 1 terms.
     """
+    if one_sided and lam < _SLOW_DECAY_BELOW:
+        reports = _euler_maclaurin(lam, gamma, acc)
+        if reports is not None:
+            return _require_finite_sum(reports[weight], lam, gamma, weight)
     if one_sided or not lam < _SLOW_DECAY_BELOW:
         return _lattice_sum(lam, gamma, 0.0, weight, one_sided, acc, lam * gamma * gamma)
 

@@ -189,10 +189,34 @@ def partition_function(spec, beta: float, tail_tol: float = DEFAULT_TAIL_TOL, re
     return float(weights.sum() * math.exp(-beta * e0))
 
 
+def _log_shifted_partition(populations: np.ndarray, ground: int) -> float:
+    """ln Z' = -ln P_ground of normalized populations whose largest is ``populations[ground]``.
+
+    Where P_ground > 1/2 it is log1p of the excited weights' sum, sum over
+    n != ground of P_n / P_ground, which is never formed as Z' - 1 and so
+    keeps its digits where Z' rounds to 1.  The window of a state that cold
+    holds few levels, so that sum runs over a Python list.
+    """
+    p0 = float(populations[ground])
+    if p0 <= 0.5:
+        return -math.log(p0)
+    excited = populations.tolist()
+    excited[ground] = 0.0
+    return math.log1p(sum(excited) / p0)
+
+
 def populations_entropy(populations: np.ndarray) -> float:
-    """Von Neumann entropy -sum P ln P of a populations array (0 ln 0 = 0; a pure state's +0.0)."""
+    """Von Neumann entropy -sum P ln P of a populations array (0 ln 0 = 0; a pure state's +0.0).
+
+    The largest population's log is ``-_log_shifted_partition``.
+    """
     p = populations[populations > 0.0]
-    return 0.0 - float((p * np.log(p)).sum())
+    if not p.size:
+        return 0.0
+    log_p = np.log(p)
+    ground = int(p.argmax())
+    log_p[ground] = -_log_shifted_partition(p, ground)
+    return 0.0 - float((p * log_p).sum())
 
 
 def entropy(ensemble: GibbsEnsemble) -> float:

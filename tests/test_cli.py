@@ -779,6 +779,26 @@ class TestBlasThreads:
         assert outputs[0] == outputs[1]
 
 
+class TestHotPairCycle:
+    """A hot pair cycle's closed form sums its one-sided series without a slow-decay warning."""
+
+    ARGV = ["cycle", "--medium", "cs-coupling", "--alpha1", "1", "--alpha2", "0"]
+    ARGV += ["--beta-h", "2e-4", "--beta-l", "2e-3"]
+
+    def test_console_stderr_is_empty(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "anyon_otto.cli"] + self.ARGV,
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert fresh.returncode == 0
+        assert "\nclosed_form_residual = " in fresh.stdout
+        assert fresh.stderr == ""
+
+
 class TestRangeErrors:
     """Inputs whose window or energies leave the double range exit 1 with a typed error."""
 

@@ -25,7 +25,7 @@ from anyon_otto.closed_form import (
 from anyon_otto.errors import DegenerateCycle, DomainError, NoConvergence
 from anyon_otto.otto import OttoCycleSpec, run_cycle
 from anyon_otto.spectra import CSPairSpectrum, enumerate_levels
-from anyon_otto.special_functions import gauss_sum_full
+from anyon_otto.special_functions import DEFAULT_ACCURACY, gauss_sum_full, gauss_sum_half
 from anyon_otto.thermo import partition_function
 
 PI2 = math.pi**2
@@ -398,7 +398,23 @@ class TestHighTemperatureClosedForms:
             rep = ring_weighted_energy_sum(0.35, 0.1, 1e-3)
         assert rep.rel_residual <= 1e-10
 
-    def test_pair_relative_factors_stay_direct(self):
-        # partial theta has no modular transformation: its slow sums still warn
-        with pytest.warns(RuntimeWarning, match="slow Gaussian decay"):
+    def test_pair_relative_factors_sum_without_slow_decay(self):
+        # partial theta has no modular transformation: its slow sums take Euler-Maclaurin
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cs_efficiency_value(0.2, 0.7, 5e-4, 5e-3)
+        rel_tol = DEFAULT_ACCURACY.rel_tol
+        for beta, alpha in ((5e-4, 0.7), (5e-4, 0.2)):
+            q = math.exp(-4.0 * beta * PI2)
+            for shift in (alpha / 2.0, (alpha - 1.0) / 2.0):
+                x = math.exp(-2.0 * math.log(q) * shift)
+                lam, gamma = -math.log(q), math.log(x) / (-2.0 * math.log(q))
+                for weight in (0, 1, 2):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        closed = math.exp(-lam * gamma * gamma) * partial_theta_weighted(
+                            x, q, weight
+                        )
+                    with pytest.warns(RuntimeWarning, match="slow Gaussian decay"):
+                        oracle = gauss_sum_half(lam, gamma, 0.0, weight)
+                    assert abs(closed - oracle) <= rel_tol * abs(oracle), (alpha, shift, weight)

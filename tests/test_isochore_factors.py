@@ -15,7 +15,13 @@ import pytest
 from anyon_otto import cli
 from anyon_otto import closed_form as cf
 from anyon_otto.errors import DegenerateCycle, DomainError
-from anyon_otto.special_functions import SLOW_DECAY_LAMBDA, SumAccuracy, _theta_series, theta3
+from anyon_otto.special_functions import (
+    SLOW_DECAY_LAMBDA,
+    SumAccuracy,
+    _theta_series,
+    _theta_triple,
+    theta3,
+)
 
 VARIANTS = (cf.VARIANT_REDERIVED, cf.VARIANT_MAIN, cf.VARIANT_APPENDIX)
 ACC = SumAccuracy()
@@ -234,7 +240,12 @@ class TestEachSeriesOnce:
             calls.append((lam, gamma, weight, one_sided))
             return _theta_series(lam, gamma, weight, one_sided, acc)
 
+        def counted_triple(lam, gamma, one_sided, acc):  # three series in one call
+            calls.extend((lam, gamma, weight, one_sided) for weight in (0, 1, 2))
+            return _theta_triple(lam, gamma, one_sided, acc)
+
         monkeypatch.setattr(cf, "_theta_series", counted)
+        monkeypatch.setattr(cf, "_theta_triple", counted_triple)
         f(*args)
         assert len(set(calls)) == len(calls)
         return len(calls)
@@ -261,8 +272,14 @@ class TestEachSeriesOnce:
                 calls.append((lam, gamma, weight))
             return _theta_series(lam, gamma, weight, one_sided, acc)
 
+        def counted_triple(lam, gamma, one_sided, acc):
+            if not one_sided:
+                calls.extend((lam, gamma, weight) for weight in (0, 1, 2))
+            return _theta_triple(lam, gamma, one_sided, acc)
+
         monkeypatch.setattr(cf, "theta3", counted_theta3)
         monkeypatch.setattr(cf, "_theta_series", counted_series)
+        monkeypatch.setattr(cf, "_theta_triple", counted_triple)
         argv = "sweep --medium cs-coupling --alpha1 0 --sweep alpha2 --grid 0:1:21 --beta-h 0.1"
         assert cli.main(argv.split() + ["--beta-l", "1", "--out", str(tmp_path)]) == 0
         residuals = [row.split(",")[-2] for row in (tmp_path / "sweep.csv").read_text().split()]

@@ -349,6 +349,23 @@ class TestCycleStrokes:
         assert strokes.entropy_b == strokes.entropy_c
         assert strokes.entropy_d == strokes.entropy_a
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            OttoCycleSpec.cs_coupling_cycle(0.3, 0.5, 3.0, 6.0),
+            OttoCycleSpec.ring_cycle(0.1, 0.3, 40.0, 80.0),
+        ],
+        ids=["cs-coupling-cold", "ring-cold"],
+    )
+    def test_low_temperature_entropies_keep_ln_z(self, spec):
+        # Z' rounds to 1 on these isochores (Z' - 1 down to 1e-34): ln Z' is log1p
+        # of the excited weights, or the entropies lose it
+        report = run_cycle(spec)
+        strokes = report.strokes()
+        exact = report_reference(spec, report)
+        for key in ("entropy_b", "entropy_a"):
+            assert abs(getattr(strokes, key) - exact[key]) <= 1e-12 * abs(exact[key]), key
+
 
 class TestSweep:
     def test_single_point_matches_run_cycle(self):

@@ -444,18 +444,22 @@ class TestEngineMatchesReference:
         )
 
 
-def _mp_series(lam, gamma, bits=256):
-    """(T_0, T_1, T_2) to better than 30 digits by direct summation in mpmath fixed point.
+def _mp_series(lam, gamma, bits=256, one_sided=False):
+    """(T_0, T_1, T_2) to 40 digits by direct summation in mpmath fixed point.
 
-    T_w = sum n^w exp(-lam n^2 + 2 lam gamma n) over |n - gamma| <= sqrt(80/lam),
-    every term from the recurrence t(n+1) = t(n) rho(n), rho(n+1) = rho(n) q^2;
-    no theta identity is used, so it is an independent reference for the dual.
+    T_w = sum n^w exp(-lam n^2 + 2 lam gamma n) over |n - gamma| <= sqrt(92/lam),
+    and n >= 0 where ``one_sided``, every term from the recurrence
+    t(n+1) = t(n) rho(n), rho(n+1) = rho(n) q^2; no theta identity or
+    Euler-Maclaurin sum is used, so it is an independent reference for both.
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workprec(bits + 64):
         lam_mp, gamma_mp = mpmath.mpf(lam), mpmath.mpf(gamma)
-        width = int(math.sqrt(80.0 / lam)) + 2
+        width = int(math.sqrt(92.0 / lam)) + 2
         lo = int(round(gamma)) - width
+        hi = lo + 2 * width
+        if one_sided:
+            lo, hi = max(lo, 0), max(hi, 0)
 
         def fixed(v):
             return int(mpmath.nint(mpmath.ldexp(v, bits)))
@@ -464,7 +468,7 @@ def _mp_series(lam, gamma, bits=256):
         rho = fixed(mpmath.exp(-lam_mp * (2 * lo + 1) + 2 * lam_mp * gamma_mp))
         q2 = fixed(mpmath.exp(-2 * lam_mp))
         s0 = s1 = s2 = 0
-        for n in range(lo, lo + 2 * width + 1):
+        for n in range(lo, hi + 1):
             s0 += t
             s1 += n * t
             s2 += n * n * t
@@ -544,10 +548,11 @@ class TestPoissonDual:
             warnings.simplefilter("error")
             theta3(x, q)
             theta3_report(x, q)
+            partial_theta(x, q)  # one-sided: Euler-Maclaurin
         with pytest.warns(RuntimeWarning, match="slow Gaussian decay"):
             gauss_sum_full(lam, gamma, 0.0, 0)
         with pytest.warns(RuntimeWarning, match="slow Gaussian decay"):
-            partial_theta(x, q)  # one-sided: no modular transformation
+            gauss_sum_half(lam, gamma, 0.0, 0)
 
     @pytest.mark.parametrize("weight", [0, 1, 2])
     def test_prefactor_past_double_range_is_no_convergence(self, weight):
@@ -584,3 +589,83 @@ class TestPoissonDual:
     def test_odd_series_at_zero_shift_is_exactly_zero(self):
         rep = _dual(1e-3, 0.0, 1)
         assert repr(rep.value) == "0.0" and rep.tail_bound > 0.0
+
+
+@st.composite
+def _one_sided_points(draw):
+    """(lam, gamma): lam log-uniform in [1e-6, 0.05); gamma in [-0.5, 30], or, one
+    draw in five, past the Euler-Maclaurin threshold sqrt(lam) gamma = -1/2."""
+    lam = draw(_log_uniform(1e-6, sf.SLOW_DECAY_LAMBDA * 0.9999))
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        past = draw(st.floats(min_value=1.0, max_value=4.0))
+        return lam, -past * sf._EM_SIGMA / math.sqrt(lam)
+    return lam, draw(st.floats(min_value=-0.5, max_value=30.0))
+
+
+class TestEulerMaclaurin:
+    """One-sided theta-side series below SLOW_DECAY_LAMBDA against a 40-digit mpmath sum."""
+
+    ULPS = 8 * 2.0**-52  # rounding the engine's value may add beyond its tail bound
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(point=_one_sided_points())
+    def test_value_within_its_bound_of_mpmath(self, point):
+        lam, gamma = point
+        acc = DEFAULT_ACCURACY
+        reports = sf._euler_maclaurin(lam, gamma, acc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the direct fallback warns
+            routed = sf._theta_triple(lam, gamma, True, acc)
+            alone = [sf._theta_series(lam, gamma, w, True, acc) for w in (0, 1, 2)]
+        assert alone == list(routed)
+        refs = _mp_series(lam, gamma, one_sided=True)
+        if math.sqrt(lam) * gamma < -sf._EM_SIGMA:
+            assert reports is None  # direct, certified against the sum of its terms
+            for rep, ref in zip(routed, refs):
+                assert abs(rep.value - ref) <= acc.rel_tol * abs(ref), (lam, gamma)
+            return
+        assert routed == reports
+        for rep, ref in zip(reports, refs):
+            assert abs(rep.value - ref) <= rep.tail_bound + self.ULPS * abs(ref), (lam, gamma)
+            assert 0.0 < rep.tail_bound <= acc.rel_tol * abs(rep.value)
+            assert 2 <= rep.terms_used <= len(sf._EM_COEF) + 1
+
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
+    def test_true_error_lies_inside_the_bound_at_loose_tolerance(self, rel_tol):
+        # Only errors well above rounding are graded against the bound alone.
+        # The bound is loose: over these draws bound / true error runs from
+        # 2.8e3 to 1.8e8, because it integrates |f^(2p)| over the whole
+        # Gaussian while the remainder comes from the end point n = 0.
+        rng = random.Random(23)
+        acc = SumAccuracy(rel_tol=rel_tol)
+        ratios = []
+        for _ in range(12):
+            lam = math.exp(rng.uniform(math.log(1e-6), math.log(sf.SLOW_DECAY_LAMBDA)))
+            gamma = rng.uniform(-0.5, 30.0)
+            refs = _mp_series(lam, gamma, one_sided=True)
+            for rep, ref in zip(sf._euler_maclaurin(lam, gamma, acc), refs):
+                error = float(abs(rep.value - ref))
+                assert error <= rep.tail_bound, (lam, gamma, error, rep.tail_bound)
+                assert rep.tail_bound <= rel_tol * abs(rep.value)
+                if error > 100 * self.ULPS * abs(rep.value):
+                    ratios.append(rep.tail_bound / error)
+        assert ratios, "no sum stopped with a truncation error above rounding"
+        assert min(ratios) >= 1.0, sorted(ratios)
+
+    def test_fallback_threshold_splits_the_routes(self):
+        lam = 1e-4
+        below, above = (-sf._EM_SIGMA * f / math.sqrt(lam) for f in (1.0001, 0.9999))
+        assert sf._euler_maclaurin(lam, below, DEFAULT_ACCURACY) is None
+        with pytest.warns(RuntimeWarning, match="slow Gaussian decay"):
+            partial_theta(math.exp(2.0 * lam * below), math.exp(-lam))
+        assert sf._euler_maclaurin(lam, above, DEFAULT_ACCURACY) is not None
+
+    def test_overflowing_weight_alone_raises(self):
+        # lam gamma^2 = 706.6: T_0 and T_1 are finite doubles, T_2 is not
+        lam, gamma = 0.0499, 119.0
+        t0 = sf._theta_series(lam, gamma, 0, True, DEFAULT_ACCURACY)
+        assert math.isfinite(t0.value)
+        with pytest.raises(NoConvergence, match="double-precision range"):
+            sf._theta_series(lam, gamma, 2, True, DEFAULT_ACCURACY)
+        with pytest.raises(NoConvergence, match="double-precision range"):
+            sf._theta_triple(lam, gamma, True, DEFAULT_ACCURACY)

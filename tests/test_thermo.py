@@ -113,6 +113,17 @@ class TestEntropyAndShiftInvariance:
         pure = gibbs(RingAnyonSpectrum(1.0, 0.0), 1e6)
         assert entropy(pure).hex() == pure.entropy.hex()
 
+    def test_low_temperature_entropy_keeps_ln_z(self):
+        # Z' - 1 is 1.3e-14 here: -P_0 ln P_0 is as large as the excited terms
+        mpmath = pytest.importorskip("mpmath")
+        from cycle_reference import gibbs_state
+
+        ens = gibbs(RingAnyonSpectrum(1.0, 0.1), 40.0)
+        with mpmath.workdps(50):
+            energies = [mpmath.mpf(e) for e in ens.levels.energies.tolist()]
+            exact = gibbs_state(energies, ens.beta)[2]
+            assert abs(ens.entropy - exact) <= 1e-12 * exact
+
     def test_pure_state_entropy_zero(self):
         levels = LevelSet(labels=(0, 1), energies=(0.0, 50.0), tail_bound=0.0, beta=1.0)
         ens = ensemble_from_levels(levels, 10.0)
