@@ -197,7 +197,8 @@ def partial_theta_weighted(
 
 def _triple(lam: float, gamma: float, one_sided: bool, acc: SumAccuracy) -> tuple:
     """(T_0, T_1, T_2) at (lam, gamma), each series summed once."""
-    return tuple(report.value for report in _checked(_theta_triple, lam, gamma, one_sided, acc))
+    t0, t1, t2 = _checked(_theta_triple, lam, gamma, one_sided, acc)
+    return t0.value, t1.value, t2.value
 
 
 def _plain(t: tuple, lam: float, gamma: float) -> float:

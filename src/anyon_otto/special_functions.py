@@ -418,7 +418,11 @@ def _theta_triple(lam: float, gamma: float, one_sided: bool, acc: SumAccuracy) -
         reports = _euler_maclaurin(lam, gamma, acc)
         if reports is not None:
             return tuple(_require_finite_sum(r, lam, gamma, w) for w, r in enumerate(reports))
-    return tuple(_theta_series(lam, gamma, weight, one_sided, acc) for weight in (0, 1, 2))
+    return (
+        _theta_series(lam, gamma, 0, one_sided, acc),
+        _theta_series(lam, gamma, 1, one_sided, acc),
+        _theta_series(lam, gamma, 2, one_sided, acc),
+    )
 
 
 def _theta_series(
@@ -445,12 +449,13 @@ def _theta_series(
     the dual stops at the first K >= 1 where that bound is at most
     rel_tol |T_w| and reports 2K + 1 terms.
     """
-    if one_sided and lam < _SLOW_DECAY_BELOW:
-        reports = _euler_maclaurin(lam, gamma, acc)
-        if reports is not None:
-            return _require_finite_sum(reports[weight], lam, gamma, weight)
-    if one_sided or not lam < _SLOW_DECAY_BELOW:
+    if not lam < _SLOW_DECAY_BELOW:
         return _lattice_sum(lam, gamma, 0.0, weight, one_sided, acc, lam * gamma * gamma)
+    if one_sided:
+        reports = _euler_maclaurin(lam, gamma, acc)
+        if reports is None:
+            return _lattice_sum(lam, gamma, 0.0, weight, True, acc, lam * gamma * gamma)
+        return _require_finite_sum(reports[weight], lam, gamma, weight)
 
     log_pref = lam * gamma * gamma
     if log_pref > 709.0:
