@@ -406,9 +406,10 @@ class TestHighTemperatureClosedForms:
         rel_tol = DEFAULT_ACCURACY.rel_tol
         for beta, alpha in ((5e-4, 0.7), (5e-4, 0.2)):
             q = math.exp(-4.0 * beta * PI2)
+            lam = -math.log(q)
             for shift in (alpha / 2.0, (alpha - 1.0) / 2.0):
-                x = math.exp(-2.0 * math.log(q) * shift)
-                lam, gamma = -math.log(q), math.log(x) / (-2.0 * math.log(q))
+                x = math.exp(2.0 * lam * shift)
+                gamma = math.log(x) / (2.0 * lam)  # as partial_theta_weighted reads x, q
                 for weight in (0, 1, 2):
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from anyon_otto.thermo import (
     partition_function,
     sum_of_products,
 )
+from cycle_reference import gibbs_state
 
 PI2 = math.pi**2
 
@@ -115,9 +117,6 @@ class TestEntropyAndShiftInvariance:
 
     def test_low_temperature_entropy_keeps_ln_z(self):
         # Z' - 1 is 1.3e-14 here: -P_0 ln P_0 is as large as the excited terms
-        mpmath = pytest.importorskip("mpmath")
-        from cycle_reference import gibbs_state
-
         ens = gibbs(RingAnyonSpectrum(1.0, 0.1), 40.0)
         with mpmath.workdps(50):
             energies = [mpmath.mpf(e) for e in ens.levels.energies.tolist()]
