@@ -12,8 +12,10 @@ without its wall times), counts slow-decay warnings, and records each
 residual the CLI prints: the cycle's parameters, the run_cycle efficiency
 and the closed-form efficiency behind it.  It also counts, over all commands,
 the direct ``_lattice_sum`` calls and terms and, where the checkout has them,
-the Poisson-dual calls and terms of ``_theta_series`` and the runs and terms
-of ``_euler_maclaurin`` (one run sums a triple T_0, T_1, T_2).
+the runs and terms of ``_poisson_dual`` and of ``_euler_maclaurin`` (one run
+may sum a triple T_0, T_1, T_2; its terms are those of its longest weight).
+On a checkout without ``_poisson_dual``, each full-lattice ``_theta_series``
+call below ``SLOW_DECAY_LAMBDA`` counts as one dual run.
 
 Commands whose outputs are equal on both sides are counted; for the others,
 every residual whose closed-form value or run_cycle efficiency (``eta``, the
@@ -100,13 +102,25 @@ def run_checkout(checkout: Path, out: Path) -> None:
     for module in (sf, cf):
         if hasattr(module, "_lattice_sum"):
             module._lattice_sum = counted_lattice_sum
-    if hasattr(sf, "_theta_series"):
+    if hasattr(sf, "_poisson_dual"):
+        poisson_dual = sf._poisson_dual
+
+        def counted_poisson_dual(*args):
+            reports = poisson_dual(*args)
+            counts["dual_runs"] += 1
+            counts["dual_terms"] += max(rep.terms_used for rep in reports)
+            return reports
+
+        sf._poisson_dual = counted_poisson_dual
+    elif hasattr(sf, "_theta_series"):
+        # Before ``_poisson_dual``, each full-lattice series below 0.05 was a dual run
+        # of its own inside ``_theta_series``.
         theta_series = sf._theta_series
 
         def counted_theta_series(lam, gamma, weight, one_sided, acc):
             rep = theta_series(lam, gamma, weight, one_sided, acc)
             if not one_sided and lam < sf.SLOW_DECAY_LAMBDA * (1.0 - 1e-9):
-                counts["dual_calls"] += 1
+                counts["dual_runs"] += 1
                 counts["dual_terms"] += rep.terms_used
             return rep
 

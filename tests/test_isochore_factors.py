@@ -16,6 +16,7 @@ from anyon_otto import cli
 from anyon_otto import closed_form as cf
 from anyon_otto.errors import DegenerateCycle, DomainError
 from anyon_otto.special_functions import (
+    DUAL_CROSSOVER_LAMBDA,
     SLOW_DECAY_LAMBDA,
     SumAccuracy,
     _theta_series,
@@ -187,6 +188,7 @@ class TestDrawsCoverTheRoutes:
         pair = [4.0 * beta * math.pi**2 / L**2 for _, _, bh, bl, L in PAIR for beta in (bh, bl)]
         for lams in (ring, pair):
             assert min(lams) < SLOW_DECAY_LAMBDA < max(lams)
+            assert min(lams) < DUAL_CROSSOVER_LAMBDA < max(lams)
 
     def test_signed_zero_controls(self):
         for draws in (RING, PAIR):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import warnings
 from collections import Counter
 
@@ -451,11 +452,14 @@ def _mp_series(lam, gamma, bits=256, one_sided=False):
     and n >= 0 where ``one_sided``, every term from the recurrence
     t(n+1) = t(n) rho(n), rho(n+1) = rho(n) q^2; no theta identity or
     Euler-Maclaurin sum is used, so it is an independent reference for both.
+    The fixed point keeps ``bits`` bits below the edge terms, which lie up to
+    exp(-lam (width + 1/2)^2) below the peak.
     """
     mpmath = pytest.importorskip("mpmath")
+    width = int(math.sqrt(92.0 / lam)) + 2
+    bits += int(lam * (width + 0.5) ** 2 / math.log(2.0)) + 1
     with mpmath.workprec(bits + 64):
         lam_mp, gamma_mp = mpmath.mpf(lam), mpmath.mpf(gamma)
-        width = int(math.sqrt(92.0 / lam)) + 2
         lo = int(round(gamma)) - width
         hi = lo + 2 * width
         if one_sided:
@@ -479,12 +483,21 @@ def _mp_series(lam, gamma, bits=256, one_sided=False):
 
 
 def _dual(lam, gamma, weight, acc=DEFAULT_ACCURACY):
-    """The theta-side series entry, which takes the Poisson dual below 0.05."""
+    """The theta-side series entry, which takes the Poisson dual below DUAL_CROSSOVER_LAMBDA."""
     return sf._theta_series(lam, gamma, weight, False, acc)
 
 
+def _dual_draws(seed, n, lo):
+    """n draws of (lam, gamma): lam log-uniform in [lo, DUAL_CROSSOVER_LAMBDA) and
+    |gamma| <= 11, which covers validate's x = exp(2 lam gamma) in [0.1, 10]."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        lam = math.exp(rng.uniform(math.log(lo), math.log(sf.DUAL_CROSSOVER_LAMBDA)))
+        yield lam, rng.uniform(-11.0, 11.0)
+
+
 class TestPoissonDual:
-    """Full-lattice theta-side series below SLOW_DECAY_LAMBDA: the Poisson dual."""
+    """Full-lattice theta-side series below DUAL_CROSSOVER_LAMBDA: the Poisson dual."""
 
     @pytest.mark.parametrize("lam,gamma", [(1e-4, 0.37), (3e-3, -1.6), (0.04, 1.2)])
     def test_reference_matches_jtheta(self, lam, gamma):
@@ -497,25 +510,21 @@ class TestPoissonDual:
                 assert abs(ref - expected) <= mpmath.mpf(10) ** -25 * abs(expected)
 
     def test_matches_mpmath(self):
-        rng = random.Random(20)
-        for _ in range(24):
-            lam = math.exp(rng.uniform(math.log(1e-8), math.log(sf.SLOW_DECAY_LAMBDA)))
-            gamma = rng.uniform(-2.0, 2.0)
+        for lam, gamma in _dual_draws(20, 48, 1e-8):
             for weight, ref in enumerate(_mp_series(lam, gamma)):
                 rep = _dual(lam, gamma, weight)
-                assert rep.terms_used == 3
+                if lam < sf.SLOW_DECAY_LAMBDA:
+                    assert rep.terms_used == 3
+                assert rep.terms_used % 2 == 1 and rep.terms_used >= 3
                 assert abs(rep.value - ref) <= 2e-15 * abs(ref), (lam, gamma, weight)
 
     def test_agrees_with_gauss_sum_full(self):
         # The oracle sums directly.  Its certificate is relative to the sum of
         # absolute terms, which for weight 1 is at most sqrt(G_0 G_2).
-        rng = random.Random(21)
         tol = 10 * DEFAULT_ACCURACY.rel_tol
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            for _ in range(60):
-                lam = math.exp(rng.uniform(math.log(1e-3), math.log(sf.SLOW_DECAY_LAMBDA)))
-                gamma = rng.uniform(-2.0, 2.0)
+            for lam, gamma in _dual_draws(21, 60, 1e-3):
                 direct = [gauss_sum_full(lam, gamma, 0.0, w) for w in (0, 1, 2)]
                 scales = [direct[0], math.sqrt(direct[0] * direct[2]), direct[2]]
                 for weight in (0, 1, 2):
@@ -525,17 +534,14 @@ class TestPoissonDual:
     @pytest.mark.parametrize("side", [-1, 1])
     @pytest.mark.parametrize("weight", [0, 1, 2])
     def test_routes_agree_at_the_switch(self, side, weight):
-        lam, gamma = sf.SLOW_DECAY_LAMBDA * (1.0 + side * 1e-6), 0.83
+        lam, gamma = sf.DUAL_CROSSOVER_LAMBDA * (1.0 + side * 1e-6), 0.83
         rep = _dual(lam, gamma, weight)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            direct = sf._lattice_sum(
-                lam, gamma, 0.0, weight, False, DEFAULT_ACCURACY, lam * gamma**2
-            )
+        log_pref = lam * gamma * gamma  # as the direct route forms it
+        direct = sf._lattice_sum(lam, gamma, 0.0, weight, False, DEFAULT_ACCURACY, log_pref)
         if side > 0:
             assert rep == direct  # at and above the switch the series is summed directly
         else:
-            assert rep.terms_used == 3
+            assert rep == sf._poisson_dual(lam, gamma, (weight,), DEFAULT_ACCURACY)[0]
         ref = _mp_series(lam, gamma)[weight]
         tol = 10 * DEFAULT_ACCURACY.rel_tol
         assert abs(rep.value - ref) <= tol * abs(ref)
@@ -589,6 +595,61 @@ class TestPoissonDual:
     def test_odd_series_at_zero_shift_is_exactly_zero(self):
         rep = _dual(1e-3, 0.0, 1)
         assert repr(rep.value) == "0.0" and rep.tail_bound > 0.0
+
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-12, 1e-15])
+    def test_shared_triple_is_each_weights_own_report(self, rel_tol):
+        # One run serves the triple; each weight stops on its own test.
+        acc = SumAccuracy(rel_tol=rel_tol)
+        points = list(_dual_draws(22, 40, 1e-6)) + [(0.7, 0.0), (2.5, 0.5), (3.0, -4.5)]
+        for lam, gamma in points:
+            triple = sf._theta_triple(lam, gamma, False, acc)
+            assert triple == sf._poisson_dual(lam, gamma, (0, 1, 2), acc)
+            for weight, rep in enumerate(triple):
+                assert rep == sf._poisson_dual(lam, gamma, (weight,), acc)[0]
+                assert rep == sf._theta_series(lam, gamma, weight, False, acc)
+
+    @pytest.mark.parametrize("gamma", [15.4999] + [m + 0.5 for m in range(15, 32)])
+    def test_keeps_the_top_of_the_double_range(self, gamma):
+        # lam gamma^2 = 709.2: exp(lam gamma^2) alone leaves the double range, while
+        # theta3 itself does so only for the half-integer gamma >= 27.5.
+        mpmath = pytest.importorskip("mpmath")
+        lam = 709.2 / gamma**2
+        x, q = math.exp(2.0 * lam * gamma), math.exp(-lam)
+        lam_x, gamma_x = sf._theta_params(x, q)
+        assert lam_x * gamma_x * gamma_x > 709.0
+        ref = _mp_theta3(x, q)
+        if ref > mpmath.mpf(sys.float_info.max):
+            with pytest.raises(NoConvergence, match="double-precision range"):
+                theta3(x, q)
+            return
+        assert lam_x < sf.DUAL_CROSSOVER_LAMBDA
+        assert abs(theta3(x, q) - ref) <= 10 * DEFAULT_ACCURACY.rel_tol * ref
+
+
+def _mp_theta3(x, q):
+    """sum q^(n^2) x^n at the doubles x, q to 40 digits, over |n - gamma| <= sqrt(120/lam) + 3."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x_mp, q_mp = mpmath.mpf(x), mpmath.mpf(q)
+        lam = -mpmath.log(q_mp)
+        peak = int(mpmath.nint(mpmath.log(x_mp) / (2 * lam)))
+        width = int(math.sqrt(120.0 / float(lam))) + 3
+        return mpmath.fsum(q_mp ** (n * n) * x_mp**n for n in range(peak - width, peak + width + 1))
+
+
+def test_theta3_on_the_validate_grid_keeps_its_digits():
+    # The theta families' random points of ``validate --seed 1`` (as run_validation
+    # draws them), the first 200: theta3 within 4e-15 of a 40-digit sum.
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(1)
+    xs = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 1000))
+    qs = rng.uniform(0.01, 0.9, 1000)
+    worst = max(
+        (float(abs(theta3(x, q) - ref) / ref), x, q)
+        for x, q in zip(xs.tolist()[:200], qs.tolist()[:200])
+        for ref in [_mp_theta3(x, q)]
+    )
+    assert worst[0] <= 4e-15, worst
 
 
 @st.composite
