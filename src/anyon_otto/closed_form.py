@@ -35,27 +35,28 @@ half-lattice sums.  The partition function is a sum of two theta3 *
 partial_theta products, and the energy-weighted sum is bilinear: per parity
 sector, (weighted full) x (plain half) + (plain full) x (weighted half).
 
-Each efficiency is assembled from per-isochore factors, and every series in
-them is summed once.  An isochore (control value, beta) has its partition
-function Z and its energy sum U(c), which is a function of the control
-value c whose spectrum weights it.  U(c) comes from series triples
-(T_0, T_1, T_2), and these depend only on (lam, gamma, side):
+Each efficiency is assembled from one factor per isochore (control value,
+beta), ``_ring_isochore`` or ``_cs_isochore``, and every series in it is
+summed once.  The factor holds the partition function Z and the energy sum
+U(c), a function of the control value c whose spectrum weights it.  Both
+come from the same series triples (T_0, T_1, T_2) at the exact (lam, gamma):
 
 * ring: one full-lattice triple at (beta eps0, alpha);
 * pair: four triples at lam = 4 beta pi^2 / L^2, namely the full lattice at
   gamma 0 and -1/2 and the half lattice at alpha/2 and (alpha - 1)/2.
 
-So both weights of one isochore (alpha_h and alpha_l, or alpha1 and alpha2)
-share its triples, and the weighted sums ``*_weighted_energy_sum`` use the
-same U(c).  The pair's two theta3 factors and its full-lattice triples do not
+No theta argument x = exp(2 lam gamma) is formed, so Z has a value wherever
+its series are finite.  The partition closed forms and the weighted sums
+``*_weighted_energy_sum`` read the same factor, so ``validate`` checks the Z
+and U(c) that the efficiencies use.  The pair's full-lattice triples do not
 depend on alpha at all.
 
 The reports and the private ``_ring_efficiency``/``_cs_efficiency`` take a
 ``reuse(f, *args)`` through which each per-isochore factor, each alpha-free
-pair factor, each cycle oracle's window searches and each pair oracle's
+pair triple, each cycle oracle's window searches and each pair oracle's
 enumeration is obtained; the default, ``thermo._call``, computes it.  A CLI
 sweep passes one ``otto._IsochoreMemo``, so the isochore its axis leaves
-alone is summed once per sweep and the alpha-free pair factors once per
+alone is summed once per sweep and the alpha-free pair triples once per
 temperature; ``validate`` passes one for its whole run.
 """
 
@@ -77,7 +78,6 @@ from .special_functions import (
     _theta_series,
     _theta_triple,
     gauss_sum_full,
-    partial_theta,
     require_finite,
     theta3,
 )
@@ -133,16 +133,6 @@ def _report(value: float, oracle: float, variant: str) -> ClosedFormReport:
     )
 
 
-def _theta_arg(exponent: float) -> float:
-    """Theta-series argument exp(exponent); NoConvergence where it overflows a double."""
-    try:
-        return math.exp(exponent)
-    except OverflowError:
-        raise NoConvergence(
-            f"theta argument exceeds the double-precision range (exponent {exponent:.1f})"
-        ) from None
-
-
 def _check_variant(variant: str) -> _Formulas:
     """The variant's ``_FORMULAS`` entry; DomainError for an unknown name."""
     if variant not in VARIANTS:
@@ -158,6 +148,8 @@ def _checked(series, lam: float, gamma: float, *args):
     """
     if not lam > 0.0:
         raise DomainError(f"series decay rate must be positive, got {lam}")
+    if lam == math.inf:
+        raise DomainError(f"series decay rate must be finite, got {lam}")
     if not math.isfinite(gamma):
         require_finite(gamma=gamma)
     try:
@@ -229,28 +221,39 @@ def _weighted_appendix(t: tuple, lam: float, gamma: float, c: float) -> float:
     return pref * c * c * t0 + pref * ((gamma - c) / lam) * d_gamma_pref - pref * d_lam_pref
 
 
+def _ring_printed(lam: float, alpha: float, acc: SumAccuracy) -> float:
+    """Printed ring partition function exp(-lam alpha^2) theta3(lam alpha, q), q = exp(-lam)."""
+    return math.exp(-lam * alpha * alpha) * theta3(lam * alpha, math.exp(-lam), acc)
+
+
 class _Formulas(NamedTuple):
     """Where a formula variant departs from the rederived forms."""
 
     weighted: Callable  # (triple, lam, gamma, c) -> sum (n-c)^2 exp(-lam (n-gamma)^2)
-    ring_arg: Callable  # (lam, alpha) -> the ring partition function's first theta3 argument
+    # (lam, alpha, acc) -> the printed ring partition function, in place of the
+    # isochore's Z wherever a Z is asked for; None keeps the isochore's
+    ring_partition: Callable | None
     pair_sign: float  # sign of alpha in the pair's relative-coordinate shift
 
 
 _FORMULAS = {
-    VARIANT_REDERIVED: _Formulas(_weighted, lambda lam, a: _theta_arg(2.0 * lam * a), 1.0),
-    VARIANT_MAIN: _Formulas(_weighted_main, lambda lam, a: lam * a, -1.0),
-    VARIANT_APPENDIX: _Formulas(_weighted_appendix, lambda lam, a: lam * a, -1.0),
+    VARIANT_REDERIVED: _Formulas(_weighted, None, 1.0),
+    VARIANT_MAIN: _Formulas(_weighted_main, _ring_printed, -1.0),
+    VARIANT_APPENDIX: _Formulas(_weighted_appendix, _ring_printed, -1.0),
 }
 
 
-def _assemble(z_h: float, z_l: float, u_h, u_l, control_h: float, control_l: float, floor: float):
+def _assemble(hot: tuple, cold: tuple, control_h: float, control_l: float, floor: float):
     """eta = 1 - [U_h(l)/Z_h - U_l(l)/Z_l] / [U_h(h)/Z_h - U_l(h)/Z_l].
 
-    ``u_h`` and ``u_l`` are the hot and cold isochores' energy sums as
-    functions of the control value whose spectrum weights them: the cold one
-    (l) in the numerator, the hot one (h) in the denominator.
+    ``hot`` and ``cold`` are the isochores' factors (Z, U), with U the energy
+    sum as a function of the control value whose spectrum weights it: the
+    cold one (l) in the numerator, the hot one (h) in the denominator.  A Z
+    that underflows to 0 raises NoConvergence.
     """
+    (z_h, u_h), (z_l, u_l) = hot, cold
+    if z_h == 0.0 or z_l == 0.0:
+        raise NoConvergence("closed-form partition function underflows a double")
     num = u_h(control_l) / z_h - u_l(control_l) / z_l
     den = u_h(control_h) / z_h - u_l(control_h) / z_l
     if abs(den) < floor:
@@ -278,23 +281,31 @@ def ring_weighted_energy_sum(
     gamma = alpha_boltz, c = alpha_weight; oracle by direct weighted
     summation (gauss_sum_full, weight 2).
     """
-    value = reuse(_ring_energy_sum, alpha_boltz, beta, eps0, acc, variant)(alpha_weight)
+    value = reuse(_ring_isochore, alpha_boltz, beta, eps0, acc, variant)[1](alpha_weight)
     oracle = eps0 * gauss_sum_full(beta * eps0, alpha_boltz, alpha_weight, 2, acc)
     return _report(value, oracle, variant)
 
 
-def _ring_energy_sum(
-    alpha_boltz: float, beta: float, eps0: float, acc: SumAccuracy, variant: str
-):
-    """c -> sum_n E_n(c) exp(-beta E_n(alpha_boltz)), from one triple at lam = beta eps0."""
-    weighted = _check_variant(variant).weighted
+def _ring_lam(beta: float, eps0: float) -> float:
+    """The ring's decay rate lam = beta eps0, after the checks of beta and eps0."""
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if not eps0 > 0.0:
         raise DomainError(f"eps0 must be positive, got {eps0}")
-    lam = beta * eps0
-    t = _triple(lam, alpha_boltz, False, acc)
-    return lambda c: eps0 * weighted(t, lam, alpha_boltz, c)
+    return beta * eps0
+
+
+def _ring_isochore(alpha: float, beta: float, eps0: float, acc: SumAccuracy, variant: str):
+    """(Z, c -> U(c)) of the ring isochore (alpha, beta), from one triple at lam = beta eps0.
+
+    Z = exp(-lam alpha^2) T_0 and U(c) = sum_n E_n(c) exp(-beta E_n(alpha)).
+    A printed variant's partition function, which needs alpha > 0, is not
+    built here but only where a Z is asked for (``_FORMULAS``).
+    """
+    weighted = _check_variant(variant).weighted
+    lam = _ring_lam(beta, eps0)
+    t = _triple(lam, alpha, False, acc)
+    return _plain(t, lam, alpha), lambda c: eps0 * weighted(t, lam, alpha, c)
 
 
 def ring_partition_closed(
@@ -308,26 +319,18 @@ def ring_partition_closed(
 ) -> ClosedFormReport:
     """Ring partition function exp(-lam alpha^2) theta3(exp(2 lam alpha), exp(-lam)).
 
-    The printed variants replace the first theta3 argument by lam * alpha
-    (no exponential, no factor 2) and fail the oracle; they also require
-    alpha > 0 since theta3 needs a positive first argument.
+    The value is the Z of ``_ring_isochore``.  The printed variants replace
+    the first theta3 argument by lam * alpha (no exponential, no factor 2)
+    and fail the oracle; they also require alpha > 0 since theta3 needs a
+    positive first argument.
     """
-    value = reuse(_ring_partition_value, alpha, beta, eps0, acc, variant)
+    printed = _check_variant(variant).ring_partition
+    if printed is None:
+        value = reuse(_ring_isochore, alpha, beta, eps0, acc, variant)[0]
+    else:
+        value = printed(_ring_lam(beta, eps0), alpha, acc)
     oracle = partition_function(RingAnyonSpectrum(eps0=eps0, alpha=alpha), beta, tail_tol)
     return _report(value, oracle, variant)
-
-
-def _ring_partition_value(
-    alpha: float, beta: float, eps0: float, acc: SumAccuracy, variant: str
-) -> float:
-    ring_arg = _check_variant(variant).ring_arg
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if not eps0 > 0.0:
-        raise DomainError(f"eps0 must be positive, got {eps0}")
-    lam = beta * eps0
-    q = math.exp(-lam)
-    return math.exp(-lam * alpha * alpha) * theta3(ring_arg(lam, alpha), q, acc)
 
 
 def ring_efficiency_value(
@@ -354,14 +357,15 @@ def _ring_efficiency(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant, reuse
     A sweep passes a memo that keeps the factors of the isochore its axis
     leaves alone; ``_call`` computes every factor afresh.
     """
-    _check_variant(variant)
+    printed = _check_variant(variant).ring_partition
     if alpha_h == alpha_l:
         raise DegenerateCycle("alpha_h == alpha_l: numerator equals denominator")
-    z_h = reuse(_ring_partition_value, alpha_h, beta_h, eps0, acc, variant)
-    z_l = reuse(_ring_partition_value, alpha_l, beta_l, eps0, acc, variant)
-    u_h = reuse(_ring_energy_sum, alpha_h, beta_h, eps0, acc, variant)
-    u_l = reuse(_ring_energy_sum, alpha_l, beta_l, eps0, acc, variant)
-    return _assemble(z_h, z_l, u_h, u_l, alpha_h, alpha_l, _TINY * max(1.0, eps0))
+    hot = reuse(_ring_isochore, alpha_h, beta_h, eps0, acc, variant)
+    cold = reuse(_ring_isochore, alpha_l, beta_l, eps0, acc, variant)
+    if printed is not None:
+        hot = printed(beta_h * eps0, alpha_h, acc), hot[1]
+        cold = printed(beta_l * eps0, alpha_l, acc), cold[1]
+    return _assemble(hot, cold, alpha_h, alpha_l, _TINY * max(1.0, eps0))
 
 
 def ring_efficiency_closed(
@@ -400,25 +404,12 @@ def cs_partition_parity_terms(
 
     Even sector: m = n1+n2 and n = n2-n1 both even; odd sector: both odd.
     Each term is a theta3 (center-of-mass) times partial_theta (relative)
-    product; the printed variants flip the sign of the relative shift.  The
-    two theta3 factors do not depend on alpha and come from ``reuse``.
+    product, read from the isochore's factor ``_cs_isochore``.  The printed
+    variants flip the sign of the relative shift, so their terms are the
+    rederived ones at -alpha.
     """
     sign = _check_variant(variant).pair_sign
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    require_pair_length(L)
-    c = beta * math.pi**2 / (L * L)
-    q4 = math.exp(-4.0 * c)
-    shift = sign * alpha
-    even = math.exp(-c * alpha * alpha) * reuse(theta3, 1.0, q4, acc) * partial_theta(
-        _theta_arg(4.0 * c * shift), q4, acc
-    )
-    odd = (
-        math.exp(-c * (1.0 + (1.0 - shift) ** 2))
-        * reuse(theta3, q4, q4, acc)
-        * partial_theta(_theta_arg(-4.0 * c * (1.0 - shift)), q4, acc)
-    )
-    return even, odd
+    return reuse(_cs_isochore, sign * alpha, beta, L, acc, VARIANT_REDERIVED, reuse)[0]
 
 
 def cs_partition_closed(
@@ -434,7 +425,7 @@ def cs_partition_closed(
 
     Oracle: direct truncated summation over enumerated (n1, n2) levels.
     """
-    even, odd = reuse(cs_partition_parity_terms, alpha, beta, L, acc, variant, reuse)
+    even, odd = cs_partition_parity_terms(alpha, beta, L, acc, variant, reuse)
     value = even + odd
     oracle = partition_function(CSPairSpectrum(L=L, alpha=alpha), beta, tail_tol, reuse)
     return _report(value, oracle, variant)
@@ -460,22 +451,22 @@ def cs_weighted_energy_sum(
     so they always raise DomainError; they are kept only so validation can name them.
     Oracle: direct double sum over the enumerated level set.
     """
-    value = reuse(_cs_energy_sum, alpha_boltz, beta, L, acc, variant, reuse)(alpha_weight)
+    value = reuse(_cs_isochore, alpha_boltz, beta, L, acc, variant, reuse)[1](alpha_weight)
     levels = reuse(enumerate_levels, CSPairSpectrum(L=L, alpha=alpha_boltz), beta, tail_tol)
     weights = CSPairSpectrum(L=L, alpha=alpha_weight).energies(*levels.labels.T)
     oracle = float((weights * np.exp(-beta * levels.energies)).sum())
     return _report(value, oracle, variant)
 
 
-def _cs_energy_sum(
-    alpha_boltz: float, beta: float, L: float, acc: SumAccuracy, variant: str, reuse=_call
-):
-    """c -> sum over n1 <= n2 of E(c) exp(-beta E(alpha_boltz)), from four series triples.
+def _cs_isochore(alpha: float, beta: float, L: float, acc: SumAccuracy, variant: str, reuse=_call):
+    """((even, odd), c -> X(c)) of the pair isochore (alpha, beta), from four series triples.
 
-    All four are at decay rate 4 beta pi^2 / L^2: the full lattice at
-    gamma 0 (even sector) and -1/2 (odd), which do not depend on alpha and
-    come from ``reuse``, and the half lattice at alpha_boltz/2 and
-    (alpha_boltz - 1)/2.
+    X(c) = sum over n1 <= n2 of E(c) exp(-beta E(alpha)).  All four triples
+    are at decay rate 4 beta pi^2 / L^2: the full lattice at gamma 0 (even
+    sector) and -1/2 (odd), which do not depend on alpha and come from
+    ``reuse``, and the half lattice at alpha/2 and (alpha - 1)/2.  Each
+    sector of Z is the product of the plain full- and half-lattice factors
+    that X(c) uses.
     """
     _check_variant(variant)
     if not beta > 0.0:
@@ -486,22 +477,24 @@ def _cs_energy_sum(
         # the printed assembly's first factor sums at decay rate -beta pi^2/L^2
         raise DomainError(f"series decay rate must be positive, got {-beta * unit}")
     c4 = 4.0 * beta * unit
-    ab = alpha_boltz
+    g_even, g_odd = alpha / 2.0, (alpha - 1.0) / 2.0
     full_even = reuse(_triple, c4, 0.0, False, acc)
-    half_even = _triple(c4, ab / 2.0, True, acc)
+    half_even = _triple(c4, g_even, True, acc)
     full_odd = reuse(_triple, c4, -0.5, False, acc)
-    half_odd = _triple(c4, (ab - 1.0) / 2.0, True, acc)
+    half_odd = _triple(c4, g_odd, True, acc)
+    plain_even = _plain(full_even, c4, 0.0), _plain(half_even, c4, g_even)
+    plain_odd = _plain(full_odd, c4, -0.5), _plain(half_odd, c4, g_odd)
 
-    def energy_sum(aw: float) -> float:
-        even = _weighted(full_even, c4, 0.0, 0.0) * _plain(
-            half_even, c4, ab / 2.0
-        ) + _plain(full_even, c4, 0.0) * _weighted(half_even, c4, ab / 2.0, aw / 2.0)
-        odd = _weighted(full_odd, c4, -0.5, -0.5) * _plain(
-            half_odd, c4, (ab - 1.0) / 2.0
-        ) + _plain(full_odd, c4, -0.5) * _weighted(half_odd, c4, (ab - 1.0) / 2.0, (aw - 1.0) / 2.0)
+    def energy_sum(c: float) -> float:
+        even = _weighted(full_even, c4, 0.0, 0.0) * plain_even[1] + plain_even[0] * _weighted(
+            half_even, c4, g_even, c / 2.0
+        )
+        odd = _weighted(full_odd, c4, -0.5, -0.5) * plain_odd[1] + plain_odd[0] * _weighted(
+            half_odd, c4, g_odd, (c - 1.0) / 2.0
+        )
         return 4.0 * unit * (even + odd)
 
-    return energy_sum
+    return (plain_even[0] * plain_even[1], plain_odd[0] * plain_odd[1]), energy_sum
 
 
 def cs_efficiency_value(
@@ -531,11 +524,9 @@ def _cs_efficiency(alpha1, alpha2, beta_h, beta_l, L, acc, variant, reuse) -> fl
     _check_variant(variant)
     if alpha1 == alpha2:
         raise DegenerateCycle("alpha1 == alpha2: numerator equals denominator")
-    even_h, odd_h = reuse(cs_partition_parity_terms, alpha2, beta_h, L, acc, variant, reuse)
-    even_l, odd_l = reuse(cs_partition_parity_terms, alpha1, beta_l, L, acc, variant, reuse)
-    x_h = reuse(_cs_energy_sum, alpha2, beta_h, L, acc, variant, reuse)
-    x_l = reuse(_cs_energy_sum, alpha1, beta_l, L, acc, variant, reuse)
-    return _assemble(even_h + odd_h, even_l + odd_l, x_h, x_l, alpha2, alpha1, _TINY)
+    (even_h, odd_h), x_h = reuse(_cs_isochore, alpha2, beta_h, L, acc, variant, reuse)
+    (even_l, odd_l), x_l = reuse(_cs_isochore, alpha1, beta_l, L, acc, variant, reuse)
+    return _assemble((even_h + odd_h, x_h), (even_l + odd_l, x_l), alpha2, alpha1, _TINY)
 
 
 def cs_efficiency_closed(

@@ -590,10 +590,12 @@ class _IsochoreMemo:
     strings, or dataclasses of them (spectra, ``SumAccuracy``); they are
     matched by their ``marshal`` bytes, a dataclass by its field dict.  That
     compares floats bit for bit, so it tells -0.0 from 0.0 where == does not,
-    and formats nothing.  The memo itself, passed on to a factor that fetches
-    its own factors through it, is left out of the key.  A computation that
-    raised keeps nothing.  One instance serves one sweep or one validation
-    run and is dropped with it.
+    and formats nothing.  Format version 2 writes no back-references, so
+    equal arguments give equal bytes whether or not they are one object.
+    The memo itself, passed on to a factor that fetches its own factors
+    through it, is left out of the key.  A computation that raised keeps
+    nothing.  One instance serves one sweep or one validation run and is
+    dropped with it.
     """
 
     def __init__(self):
@@ -601,7 +603,7 @@ class _IsochoreMemo:
 
     def __call__(self, compute, *args):
         fields = [a if isinstance(a, _PLAIN) else vars(a) for a in args if a is not self]
-        key = (compute, marshal.dumps(fields))
+        key = (compute, marshal.dumps(fields, 2))
         if key not in self._results:
             self._results[key] = compute(*args)
         return self._results[key]

@@ -255,13 +255,30 @@ class TestCycleCommand:
         assert (code, out, err) == (64, "", f"config error: {message}\n")
         assert not (tmp_path / "out").exists()
 
-    def test_closed_form_overflow_prints_cycle_without_residual(self, capsys):
+    def test_cold_ring_cycle_prints_the_closed_forms_residual(self, capsys):
+        # exp(2 lam alpha_l) = exp(1200) overflows a double, but no closed form
+        # forms it.  The residual, 1.97e-7, is the closed form's own
+        # low-temperature cancellation: a 40-digit mpmath sum gives eta
+        # 0.49999231980534157, 1.5e-16 from the oracle's.
         argv = ["cycle", "--medium", "ring", "--alpha-h", "0.1", "--alpha-l", "0.3"]
         code, out, err = run_cli(argv + ["--beta-h", "30", "--beta-l", "2000"], capsys)
         assert code == 0
         assert "regime = engine" in out
+        eta = run_cycle(OttoCycleSpec.ring_cycle(0.1, 0.3, 30.0, 2000.0)).efficiency
+        residual = cf.relative_residual(cf.ring_efficiency_value(0.1, 0.3, 30.0, 2000.0), eta)
+        assert f"closed_form_residual = {residual!r}\n" in out
+        assert 1e-7 < residual < 1e-6
+        assert err == ""
+
+    def test_partition_function_underflow_prints_cycle_without_residual(self, capsys):
+        # the closed form's Z = exp(-lam gamma^2) T_0 underflows to 0 on both isochores
+        argv = ["cycle", "--medium", "cs-coupling", "--alpha1", "1"]
+        argv += ["--alpha2", "1.0317434074991028", "--beta-h", "1", "--beta-l", "1"]
+        code, out, err = run_cli(argv + ["--length", "0.049787068367863944"], capsys)
+        assert code == 2
+        assert "regime = refrigerator" in out
         assert "residual" not in out
-        assert "Traceback" not in err
+        assert err == ""
 
     def test_lattice_sum_overflow_prints_cycle_without_residual(self, capsys):
         # Each theta-series term is a finite double but their sum is not.

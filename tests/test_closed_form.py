@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from anyon_otto import closed_form as cf
 from anyon_otto.closed_form import (
     VARIANT_APPENDIX,
     VARIANT_MAIN,
@@ -29,6 +30,7 @@ from anyon_otto.special_functions import DEFAULT_ACCURACY, gauss_sum_full, gauss
 from anyon_otto.thermo import partition_function
 
 PI2 = math.pi**2
+VARIANTS = (VARIANT_REDERIVED, VARIANT_MAIN, VARIANT_APPENDIX)
 
 
 def brute_cs_energy(L, alpha, n1, n2):
@@ -197,20 +199,87 @@ class TestRingEfficiencyClosed:
         assert -report.w_out < 0.0
 
 
-class TestThetaArgumentOverflow:
-    """exp(2 lam alpha) and exp(4 c alpha) past the double range: typed, no OverflowError."""
+class TestNoThetaArgument:
+    """Where exp(2 lam alpha) or exp(4 c alpha) overflows a double, Z is still certified.
 
-    def test_ring_efficiency_value(self):
-        with pytest.raises(NoConvergence, match="exceeds the double-precision range"):
-            ring_efficiency_value(0.1, 0.3, 100.0, 2000.0)
+    No closed form forms its theta argument, so these points, which raised
+    NoConvergence while one did, give values equal to their oracles.
+    """
 
     def test_ring_partition_closed(self):
-        with pytest.raises(NoConvergence, match="exceeds the double-precision range"):
-            ring_partition_closed(0.3, 2000.0)
+        rep = ring_partition_closed(0.3, 2000.0)
+        assert rep.value > 0.0 and rep.rel_residual == 0.0
 
-    def test_cs_partition_parity_terms(self):
-        with pytest.raises(NoConvergence, match="exceeds the double-precision range"):
-            cs_partition_parity_terms(2.0, 10.0, 1.0)
+    def test_cs_partition_closed(self):
+        rep = cs_partition_closed(2.0, 10.0, 1.0)
+        assert rep.rel_residual == 0.0
+        assert sum(cs_partition_parity_terms(2.0, 10.0, 1.0)) == rep.value
+
+    def test_ring_partition_past_the_range_of_q(self):
+        # q = exp(-800) underflows to 0, which theta3 cannot take
+        for alpha in (0.0, 0.3):
+            rep = ring_partition_closed(alpha, 800.0)
+            assert rep.value > 0.0 and rep.rel_residual == 0.0
+
+    def test_ring_efficiency_value_cancels_to_a_degenerate_cycle(self):
+        with pytest.raises(DegenerateCycle, match="closed-form denominator vanishes"):
+            ring_efficiency_value(0.1, 0.3, 100.0, 2000.0)
+
+
+class TestPartitionFunctionUnderflow:
+    """A Z that underflows to 0 is NoConvergence, never a bare ZeroDivisionError."""
+
+    @pytest.mark.parametrize(
+        "efficiency, args",
+        [
+            (ring_efficiency_value, (0.3, 1e-300, 1e200, 0.3)),
+            (cs_efficiency_value, (0.0, 1.0, 1e10, 7.5)),
+            (cs_efficiency_value, (1.0, 1.0317434074991028, 1.0, 1.0, 0.049787068367863944)),
+        ],
+        ids=["ring", "cs-coupling", "cs-coupling-short"],
+    )
+    def test_typed_error(self, efficiency, args):
+        with pytest.raises(NoConvergence, match="partition function underflows a double"):
+            efficiency(*args)
+
+
+class TestEfficienciesDivideByTheReportedZ:
+    """The Z in an efficiency is bit for bit the one the partition closed forms report."""
+
+    def divisors(self, monkeypatch, efficiency, *args):
+        zs = []
+        real = cf._assemble
+
+        def recorded(hot, cold, *rest):
+            zs.extend((hot[0], cold[0]))
+            return real(hot, cold, *rest)
+
+        monkeypatch.setattr(cf, "_assemble", recorded)
+        efficiency(*args)
+        return zs
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("point", [(0.1, 0.3, 0.5, 25.0, 1.0), (0.35, 0.05, 0.01, 0.3, 2.0)])
+    def test_ring(self, monkeypatch, point, variant):
+        alpha_h, alpha_l, beta_h, beta_l, eps0 = point
+        zs = self.divisors(monkeypatch, ring_efficiency_value, *point, DEFAULT_ACCURACY, variant)
+        assert zs == [
+            ring_partition_closed(alpha, beta, eps0, variant=variant).value
+            for alpha, beta in ((alpha_h, beta_h), (alpha_l, beta_l))
+        ]
+
+    @pytest.mark.parametrize("point", [(0.2, 0.7, 0.05, 0.1, 1.0), (0.0, 1.0, 0.002, 0.02, 1.5)])
+    def test_cs_coupling(self, monkeypatch, point):
+        alpha1, alpha2, beta_h, beta_l, L = point
+        zs = self.divisors(monkeypatch, cs_efficiency_value, *point)
+        assert zs == [
+            sum(cs_partition_parity_terms(alpha, beta, L))
+            for alpha, beta in ((alpha2, beta_h), (alpha1, beta_l))
+        ]
+        assert zs == [
+            cs_partition_closed(alpha, beta, L).value
+            for alpha, beta in ((alpha2, beta_h), (alpha1, beta_l))
+        ]
 
 
 @pytest.mark.parametrize("L", [1e-170, 1e-160, 1e-154, 1e170])

@@ -3,7 +3,9 @@
 The reference below is the previous code: every weighted or plain factor sums
 its own theta series, so one efficiency sums each series two to nine times.
 The factorised closed forms sum each series once and must give the same
-bits, the same errors and the same messages.
+bits, the same errors and the same messages.  Each partition function is the
+plain factor exp(-lam gamma^2) T_0 at the exact (lam, gamma), or a printed
+variant's own form.
 """
 
 import math
@@ -21,6 +23,7 @@ from anyon_otto.special_functions import (
     SumAccuracy,
     _theta_series,
     _theta_triple,
+    partial_theta,
     theta3,
 )
 
@@ -69,6 +72,13 @@ def ref_ring_weighted(aw, ab, beta, eps0, acc, variant):
     return eps0 * _weighted_closed(beta * eps0, ab, aw, False, variant, acc)
 
 
+def ref_ring_partition(alpha, beta, eps0, acc, variant):
+    lam = beta * eps0
+    if variant == cf.VARIANT_REDERIVED:
+        return _plain_closed(lam, alpha, False, acc)
+    return math.exp(-lam * alpha * alpha) * theta3(lam * alpha, math.exp(-lam), acc)
+
+
 def ref_ring_efficiency(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant):
     cf._check_variant(variant)
     if alpha_h == alpha_l:
@@ -77,8 +87,8 @@ def ref_ring_efficiency(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant):
     def u(aw, ab, beta):
         return ref_ring_weighted(aw, ab, beta, eps0, acc, variant)
 
-    z_h = cf._ring_partition_value(alpha_h, beta_h, eps0, acc, variant)
-    z_l = cf._ring_partition_value(alpha_l, beta_l, eps0, acc, variant)
+    z_h = ref_ring_partition(alpha_h, beta_h, eps0, acc, variant)
+    z_l = ref_ring_partition(alpha_l, beta_l, eps0, acc, variant)
     num = u(alpha_l, alpha_h, beta_h) / z_h - u(alpha_l, alpha_l, beta_l) / z_l
     den = u(alpha_h, alpha_h, beta_h) / z_h - u(alpha_h, alpha_l, beta_l) / z_l
     if abs(den) < _TINY * max(1.0, eps0):
@@ -122,7 +132,10 @@ def ref_cs_efficiency(alpha1, alpha2, beta_h, beta_l, L, acc, variant):
         return ref_cs_weighted(aw, ab, beta, L, acc, variant)
 
     def z(alpha, beta):
-        even, odd = cf.cs_partition_parity_terms(alpha, beta, L, acc, variant)
+        c4 = 4.0 * beta * (math.pi**2 / (L * L))
+        shift = alpha if variant == cf.VARIANT_REDERIVED else -alpha
+        even = _plain_closed(c4, 0.0, False, acc) * _plain_closed(c4, shift / 2.0, True, acc)
+        odd = _plain_closed(c4, -0.5, False, acc) * _plain_closed(c4, (shift - 1) / 2, True, acc)
         return even + odd
 
     z_h = z(alpha2, beta_h)
@@ -212,7 +225,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_ring_weighted_energy_sum(self, variant):
         for alpha_h, alpha_l, beta_h, _, eps0 in RING:
-            got = outcome(lambda: cf._ring_energy_sum(alpha_l, beta_h, eps0, ACC, variant)(alpha_h))
+            args = (alpha_l, beta_h, eps0, ACC, variant)
+            got = outcome(lambda: cf._ring_isochore(*args)[1](alpha_h))
             want = outcome(ref_ring_weighted, alpha_h, alpha_l, beta_h, eps0, ACC, variant)
             assert got == want
 
@@ -230,24 +244,40 @@ class TestBitIdentity:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_cs_weighted_energy_sum(self, variant):
         for alpha1, alpha2, beta_h, _, L in PAIR:
-            got = outcome(lambda: cf._cs_energy_sum(alpha2, beta_h, L, ACC, variant)(alpha1))
+            got = outcome(lambda: cf._cs_isochore(alpha2, beta_h, L, ACC, variant)[1](alpha1))
             assert got == outcome(ref_cs_weighted, alpha1, alpha2, beta_h, L, ACC, variant)
 
 
 class TestEachSeriesOnce:
-    def count_series(self, monkeypatch, f, *args):
+    """Each series is summed once, and theta3 and partial_theta count as one series each."""
+
+    def count_series(self, monkeypatch, f, *args, two_sided_only=False):
         calls = []
 
         def counted(lam, gamma, weight, one_sided, acc):
-            calls.append((lam, gamma, weight, one_sided))
+            if not (two_sided_only and one_sided):
+                calls.append((lam, gamma, weight, one_sided))
             return _theta_series(lam, gamma, weight, one_sided, acc)
 
         def counted_triple(lam, gamma, one_sided, acc):  # three series in one call
-            calls.extend((lam, gamma, weight, one_sided) for weight in (0, 1, 2))
+            if not (two_sided_only and one_sided):
+                calls.extend((lam, gamma, weight, one_sided) for weight in (0, 1, 2))
             return _theta_triple(lam, gamma, one_sided, acc)
+
+        def counted_theta(name, theta):
+            def call(x, q, acc):
+                if not (two_sided_only and name == "partial_theta"):
+                    calls.append((name, x, q))
+                return theta(x, q, acc)
+
+            return call
 
         monkeypatch.setattr(cf, "_theta_series", counted)
         monkeypatch.setattr(cf, "_theta_triple", counted_triple)
+        # closed_form no longer imports partial_theta; a call through either
+        # name, should one come back, is counted all the same
+        for name, theta in (("theta3", theta3), ("partial_theta", partial_theta)):
+            monkeypatch.setattr(cf, name, counted_theta(name, theta), raising=False)
         f(*args)
         assert len(set(calls)) == len(calls)
         return len(calls)
@@ -258,32 +288,18 @@ class TestEachSeriesOnce:
     def test_cs_efficiency_sums_eight_triples(self, monkeypatch):
         assert self.count_series(monkeypatch, cf.cs_efficiency_value, 0.2, 0.7, 0.05, 0.1) == 24
 
+    def test_partition_closed_forms_sum_their_isochores_triples(self, monkeypatch):
+        assert self.count_series(monkeypatch, cf.ring_partition_closed, 0.3, 0.5) == 3
+        assert self.count_series(monkeypatch, cf.cs_partition_closed, 0.3, 0.05, 1.0) == 12
+
     def test_cs_coupling_sweep_sums_alpha_free_series_once_per_temperature(
         self, monkeypatch, tmp_path
     ):
-        # The two-sided pair series do not depend on alpha: theta3(1, q4),
-        # theta3(q4, q4) and the full-lattice triples at gamma 0 and -1/2.
-        calls = []
-
-        def counted_theta3(x, q, acc):
-            calls.append(("theta3", x, q))
-            return theta3(x, q, acc)
-
-        def counted_series(lam, gamma, weight, one_sided, acc):
-            if not one_sided:
-                calls.append((lam, gamma, weight))
-            return _theta_series(lam, gamma, weight, one_sided, acc)
-
-        def counted_triple(lam, gamma, one_sided, acc):
-            if not one_sided:
-                calls.extend((lam, gamma, weight) for weight in (0, 1, 2))
-            return _theta_triple(lam, gamma, one_sided, acc)
-
-        monkeypatch.setattr(cf, "theta3", counted_theta3)
-        monkeypatch.setattr(cf, "_theta_series", counted_series)
-        monkeypatch.setattr(cf, "_theta_triple", counted_triple)
+        # The two-sided pair series do not depend on alpha: the full-lattice
+        # triples at gamma 0 and -1/2, one pair of them per temperature.
         argv = "sweep --medium cs-coupling --alpha1 0 --sweep alpha2 --grid 0:1:21 --beta-h 0.1"
-        assert cli.main(argv.split() + ["--beta-l", "1", "--out", str(tmp_path)]) == 0
+        argv = argv.split() + ["--beta-l", "1", "--out", str(tmp_path)]
+        n_series = self.count_series(monkeypatch, cli.main, argv, two_sided_only=True)
         residuals = [row.split(",")[-2] for row in (tmp_path / "sweep.csv").read_text().split()]
         assert residuals[1] == "" and all(residuals[2:])  # no closed form where alpha2 == alpha1
-        assert len(set(calls)) == len(calls) == 2 * (2 + 3 * 2)
+        assert n_series == 2 * (3 * 2)

@@ -552,6 +552,18 @@ class TestIsochoreMemo:
 
         assert (reuse(sign, 0.0), reuse(sign, -0.0)) == (1.0, -1.0)
 
+    def test_equal_arguments_match_whether_or_not_they_are_one_object(self):
+        calls = []
+
+        def f(x, y):
+            calls.append((x, y))
+            return x + y
+
+        reuse = otto._IsochoreMemo()
+        one = 1.0
+        assert reuse(f, one, one) == reuse(f, one, float("1.0")) == 2.0
+        assert len(calls) == 1
+
     def test_functions_do_not_evict_each_other(self):
         calls = []
 

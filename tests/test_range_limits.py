@@ -159,7 +159,11 @@ class TestSeriesRangeLimits:
             (lambda: sf.theta3(math.inf, 0.5), DomainError, "x must be finite, got inf"),
             (lambda: sf.partial_theta(math.inf, 0.5), DomainError, "x must be finite, got inf"),
             (lambda: cf.theta3_weighted(math.inf, 0.5, 2), DomainError, "x must be finite"),
-            (lambda: cf.ring_partition_closed(math.inf, 1.0), DomainError, "x must be finite"),
+            (
+                lambda: cf.ring_partition_closed(math.inf, 1.0),
+                DomainError,
+                "gamma must be finite, got inf",
+            ),
             (lambda: sf.gauss_sum_full(1.0, math.inf, 0.0, 0), DomainError, "gamma must be finite"),
             (lambda: sf.gauss_sum_half(1.0, math.nan, 0.0, 0), DomainError, "gamma must be finite"),
             (lambda: sf.gauss_sum_full(0.5, 1e10, 1e308, 2), NoConvergence, "term exceeds"),
@@ -176,6 +180,22 @@ class TestSeriesRangeLimits:
                 lambda: cf.cs_weighted_energy_sum(0.3, math.nan, 0.5, 1.0),
                 DomainError,
                 "gamma must be finite, got nan",
+            ),
+            # a decay rate past the double range is refused before any term is summed
+            (
+                lambda: cf.ring_partition_closed(0.3, math.inf),
+                DomainError,
+                "series decay rate must be finite, got inf",
+            ),
+            (
+                lambda: cf.ring_weighted_energy_sum(0.3, 0.3, 1e308, 2.0),
+                DomainError,
+                "series decay rate must be finite, got inf",
+            ),
+            (
+                lambda: cf.cs_partition_parity_terms(0.3, 1e308, 1.0),
+                DomainError,
+                "series decay rate must be finite, got inf",
             ),
             # existing messages keep their place ahead of the finiteness checks
             (lambda: sf.theta3(math.nan, 0.5), DomainError, "x must be positive, got nan"),

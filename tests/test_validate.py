@@ -179,10 +179,8 @@ def test_theta_families_match_a_direct_recomputation(seed):
 # The factors, window searches and enumerations that validate's memo shares,
 # with the number of distinct argument lists one run gives each.
 SHARED = {
-    (cf, "_ring_partition_value"): 64,
-    (cf, "_ring_energy_sum"): 51,
-    (cf, "cs_partition_parity_terms"): 42,
-    (cf, "_cs_energy_sum"): 26,
+    (cf, "_ring_isochore"): 76,
+    (cf, "_cs_isochore"): 42,
     (cf, "enumerate_levels"): 9,
     (otto, "window_bounds"): 78,
 }
