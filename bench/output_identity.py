@@ -15,7 +15,10 @@ the direct ``_lattice_sum`` calls and terms and, where the checkout has them,
 the runs and terms of ``_poisson_dual`` and of ``_euler_maclaurin`` (one run
 may sum a triple T_0, T_1, T_2; its terms are those of its longest weight).
 On a checkout without ``_poisson_dual``, each full-lattice ``_theta_series``
-call below ``SLOW_DECAY_LAMBDA`` counts as one dual run.
+call below ``SLOW_DECAY_LAMBDA`` counts as one dual run.  Where the checkout
+has the batch kernel ``_theta_batch``, each point it sums itself counts as
+one dual run or one direct call, by its route, with its ``terms_used``; the
+points it hands to the scalar functions are counted there.
 
 Commands whose outputs are equal on both sides are counted; for the others,
 every residual whose closed-form value or run_cycle efficiency (``eta``, the
@@ -136,6 +139,34 @@ def run_checkout(checkout: Path, out: Path) -> None:
             return reports
 
         sf._euler_maclaurin = counted_euler_maclaurin
+
+    if hasattr(sf, "_theta_batch"):
+        from anyon_otto import validate
+
+        theta_batch = sf._theta_batch
+
+        def counted_theta_batch(xs, qs, one_sided, acc):
+            scalar = sf.partial_theta_report if one_sided else sf.theta3_report
+            handed_back = set()
+
+            def noted(x, q, acc):
+                handed_back.add((x, q))
+                return scalar(x, q, acc)
+
+            setattr(sf, scalar.__name__, noted)
+            try:
+                batch = theta_batch(xs, qs, one_sided, acc)
+            finally:
+                setattr(sf, scalar.__name__, scalar)
+            for x, q, terms in zip(map(float, xs), map(float, qs), batch.terms_used.tolist()):
+                if (x, q) in handed_back:
+                    continue
+                dual = not one_sided and -math.log(q) < sf.DUAL_CROSSOVER_LAMBDA
+                counts["dual_runs" if dual else "direct_calls"] += 1
+                counts["dual_terms" if dual else "direct_terms"] += terms
+            return batch
+
+        sf._theta_batch = validate._theta_batch = counted_theta_batch
 
     residuals = []
     for medium, pair in list(cli._RESIDUALS.items()):

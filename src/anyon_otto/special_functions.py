@@ -37,6 +37,18 @@ This gives up the earlier single code path on purpose: the direct engine
 needs ~1,000 terms per sum at lam = 1e-4 and loses digits at weight 1, while
 the dual and Euler-Maclaurin are both cheaper and closer to the exact value.
 
+A grid of theta3 or partial-theta points is one call of the batch kernel
+``_theta_batch``, which gives each point the scalar report bit for bit.  It
+runs two of the routes above on numpy arrays, at weight 0, each point
+stopping at its own ring or dual index: the dual for full-lattice points
+below DUAL_CROSSOVER_LAMBDA, and the direct ring loop for full-lattice
+points above it and one-sided points at or above SLOW_DECAY_LAMBDA.  It
+hands every other point to ``theta3_report`` or ``partial_theta_report``,
+with their warnings and errors: bad arguments, slow decay (Euler-Maclaurin
+or a warned direct sum), a peak exponent above 709, the term cap, the dual's
+range limits and a sum past the double range.  The scalar functions stay
+the reference that the kernel is tested against.
+
 The gauss_sum_* functions always sum directly and never route through theta
 identities, the dual or Euler-Maclaurin; they are the brute-force oracles
 that the closed-form expressions elsewhere in the package are validated
@@ -51,9 +63,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
-from .errors import DomainError, NoConvergence
+import numpy as np
+
+from .errors import AnyonOttoError, DomainError, NoConvergence
 
 __all__ = [
     "SumAccuracy",
@@ -626,6 +641,301 @@ def partial_theta(x: float, q: float, acc: SumAccuracy = DEFAULT_ACCURACY) -> fl
     """
     lam, gamma = _theta_params(x, q)
     return _theta_series(lam, gamma, 0, True, acc).value
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel: theta3 and partial theta over a grid of points
+# ---------------------------------------------------------------------------
+
+
+def _map(f, a: np.ndarray, *args) -> np.ndarray:
+    """f(element, *args) over ``a``'s elements as Python floats: libm's bits, not numpy's."""
+    return np.fromiter(map(f, a.tolist(), *map(repeat, args)), float, len(a))
+
+
+def _squares(a: np.ndarray) -> np.ndarray:
+    """a ** 2 per element as Python computes it (libm pow), which np.square may not match."""
+    return _map(pow, a, 2.0)
+
+
+def _report_arrays(n: int) -> tuple:
+    """Empty value, tail bound and terms-used arrays for n points."""
+    return np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
+
+
+def _batch_exp_round_up(log_x: np.ndarray) -> np.ndarray:
+    val = _map(math.exp, log_x)
+    return np.where(log_x == -math.inf, 0.0, np.where(val > 0.0, val, 5e-324))
+
+
+def _batch_log_tail(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_log_gauss_tail(lam, u, b, 0)`` per element."""
+    coef = 1.0 / (2.0 * lam * u)
+    core = -lam * u * u
+    return np.where(coef == 0.0, core, core + _map(math.log, np.where(coef == 0.0, 1.0, coef)))
+
+
+def _batch_logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_logaddexp`` per element."""
+    first = a >= b
+    hi, lo = np.where(first, a, b), np.where(first, b, a)
+    out = hi + _map(math.log1p, _map(math.exp, lo - hi))
+    return np.where(a == -math.inf, b, np.where(b == -math.inf, a, out))
+
+
+def _ring_terms(n, lam, gamma, log_pref) -> np.ndarray:
+    """exp(-lam (n - gamma)^2 + log_pref) per element."""
+    return _map(math.exp, -lam * _squares(n - gamma) + log_pref)
+
+
+def _batch_direct(lam, gamma, one_sided: bool, acc: SumAccuracy) -> tuple:
+    """``_lattice_sum`` at weight 0, c = 0 and log_pref = lam gamma^2, one point per element.
+
+    Each point sums the scalar loop's rings in its order of terms and stops at
+    the same ring.  The rings come in blocks: a point's block is as many
+    rings as an estimate of where its ring rule and tail certificate first
+    hold, and a point that has not stopped by then takes another block.  A
+    block's cells, one per point and ring, are laid out ring by ring with
+    the points in order of decreasing width, so that each ring's cells are
+    one slice, and the running totals of all points are added a ring at a
+    time, in the scalar order.  Returns the arrays (value, tail bound, terms
+    used, back), where ``back`` marks the points the scalar engine must sum
+    instead: a peak exponent above 709, the term cap, and a total past the
+    double range, where it raises.
+    """
+    value, tail, terms = _report_arrays(len(lam))
+    two_sided = not one_sided
+    rel_tol, max_terms = acc.rel_tol, acc.max_terms
+    log_pref = lam * gamma * gamma
+    peak = np.round(gamma) + 0.0  # round() is half-even too; + 0.0 turns -0.0 into 0.0
+    if one_sided:
+        peak = np.maximum(peak, 0.0)
+    expo = -lam * _squares(peak - gamma) + log_pref
+    back = expo > 709.0
+    live = np.flatnonzero(~back)
+    lam, gamma, log_pref, peak = lam[live], gamma[live], log_pref[live], peak[live]
+    total = 0.0 + _map(math.exp, expo[live])
+    total_abs = np.abs(total)
+    inv_sqrt_lam = 1.0 / np.sqrt(lam)
+    # Ring k's terms fall below the peak's by lam (k^2 + 2 k d), d the slower
+    # side's start past the centre; the ring rule needs that to reach
+    # -log(rel_tol), and the certificate k >= 1/sqrt(lam) + 1/2.
+    d = peak - gamma
+    if two_sided:
+        d = -np.abs(d)
+    else:  # the low side is open from the start where the peak is above 0
+        d = np.where(peak > 0.0, -np.abs(d), d)
+    width = np.ceil(
+        np.maximum(np.sqrt(d * d - math.log(rel_tol) / lam) - d, inv_sqrt_lam + 0.5)
+    )
+    summed = np.zeros(live.size)  # rings summed so far
+    while live.size:
+        order = np.argsort(-width, kind="stable")
+        live, lam, gamma, log_pref, peak, inv_sqrt_lam, width, summed, total, total_abs = (
+            a[order]
+            for a in (live, lam, gamma, log_pref, peak, inv_sqrt_lam, width, summed, total,
+                      total_abs)
+        )
+        # ring j of the block (j = 1, 2, ...) has a cell for each of the first size[j-1] points
+        size = np.searchsorted(-width, -np.arange(1.0, width[0] + 1.0), side="right")
+        start = np.cumsum(size) - size
+        pt = np.arange(size.sum()) - np.repeat(start, size)
+        ring = summed[pt] + np.repeat(np.arange(1.0, len(size) + 1.0), size)
+        lam_c, gamma_c, log_pref_c, peak_c = lam[pt], gamma[pt], log_pref[pt], peak[pt]
+        n_hi = peak_c + ring
+        t_hi = _ring_terms(n_hi, lam_c, gamma_c, log_pref_c)
+        t_lo = np.zeros(len(pt))
+        if two_sided:
+            n_lo = peak_c - ring
+            t_lo = _ring_terms(n_lo, lam_c, gamma_c, log_pref_c)
+        else:  # the low side runs while it has not reached n = 0
+            n_lo = np.maximum(peak_c - ring, 0.0)
+            lo = np.flatnonzero(peak_c >= ring)
+            t_lo[lo] = _ring_terms(n_lo[lo], lam_c[lo], gamma_c[lo], log_pref_c[lo])
+        ring_abs = t_hi + t_lo  # the terms are positive
+        run_total, run_abs = np.empty(len(pt)), np.empty(len(pt))
+        for first, m in zip(start.tolist(), size.tolist()):
+            cells = slice(first, first + m)
+            run_total[cells] = total[:m] = total[:m] + t_hi[cells] + t_lo[cells]
+            run_abs[cells] = total_abs[:m] = total_abs[:m] + ring_abs[cells]
+        count = n_hi - n_lo + 1.0
+        capped = count > max_terms
+        threshold = rel_tol * np.where(run_abs < _TINY, _TINY, run_abs)
+
+        # the scalar order at a ring: the term cap, the ring rule, a total past
+        # the double range, then the tail certificate
+        met = np.flatnonzero(~capped & (ring_abs <= threshold))
+        over = ~np.isfinite(run_abs[met])
+        u_hi, u_lo = n_hi[met] - gamma_c[met], gamma_c[met] - n_lo[met]
+        isl = inv_sqrt_lam[pt[met]]
+        left_open = two_sided | (n_lo[met] != 0.0)
+        cert = np.flatnonzero(~over & (u_hi >= isl) & (~left_open | (u_lo >= isl)))
+        cells = met[cert]
+        log_tail = log_pref_c[cells] + _batch_log_tail(lam_c[cells], u_hi[cert])
+        opened = np.flatnonzero(left_open[cert])
+        o = cells[opened]
+        log_tail[opened] = _batch_logaddexp(
+            log_tail[opened], log_pref_c[o] + _batch_log_tail(lam_c[o], u_lo[cert[opened]])
+        )
+        ok = log_tail <= _map(math.log, threshold[cells])
+        certified = np.zeros(len(pt), dtype=bool)
+        certified[cells[ok]] = True
+        cert_log = np.zeros(len(pt))
+        cert_log[cells[ok]] = log_tail[ok]
+
+        # each point stops at its first ring that raises or certifies
+        stop = capped | certified
+        stop[met[over]] = True
+        events = np.flatnonzero(stop)  # ring by ring, so a point's first event comes first
+        stopped, first = np.unique(pt[events], return_index=True)
+        first = events[first]
+        good = certified[first]
+        at, cells = live[stopped[good]], first[good]
+        value[at], tail[at], terms[at] = (
+            run_total[cells], _batch_exp_round_up(cert_log[cells]), count[cells]
+        )
+        back[live[stopped[~good]]] = True
+        # the others carry their totals into their next block
+        go_on = np.ones(live.size, dtype=bool)
+        go_on[stopped] = False
+        live, lam, gamma, log_pref, peak, inv_sqrt_lam, width, total, total_abs = (
+            a[go_on]
+            for a in (live, lam, gamma, log_pref, peak, inv_sqrt_lam, width, total, total_abs)
+        )
+        summed = summed[go_on] + width
+    return value, tail, terms, back
+
+
+def _batch_dual(lam, gamma, acc: SumAccuracy) -> tuple:
+    """``_poisson_dual(lam, gamma, (0,), acc)``, one point per element.
+
+    Every point stops at its own dual index.  Returns the arrays of
+    ``_batch_direct``; ``back`` marks the dual's range limits and a value
+    past the double range, where the scalar engine raises.
+    """
+    value, tail, terms = _report_arrays(len(lam))
+    rel_tol = acc.rel_tol
+    mu = _PI_SQUARED / lam
+    log_pref = lam * gamma * gamma
+    back = ~(mu < 1e300) | (log_pref > 2.0 * 709.0)
+    live = np.flatnonzero(~back)
+    lam, gamma, mu, log_pref = lam[live], gamma[live], mu[live], log_pref[live]
+    r = np.sqrt(math.pi / lam)
+    phase = 2.0 * math.pi * _map(math.remainder, gamma, 1.0)
+    # each point's s0, bound over E, A_0 and K where it stops
+    s0_at, bound_at, a_at, k_at = (np.empty(live.size) for _ in range(4))
+    run = np.arange(live.size)  # the points still summing, as indices into live
+    c0 = np.zeros(live.size)
+    k = 0
+    while run.size:
+        k += 1
+        mu_run = mu[run]
+        decay = _map(math.exp, -mu_run * k * k)
+        rd = r[run] * decay
+        c0 += decay * _map(math.cos, k * phase[run])
+        s0 = r[run] * (1.0 + 2.0 * c0)
+        a = 1.0 / (mu_run * k)
+        bound = rd * a
+        stop = bound <= rel_tol * np.abs(s0)
+        at = run[stop]
+        s0_at[at], bound_at[at], a_at[at], k_at[at] = s0[stop], bound[stop], a[stop], k
+        run, c0 = run[~stop], c0[~stop]
+
+    high = log_pref > 709.0  # E itself overflows where E |T_0/E| may not
+    pref = _map(math.exp, np.where(high, log_pref - 709.0, log_pref))
+    scale = np.where(high, _EXP_709, 1.0)
+    lam_gamma, err = _two_product(lam, gamma)
+    carried = pref * (1.0 + (_two_product(lam_gamma, gamma)[1] + err * gamma))
+    pref = np.where(log_pref > 1.0, carried, pref)
+    v = 0.0 + pref * s0_at * scale
+    finite = np.isfinite(v)
+    back[live[~finite]] = True
+    low = np.flatnonzero(bound_at < _TINY)  # the linear bound left the normal range
+    bound = pref * bound_at * scale
+    bound[low] = _batch_exp_round_up(
+        log_pref[low] + _map(math.log, r[low]) + _map(math.log, a_at[low])
+        - mu[low] * k_at[low] * k_at[low]
+    )
+    value[live[finite]] = v[finite]
+    tail[live[finite]] = bound[finite]
+    terms[live[finite]] = 2.0 * k_at[finite] + 1.0
+    return value, tail, terms, back
+
+
+class SumBatch(NamedTuple):
+    """``_theta_batch``'s reports as arrays, one element per point.
+
+    ``errors`` maps the index of each point whose scalar call raises to its
+    ``AnyonOttoError``; such a point's value and tail bound are NaN and its
+    terms 0.
+    """
+
+    values: np.ndarray
+    tail_bounds: np.ndarray
+    terms_used: np.ndarray
+    errors: dict
+
+    def report(self, i: int) -> SumReport:
+        """Point i's SumReport; raises the point's error where its scalar call raises."""
+        if i in self.errors:
+            raise self.errors[i]
+        return SumReport(
+            float(self.values[i]), float(self.tail_bounds[i]), int(self.terms_used[i])
+        )
+
+
+def _theta_batch(xs, qs, one_sided: bool, acc: SumAccuracy = DEFAULT_ACCURACY) -> SumBatch:
+    """theta3 (full lattice) or partial theta (``one_sided``) at each point (xs[i], qs[i]).
+
+    ``report(i)`` of the result is what ``theta3_report(xs[i], qs[i], acc)``
+    or ``partial_theta_report`` returns, bit for bit and with the same
+    ``terms_used``, or raises the ``AnyonOttoError`` that call raises.  Full-lattice
+    points below DUAL_CROSSOVER_LAMBDA run the weight-0 Poisson dual
+    (``_batch_dual``), and full-lattice points above it and one-sided points
+    at or above the slow-decay rate the direct ring loop (``_batch_direct``),
+    on arrays, each point stopping at its own ring.  Every other point is
+    handed to the scalar function, with its warnings and errors: bad
+    arguments, slow decay and the routes' own refusals.
+
+    Bit-identity fixes the arithmetic: numpy's exp, log and square differ
+    from libm's on a small share of doubles, so exp, log, log1p, cos,
+    remainder and squares go through Python per element (``_map``), and only
+    the IEEE-exact operations (+, -, *, /, abs, sqrt, rounding to an
+    integer) run as array operations.
+    """
+    xs = np.asarray(xs, dtype=float)
+    qs = np.asarray(qs, dtype=float)
+    value, tail, terms = _report_arrays(len(xs))
+    with np.errstate(all="ignore"):  # as Python floats do, overflow gives inf silently
+        back = ~((0.0 < qs) & (qs < 1.0) & (xs > 0.0) & (xs != math.inf))
+        points = np.flatnonzero(~back)
+        lam = -_map(math.log, qs[points])
+        gamma = _map(math.log, xs[points]) / (2.0 * lam)
+        if one_sided:
+            slow = lam < _SLOW_DECAY_BELOW
+            back[points[slow]] = True
+            direct = ~slow
+            routes = [(direct, _batch_direct(lam[direct], gamma[direct], True, acc))]
+        else:
+            dual = lam < DUAL_CROSSOVER_LAMBDA
+            direct = ~dual
+            routes = [
+                (dual, _batch_dual(lam[dual], gamma[dual], acc)),
+                (direct, _batch_direct(lam[direct], gamma[direct], False, acc)),
+            ]
+        for on_route, (route_value, route_tail, route_terms, refused) in routes:
+            at = points[on_route]
+            value[at], tail[at], terms[at] = route_value, route_tail, route_terms
+            back[at[refused]] = True
+    errors = {}
+    scalar = partial_theta_report if one_sided else theta3_report
+    for i in np.flatnonzero(back).tolist():
+        try:
+            value[i], tail[i], terms[i] = scalar(float(xs[i]), float(qs[i]), acc)
+        except AnyonOttoError as exc:
+            value[i] = tail[i] = math.nan
+            errors[i] = exc
+    return SumBatch(value, tail, terms, errors)
 
 
 def _check_gauss_args(lam: float, weight: int) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from . import closed_form as cf
 from .errors import AnyonOttoError
 from .otto import OttoCycleSpec, _IsochoreMemo, efficiency_cs_volume, run_cycle
-from .special_functions import DEFAULT_ACCURACY, SumAccuracy, gauss_sum_full, partial_theta, theta3
+from .special_functions import DEFAULT_ACCURACY, SumAccuracy, _theta_batch, gauss_sum_full, theta3
 
 __all__ = ["FamilyResult", "run_validation", "THRESHOLD_FACTORS"]
 
@@ -64,14 +64,17 @@ def _family(name: str, variant: str, rel_tol: float, label: str, residual, grid)
     ``residual(*args)`` returns the point's relative residual and
     ``label.format(*args)`` names the point; a label is formatted only for the
     point kept as the worst and for error points.  A residual that raises
-    ``AnyonOttoError`` marks an error point: the family's residual becomes
-    infinite, and the point and the message are named as the worst.
+    ``AnyonOttoError``, or is NaN, marks an error point: the family's
+    residual becomes infinite, and the point and the message are named as
+    the worst.
     """
     max_residual, worst_point, worst_args, n_points, n_errors = 0.0, "", None, 0, 0
     for args in grid:
         n_points += 1
         try:
             r = residual(*args)
+            if r != r:
+                raise AnyonOttoError("residual is NaN")
         except AnyonOttoError as exc:
             n_errors += 1
             max_residual, worst_point, worst_args = math.inf, f"{label.format(*args)} ({exc})", None
@@ -82,6 +85,32 @@ def _family(name: str, variant: str, rel_tol: float, label: str, residual, grid)
         worst_point = label.format(*worst_args)
     threshold = THRESHOLD_FACTORS[name] * rel_tol
     return FamilyResult(name, max_residual, threshold, worst_point, n_points, n_errors, variant)
+
+
+def _relative_residuals(values: np.ndarray, oracles: np.ndarray) -> np.ndarray:
+    """``cf.relative_residual`` per element: the same IEEE operations, so the same bits."""
+    return np.abs(values - oracles) / np.maximum(np.abs(oracles), cf._TINY)
+
+
+def _residuals(residuals: np.ndarray, *batches):
+    """A family's residual function over the random points' precomputed ``residuals``.
+
+    At a point where one of ``batches`` holds an error, the function raises
+    the first such batch's error: ``batches`` come in the order that the
+    family reads its series.
+    """
+    entries = residuals.tolist()
+    for batch in reversed(batches):
+        for i, exc in batch.errors.items():
+            entries[i] = exc
+
+    def residual(i, x, q):
+        r = entries[i]
+        if isinstance(r, AnyonOttoError):
+            raise r
+        return r
+
+    return residual
 
 
 def run_validation(
@@ -105,21 +134,19 @@ def run_validation(
     qs = rng.uniform(0.01, 0.9, random_points)
 
     # --- theta identities -------------------------------------------------
-    # theta-symmetry keeps theta3(x, q) at random point i for theta-split.  A
-    # call that raised keeps None, so theta-split calls again and records the
-    # point as an error too.
-    thetas = [None] * random_points
-
-    def symmetry(i, x, q):
-        t = thetas[i] = theta3(x, q, acc)
-        return cf.relative_residual(theta3(1.0 / x, q, acc), t)
-
-    def split(i, x, q):
-        t = thetas[i]
-        if t is None:
-            t = theta3(x, q, acc)
-        halves = partial_theta(x, q, acc) + partial_theta(1.0 / x, q, acc) - 1.0
-        return cf.relative_residual(halves, t)
+    # The random families read theta3 and partial theta at x and at 1/x from
+    # one batch each (``_theta_batch``), so each series is summed once per
+    # random point and argument.  Both families read theta3(x, q) first, so a
+    # point where it raised is an error in both, with the same message.
+    inv_xs = 1.0 / xs
+    theta_x, theta_inv, half_x, half_inv = (
+        _theta_batch(a, qs, one_sided, acc) for one_sided in (False, True) for a in (xs, inv_xs)
+    )
+    symmetry = _residuals(
+        _relative_residuals(theta_inv.values, theta_x.values), theta_x, theta_inv
+    )
+    halves = half_x.values + half_inv.values - 1.0
+    split = _residuals(_relative_residuals(halves, theta_x.values), theta_x, half_x, half_inv)
 
     last_theta = -math.inf
 
@@ -127,6 +154,8 @@ def run_validation(
         """0 when theta3(1, q) exceeds its value at the grid's previous q."""
         nonlocal last_theta
         t, before = theta3(1.0, q, acc), last_theta
+        if t != t:  # a NaN compares false both ways; the next point compares with before
+            raise AnyonOttoError("theta3 is NaN")
         last_theta = t
         if t <= before:
             raise AnyonOttoError("not strictly increasing")

@@ -2,14 +2,22 @@
 
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 
 from anyon_otto import closed_form as cf
 from anyon_otto import otto, spectra, thermo, validate
-from anyon_otto.errors import AnyonOttoError, NoConvergence
-from anyon_otto.special_functions import DEFAULT_ACCURACY, SumAccuracy, partial_theta, theta3
+from anyon_otto.errors import AnyonOttoError, DomainError, NoConvergence
+from anyon_otto.special_functions import (
+    DEFAULT_ACCURACY,
+    SumAccuracy,
+    partial_theta,
+    partial_theta_report,
+    theta3,
+    theta3_report,
+)
 from anyon_otto.validate import run_validation
 
 # (name, threshold at rel_tol 1e-12, n_points), in the order validate prints them
@@ -114,39 +122,144 @@ def _random_grid(seed, n):
     return list(zip(xs, qs))
 
 
-def test_random_theta3_is_evaluated_once_and_errors_are_not_kept(monkeypatch):
-    grid = [(float(x), float(q)) for x, q in _random_grid(0, 10)]
-    failing = grid[3]
-    calls = Counter()
+def _recorded_batches(monkeypatch, change=None):
+    """Patch validate's ``_theta_batch`` to log (one_sided, xs, qs) per call; returns the log.
+
+    ``change(one_sided, xs, qs)`` may return other qs for the kernel to sum.
+    """
+    log = []
+    real = validate._theta_batch
+
+    def recorded(xs, qs, one_sided, acc):
+        log.append((one_sided, tuple(xs.tolist()), tuple(qs.tolist())))
+        if change is not None:
+            qs = change(one_sided, xs, qs)
+        return real(xs, qs, one_sided, acc)
+
+    monkeypatch.setattr(validate, "_theta_batch", recorded)
+    return log
+
+
+def test_random_points_are_summed_once_per_argument(monkeypatch):
+    grid = _random_grid(0, 10)
+    xs = tuple(float(x) for x, _ in grid)
+    inv_xs = tuple(1.0 / x for x in xs)
+    qs = tuple(float(q) for _, q in grid)
+    log = _recorded_batches(monkeypatch)
+    scalar_points = Counter()
     real = validate.theta3
 
     def counted(x, q, acc):
-        calls[x, q] += 1
+        scalar_points[x, q] += 1
         return real(x, q, acc)
 
     monkeypatch.setattr(validate, "theta3", counted)
-    clean = _by_name(run_validation(random_points=10))
-    assert [calls[point] for point in grid] == [1] * 10
-    assert clean["theta-symmetry"].n_errors == clean["theta-split"].n_errors == 0
-
-    def stalls_at_one_point(x, q, acc):
-        if (x, q) == failing:
-            calls[x, q] += 1
-            raise NoConvergence("series stalled")
-        return counted(x, q, acc)
-
-    calls.clear()
-    monkeypatch.setattr(validate, "theta3", stalls_at_one_point)
     results = _by_name(run_validation(random_points=10))
-    # a call that raised is not kept: theta-split tries the point again
-    assert [calls[point] for point in grid] == [1, 1, 1, 2, 1, 1, 1, 1, 1, 1]
-    x, q = failing
-    random_families = ("theta-symmetry", "theta-split")
-    for name in random_families:
+    # theta3 and partial theta, each at x and at 1/x: one batch of the 10 points each
+    assert Counter(log) == Counter(
+        (one_sided, arg, qs) for one_sided in (False, True) for arg in (xs, inv_xs)
+    )
+    # theta-monotonic and gauss-vs-theta keep their 90 scalar calls
+    assert sum(scalar_points.values()) == 90
+    assert not set(scalar_points) & set(zip(xs, qs))
+    assert results["theta-symmetry"].n_errors == results["theta-split"].n_errors == 0
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_random_error_point_keeps_the_scalar_message(monkeypatch, one_sided):
+    # q = 1 at random point 3 of one series' batch at x: the kernel hands the
+    # point to the scalar function, whose DomainError validate records
+    grid = [(float(x), float(q)) for x, q in _random_grid(0, 10)]
+    x, q = grid[3]
+
+    def bad_q(batch_one_sided, xs, qs):
+        if batch_one_sided == one_sided and xs[3] == x:  # the series' batch at x
+            qs = qs.copy()
+            qs[3] = 1.0
+        return qs
+
+    _recorded_batches(monkeypatch, bad_q)
+    results = _by_name(run_validation(random_points=10))
+    scalar = partial_theta_report if one_sided else theta3_report
+    with pytest.raises(DomainError) as raised:
+        scalar(x, 1.0, DEFAULT_ACCURACY)
+    # theta3 at x feeds both random families, partial theta only the split
+    failing = ("theta-split",) if one_sided else ("theta-symmetry", "theta-split")
+    for name in failing:
         fam = results[name]
         assert (fam.n_points, fam.n_errors, fam.max_residual) == (10, 1, math.inf)
-        assert fam.worst_point == f"x={x:.6g}, q={q:.6g} (series stalled)"
-    assert all(r.n_errors == 0 for name, r in results.items() if name not in random_families)
+        assert fam.worst_point == f"x={x:.6g}, q={q:.6g} ({raised.value})"
+    assert all(r.n_errors == 0 for name, r in results.items() if name not in failing)
+
+
+def test_nan_from_the_kernel_fails_both_random_families(monkeypatch):
+    grid = [(float(x), float(q)) for x, q in _random_grid(0, 10)]
+    x, q = grid[3]
+    real = validate._theta_batch
+
+    def nan_at_point_3(xs, qs, one_sided, acc):
+        batch = real(xs, qs, one_sided, acc)
+        if not one_sided and xs[3] == x:  # theta3 at x
+            batch.values[3] = math.nan
+        return batch
+
+    monkeypatch.setattr(validate, "_theta_batch", nan_at_point_3)
+    results = _by_name(run_validation(random_points=10))
+    for name in ("theta-symmetry", "theta-split"):
+        fam = results[name]
+        assert (fam.n_points, fam.n_errors, fam.max_residual) == (10, 1, math.inf)
+        assert fam.worst_point == f"x={x:.6g}, q={q:.6g} (residual is NaN)"
+        assert not fam.passed
+
+
+def test_nan_theta3_fails_monotonic_at_its_point(monkeypatch):
+    real = validate.theta3
+    q_nan = np.linspace(0.02, 0.95, 60).tolist()[20]
+
+    def nan_at_one_q(x, q, acc):
+        return math.nan if q == q_nan else real(x, q, acc)
+
+    monkeypatch.setattr(validate, "theta3", nan_at_one_q)
+    fam = _by_name(run_validation(random_points=10))["theta-monotonic"]
+    # the point after it compares with the point before it, and rises
+    assert (fam.n_points, fam.n_errors, fam.max_residual) == (60, 1, math.inf)
+    assert fam.worst_point == f"q={q_nan:.6g} (theta3 is NaN)"
+
+
+def test_nan_residual_is_an_error_point(monkeypatch):
+    # gauss-vs-theta at gamma = 0 is the one call with x == 1 and q == exp(-5)
+    real = validate.theta3
+
+    def nan_at_one_point(x, q, acc):
+        return math.nan if (x, q) == (1.0, math.exp(-5.0)) else real(x, q, acc)
+
+    monkeypatch.setattr(validate, "theta3", nan_at_one_point)
+    results = _by_name(run_validation(random_points=10))
+    fam = results["gauss-vs-theta"]
+    assert (fam.n_points, fam.n_errors, fam.max_residual) == (30, 1, math.inf)
+    assert fam.worst_point == "lam=5, gamma=0 (residual is NaN)"
+    assert all(r.n_errors == 0 for r in results.values() if r is not fam)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_random_families_at_zero_and_one_point(n):
+    results = _by_name(run_validation(random_points=n))
+    acc = DEFAULT_ACCURACY
+    for (x, q), name in product(_random_grid(0, n), ("theta-symmetry", "theta-split")):
+        t = theta3(x, q, acc)
+        if name == "theta-symmetry":
+            expected = cf.relative_residual(theta3(1.0 / x, q, acc), t)
+        else:
+            halves = partial_theta(x, q, acc) + partial_theta(1.0 / x, q, acc) - 1.0
+            expected = cf.relative_residual(halves, t)
+        assert results[name].max_residual.hex() == expected.hex()
+    for name in ("theta-symmetry", "theta-split"):
+        fam = results[name]
+        assert (fam.n_points, fam.n_errors, fam.passed) == (n, 0, True)
+        if n == 0:
+            assert (fam.max_residual, fam.worst_point) == (0.0, "")
+    others = [n_points for _, _, n_points in FAMILIES[2:]]
+    assert [r.n_points for r in results.values()][2:] == others
 
 
 def _worst(rows):
