@@ -14,9 +14,7 @@ and the closed-form efficiency behind it.  It also counts, over all commands,
 the direct ``_lattice_sum`` calls and terms and, where the checkout has them,
 the runs and terms of ``_poisson_dual`` and of ``_euler_maclaurin`` (one run
 may sum a triple T_0, T_1, T_2; its terms are those of its longest weight).
-On a checkout without ``_poisson_dual``, each full-lattice ``_theta_series``
-call below ``SLOW_DECAY_LAMBDA`` counts as one dual run.  Where the checkout
-has the batch kernel ``_theta_batch``, each point it sums itself counts as
+Where the checkout has the batch kernel ``_theta_batch``, each point it sums itself counts as
 one dual run or one direct call, by its route, with its ``terms_used``; the
 points it hands to the scalar functions are counted there.
 
@@ -115,19 +113,6 @@ def run_checkout(checkout: Path, out: Path) -> None:
             return reports
 
         sf._poisson_dual = counted_poisson_dual
-    elif hasattr(sf, "_theta_series"):
-        # Before ``_poisson_dual``, each full-lattice series below 0.05 was a dual run
-        # of its own inside ``_theta_series``.
-        theta_series = sf._theta_series
-
-        def counted_theta_series(lam, gamma, weight, one_sided, acc):
-            rep = theta_series(lam, gamma, weight, one_sided, acc)
-            if not one_sided and lam < sf.SLOW_DECAY_LAMBDA * (1.0 - 1e-9):
-                counts["dual_runs"] += 1
-                counts["dual_terms"] += rep.terms_used
-            return rep
-
-        sf._theta_series = cf._theta_series = counted_theta_series
     if hasattr(sf, "_euler_maclaurin"):
         euler_maclaurin = sf._euler_maclaurin
 

@@ -75,10 +75,8 @@ from .special_functions import (
     SumAccuracy,
     _check_gauss_args,
     _theta_params,
-    _theta_series,
-    _theta_triple,
+    _theta_reports,
     gauss_sum_full,
-    require_finite,
     theta3,
 )
 from .spectra import CSPairSpectrum, RingAnyonSpectrum, enumerate_levels, require_pair_length
@@ -140,36 +138,18 @@ def _check_variant(variant: str) -> _Formulas:
     return _FORMULAS[variant]
 
 
-def _checked(series, lam: float, gamma: float, *args):
-    """``series(lam, gamma, *args)`` after the decay-rate and gamma checks.
-
-    A series whose terms' ``**`` overflows raises NoConvergence, as the
-    oracle Gaussian sums do.
-    """
-    if not lam > 0.0:
-        raise DomainError(f"series decay rate must be positive, got {lam}")
-    if lam == math.inf:
-        raise DomainError(f"series decay rate must be finite, got {lam}")
-    if not math.isfinite(gamma):
-        require_finite(gamma=gamma)
-    try:
-        return series(lam, gamma, *args)
-    except OverflowError:
-        raise NoConvergence(
-            f"series term exceeds the double-precision range (lambda={lam:g}, gamma={gamma:g})"
-        ) from None
-
-
-def _series(lam: float, gamma: float, weight: int, one_sided: bool, acc: SumAccuracy) -> float:
-    """T_w = sum n^w q^(n^2) x^n at x = exp(2 lam gamma), q = exp(-lam)."""
-    return _checked(_theta_series, lam, gamma, weight, one_sided, acc).value
+def _theta_values(
+    lam: float, gamma: float, one_sided: bool, acc: SumAccuracy, weights: tuple = (0, 1, 2)
+) -> tuple:
+    """The values of ``_theta_reports``: T_w at (lam, gamma) for each w in ``weights``."""
+    return tuple(r.value for r in _theta_reports(lam, gamma, one_sided, acc, weights))
 
 
 def _weighted_theta(x: float, q: float, weight: int, one_sided: bool, acc: SumAccuracy) -> float:
     """T_w at x, q after the theta3 domain checks and the Gaussian-sum weight check."""
     lam, gamma = _theta_params(x, q)
     _check_gauss_args(lam, weight)
-    return _series(lam, gamma, weight, one_sided, acc)
+    return _theta_values(lam, gamma, one_sided, acc, (weight,))[0]
 
 
 def theta3_weighted(x: float, q: float, weight: int, acc: SumAccuracy = DEFAULT_ACCURACY) -> float:
@@ -185,12 +165,6 @@ def partial_theta_weighted(
 ) -> float:
     """One-sided analogue of theta3_weighted: sum over n >= 0."""
     return _weighted_theta(x, q, weight, True, acc)
-
-
-def _triple(lam: float, gamma: float, one_sided: bool, acc: SumAccuracy) -> tuple:
-    """(T_0, T_1, T_2) at (lam, gamma), each series summed once."""
-    t0, t1, t2 = _checked(_theta_triple, lam, gamma, one_sided, acc)
-    return t0.value, t1.value, t2.value
 
 
 def _plain(t: tuple, lam: float, gamma: float) -> float:
@@ -304,7 +278,7 @@ def _ring_isochore(alpha: float, beta: float, eps0: float, acc: SumAccuracy, var
     """
     weighted = _check_variant(variant).weighted
     lam = _ring_lam(beta, eps0)
-    t = _triple(lam, alpha, False, acc)
+    t = _theta_values(lam, alpha, False, acc)
     return _plain(t, lam, alpha), lambda c: eps0 * weighted(t, lam, alpha, c)
 
 
@@ -478,10 +452,10 @@ def _cs_isochore(alpha: float, beta: float, L: float, acc: SumAccuracy, variant:
         raise DomainError(f"series decay rate must be positive, got {-beta * unit}")
     c4 = 4.0 * beta * unit
     g_even, g_odd = alpha / 2.0, (alpha - 1.0) / 2.0
-    full_even = reuse(_triple, c4, 0.0, False, acc)
-    half_even = _triple(c4, g_even, True, acc)
-    full_odd = reuse(_triple, c4, -0.5, False, acc)
-    half_odd = _triple(c4, g_odd, True, acc)
+    full_even = reuse(_theta_values, c4, 0.0, False, acc)
+    half_even = _theta_values(c4, g_even, True, acc)
+    full_odd = reuse(_theta_values, c4, -0.5, False, acc)
+    half_odd = _theta_values(c4, g_odd, True, acc)
     plain_even = _plain(full_even, c4, 0.0), _plain(half_even, c4, g_even)
     plain_odd = _plain(full_odd, c4, -0.5), _plain(half_odd, c4, g_odd)
 

@@ -16,8 +16,8 @@ bound on the discarded Gaussian tail (an integral comparison, evaluated in
 log space so it never over- or underflows) certifies the same tolerance.
 
 Theta-side series T_w = sum n^w q^(n^2) x^n (w = 0, 1, 2; the theta
-functions and the closed forms' derivative series) take one of three routes,
-chosen by decay rate in ``_theta_series``:
+functions and the closed forms' derivative series) all come from one router,
+``_theta_reports``, which takes one of three routes by decay rate:
 
 * dual: full-lattice T_w with lam below DUAL_CROSSOVER_LAMBDA = pi go through
   Jacobi's imaginary transformation (Poisson summation, DLMF 20.7(viii)).
@@ -88,11 +88,11 @@ __all__ = [
 SLOW_DECAY_LAMBDA = 0.05
 # The slow-decay test is lam < _SLOW_DECAY_BELOW: the tiny slack keeps the
 # boundary value itself (reached via -log(exp(-x)) roundtrips) on the direct,
-# unwarned route, in ``_lattice_sum`` and ``_theta_series`` alike.
+# unwarned route, in ``_lattice_sum`` and the router alike.
 _SLOW_DECAY_BELOW = SLOW_DECAY_LAMBDA * (1.0 - 1e-9)
 
 # Below this decay rate a full-lattice theta-side series is summed in its
-# Poisson dual: the self-dual point pi, measured in ``_theta_series``.
+# Poisson dual: the self-dual point pi, measured in ``_theta_reports``.
 DUAL_CROSSOVER_LAMBDA = math.pi
 
 # Smallest positive normal double; used as a floor in relative comparisons.
@@ -224,6 +224,14 @@ def _exp_round_up(log_x: float) -> float:
     return val if val > 0.0 else 5e-324
 
 
+def _past_double_range(lam: float, gamma: float, weight: int) -> NoConvergence:
+    """The error of a weight-``weight`` sum whose value lies past the double range."""
+    return NoConvergence(
+        f"lattice sum exceeds the double-precision range "
+        f"(lambda={lam:g}, gamma={gamma:g}, weight={weight})"
+    )
+
+
 def _lattice_sum(
     lam: float,
     gamma: float,
@@ -301,17 +309,16 @@ def _lattice_sum(
                 f"(lambda={lam:g}, gamma={gamma:g}, weight={weight})"
             )
 
-        # rel_tol * max(total_abs, _TINY), NaN passing through as max() does.
-        threshold = rel_tol * (_TINY if total_abs < _TINY else total_abs)
+        # rel_tol * max(total_abs, _TINY), NaN passing through as max() does;
+        # where that underflows to 0 (rel_tol below ~2.2e-16), the least double
+        # keeps the ring rule and the log of the certificate defined.
+        threshold = rel_tol * (_TINY if total_abs < _TINY else total_abs) or 5e-324
         if ring_abs <= threshold:
             # Every term can be finite while their sum is not.  An infinite
             # total_abs meets the ring rule at the next ring, so checking only
             # once the rule holds still catches it, off the per-ring path.
             if not math.isfinite(total_abs):
-                raise NoConvergence(
-                    f"lattice sum exceeds the double-precision range "
-                    f"(lambda={lam:g}, gamma={gamma:g}, weight={weight})"
-                )
+                raise _past_double_range(lam, gamma, weight)
             # Tail certificates require the last index on each open side to
             # sit in the monotone region beyond the Gaussian peak.
             u_hi = n_hi - gamma
@@ -340,6 +347,15 @@ def _two_product(a: float, b: float) -> tuple:
     b_hi = c - (c - b)
     a_lo, b_lo = a - a_hi, b - b_hi
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _prefactor(lam: float, gamma: float, log_pref: float, shift: float = 0.0) -> float:
+    """exp(log_pref - shift), log_pref the rounded lam gamma^2, with that rounding carried."""
+    pref = math.exp(log_pref - shift)
+    if log_pref > 1.0:  # carry the product's rounding, which exp magnifies log_pref-fold
+        lam_gamma, err = _two_product(lam, gamma)
+        pref *= 1.0 + (_two_product(lam_gamma, gamma)[1] + err * gamma)
+    return pref
 
 
 def _euler_maclaurin(lam: float, gamma: float, acc: SumAccuracy) -> tuple | None:
@@ -376,16 +392,14 @@ def _euler_maclaurin(lam: float, gamma: float, acc: SumAccuracy) -> tuple | None
     root = math.sqrt(lam)
     if root * gamma < -_EM_SIGMA:
         return None
-    lam_gamma, err = _two_product(lam, gamma)
-    log_pref, err2 = _two_product(lam_gamma, gamma)
+    lam_gamma = lam * gamma
+    log_pref = lam_gamma * gamma
     if log_pref > 709.0:
         raise NoConvergence(
             f"theta series prefactor exceeds the double-precision range "
             f"(exponent {log_pref:.1f})"
         )
-    pref = math.exp(log_pref)
-    if log_pref > 1.0:  # carry the product's rounding, which exp magnifies log_pref-fold
-        pref *= 1.0 + (err2 + err * gamma)
+    pref = _prefactor(lam, gamma, log_pref)
     inv_root = 1.0 / root
     half_inv_lam = 0.5 / lam
     j = 0.5 * math.sqrt(math.pi) * inv_root * math.erfc(-root * gamma) * pref
@@ -422,48 +436,17 @@ def _euler_maclaurin(lam: float, gamma: float, acc: SumAccuracy) -> tuple | None
     )
 
 
-def _require_finite_sum(report: SumReport, lam: float, gamma: float, weight: int) -> SumReport:
-    """``report``, or NoConvergence where its value lies past the double range."""
-    if not math.isfinite(report.value):
-        raise NoConvergence(
-            f"lattice sum exceeds the double-precision range "
-            f"(lambda={lam:g}, gamma={gamma:g}, weight={weight})"
-        )
-    return report
+def _theta_reports(
+    lam: float, gamma: float, one_sided: bool, acc: SumAccuracy, weights: tuple = (0, 1, 2)
+) -> tuple:
+    """Certified T_w = sum n^w q^(n^2) x^n, x = exp(2 lam gamma), q = exp(-lam), w in ``weights``.
 
-
-def _theta_triple(lam: float, gamma: float, one_sided: bool, acc: SumAccuracy) -> tuple:
-    """The reports of T_0, T_1 and T_2 at (lam, gamma), routed as ``_theta_series`` routes.
-
-    A slow one-sided triple is one Euler-Maclaurin run and a full-lattice
-    triple below DUAL_CROSSOVER_LAMBDA one dual run, which the three weights
-    share.
-    """
-    if one_sided:
-        if lam < _SLOW_DECAY_BELOW:
-            reports = _euler_maclaurin(lam, gamma, acc)
-            if reports is not None:
-                return tuple(_require_finite_sum(r, lam, gamma, w) for w, r in enumerate(reports))
-    elif lam < DUAL_CROSSOVER_LAMBDA:
-        return _poisson_dual(lam, gamma, (0, 1, 2), acc)
-    log_pref = lam * gamma * gamma
-    return (
-        _lattice_sum(lam, gamma, 0.0, 0, one_sided, acc, log_pref),
-        _lattice_sum(lam, gamma, 0.0, 1, one_sided, acc, log_pref),
-        _lattice_sum(lam, gamma, 0.0, 2, one_sided, acc, log_pref),
-    )
-
-
-def _theta_series(
-    lam: float, gamma: float, weight: int, one_sided: bool, acc: SumAccuracy
-) -> SumReport:
-    """T_w = sum n^w q^(n^2) x^n at x = exp(2 lam gamma), q = exp(-lam), certified.
-
-    Full-lattice series with lam below DUAL_CROSSOVER_LAMBDA are summed in
-    the Poisson dual (``_poisson_dual``), and one-sided ones with lam below
-    SLOW_DECAY_LAMBDA by ``_euler_maclaurin`` where it takes them; every
-    other series is ``_lattice_sum`` with the prefactor exp(lam gamma^2) in
-    its terms.
+    The one place a theta-side series' route is chosen.  Full-lattice series
+    with lam below DUAL_CROSSOVER_LAMBDA are one run of ``_poisson_dual``, and
+    one-sided ones with lam below SLOW_DECAY_LAMBDA one run of
+    ``_euler_maclaurin`` where it takes them, shared by the weights asked for
+    (increasing).  Every other series is one ``_lattice_sum`` per weight, with
+    the prefactor exp(lam gamma^2) in its terms.
 
     DUAL_CROSSOVER_LAMBDA is the self-dual point pi, where the dual's decay
     pi^2/lam meets the direct lam; above it the dual needs more terms.  Per
@@ -478,16 +461,35 @@ def _theta_series(
 
     The dual is the cheaper side below pi except for a lone T_2 near pi,
     which only ``theta3_weighted`` asks for; the closed forms take T_1 and
-    T_2 as triples.
+    T_2 as triples.  A lam or gamma out of range raises DomainError, and a
+    weight asked for whose value or terms pass the double range NoConvergence.
     """
-    if one_sided:
-        if lam < _SLOW_DECAY_BELOW:
-            reports = _euler_maclaurin(lam, gamma, acc)
-            if reports is not None:
-                return _require_finite_sum(reports[weight], lam, gamma, weight)
-    elif lam < DUAL_CROSSOVER_LAMBDA:
-        return _poisson_dual(lam, gamma, (weight,), acc)[0]
-    return _lattice_sum(lam, gamma, 0.0, weight, one_sided, acc, lam * gamma * gamma)
+    if not lam > 0.0:
+        raise DomainError(f"series decay rate must be positive, got {lam}")
+    if lam == math.inf:
+        raise DomainError(f"series decay rate must be finite, got {lam}")
+    if not math.isfinite(gamma):
+        require_finite(gamma=gamma)
+    try:
+        if one_sided:
+            if lam < _SLOW_DECAY_BELOW:
+                reports = _euler_maclaurin(lam, gamma, acc)
+                if reports is not None:
+                    for w in weights:
+                        if not math.isfinite(reports[w].value):
+                            raise _past_double_range(lam, gamma, w)
+                    return tuple(reports[w] for w in weights)
+        elif lam < DUAL_CROSSOVER_LAMBDA:
+            return _poisson_dual(lam, gamma, weights, acc)
+        log_pref = lam * gamma * gamma
+        reports = ()
+        for w in weights:  # a loop, cheaper per call than a generator's frame
+            reports += (_lattice_sum(lam, gamma, 0.0, w, one_sided, acc, log_pref),)
+        return reports
+    except OverflowError:
+        raise NoConvergence(
+            f"series term exceeds the double-precision range (lambda={lam:g}, gamma={gamma:g})"
+        ) from None
 
 
 def _poisson_dual(lam: float, gamma: float, weights: tuple, acc: SumAccuracy) -> tuple:
@@ -573,22 +575,15 @@ def _poisson_dual(lam: float, gamma: float, weights: tuple, acc: SumAccuracy) ->
                     if rd * a <= rel_tol * abs(v):
                         found[2], left = (v, rd * a, a, k), left - 1
 
-    if log_pref > 709.0:  # E itself overflows where E |T_w/E| may not
-        pref, scale = exp(log_pref - 709.0), _EXP_709
-    else:
-        pref, scale = exp(log_pref), 1.0
-    if log_pref > 1.0:  # carry the product's rounding, which exp magnifies log_pref-fold
-        lam_gamma, err = _two_product(lam, gamma)
-        pref *= 1.0 + (_two_product(lam_gamma, gamma)[1] + err * gamma)
+    high = log_pref > 709.0  # E itself overflows where E |T_w/E| may not
+    pref = _prefactor(lam, gamma, log_pref, 709.0 if high else 0.0)
+    scale = _EXP_709 if high else 1.0
     reports = []
     for w in weights:
         v, tail, a, k = found[w]
         value = 0.0 + pref * v * scale  # 0.0 + turns -0.0 into 0.0, as the direct sum does
         if not math.isfinite(value):
-            raise NoConvergence(
-                f"lattice sum exceeds the double-precision range "
-                f"(lambda={lam:g}, gamma={gamma:g}, weight={w})"
-            )
+            raise _past_double_range(lam, gamma, w)
         if tail >= _TINY:
             tail = pref * tail * scale
         else:  # the linear bound left the normal range: take it through its log
@@ -612,7 +607,7 @@ def _theta_params(x: float, q: float) -> tuple[float, float]:
 def theta3_report(x: float, q: float, acc: SumAccuracy = DEFAULT_ACCURACY) -> SumReport:
     """theta3 with its truncation certificate."""
     lam, gamma = _theta_params(x, q)
-    return _theta_series(lam, gamma, 0, False, acc)
+    return _theta_reports(lam, gamma, False, acc, (0,))[0]
 
 
 def theta3(x: float, q: float, acc: SumAccuracy = DEFAULT_ACCURACY) -> float:
@@ -621,8 +616,7 @@ def theta3(x: float, q: float, acc: SumAccuracy = DEFAULT_ACCURACY) -> float:
     Requires x > 0 and 0 < q < 1, which makes every term positive and the
     series absolutely convergent.  Satisfies theta3(x, q) = theta3(1/x, q).
     """
-    lam, gamma = _theta_params(x, q)
-    return _theta_series(lam, gamma, 0, False, acc).value
+    return theta3_report(x, q, acc).value
 
 
 def partial_theta_report(
@@ -630,7 +624,7 @@ def partial_theta_report(
 ) -> SumReport:
     """partial_theta with its truncation certificate."""
     lam, gamma = _theta_params(x, q)
-    return _theta_series(lam, gamma, 0, True, acc)
+    return _theta_reports(lam, gamma, True, acc, (0,))[0]
 
 
 def partial_theta(x: float, q: float, acc: SumAccuracy = DEFAULT_ACCURACY) -> float:
@@ -639,8 +633,7 @@ def partial_theta(x: float, q: float, acc: SumAccuracy = DEFAULT_ACCURACY) -> fl
     Splitting Z at n = 0 gives
     theta3(x, q) = partial_theta(x, q) + partial_theta(1/x, q) - 1.
     """
-    lam, gamma = _theta_params(x, q)
-    return _theta_series(lam, gamma, 0, True, acc).value
+    return partial_theta_report(x, q, acc).value
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +753,7 @@ def _batch_direct(lam, gamma, one_sided: bool, acc: SumAccuracy) -> tuple:
             run_abs[cells] = total_abs[:m] = total_abs[:m] + ring_abs[cells]
         count = n_hi - n_lo + 1.0
         capped = count > max_terms
-        threshold = rel_tol * np.where(run_abs < _TINY, _TINY, run_abs)
+        threshold = np.maximum(rel_tol * np.where(run_abs < _TINY, _TINY, run_abs), 5e-324)
 
         # the scalar order at a ring: the term cap, the ring rule, a total past
         # the double range, then the tail certificate
@@ -889,8 +882,9 @@ def _theta_batch(xs, qs, one_sided: bool, acc: SumAccuracy = DEFAULT_ACCURACY) -
 
     ``report(i)`` of the result is what ``theta3_report(xs[i], qs[i], acc)``
     or ``partial_theta_report`` returns, bit for bit and with the same
-    ``terms_used``, or raises the ``AnyonOttoError`` that call raises.  Full-lattice
-    points below DUAL_CROSSOVER_LAMBDA run the weight-0 Poisson dual
+    ``terms_used``, or raises the ``AnyonOttoError`` that call raises.  Each
+    point takes the route ``_theta_reports`` gives it: full-lattice points
+    below DUAL_CROSSOVER_LAMBDA run the weight-0 Poisson dual
     (``_batch_dual``), and full-lattice points above it and one-sided points
     at or above the slow-decay rate the direct ring loop (``_batch_direct``),
     on arrays, each point stopping at its own ring.  Every other point is

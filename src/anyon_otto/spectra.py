@@ -235,11 +235,6 @@ def frozen_array(values, dtype=None) -> np.ndarray:
     return arr
 
 
-def _column_labels(columns: tuple) -> np.ndarray:
-    """The label array of quantum-number columns: (N,) of n, or (N, 2) rows of (n1, n2)."""
-    return columns[0] if len(columns) == 1 else np.column_stack(columns)
-
-
 def _label_range(lo_b: int, hi_b: int, lo_a: int, hi_a: int) -> np.ndarray:
     """The integers of [lo_b, hi_b] and [lo_a, hi_a], ascending.
 
@@ -613,7 +608,7 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
     energies = spec.energies(*columns)
     if e_floor < math.inf:
         keep = energies <= e_floor
-        labels, energies = _column_labels([c[keep] for c in columns]), energies[keep]
+        labels, energies = labels[keep], energies[keep]
     return _sorted_level_set(labels, energies, tail, beta)
 
 

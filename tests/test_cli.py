@@ -689,6 +689,18 @@ class TestToleranceConfig:
         assert (code, err) == (2, "")
         assert "regime = refrigerator" in out
 
+    def test_rel_tol_below_the_least_normals_reach(self, capsys):
+        # rel_tol * 2.2e-308 underflows to 0 below rel_tol ~2.2e-16: the cold
+        # isochore's oracle sums still certify, with the default run's bits
+        argv = ["cycle", "--medium", "cs-coupling", "--alpha1", "0", "--alpha2", "1"]
+        argv += ["--beta-h", "0.05", "--beta-l", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv + ["--rel-tol", "1e-17"], capsys)
+        assert (code, err) == (cli.EXIT_NON_ENGINE, "")
+        assert "regime = refrigerator" in out and "closed_form_residual = " in out
+        assert (code, out, err) == run_cli(argv, capsys)
+
 
 class TestSeedConfig:
     """A negative seed is bad configuration: exit 64 before any work."""

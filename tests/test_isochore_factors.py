@@ -21,8 +21,7 @@ from anyon_otto.special_functions import (
     DUAL_CROSSOVER_LAMBDA,
     SLOW_DECAY_LAMBDA,
     SumAccuracy,
-    _theta_series,
-    _theta_triple,
+    _theta_reports,
     partial_theta,
     theta3,
 )
@@ -33,14 +32,14 @@ _TINY = 1e-300
 
 
 # ---------------------------------------------------------------------------
-# reference: one _theta_series call per factor
+# reference: one router call per series per factor
 # ---------------------------------------------------------------------------
 
 
 def _series(lam, gamma, weight, one_sided, acc):
     if not lam > 0.0:
         raise DomainError(f"series decay rate must be positive, got {lam}")
-    return _theta_series(lam, gamma, weight, one_sided, acc).value
+    return _theta_reports(lam, gamma, one_sided, acc, (weight,))[0].value
 
 
 def _plain_closed(lam, gamma, one_sided, acc):
@@ -254,15 +253,10 @@ class TestEachSeriesOnce:
     def count_series(self, monkeypatch, f, *args, two_sided_only=False):
         calls = []
 
-        def counted(lam, gamma, weight, one_sided, acc):
+        def counted(lam, gamma, one_sided, acc, weights=(0, 1, 2)):  # one series per weight
             if not (two_sided_only and one_sided):
-                calls.append((lam, gamma, weight, one_sided))
-            return _theta_series(lam, gamma, weight, one_sided, acc)
-
-        def counted_triple(lam, gamma, one_sided, acc):  # three series in one call
-            if not (two_sided_only and one_sided):
-                calls.extend((lam, gamma, weight, one_sided) for weight in (0, 1, 2))
-            return _theta_triple(lam, gamma, one_sided, acc)
+                calls.extend((lam, gamma, weight, one_sided) for weight in weights)
+            return _theta_reports(lam, gamma, one_sided, acc, weights)
 
         def counted_theta(name, theta):
             def call(x, q, acc):
@@ -272,8 +266,7 @@ class TestEachSeriesOnce:
 
             return call
 
-        monkeypatch.setattr(cf, "_theta_series", counted)
-        monkeypatch.setattr(cf, "_theta_triple", counted_triple)
+        monkeypatch.setattr(cf, "_theta_reports", counted)
         # closed_form no longer imports partial_theta; a call through either
         # name, should one come back, is counted all the same
         for name, theta in (("theta3", theta3), ("partial_theta", partial_theta)):

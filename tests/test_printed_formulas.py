@@ -43,7 +43,7 @@ def ref_weighted(t, lam, gamma, c, variant):
 
 def plain(lam, gamma, one_sided, acc):
     """exp(-lam gamma^2) T_0, with T_0 summed at the exact (lam, gamma)."""
-    return math.exp(-lam * gamma * gamma) * cf._series(lam, gamma, 0, one_sided, acc)
+    return math.exp(-lam * gamma * gamma) * cf._theta_values(lam, gamma, one_sided, acc, (0,))[0]
 
 
 def ref_ring_partition_value(alpha, beta, eps0, acc, variant):

@@ -220,6 +220,54 @@ class TestSumOverflow:
             series(x, q)
 
 
+class TestRelTolBelowTheLeastNormal:
+    """rel_tol times the least normal double underflows to 0 below rel_tol ~2.2e-16."""
+
+    def test_underflowing_threshold_certifies(self):
+        # weight 1 at gamma = c = 0: the peak term is 0, and every other one
+        # underflows at lam = 1000, so the running total of absolute terms is 0
+        rep = gauss_sum_full_report(1000.0, 0.0, 0.0, 1, SumAccuracy(rel_tol=1e-17))
+        assert rep.value == 0.0
+        assert rep.tail_bound == 5e-324 and rep.terms_used == 3
+
+    @pytest.mark.parametrize("rel_tol", [1e-17, 1e-200])
+    def test_threshold_floor_leaves_a_positive_one_alone(self, rel_tol):
+        # where rel_tol * total_abs stays positive, the floor changes no bit
+        acc = SumAccuracy(rel_tol=rel_tol)
+        rep = gauss_sum_full_report(0.7, 0.3, 0.0, 2, acc)
+        ref = _reference_lattice_sum(0.7, 0.3, 0.0, 2, False, acc)
+        assert rep == ref
+
+
+# One point on each route of the router: (lam, gamma, one_sided).
+_ROUTES = {
+    "direct-full": (4.0, 0.3, False),
+    "direct-one-sided": (0.05, 1.7, True),
+    "dual": (0.2, -1.3, False),
+    "euler-maclaurin": (1e-3, 2.5, True),
+}
+
+
+def _route_triple(route, lam, gamma, one_sided, acc):
+    """The triple as the route's own engine sums it."""
+    if route == "dual":
+        return sf._poisson_dual(lam, gamma, (0, 1, 2), acc)
+    if route == "euler-maclaurin":
+        return sf._euler_maclaurin(lam, gamma, acc)
+    log_pref = lam * gamma * gamma
+    return tuple(sf._lattice_sum(lam, gamma, 0.0, w, one_sided, acc, log_pref) for w in (0, 1, 2))
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize("weight", [0, 1, 2])
+def test_router_sums_each_weight_as_in_the_triple(route, weight):
+    lam, gamma, one_sided = _ROUTES[route]
+    acc = DEFAULT_ACCURACY
+    triple = sf._theta_reports(lam, gamma, one_sided, acc)
+    assert triple == _route_triple(route, lam, gamma, one_sided, acc)
+    assert sf._theta_reports(lam, gamma, one_sided, acc, (weight,))[0] == triple[weight]
+
+
 def _log_uniform(lo, hi):
     return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
 
@@ -483,8 +531,8 @@ def _mp_series(lam, gamma, bits=256, one_sided=False):
 
 
 def _dual(lam, gamma, weight, acc=DEFAULT_ACCURACY):
-    """The theta-side series entry, which takes the Poisson dual below DUAL_CROSSOVER_LAMBDA."""
-    return sf._theta_series(lam, gamma, weight, False, acc)
+    """The theta-side router at one weight: the Poisson dual below DUAL_CROSSOVER_LAMBDA."""
+    return sf._theta_reports(lam, gamma, False, acc, (weight,))[0]
 
 
 def _dual_draws(seed, n, lo):
@@ -602,11 +650,11 @@ class TestPoissonDual:
         acc = SumAccuracy(rel_tol=rel_tol)
         points = list(_dual_draws(22, 40, 1e-6)) + [(0.7, 0.0), (2.5, 0.5), (3.0, -4.5)]
         for lam, gamma in points:
-            triple = sf._theta_triple(lam, gamma, False, acc)
+            triple = sf._theta_reports(lam, gamma, False, acc)
             assert triple == sf._poisson_dual(lam, gamma, (0, 1, 2), acc)
             for weight, rep in enumerate(triple):
                 assert rep == sf._poisson_dual(lam, gamma, (weight,), acc)[0]
-                assert rep == sf._theta_series(lam, gamma, weight, False, acc)
+                assert rep == sf._theta_reports(lam, gamma, False, acc, (weight,))[0]
 
     @pytest.mark.parametrize("gamma", [15.4999] + [m + 0.5 for m in range(15, 32)])
     def test_keeps_the_top_of_the_double_range(self, gamma):
@@ -676,8 +724,8 @@ class TestEulerMaclaurin:
         reports = sf._euler_maclaurin(lam, gamma, acc)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the direct fallback warns
-            routed = sf._theta_triple(lam, gamma, True, acc)
-            alone = [sf._theta_series(lam, gamma, w, True, acc) for w in (0, 1, 2)]
+            routed = sf._theta_reports(lam, gamma, True, acc)
+            alone = [sf._theta_reports(lam, gamma, True, acc, (w,))[0] for w in (0, 1, 2)]
         assert alone == list(routed)
         refs = _mp_series(lam, gamma, one_sided=True)
         if math.sqrt(lam) * gamma < -sf._EM_SIGMA:
@@ -722,11 +770,11 @@ class TestEulerMaclaurin:
         assert sf._euler_maclaurin(lam, above, DEFAULT_ACCURACY) is not None
 
     def test_overflowing_weight_alone_raises(self):
-        # lam gamma^2 = 706.6: T_0 and T_1 are finite doubles, T_2 is not
+        # lam gamma^2 = 706.6: T_0 is a finite double, T_1 and T_2 are not
         lam, gamma = 0.0499, 119.0
-        t0 = sf._theta_series(lam, gamma, 0, True, DEFAULT_ACCURACY)
+        (t0,) = sf._theta_reports(lam, gamma, True, DEFAULT_ACCURACY, (0,))
         assert math.isfinite(t0.value)
         with pytest.raises(NoConvergence, match="double-precision range"):
-            sf._theta_series(lam, gamma, 2, True, DEFAULT_ACCURACY)
+            sf._theta_reports(lam, gamma, True, DEFAULT_ACCURACY, (2,))
         with pytest.raises(NoConvergence, match="double-precision range"):
-            sf._theta_triple(lam, gamma, True, DEFAULT_ACCURACY)
+            sf._theta_reports(lam, gamma, True, DEFAULT_ACCURACY)
