@@ -14,9 +14,10 @@ and the closed-form efficiency behind it.  It also counts, over all commands,
 the direct ``_lattice_sum`` calls and terms and, where the checkout has them,
 the runs and terms of ``_poisson_dual`` and of ``_euler_maclaurin`` (one run
 may sum a triple T_0, T_1, T_2; its terms are those of its longest weight).
-Where the checkout has the batch kernel ``_theta_batch``, each point it sums itself counts as
-one dual run or one direct call, by its route, with its ``terms_used``; the
-points it hands to the scalar functions are counted there.
+Where the checkout has the batch kernel (``_theta_batch``, or the
+``_theta_batch_logs`` that it and ``validate`` call), each point it sums
+itself counts as one dual run or one direct call, by its route, with its
+``terms_used``; the points it hands to the scalar functions are counted there.
 
 Commands whose outputs are equal on both sides are counted; for the others,
 every residual whose closed-form value or run_cycle efficiency (``eta``, the
@@ -125,12 +126,16 @@ def run_checkout(checkout: Path, out: Path) -> None:
 
         sf._euler_maclaurin = counted_euler_maclaurin
 
-    if hasattr(sf, "_theta_batch"):
+    # the kernel that sums the points: ``_theta_batch_logs`` where the checkout
+    # has it (``_theta_batch`` and validate both call it), else ``_theta_batch``
+    kernel = next((k for k in ("_theta_batch_logs", "_theta_batch") if hasattr(sf, k)), None)
+    if kernel is not None:
         from anyon_otto import validate
 
-        theta_batch = sf._theta_batch
+        theta_batch = getattr(sf, kernel)
 
-        def counted_theta_batch(xs, qs, one_sided, acc):
+        def counted_theta_batch(xs, qs, *args):
+            one_sided = args[-2]
             scalar = sf.partial_theta_report if one_sided else sf.theta3_report
             handed_back = set()
 
@@ -140,7 +145,7 @@ def run_checkout(checkout: Path, out: Path) -> None:
 
             setattr(sf, scalar.__name__, noted)
             try:
-                batch = theta_batch(xs, qs, one_sided, acc)
+                batch = theta_batch(xs, qs, *args)
             finally:
                 setattr(sf, scalar.__name__, scalar)
             for x, q, terms in zip(map(float, xs), map(float, qs), batch.terms_used.tolist()):
@@ -151,7 +156,9 @@ def run_checkout(checkout: Path, out: Path) -> None:
                 counts["dual_terms" if dual else "direct_terms"] += terms
             return batch
 
-        sf._theta_batch = validate._theta_batch = counted_theta_batch
+        for module in (sf, validate):
+            if hasattr(module, kernel):
+                setattr(module, kernel, counted_theta_batch)
 
     residuals = []
     for medium, pair in list(cli._RESIDUALS.items()):

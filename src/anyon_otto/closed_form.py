@@ -53,8 +53,10 @@ depend on alpha at all.
 
 The reports and the private ``_ring_efficiency``/``_cs_efficiency`` take a
 ``reuse(f, *args)`` through which each per-isochore factor, each alpha-free
-pair triple, each cycle oracle's window searches and each pair oracle's
-enumeration is obtained; the default, ``thermo._call``, computes it.  A CLI
+pair triple, each cycle oracle's window searches and each partition or pair
+energy-sum oracle's Gibbs state is obtained; the default, ``thermo._call``,
+computes it.  Those oracles sum over the label box of their own window
+(``thermo._window_state``), so ``validate`` builds no level set.  A CLI
 sweep passes one ``otto._IsochoreMemo``, so the isochore its axis leaves
 alone is summed once per sweep and the alpha-free pair triples once per
 temperature; ``validate`` passes one for its whole run.
@@ -65,8 +67,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .errors import DegenerateCycle, DomainError, NoConvergence
 from .otto import OttoCycleSpec, run_cycle
@@ -79,8 +79,8 @@ from .special_functions import (
     gauss_sum_full,
     theta3,
 )
-from .spectra import CSPairSpectrum, RingAnyonSpectrum, enumerate_levels, require_pair_length
-from .thermo import DEFAULT_TAIL_TOL, _call, partition_function
+from .spectra import CSPairSpectrum, RingAnyonSpectrum, require_pair_length
+from .thermo import DEFAULT_TAIL_TOL, _call, _window_state, partition_function, sum_of_products
 
 __all__ = [
     "VARIANTS",
@@ -129,6 +129,16 @@ def _report(value: float, oracle: float, variant: str) -> ClosedFormReport:
         rel_residual=relative_residual(value, oracle),
         formula_variant=variant,
     )
+
+
+def _require_partitions(*partitions: float) -> None:
+    """Raise NoConvergence where a route's partition function is 0.0.
+
+    A Z that underflowed on both routes would read a residual of 0 and
+    certify nothing.
+    """
+    if 0.0 in partitions:
+        raise NoConvergence("closed-form partition function underflows a double")
 
 
 def _check_variant(variant: str) -> _Formulas:
@@ -226,8 +236,7 @@ def _assemble(hot: tuple, cold: tuple, control_h: float, control_l: float, floor
     that underflows to 0 raises NoConvergence.
     """
     (z_h, u_h), (z_l, u_l) = hot, cold
-    if z_h == 0.0 or z_l == 0.0:
-        raise NoConvergence("closed-form partition function underflows a double")
+    _require_partitions(z_h, z_l)
     num = u_h(control_l) / z_h - u_l(control_l) / z_l
     den = u_h(control_h) / z_h - u_l(control_h) / z_l
     if abs(den) < floor:
@@ -303,7 +312,8 @@ def ring_partition_closed(
         value = reuse(_ring_isochore, alpha, beta, eps0, acc, variant)[0]
     else:
         value = printed(_ring_lam(beta, eps0), alpha, acc)
-    oracle = partition_function(RingAnyonSpectrum(eps0=eps0, alpha=alpha), beta, tail_tol)
+    oracle = partition_function(RingAnyonSpectrum(eps0=eps0, alpha=alpha), beta, tail_tol, reuse)
+    _require_partitions(value, oracle)
     return _report(value, oracle, variant)
 
 
@@ -397,11 +407,13 @@ def cs_partition_closed(
 ) -> ClosedFormReport:
     """Pair partition function from the parity-split theta product form.
 
-    Oracle: direct truncated summation over enumerated (n1, n2) levels.
+    Oracle: direct truncated summation over the (n1, n2) levels of the
+    window's label box (``thermo.partition_function``).
     """
     even, odd = cs_partition_parity_terms(alpha, beta, L, acc, variant, reuse)
     value = even + odd
     oracle = partition_function(CSPairSpectrum(L=L, alpha=alpha), beta, tail_tol, reuse)
+    _require_partitions(value, oracle)
     return _report(value, oracle, variant)
 
 
@@ -423,13 +435,19 @@ def cs_weighted_energy_sum(
     decay rate 4 beta pi^2 / L^2.  The printed variants (see ``_FORMULAS``)
     multiply two weighted factors, the first at decay rate -beta pi^2 / L^2 < 0,
     so they always raise DomainError; they are kept only so validation can name them.
-    Oracle: direct double sum over the enumerated level set.
+    Oracle: the direct sum over the label box of the Boltzmann spectrum's
+    window (``thermo._window_state``).  The weight separates as
+    E(alpha_weight) = constant + A(n1) + B(n2) on the box's axes, so the sum
+    is Z (constant + sum A p(n1) + sum B p(n2)) over the state's marginals,
+    every term positive.
     """
-    value = reuse(_cs_isochore, alpha_boltz, beta, L, acc, variant, reuse)[1](alpha_weight)
-    levels = reuse(enumerate_levels, CSPairSpectrum(L=L, alpha=alpha_boltz), beta, tail_tol)
-    weights = CSPairSpectrum(L=L, alpha=alpha_weight).energies(*levels.labels.T)
-    oracle = float((weights * np.exp(-beta * levels.energies)).sum())
-    return _report(value, oracle, variant)
+    (even, odd), energy_sum = reuse(_cs_isochore, alpha_boltz, beta, L, acc, variant, reuse)
+    axes, state = reuse(_window_state, CSPairSpectrum(L=L, alpha=alpha_boltz), beta, tail_tol)
+    z = state.partition()
+    _require_partitions(even + odd, z)
+    constant, terms = axes.split(CSPairSpectrum(L=L, alpha=alpha_weight))
+    oracle = z * (constant + sum_of_products(terms, state.populations))
+    return _report(energy_sum(alpha_weight), oracle, variant)
 
 
 def _cs_isochore(alpha: float, beta: float, L: float, acc: SumAccuracy, variant: str, reuse=_call):

@@ -47,7 +47,9 @@ hands every other point to ``theta3_report`` or ``partial_theta_report``,
 with their warnings and errors: bad arguments, slow decay (Euler-Maclaurin
 or a warned direct sum), a peak exponent above 709, the term cap, the dual's
 range limits and a sum past the double range.  The scalar functions stay
-the reference that the kernel is tested against.
+the reference that the kernel is tested against.  A caller that sums
+several batches on one grid forms lam = -log(q) and log(x) once each
+(``_batch_lam``, ``_batch_log_x``) and hands them to ``_theta_batch_logs``.
 
 The gauss_sum_* functions always sum directly and never route through theta
 identities, the dual or Euler-Maclaurin; they are the brute-force oracles
@@ -877,8 +879,39 @@ class SumBatch(NamedTuple):
         )
 
 
+def _batch_log(a: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """libm's log of each element of ``a`` where ``valid``, NaN elsewhere."""
+    out = np.full(len(a), math.nan)
+    out[valid] = _map(math.log, a[valid])
+    return out
+
+
+def _batch_lam(qs: np.ndarray) -> np.ndarray:
+    """lam = -log(q) per point with 0 < q < 1, as ``_theta_params`` forms it; NaN elsewhere."""
+    return -_batch_log(qs, (0.0 < qs) & (qs < 1.0))
+
+
+def _batch_log_x(xs: np.ndarray) -> np.ndarray:
+    """log(x) per point with 0 < x < inf, as ``_theta_params`` forms it; NaN elsewhere."""
+    return _batch_log(xs, (xs > 0.0) & (xs != math.inf))
+
+
 def _theta_batch(xs, qs, one_sided: bool, acc: SumAccuracy = DEFAULT_ACCURACY) -> SumBatch:
     """theta3 (full lattice) or partial theta (``one_sided``) at each point (xs[i], qs[i]).
+
+    ``_theta_batch_logs`` at the points' logs; a caller that sums several
+    batches on one grid forms the logs once and calls that.
+    """
+    xs = np.asarray(xs, dtype=float)
+    qs = np.asarray(qs, dtype=float)
+    return _theta_batch_logs(xs, qs, _batch_lam(qs), _batch_log_x(xs), one_sided, acc)
+
+
+def _theta_batch_logs(xs, qs, lam, log_x, one_sided: bool, acc: SumAccuracy) -> SumBatch:
+    """``_theta_batch`` at each point (xs[i], qs[i]), given lam = -log(q) and log(x) per point.
+
+    ``lam`` and ``log_x`` are ``_batch_lam(qs)`` and ``_batch_log_x(xs)``:
+    NaN marks a point outside theta3's domain.
 
     ``report(i)`` of the result is what ``theta3_report(xs[i], qs[i], acc)``
     or ``partial_theta_report`` returns, bit for bit and with the same
@@ -897,14 +930,12 @@ def _theta_batch(xs, qs, one_sided: bool, acc: SumAccuracy = DEFAULT_ACCURACY) -
     the IEEE-exact operations (+, -, *, /, abs, sqrt, rounding to an
     integer) run as array operations.
     """
-    xs = np.asarray(xs, dtype=float)
-    qs = np.asarray(qs, dtype=float)
     value, tail, terms = _report_arrays(len(xs))
     with np.errstate(all="ignore"):  # as Python floats do, overflow gives inf silently
-        back = ~((0.0 < qs) & (qs < 1.0) & (xs > 0.0) & (xs != math.inf))
+        back = np.isnan(lam) | np.isnan(log_x)
         points = np.flatnonzero(~back)
-        lam = -_map(math.log, qs[points])
-        gamma = _map(math.log, xs[points]) / (2.0 * lam)
+        lam = lam[points]
+        gamma = log_x[points] / (2.0 * lam)
         if one_sided:
             slow = lam < _SLOW_DECAY_BELOW
             back[points[slow]] = True

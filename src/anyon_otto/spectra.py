@@ -120,10 +120,11 @@ class RingAnyonSpectrum:
     def energies(self, n: np.ndarray, out: np.ndarray = None, scratch=None) -> np.ndarray:
         """E at each label of ``n``, written into ``out`` when one is given.
 
-        ``scratch`` is accepted as ``CSPairSpectrum.energies`` takes it; the
-        ring needs none.
+        Integer labels are converted to float inside the subtraction, exactly
+        (|n| < 2^53), so no float copy of them is made.  ``scratch`` is
+        accepted as ``CSPairSpectrum.energies`` takes it; the ring needs none.
         """
-        d = np.subtract(np.asarray(n, dtype=float), self.alpha, out=out)
+        d = np.subtract(n, self.alpha, out=out, dtype=float)
         d *= d
         d *= self.eps0
         return d
@@ -187,33 +188,34 @@ class CSPairSpectrum:
         e += offset
         return e
 
-    def split_energies(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
-        """(constant, terms): E(n1, n2) = constant + A(n1) + B(n2) on ``rows`` x ``cols``.
+    def split_energies(self, axes: np.ndarray, k: int) -> tuple:
+        """(constant, terms): E(n1, n2) = constant + A(n1) + B(n2) on rows x columns.
 
-        With unit = pi^2/L^2, x = n1 + alpha/2 and y = n2 - alpha/2, the energy
+        ``axes`` is a float array of the rows' labels n1, its first ``k``
+        entries, followed by the columns' labels n2; it is only read.  With
+        unit = pi^2/L^2, x = n1 + alpha/2 and y = n2 - alpha/2, the energy
         is 2 unit (x^2 + y^2).  A is the x term less its least value over
-        ``rows``, taken at the row r nearest -alpha/2, and B the y term less its
-        least over ``cols``, at the column c nearest alpha/2.  Both are
-        evaluated in factored form, A(n) = 2 unit (n - r)(n + r + alpha) and
-        B(n) = 2 unit (n - c)(n + c - alpha), so each keeps its own relative
-        accuracy, and constant = E(r, c).  ``terms`` holds A on ``rows``, then B
-        on ``cols``.  As alpha >= 0, r <= 0 <= c: where the two windows'
-        grounds are in the labels, E(r, c) is the least level.
+        the rows, taken at the row r nearest -alpha/2, and B the y term less
+        its least over the columns, at the column c nearest alpha/2.  Both
+        are evaluated in factored form, A(n) = 2 unit (n - r)(n + r + alpha)
+        and B(n) = 2 unit (n - c)(n + c - alpha), so each keeps its own
+        relative accuracy, and constant = E(r, c).  ``terms`` holds A on the
+        rows, then B on the columns.  As alpha >= 0, r <= 0 <= c: where the
+        two windows' grounds are in the labels, E(r, c) is the least level.
         """
         unit, _ = self._unit_offset()
         half = 0.5 * self.alpha
-        k = len(rows)
-        n = np.concatenate((rows, cols)).astype(float)
-        r = n[:k][np.abs(n[:k] + half).argmin()]
-        c = n[k:][np.abs(n[k:] - half).argmin()]
-        least = np.empty(len(n))
+        rows, cols = axes[:k], axes[k:]
+        r = rows[np.abs(rows + half).argmin()]
+        c = cols[np.abs(cols - half).argmin()]
+        least = np.empty(len(axes))
         least[:k] = r
         least[k:] = c
-        terms = n + least
+        terms = axes + least
         terms[:k] += self.alpha
         terms[k:] -= self.alpha
-        n -= least
-        terms *= n
+        shifted = np.subtract(axes, least, out=least)
+        terms *= shifted
         terms *= 2.0 * unit
         x, y = r + half, c - half
         return 2.0 * unit * (x * x + y * y), terms
@@ -298,8 +300,10 @@ class LevelSet:
     ``labels`` is an int64 array, shape (N,) of n for the ring and (N, 2) of
     (n1, n2) rows for the pair; ``energies`` is the float64 array of shape
     (N,).  Equal energies are ordered by label.  Both arrays are read-only.
-    The cycle table builds no level sets: it evaluates both spectra on a
-    label box (``label_box``) that holds every level either set would keep.
+    Only ``thermo.gibbs`` builds level sets.  The cycle table evaluates both
+    spectra on a label box (``label_box``) that holds every level either set
+    would keep, and the closed forms' oracles each spectrum on the label box
+    of its own window (``thermo._window_state``).
 
     ``tail_bound`` certifies the truncation for the inverse temperature the
     set was built for: it bounds sum over omitted levels of
@@ -593,9 +597,9 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
     downward closed in energy: the pair's window is cut at an energy below
     every omitted level, and the ring's window needs no cut.  Levels come
     back energy-ascending, degeneracies as separate labeled entries, equal
-    energies in label order.  The closed forms' oracles read this order; the
-    cycle table takes only the window's label bounds (``window_bounds``) and
-    sorts nothing.
+    energies in label order.  Only ``thermo.gibbs`` reads this order; the
+    cycle table and the closed forms' oracles take only the window's label
+    bounds (``window_bounds``) and sort nothing.
 
     The energies are evaluated once, on the label box of the search's
     bounds, laid out as ``label_box`` does and cut where the search's cut is

@@ -21,7 +21,15 @@ import numpy as np
 from . import closed_form as cf
 from .errors import AnyonOttoError
 from .otto import OttoCycleSpec, _IsochoreMemo, efficiency_cs_volume, run_cycle
-from .special_functions import DEFAULT_ACCURACY, SumAccuracy, _theta_batch, gauss_sum_full, theta3
+from .special_functions import (
+    DEFAULT_ACCURACY,
+    SumAccuracy,
+    _batch_lam,
+    _batch_log_x,
+    _theta_batch_logs,
+    gauss_sum_full,
+    theta3,
+)
 
 __all__ = ["FamilyResult", "run_validation", "THRESHOLD_FACTORS"]
 
@@ -124,8 +132,9 @@ def run_validation(
 
     The closed-form families and cs-volume share one ``_IsochoreMemo``: a
     closed form's per-isochore factors and alpha-free pair factors, a cycle's
-    window searches and the pair energy sums' enumerations are each computed
-    once per run, wherever the grids meet the same isochore again.
+    window searches and each partition and pair energy-sum oracle's Gibbs
+    state on its window's label box are each computed once per run, wherever
+    the grids meet the same isochore again.  No family builds a level set.
     """
     acc = SumAccuracy(rel_tol=rel_tol)
     reuse = _IsochoreMemo()
@@ -135,12 +144,16 @@ def run_validation(
 
     # --- theta identities -------------------------------------------------
     # The random families read theta3 and partial theta at x and at 1/x from
-    # one batch each (``_theta_batch``), so each series is summed once per
-    # random point and argument.  Both families read theta3(x, q) first, so a
+    # one batch each (``_theta_batch_logs``), so each series is summed once per
+    # random point and argument, from lam = -log(q) and the two arguments'
+    # logs, each taken once.  Both families read theta3(x, q) first, so a
     # point where it raised is an error in both, with the same message.
-    inv_xs = 1.0 / xs
+    lam = _batch_lam(qs)
+    args = [(a, _batch_log_x(a)) for a in (xs, 1.0 / xs)]
     theta_x, theta_inv, half_x, half_inv = (
-        _theta_batch(a, qs, one_sided, acc) for one_sided in (False, True) for a in (xs, inv_xs)
+        _theta_batch_logs(a, qs, lam, log_a, one_sided, acc)
+        for one_sided in (False, True)
+        for a, log_a in args
     )
     symmetry = _residuals(
         _relative_residuals(theta_inv.values, theta_x.values), theta_x, theta_inv

@@ -242,6 +242,30 @@ class TestPartitionFunctionUnderflow:
         with pytest.raises(NoConvergence, match="partition function underflows a double"):
             efficiency(*args)
 
+    @pytest.mark.parametrize(
+        "closed_form, args",
+        [
+            (ring_partition_closed, (0.5, 3000.0)),
+            (cs_partition_closed, (0.5, 500.0, 1.0)),
+            (cs_weighted_energy_sum, (0.5, 0.5, 500.0, 1.0)),
+        ],
+        ids=["ring", "cs", "cs-energy-sum"],
+    )
+    def test_oracle_reports_refuse_a_z_of_zero(self, closed_form, args):
+        # both routes' Z read 0.0 here, which a residual of 0 certified
+        with pytest.raises(NoConvergence, match="partition function underflows a double"):
+            closed_form(*args)
+
+    @pytest.mark.parametrize(
+        "closed_form, args",
+        [(ring_partition_closed, (0.3, 1.0)), (cs_partition_closed, (0.3, 0.1, 1.0))],
+        ids=["ring", "cs"],
+    )
+    def test_an_oracle_z_of_zero_alone(self, monkeypatch, closed_form, args):
+        monkeypatch.setattr(cf, "partition_function", lambda *a: 0.0)
+        with pytest.raises(NoConvergence, match="partition function underflows a double"):
+            closed_form(*args)
+
 
 class TestEfficienciesDivideByTheReportedZ:
     """The Z in an efficiency is bit for bit the one the partition closed forms report."""

@@ -14,9 +14,10 @@ import warnings
 import pytest
 
 from anyon_otto import closed_form as cf
-from anyon_otto.errors import DomainError
-from anyon_otto.spectra import require_pair_length
+from anyon_otto.errors import DomainError, NoConvergence
+from anyon_otto.spectra import RingAnyonSpectrum, require_pair_length
 from anyon_otto.special_functions import SumAccuracy, theta3
+from anyon_otto.thermo import partition_function
 
 VARIANTS = (cf.VARIANT_REDERIVED, cf.VARIANT_MAIN, cf.VARIANT_APPENDIX)
 ACC = SumAccuracy()
@@ -52,8 +53,13 @@ def ref_ring_partition_value(alpha, beta, eps0, acc, variant):
         raise DomainError(f"beta must be positive, got {beta}")
     lam = beta * eps0
     if variant == cf.VARIANT_REDERIVED:
-        return plain(lam, alpha, False, acc)
-    return math.exp(-lam * alpha * alpha) * theta3(lam * alpha, math.exp(-lam), acc)
+        value = plain(lam, alpha, False, acc)
+    else:
+        value = math.exp(-lam * alpha * alpha) * theta3(lam * alpha, math.exp(-lam), acc)
+    # ring_partition_closed refuses a Z that underflowed on either route
+    if value == 0.0 or partition_function(RingAnyonSpectrum(eps0, alpha), beta) == 0.0:
+        raise NoConvergence("closed-form partition function underflows a double")
+    return value
 
 
 def ref_parity_terms(alpha, beta, L, acc, variant):

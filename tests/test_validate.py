@@ -13,6 +13,8 @@ from anyon_otto.errors import AnyonOttoError, DomainError, NoConvergence
 from anyon_otto.special_functions import (
     DEFAULT_ACCURACY,
     SumAccuracy,
+    _batch_lam,
+    _batch_log_x,
     partial_theta,
     partial_theta_report,
     theta3,
@@ -122,21 +124,26 @@ def _random_grid(seed, n):
     return list(zip(xs, qs))
 
 
-def _recorded_batches(monkeypatch, change=None):
-    """Patch validate's ``_theta_batch`` to log (one_sided, xs, qs) per call; returns the log.
+def _recorded_batches(monkeypatch, change=None, logs=None):
+    """Patch validate's ``_theta_batch_logs`` to log (one_sided, xs, qs) per call; returns the log.
 
-    ``change(one_sided, xs, qs)`` may return other qs for the kernel to sum.
+    ``change(one_sided, xs, qs)`` may return other qs for the kernel to sum,
+    at their own lam.  ``logs``, where given, collects each call's lam and
+    log(x) arrays.
     """
     log = []
-    real = validate._theta_batch
+    real = validate._theta_batch_logs
 
-    def recorded(xs, qs, one_sided, acc):
+    def recorded(xs, qs, lam, log_x, one_sided, acc):
         log.append((one_sided, tuple(xs.tolist()), tuple(qs.tolist())))
+        if logs is not None:
+            logs.append((lam, log_x))
         if change is not None:
             qs = change(one_sided, xs, qs)
-        return real(xs, qs, one_sided, acc)
+            lam = _batch_lam(qs)
+        return real(xs, qs, lam, log_x, one_sided, acc)
 
-    monkeypatch.setattr(validate, "_theta_batch", recorded)
+    monkeypatch.setattr(validate, "_theta_batch_logs", recorded)
     return log
 
 
@@ -145,7 +152,8 @@ def test_random_points_are_summed_once_per_argument(monkeypatch):
     xs = tuple(float(x) for x, _ in grid)
     inv_xs = tuple(1.0 / x for x in xs)
     qs = tuple(float(q) for _, q in grid)
-    log = _recorded_batches(monkeypatch)
+    logs = []
+    log = _recorded_batches(monkeypatch, logs=logs)
     scalar_points = Counter()
     real = validate.theta3
 
@@ -159,6 +167,14 @@ def test_random_points_are_summed_once_per_argument(monkeypatch):
     assert Counter(log) == Counter(
         (one_sided, arg, qs) for one_sided in (False, True) for arg in (xs, inv_xs)
     )
+    # lam = -log(q) is taken once for all four batches, and log(x) once per argument,
+    # with the bits of the kernel's own logs
+    by_arg = {arg: log_x for (_, arg, _), (_, log_x) in zip(log, logs)}
+    assert len({id(lam) for lam, _ in logs}) == 1
+    assert len({id(log_x) for _, log_x in logs}) == 2
+    assert logs[0][0].tobytes() == _batch_lam(np.array(qs)).tobytes()
+    for arg in (xs, inv_xs):
+        assert by_arg[arg].tobytes() == _batch_log_x(np.array(arg)).tobytes()
     # theta-monotonic and gauss-vs-theta keep their 90 scalar calls
     assert sum(scalar_points.values()) == 90
     assert not set(scalar_points) & set(zip(xs, qs))
@@ -195,15 +211,15 @@ def test_random_error_point_keeps_the_scalar_message(monkeypatch, one_sided):
 def test_nan_from_the_kernel_fails_both_random_families(monkeypatch):
     grid = [(float(x), float(q)) for x, q in _random_grid(0, 10)]
     x, q = grid[3]
-    real = validate._theta_batch
+    real = validate._theta_batch_logs
 
-    def nan_at_point_3(xs, qs, one_sided, acc):
-        batch = real(xs, qs, one_sided, acc)
+    def nan_at_point_3(xs, qs, lam, log_x, one_sided, acc):
+        batch = real(xs, qs, lam, log_x, one_sided, acc)
         if not one_sided and xs[3] == x:  # theta3 at x
             batch.values[3] = math.nan
         return batch
 
-    monkeypatch.setattr(validate, "_theta_batch", nan_at_point_3)
+    monkeypatch.setattr(validate, "_theta_batch_logs", nan_at_point_3)
     results = _by_name(run_validation(random_points=10))
     for name in ("theta-symmetry", "theta-split"):
         fam = results[name]
@@ -289,21 +305,22 @@ def test_theta_families_match_a_direct_recomputation(seed):
         assert max_residual > 0.0
 
 
-# The factors, window searches and enumerations that validate's memo shares,
-# with the number of distinct argument lists one run gives each.
+# The factors, window searches and oracle states that validate's memo shares,
+# by the modules that call each through the memo, with the number of distinct
+# argument lists one run gives each.
 SHARED = {
-    (cf, "_ring_isochore"): 76,
-    (cf, "_cs_isochore"): 42,
-    (cf, "enumerate_levels"): 9,
-    (otto, "window_bounds"): 78,
+    ((cf,), "_ring_isochore"): 76,
+    ((cf,), "_cs_isochore"): 42,
+    ((cf, thermo), "_window_state"): 50,
+    ((otto,), "window_bounds"): 78,
 }
 
 
 def _record_shared(monkeypatch):
     """Patch each SHARED function to log (name, args, raised) per call; returns the log."""
     log = []
-    for module, name in SHARED:
-        real = getattr(module, name)
+    for modules, name in SHARED:
+        real = getattr(modules[0], name)
 
         def recorded(*args, real=real, name=name):
             # the reuse a factor passes on is not one of its arguments
@@ -316,7 +333,8 @@ def _record_shared(monkeypatch):
             log.append(key + (False,))
             return result
 
-        monkeypatch.setattr(module, name, recorded)
+        for module in modules:
+            monkeypatch.setattr(module, name, recorded)
     return log
 
 
@@ -352,16 +370,28 @@ def test_each_factor_window_and_enumeration_runs_once(monkeypatch):
     assert calls == {name: n for (_, name), n in SHARED.items()}
 
 
-def test_partition_oracles_enumerate_through_the_memo(monkeypatch):
-    # cs-partition's oracle and the pair energy sums meet the same level sets;
-    # each is enumerated once per run, whichever family asks first
+def test_partition_oracles_share_their_states_through_the_memo(monkeypatch):
+    # cs-partition's oracle and the pair energy sums meet the same window states;
+    # each is built once per run, whichever family asks first
     calls = []
 
-    def counted(spec, beta, tail_tol, real=spectra.enumerate_levels):
+    def counted(spec, beta, tail_tol, real=thermo._window_state):
         calls.append(repr((spec, beta.hex(), tail_tol.hex())))
         return real(spec, beta, tail_tol)
 
     for module in (cf, thermo):
-        monkeypatch.setattr(module, "enumerate_levels", counted)
+        monkeypatch.setattr(module, "_window_state", counted)
     run_validation(random_points=10)
     assert len(calls) == len(set(calls)) == 50
+
+
+@pytest.mark.parametrize("variant", cf.VARIANTS)
+def test_validate_builds_no_level_set(monkeypatch, variant):
+    def refused(*args):
+        raise AssertionError("validate built a LevelSet")
+
+    monkeypatch.setattr(spectra, "_sorted_level_set", refused)
+    results = run_validation(random_points=10, variant=variant)
+    assert [r.n_errors for r in results] == [
+        ERRORS[variant].get(name, 0) for name, _, _ in FAMILIES
+    ]
