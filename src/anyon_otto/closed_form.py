@@ -54,9 +54,9 @@ depend on alpha at all.
 The reports and the private ``_ring_efficiency``/``_cs_efficiency`` take a
 ``reuse(f, *args)`` through which each per-isochore factor, each alpha-free
 pair triple, each cycle oracle's window searches and each partition or pair
-energy-sum oracle's Gibbs state is obtained; the default, ``thermo._call``,
-computes it.  Those oracles sum over the label box of their own window
-(``thermo._window_state``), so ``validate`` builds no level set.  A CLI
+energy-sum oracle's level enumeration is obtained; the default,
+``thermo._call``, computes it.  Those oracles enumerate their window in label
+order and sum over it unsorted, so ``validate`` sorts no level set.  A CLI
 sweep passes one ``otto._IsochoreMemo``, so the isochore its axis leaves
 alone is summed once per sweep and the alpha-free pair triples once per
 temperature; ``validate`` passes one for its whole run.
@@ -79,8 +79,8 @@ from .special_functions import (
     gauss_sum_full,
     theta3,
 )
-from .spectra import CSPairSpectrum, RingAnyonSpectrum, require_pair_length
-from .thermo import DEFAULT_TAIL_TOL, _call, _window_state, partition_function, sum_of_products
+from .spectra import CSPairSpectrum, RingAnyonSpectrum, enumerate_levels, require_pair_length
+from .thermo import DEFAULT_TAIL_TOL, _boltzmann_sum, _call, partition_function
 
 __all__ = [
     "VARIANTS",
@@ -407,8 +407,8 @@ def cs_partition_closed(
 ) -> ClosedFormReport:
     """Pair partition function from the parity-split theta product form.
 
-    Oracle: direct truncated summation over the (n1, n2) levels of the
-    window's label box (``thermo.partition_function``).
+    Oracle: direct truncated summation over enumerated (n1, n2) levels
+    (``thermo.partition_function``).
     """
     even, odd = cs_partition_parity_terms(alpha, beta, L, acc, variant, reuse)
     value = even + odd
@@ -435,18 +435,15 @@ def cs_weighted_energy_sum(
     decay rate 4 beta pi^2 / L^2.  The printed variants (see ``_FORMULAS``)
     multiply two weighted factors, the first at decay rate -beta pi^2 / L^2 < 0,
     so they always raise DomainError; they are kept only so validation can name them.
-    Oracle: the direct sum over the label box of the Boltzmann spectrum's
-    window (``thermo._window_state``).  The weight separates as
-    E(alpha_weight) = constant + A(n1) + B(n2) on the box's axes, so the sum
-    is Z (constant + sum A p(n1) + sum B p(n2)) over the state's marginals,
-    every term positive.
+    Oracle: direct double sum over the enumerated level set, in label order,
+    shared with the pair partition oracle's; every term is positive.
     """
     (even, odd), energy_sum = reuse(_cs_isochore, alpha_boltz, beta, L, acc, variant, reuse)
-    axes, state = reuse(_window_state, CSPairSpectrum(L=L, alpha=alpha_boltz), beta, tail_tol)
-    z = state.partition()
-    _require_partitions(even + odd, z)
-    constant, terms = axes.split(CSPairSpectrum(L=L, alpha=alpha_weight))
-    oracle = z * (constant + sum_of_products(terms, state.populations))
+    spec = CSPairSpectrum(L=L, alpha=alpha_boltz)
+    _require_partitions(even + odd, partition_function(spec, beta, tail_tol, reuse))
+    levels = reuse(enumerate_levels, spec, beta, tail_tol, "label")
+    weights = CSPairSpectrum(L=L, alpha=alpha_weight).energies(*levels.labels.T)
+    oracle = _boltzmann_sum(levels, beta, weights)
     return _report(energy_sum(alpha_weight), oracle, variant)
 
 

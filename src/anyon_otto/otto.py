@@ -24,9 +24,7 @@ excited weight that makes the heat.  Every sum is one
 ``thermo.sum_of_products``: the products' sum as ``math.fsum`` rounds it, in
 an order that does not depend on the BLAS thread count.
 
-Each isochore's state is kept by label axis (``thermo._Isochore``), on the
-box's axes (``thermo._RingAxes``, ``thermo._PairAxes``), which the cycle's
-boxes extend by the per-level rows and the noise rule.  The ring's one
+Each isochore's state is kept by label axis (``_Isochore``).  The ring's one
 axis is its levels n, a few thousand at most.  The pair's energy separates,
 E(n1, n2) = constant + A(n1) + B(n2) (``CSPairSpectrum.split_energies``), so
 its Gibbs weight is f(n1) g(n2) and its box, rows n1 by columns n2 cut to
@@ -73,6 +71,7 @@ from .spectra import (
     RingAnyonSpectrum,
     frozen_array,
     label_box,
+    label_ranges,
     pair_length_in_range,
     require_finite,
     require_finite_energies,
@@ -82,11 +81,11 @@ from .spectra import (
 from .thermo import (
     DEFAULT_TAIL_TOL,
     _call,
-    _Isochore,
-    _PairAxes,
-    _RingAxes,
+    _ground_weights,
+    _log_shifted_partition,
     boltzmann,
     require_step_count,
+    sum_of_products,
 )
 
 __all__ = [
@@ -377,6 +376,44 @@ class CycleReport:
         return StrokeReport(strokes, entropy_a=s_a, entropy_b=s_b, entropy_c=s_b, entropy_d=s_a)
 
 
+@dataclass(frozen=True, eq=False)
+class _Isochore:
+    """One isochore's Gibbs state on the label box, as sums over the box's label axes.
+
+    Each level's energy is ``constant`` plus one entry of ``energies`` per
+    quantum number: the ring has one axis, its levels n, and a constant 0;
+    the pair has two, the box's rows n1 followed by its columns n2, each
+    shifted to its least entry.  ``populations`` are the state's marginal
+    populations on the same entries, so every sum of a level function that
+    separates by label is one O(K) sum over them.  ``shift`` is the entries'
+    ground (the ring's least level; 0 for the pair), subtracted inside each
+    heat sum, ``log_z`` the log of the partition sum of the ground-shifted
+    weights, and ``top`` an upper bound on the box's energies.
+    """
+
+    spectrum: object
+    beta: float
+    energies: np.ndarray
+    populations: np.ndarray
+    shift: float
+    constant: float
+    log_z: float
+    top: float
+
+    def heat(self, dp: np.ndarray) -> float:
+        """sum (E - ground) dP: the constant and the ground cancel, as sum dP = 0."""
+        return sum_of_products(self.energies, dp, self.shift)
+
+    def work_to(self, other: "_Isochore") -> float:
+        """sum P (E_other - E) at this state's populations: an adiabat's work."""
+        gap = other.constant - self.constant
+        return gap + sum_of_products(self.populations, other.energies - self.energies)
+
+    def entropy(self) -> float:
+        """-sum P ln P = beta <E - ground> + ln Z' over the ground-shifted weights."""
+        return self.beta * sum_of_products(self.energies, self.populations, self.shift) + self.log_z
+
+
 def _labelwise(spec, beta: float, columns: tuple, energies, populations) -> None:
     """One spectrum's energies and Gibbs populations at ``beta`` on the box's label columns.
 
@@ -387,11 +424,37 @@ def _labelwise(spec, beta: float, columns: tuple, energies, populations) -> None
     boltzmann(energies, beta, out=populations)
 
 
-class _RingBox(_RingAxes):
-    """The cycle's ring box, whose isochores' arrays are its rows.
+class _RingBox:
+    """The ring's label box, one range of n, evaluated level by level.
 
-    The levels are its one label axis, so the noise rule's spread is exact.
+    The levels are the ring's one label axis, so its rows are its isochores'
+    arrays, and the noise rule's spread is exact.
     """
+
+    def __init__(self, bounds_b: tuple, bounds_a: tuple):
+        (self.labels,) = label_ranges(bounds_b, bounds_a)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def isochore(self, spectrum, beta: float) -> _Isochore:
+        """The state at ``beta`` in one pass: energies, one argmin, the weights and their sum.
+
+        Each rounding step of E = eps0 (n - alpha)^2 is monotone in
+        |n - alpha|, so the box's largest energy lies at its least or its
+        greatest label, even where its range comes in two pieces.
+        """
+        energies, populations = np.empty((2, len(self.labels)))
+        spectrum.energies(self.labels, out=energies)
+        ground = int(energies.argmin())
+        top = max(float(energies[0]), float(energies[-1]))
+        if not math.isfinite(top):
+            require_finite_energies(np.array([top]))
+        _, e0 = _ground_weights(energies, beta, populations, energies[ground])
+        populations /= float(populations.sum())
+        # The ground's shifted weight is exp(0) = 1, so its population is 1/Z'.
+        log_z = _log_shifted_partition(populations, ground)
+        return _Isochore(spectrum, beta, energies, populations, float(e0), 0.0, log_z, top)
 
     def rows(self, hot: _Isochore, cold: _Isochore) -> tuple:
         arrays = (self.labels, hot.energies, cold.energies, hot.populations, cold.populations)
@@ -401,13 +464,78 @@ class _RingBox(_RingAxes):
         return _EPS * _spread(hot, cold, r) >= limit
 
 
-class _PairBox(_PairAxes):
-    """The cycle's pair box, whose per-level rows are built only on request, once."""
+class _PairBox:
+    """The pair's label box: rows n1 by columns n2, cut to n1 <= n2, by its two label axes.
+
+    Either range may come in two pieces (``spectra._label_range``), so each
+    row's first column n2 >= n1 and each column's last row n1 <= n2 are
+    found by position.  ``axes`` holds the rows' and the columns' labels as
+    float views of one array, formed once per box for both spectra's
+    ``CSPairSpectrum.split_energies``.  The per-level rows are built only on
+    request, once.
+    """
 
     def __init__(self, bounds_b: tuple, bounds_a: tuple):
-        super().__init__(bounds_b, bounds_a)
         self.bounds = (bounds_b, bounds_a)
+        self.n1, self.n2 = label_ranges(bounds_b, bounds_a)
+        axes = np.concatenate((self.n1, self.n2), dtype=float)
+        self.axes = (axes[:len(self.n1)], axes[len(self.n1):])
+        self.first = self.n2.searchsorted(self.n1)  # each row's first column n2 >= n1
+        self.last = self.n1.searchsorted(self.n2, "right")  # each column's rows n1 <= n2
+        self.size = len(self.n1) * len(self.n2) - int(self.first.sum())
         self._rows = None
+
+    def __len__(self) -> int:
+        return self.size
+
+    def isochore(self, spectrum, beta: float) -> _Isochore:
+        """The state's marginals on the rows and the columns.
+
+        p(n1) = f(n1) sum_{n2 >= n1} g / Z' and p(n2) = g(n2) sum_{n1 <= n2} f / Z',
+        where f = exp(-beta A) and g = exp(-beta B) weigh the split's row and
+        column terms (``CSPairSpectrum.split_energies``), each 0 at its least
+        label: a level's weight is f(n1) g(n2), and the ground's is 1.  The
+        head and tail sums are running sums (``np.add.accumulate``); each tail
+        runs up from the smallest weights.
+        """
+        constant, energies = spectrum.split_energies(*self.axes)
+        k = len(self.n1)
+        # A and B are convex in the label, so each axis peaks at one of its ends
+        top = max(energies[0], energies[k - 1]) + max(energies[k], energies[-1])
+        top = constant + float(top)
+        if not math.isfinite(top):
+            require_finite_energies(np.array([top]))
+        populations = np.multiply(energies, -beta)
+        np.exp(populations, out=populations)
+        # heads[i] = sum_{n1 < n1[i]} f, then tails[j] = sum_{n2 >= n2[j]} g
+        sums = np.zeros(len(energies) + 2)
+        heads, tails = sums[:k + 1], sums[k + 1:]
+        np.add.accumulate(populations[:k], out=heads[1:])
+        np.add.accumulate(populations[:k - 1:-1], out=tails[-2::-1])
+        populations[:k] *= tails[self.first]
+        z = float(populations[:k].sum())
+        log_z = math.log(z) if z > 2.0 else math.log1p(self._excited(energies, populations, tails))
+        populations[k:] *= heads[self.last]
+        populations /= z
+        return _Isochore(spectrum, beta, energies, populations, 0.0, constant, log_z, top)
+
+    def _excited(self, energies: np.ndarray, weights: np.ndarray, tails: np.ndarray) -> float:
+        """Z' - 1, never formed from Z': the sum of the excited levels' weights.
+
+        ``weights`` holds each row's weight f(n1) sum_{n2 >= n1} g and then each
+        column's g(n2), and ``tails`` the column tail sums.  The ground is the
+        row and the column where A and B are 0 (r <= c, see
+        ``CSPairSpectrum.split_energies``), each of weight 1, so Z' - 1 is every
+        other row's weight plus the ground row's other columns: the tail past
+        the ground column and the few columns from the row's first up to it.
+        Where Z' < 2 the box is small, so the sums run over lists.
+        """
+        k = len(self.n1)
+        row, col = int(energies[:k].argmin()), int(energies[k:].argmin())
+        rows = weights[:k].tolist()
+        rows[row] = 0.0
+        before_ground = weights[k + self.first[row]:k + col].tolist()
+        return sum(rows) + float(tails[col + 1]) + sum(before_ground)
 
     def rows(self, hot: _Isochore, cold: _Isochore) -> tuple:
         """(labels, E_hot, E_cold, P_B, P_A) level by level, as ``_labelwise`` evaluates them.

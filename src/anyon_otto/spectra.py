@@ -188,33 +188,34 @@ class CSPairSpectrum:
         e += offset
         return e
 
-    def split_energies(self, axes: np.ndarray, k: int) -> tuple:
-        """(constant, terms): E(n1, n2) = constant + A(n1) + B(n2) on rows x columns.
+    def split_energies(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
+        """(constant, terms): E(n1, n2) = constant + A(n1) + B(n2) on ``rows`` x ``cols``.
 
-        ``axes`` is a float array of the rows' labels n1, its first ``k``
-        entries, followed by the columns' labels n2; it is only read.  With
-        unit = pi^2/L^2, x = n1 + alpha/2 and y = n2 - alpha/2, the energy
+        With unit = pi^2/L^2, x = n1 + alpha/2 and y = n2 - alpha/2, the energy
         is 2 unit (x^2 + y^2).  A is the x term less its least value over
-        the rows, taken at the row r nearest -alpha/2, and B the y term less
-        its least over the columns, at the column c nearest alpha/2.  Both
-        are evaluated in factored form, A(n) = 2 unit (n - r)(n + r + alpha)
-        and B(n) = 2 unit (n - c)(n + c - alpha), so each keeps its own
-        relative accuracy, and constant = E(r, c).  ``terms`` holds A on the
-        rows, then B on the columns.  As alpha >= 0, r <= 0 <= c: where the
-        two windows' grounds are in the labels, E(r, c) is the least level.
+        ``rows``, taken at the row r nearest -alpha/2, and B the y term less its
+        least over ``cols``, at the column c nearest alpha/2.  Both are
+        evaluated in factored form, A(n) = 2 unit (n - r)(n + r + alpha) and
+        B(n) = 2 unit (n - c)(n + c - alpha), so each keeps its own relative
+        accuracy, and constant = E(r, c).  ``terms`` holds A on ``rows``, then B
+        on ``cols``.  As alpha >= 0, r <= 0 <= c: where the two windows'
+        grounds are in the labels, E(r, c) is the least level.  Labels given
+        as float arrays are only read, not copied.
         """
         unit, _ = self._unit_offset()
         half = 0.5 * self.alpha
-        rows, cols = axes[:k], axes[k:]
+        rows = np.asarray(rows, dtype=float)
+        cols = np.asarray(cols, dtype=float)
         r = rows[np.abs(rows + half).argmin()]
         c = cols[np.abs(cols - half).argmin()]
-        least = np.empty(len(axes))
-        least[:k] = r
-        least[k:] = c
-        terms = axes + least
+        k = len(rows)
+        terms, shifted = np.empty((2, k + len(cols)))
+        np.add(rows, r, out=terms[:k])
+        np.add(cols, c, out=terms[k:])
         terms[:k] += self.alpha
         terms[k:] -= self.alpha
-        shifted = np.subtract(axes, least, out=least)
+        np.subtract(rows, r, out=shifted[:k])
+        np.subtract(cols, c, out=shifted[k:])
         terms *= shifted
         terms *= 2.0 * unit
         x, y = r + half, c - half
@@ -295,15 +296,16 @@ def _upper_pairs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LevelSet:
-    """A truncated, energy-ascending array of labeled levels.
+    """A truncated array of labeled levels, energy-ascending unless enumerated in label order.
 
     ``labels`` is an int64 array, shape (N,) of n for the ring and (N, 2) of
     (n1, n2) rows for the pair; ``energies`` is the float64 array of shape
     (N,).  Equal energies are ordered by label.  Both arrays are read-only.
-    Only ``thermo.gibbs`` builds level sets.  The cycle table evaluates both
-    spectra on a label box (``label_box``) that holds every level either set
-    would keep, and the closed forms' oracles each spectrum on the label box
-    of its own window (``thermo._window_state``).
+    A set enumerated in label order (``enumerate_levels(..., order="label")``)
+    keeps the label box's order instead: the closed forms' oracles sum over
+    such sets, and only ``thermo.gibbs`` builds energy-ascending ones.  The
+    cycle table builds no level sets: it evaluates both spectra on a label
+    box (``label_box``) that holds every level either set would keep.
 
     ``tail_bound`` certifies the truncation for the inverse temperature the
     set was built for: it bounds sum over omitted levels of
@@ -589,7 +591,7 @@ def _search(spec, beta: float, tail_tol: float) -> tuple:
     raise DomainError(f"unsupported spectrum type: {type(spec).__name__}")
 
 
-def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
+def enumerate_levels(spec, beta: float, tail_tol: float, order: str = "energy") -> LevelSet:
     """Enumerate every level that matters at inverse temperature beta.
 
     The quantum-number window grows until the analytic bound on the omitted
@@ -597,22 +599,28 @@ def enumerate_levels(spec, beta: float, tail_tol: float) -> LevelSet:
     downward closed in energy: the pair's window is cut at an energy below
     every omitted level, and the ring's window needs no cut.  Levels come
     back energy-ascending, degeneracies as separate labeled entries, equal
-    energies in label order.  Only ``thermo.gibbs`` reads this order; the
-    cycle table and the closed forms' oracles take only the window's label
-    bounds (``window_bounds``) and sort nothing.
+    energies in label order.  Only ``thermo.gibbs`` reads this order.  With
+    ``order="label"`` the same levels come back label-ascending, unsorted:
+    the closed forms' oracles sum over them in that order.  The cycle table
+    takes only the window's label bounds (``window_bounds``).
 
     The energies are evaluated once, on the label box of the search's
     bounds, laid out as ``label_box`` does and cut where the search's cut is
     finite.  The box ascends by label, so one stable sort by energy gives
-    the order.  Raises NoConvergence when the window would pass its cap, and
-    DomainError when a kept energy is not a finite double.
+    the energy order.  Raises NoConvergence when the window would pass its
+    cap, and DomainError when a kept energy is not a finite double or
+    ``order`` is neither "energy" nor "label".
     """
+    if order not in ("energy", "label"):
+        raise DomainError(f"order must be 'energy' or 'label', got {order!r}")
     bounds, e_floor, tail = _search(spec, beta, tail_tol)
     labels, columns = label_box(bounds, bounds)
     energies = spec.energies(*columns)
     if e_floor < math.inf:
         keep = energies <= e_floor
         labels, energies = labels[keep], energies[keep]
+    if order == "label":
+        return LevelSet(labels, energies, float(tail), float(beta))
     return _sorted_level_set(labels, energies, tail, beta)
 
 

@@ -16,12 +16,6 @@ difference at any step count.  The cycle builds no path: its strokes hold
 the levels or the populations fixed, so their sums telescope to endpoint dot
 products, which ``otto.CycleReport.strokes`` reads from the cycle's table.
 The paths serve as the stepped reference the tests check those against.
-
-The cycle table and the partition oracles hold a Gibbs state on a label box
-by its label axes (``_Isochore``): the ring's one axis of n (``_RingAxes``),
-the pair's rows n1 and columns n2 (``_PairAxes``), each state built in one
-pass over its axes.  ``partition_function`` reads Z from the state on its own
-window's box (``_window_state``); it builds no level set.
 """
 
 from __future__ import annotations
@@ -34,14 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .spectra import (
-    LevelSet,
-    enumerate_levels,
-    frozen_array,
-    label_ranges,
-    require_finite_energies,
-    window_bounds,
-)
+from .spectra import LevelSet, enumerate_levels, frozen_array
 
 __all__ = [
     "GibbsEnsemble",
@@ -192,17 +179,27 @@ def _call(compute, *args):
 
 
 def partition_function(spec, beta: float, tail_tol: float = DEFAULT_TAIL_TOL, reuse=_call) -> float:
-    """Truncated partition function by direct summation over the window's label box.
+    """Truncated partition function by direct summation over enumerated levels.
 
     This is the summation oracle for the theta-function closed forms: no
-    theta identity enters, only exp(-beta E) term by term, weighted against
-    the ground state for range and rescaled by exp(-beta E_ground)
-    (``_Isochore.partition``).  The box is the one of the window that
-    ``spectra.window_bounds`` certifies, so it holds every level
-    ``enumerate_levels`` keeps.  ``reuse`` supplies the state
-    (``_window_state``, see ``otto._IsochoreMemo``); the default computes it.
+    theta identity enters, only exp(-beta E) term by term (``_boltzmann_sum``).
+    The levels are enumerated in label order, so none is sorted.  ``reuse``
+    supplies the enumeration (see ``otto._IsochoreMemo``); the default
+    computes it.
     """
-    return reuse(_window_state, spec, beta, tail_tol)[1].partition()
+    return _boltzmann_sum(reuse(enumerate_levels, spec, beta, tail_tol, "label"), beta)
+
+
+def _boltzmann_sum(levels: LevelSet, beta: float, values: np.ndarray = None) -> float:
+    """sum v exp(-beta E) over ``levels``, v = ``values`` level by level, or 1 where None.
+
+    The weights are evaluated against the ground state for range and the sum
+    rescaled by exp(-beta E_ground): 0.0 where that underflows a double.
+    """
+    weights, e0 = _ground_weights(levels.energies, beta)
+    if values is not None:
+        weights *= values
+    return float(weights.sum() * math.exp(-beta * e0))
 
 
 def _log_shifted_partition(populations: np.ndarray, ground: int) -> float:
@@ -238,173 +235,6 @@ def populations_entropy(populations: np.ndarray) -> float:
 def entropy(ensemble: GibbsEnsemble) -> float:
     """Von Neumann entropy -sum P ln P of the ensemble's populations (0 ln 0 = 0)."""
     return populations_entropy(ensemble.populations)
-
-
-@dataclass(frozen=True, eq=False)
-class _Isochore:
-    """One Gibbs state on a label box, as sums over the box's label axes.
-
-    Each level's energy is ``constant`` plus one entry of ``energies`` per
-    quantum number: the ring has one axis, its levels n, and a constant 0;
-    the pair has two, the box's rows n1 followed by its columns n2, each
-    shifted to its least entry.  ``populations`` are the state's marginal
-    populations on the same entries, so every sum of a level function that
-    separates by label is one O(K) sum over them.  ``shift`` is the entries'
-    ground (the ring's least level; 0 for the pair), subtracted inside each
-    heat sum, ``weight_sum`` the partition sum Z' of the ground-shifted
-    weights, ``log_z`` its log, and ``top`` an upper bound on the box's
-    energies.
-    """
-
-    spectrum: object
-    beta: float
-    energies: np.ndarray
-    populations: np.ndarray
-    shift: float
-    constant: float
-    log_z: float
-    top: float
-    weight_sum: float
-
-    def heat(self, dp: np.ndarray) -> float:
-        """sum (E - ground) dP: the constant and the ground cancel, as sum dP = 0."""
-        return sum_of_products(self.energies, dp, self.shift)
-
-    def work_to(self, other: "_Isochore") -> float:
-        """sum P (E_other - E) at this state's populations: an adiabat's work."""
-        gap = other.constant - self.constant
-        return gap + sum_of_products(self.populations, other.energies - self.energies)
-
-    def entropy(self) -> float:
-        """-sum P ln P = beta <E - ground> + ln Z' over the ground-shifted weights."""
-        return self.beta * sum_of_products(self.energies, self.populations, self.shift) + self.log_z
-
-    def partition(self) -> float:
-        """Z = Z' exp(-beta E_ground) over the box: 0.0 where it underflows a double."""
-        return self.weight_sum * math.exp(-self.beta * (self.constant + self.shift))
-
-
-class _RingAxes:
-    """The ring's label box, one range of n, and the Gibbs states on it.
-
-    The levels are the ring's one label axis, so a state's arrays are its
-    levels' energies and populations.
-    """
-
-    def __init__(self, bounds_b: tuple, bounds_a: tuple):
-        (self.labels,) = label_ranges(bounds_b, bounds_a)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def isochore(self, spectrum, beta: float) -> _Isochore:
-        """The state at ``beta`` in one pass: energies, one argmin, the weights and their sum.
-
-        Each rounding step of E = eps0 (n - alpha)^2 is monotone in
-        |n - alpha|, so the box's largest energy lies at its least or its
-        greatest label, even where its range comes in two pieces.
-        """
-        energies, populations = np.empty((2, len(self.labels)))
-        spectrum.energies(self.labels, out=energies)
-        ground = int(energies.argmin())
-        top = max(float(energies[0]), float(energies[-1]))
-        if not math.isfinite(top):
-            require_finite_energies(np.array([top]))
-        _, e0 = _ground_weights(energies, beta, populations, energies[ground])
-        z = float(populations.sum())
-        populations /= z
-        # The ground's shifted weight is exp(0) = 1, so its population is 1/Z'.
-        log_z = _log_shifted_partition(populations, ground)
-        return _Isochore(spectrum, beta, energies, populations, float(e0), 0.0, log_z, top, z)
-
-
-class _PairAxes:
-    """The pair's label box: rows n1 by columns n2, cut to n1 <= n2, by its two label axes.
-
-    Either range may come in two pieces (``spectra._label_range``), so each
-    row's first column n2 >= n1 and each column's last row n1 <= n2 are
-    found by position.  ``axes`` holds the rows' labels and then the
-    columns' as floats, formed once per box for every spectrum's
-    ``CSPairSpectrum.split_energies`` on it.
-    """
-
-    def __init__(self, bounds_b: tuple, bounds_a: tuple):
-        self.n1, self.n2 = label_ranges(bounds_b, bounds_a)
-        self.k = len(self.n1)
-        self.axes = np.empty(self.k + len(self.n2))
-        self.axes[:self.k], self.axes[self.k:] = self.n1, self.n2
-        self.first = self.n2.searchsorted(self.n1)  # each row's first column n2 >= n1
-        self.last = self.n1.searchsorted(self.n2, "right")  # each column's rows n1 <= n2
-        self.size = self.k * len(self.n2) - int(self.first.sum())
-
-    def __len__(self) -> int:
-        return self.size
-
-    def split(self, spectrum) -> tuple:
-        """``spectrum.split_energies`` on the box's axes: (constant, A on the rows, then B)."""
-        return spectrum.split_energies(self.axes, self.k)
-
-    def isochore(self, spectrum, beta: float) -> _Isochore:
-        """The state's marginals on the rows and the columns.
-
-        p(n1) = f(n1) sum_{n2 >= n1} g / Z' and p(n2) = g(n2) sum_{n1 <= n2} f / Z',
-        where f = exp(-beta A) and g = exp(-beta B) weigh the split's row and
-        column terms (``CSPairSpectrum.split_energies``), each 0 at its least
-        label: a level's weight is f(n1) g(n2), and the ground's is 1.  The
-        head and tail sums are running sums (``np.add.accumulate``); each tail
-        runs up from the smallest weights.
-        """
-        constant, energies = self.split(spectrum)
-        k = self.k
-        # A and B are convex in the label, so each axis peaks at one of its ends
-        top = max(energies[0], energies[k - 1]) + max(energies[k], energies[-1])
-        top = constant + float(top)
-        if not math.isfinite(top):
-            require_finite_energies(np.array([top]))
-        populations = np.multiply(energies, -beta)
-        np.exp(populations, out=populations)
-        # heads[i] = sum_{n1 < n1[i]} f, then tails[j] = sum_{n2 >= n2[j]} g
-        sums = np.zeros(len(energies) + 2)
-        heads, tails = sums[:k + 1], sums[k + 1:]
-        np.add.accumulate(populations[:k], out=heads[1:])
-        np.add.accumulate(populations[:k - 1:-1], out=tails[-2::-1])
-        populations[:k] *= tails[self.first]
-        z = float(populations[:k].sum())
-        log_z = math.log(z) if z > 2.0 else math.log1p(self._excited(energies, populations, tails))
-        populations[k:] *= heads[self.last]
-        populations /= z
-        return _Isochore(spectrum, beta, energies, populations, 0.0, constant, log_z, top, z)
-
-    def _excited(self, energies: np.ndarray, weights: np.ndarray, tails: np.ndarray) -> float:
-        """Z' - 1, never formed from Z': the sum of the excited levels' weights.
-
-        ``weights`` holds each row's weight f(n1) sum_{n2 >= n1} g and then each
-        column's g(n2), and ``tails`` the column tail sums.  The ground is the
-        row and the column where A and B are 0 (r <= c, see
-        ``CSPairSpectrum.split_energies``), each of weight 1, so Z' - 1 is every
-        other row's weight plus the ground row's other columns: the tail past
-        the ground column and the few columns from the row's first up to it.
-        Where Z' < 2 the box is small, so the sums run over lists.
-        """
-        k = self.k
-        row, col = int(energies[:k].argmin()), int(energies[k:].argmin())
-        rows = weights[:k].tolist()
-        rows[row] = 0.0
-        before_ground = weights[k + self.first[row]:k + col].tolist()
-        return sum(rows) + float(tails[col + 1]) + sum(before_ground)
-
-
-def _window_state(spec, beta: float, tail_tol: float) -> tuple:
-    """(axes, state): the Gibbs state at ``beta`` on the label box of ``spec``'s own window.
-
-    The box spans the label bounds that ``spectra.window_bounds`` certifies,
-    which raises for bad arguments, so it holds every level
-    ``enumerate_levels`` keeps; the pair's holds the corners that its cut
-    drops too.
-    """
-    bounds = window_bounds(spec, beta, tail_tol)
-    axes = (_PairAxes if len(bounds) == 2 else _RingAxes)(bounds, bounds)
-    return axes, axes.isochore(spec, beta)
 
 
 def require_step_count(n, name: str) -> None:

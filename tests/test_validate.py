@@ -305,13 +305,13 @@ def test_theta_families_match_a_direct_recomputation(seed):
         assert max_residual > 0.0
 
 
-# The factors, window searches and oracle states that validate's memo shares,
-# by the modules that call each through the memo, with the number of distinct
-# argument lists one run gives each.
+# The factors, window searches and oracle enumerations that validate's memo
+# shares, by the modules that call each through the memo, with the number of
+# distinct argument lists one run gives each.
 SHARED = {
     ((cf,), "_ring_isochore"): 76,
     ((cf,), "_cs_isochore"): 42,
-    ((cf, thermo), "_window_state"): 50,
+    ((cf, thermo), "enumerate_levels"): 50,
     ((otto,), "window_bounds"): 78,
 }
 
@@ -370,25 +370,26 @@ def test_each_factor_window_and_enumeration_runs_once(monkeypatch):
     assert calls == {name: n for (_, name), n in SHARED.items()}
 
 
-def test_partition_oracles_share_their_states_through_the_memo(monkeypatch):
-    # cs-partition's oracle and the pair energy sums meet the same window states;
-    # each is built once per run, whichever family asks first
+def test_partition_oracles_enumerate_through_the_memo(monkeypatch):
+    # cs-partition's oracle and the pair energy sums meet the same level sets;
+    # each is enumerated once per run, in label order, whichever family asks first
     calls = []
 
-    def counted(spec, beta, tail_tol, real=thermo._window_state):
-        calls.append(repr((spec, beta.hex(), tail_tol.hex())))
-        return real(spec, beta, tail_tol)
+    def counted(spec, beta, tail_tol, order, real=spectra.enumerate_levels):
+        calls.append(repr((spec, beta.hex(), tail_tol.hex(), order)))
+        return real(spec, beta, tail_tol, order)
 
     for module in (cf, thermo):
-        monkeypatch.setattr(module, "_window_state", counted)
+        monkeypatch.setattr(module, "enumerate_levels", counted)
     run_validation(random_points=10)
     assert len(calls) == len(set(calls)) == 50
+    assert all(call.endswith("'label')") for call in calls)
 
 
 @pytest.mark.parametrize("variant", cf.VARIANTS)
-def test_validate_builds_no_level_set(monkeypatch, variant):
+def test_validate_sorts_no_level_set(monkeypatch, variant):
     def refused(*args):
-        raise AssertionError("validate built a LevelSet")
+        raise AssertionError("validate sorted a LevelSet")
 
     monkeypatch.setattr(spectra, "_sorted_level_set", refused)
     results = run_validation(random_points=10, variant=variant)
