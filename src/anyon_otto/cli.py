@@ -34,7 +34,6 @@ from .otto import (
     MEDIUM,
     REGIME_ENGINE,
     OttoCycleSpec,
-    _IsochoreMemo,
     _sweep_rows,
     efficiency_cs_volume,
     run_cycle,
@@ -42,7 +41,7 @@ from .otto import (
 )
 from .special_functions import DEFAULT_ACCURACY, SumAccuracy
 from .spectra import require_finite, require_tail_tol
-from .thermo import DEFAULT_TAIL_TOL, _call
+from .thermo import DEFAULT_TAIL_TOL, _sharing
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -200,30 +199,29 @@ def _cycle_spec(cfg: _RunConfig, fallback: dict | None = None) -> OttoCycleSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _closed_form(efficiency, s: OttoCycleSpec, acc, reuse) -> float:
-    """``cf._ring_efficiency`` or ``cf._cs_efficiency`` at ``s``.
+def _closed_form(efficiency, s: OttoCycleSpec, acc) -> float:
+    """``cf.ring_efficiency_value`` or ``cf.cs_efficiency_value`` at ``s``.
 
     Both take the medium's named parameters in table order, with the two
     temperatures after the two controls.
     """
     first, second, fixed = MEDIUM[s.medium].values(s)
-    return efficiency(first, second, s.beta_h, s.beta_l, fixed, acc, cf.VARIANT_REDERIVED, reuse)
+    return efficiency(first, second, s.beta_h, s.beta_l, fixed, acc, cf.VARIANT_REDERIVED)
 
 
 # Per medium, the (value, reference) pair whose relative residual the CLI
 # reports for a cycle of efficiency eta: the theta closed forms against eta for
 # ring and cs-coupling, eta against the compression ratio for cs-volume.
-# ``reuse`` supplies the closed forms' per-isochore factors (see thermo._call).
 _RESIDUALS = {
-    "ring": lambda s, eta, acc, reuse: (_closed_form(cf._ring_efficiency, s, acc, reuse), eta),
-    "cs-volume": lambda s, eta, acc, reuse: (
+    "ring": lambda s, eta, acc: (_closed_form(cf.ring_efficiency_value, s, acc), eta),
+    "cs-volume": lambda s, eta, acc: (
         eta, efficiency_cs_volume(*MEDIUM["cs-volume"].values(s)[:2])
     ),
-    "cs-coupling": lambda s, eta, acc, reuse: (_closed_form(cf._cs_efficiency, s, acc, reuse), eta),
+    "cs-coupling": lambda s, eta, acc: (_closed_form(cf.cs_efficiency_value, s, acc), eta),
 }
 
 
-def _closed_form_residual(spec: OttoCycleSpec, efficiency: float, cfg: _RunConfig, reuse=_call):
+def _closed_form_residual(spec: OttoCycleSpec, efficiency: float, cfg: _RunConfig):
     """Residual of the closed-form efficiency against ``efficiency``, if any.
 
     ``efficiency`` is the caller's run_cycle result for ``spec``: the same
@@ -231,7 +229,7 @@ def _closed_form_residual(spec: OttoCycleSpec, efficiency: float, cfg: _RunConfi
     """
     acc = SumAccuracy(rel_tol=cfg.get("rel_tol", DEFAULT_ACCURACY.rel_tol))
     try:
-        return cf.relative_residual(*_RESIDUALS[spec.medium](spec, efficiency, acc, reuse))
+        return cf.relative_residual(*_RESIDUALS[spec.medium](spec, efficiency, acc))
     except AnyonOttoError:
         return None
 
@@ -460,22 +458,23 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(cfg, required=True)
     formats = _parse_formats(cfg)
 
-    # One row loop with sweep_efficiency, and one memo for the rows' windows and
-    # closed forms, so the unswept isochore's bounds and theta factors come once.
-    reuse = _IsochoreMemo()
+    # One row loop with sweep_efficiency, and one sharing scope for the rows'
+    # windows and closed forms, so the unswept isochore's bounds and theta
+    # factors come once.
     records = []
     wall_times = []
     t0 = time.perf_counter()
-    for row in _sweep_rows(template, MEDIUM[medium].axis_fields[axis], grid, reuse):
-        r = row.report
-        values = (None,) * 6
-        if r is not None:
-            residual = _closed_form_residual(row.spec, r.efficiency, cfg, reuse)
-            values = (r.efficiency, r.q_in, r.q_out, r.w_out, r.regime, residual)
-        records.append(dict(zip(_SWEEP_KEYS, (row.value, *values, row.error))))
-        t1 = time.perf_counter()
-        wall_times.append(t1 - t0)
-        t0 = t1
+    with _sharing():
+        for row in _sweep_rows(template, MEDIUM[medium].axis_fields[axis], grid):
+            r = row.report
+            values = (None,) * 6
+            if r is not None:
+                residual = _closed_form_residual(row.spec, r.efficiency, cfg)
+                values = (r.efficiency, r.q_in, r.q_out, r.w_out, r.regime, residual)
+            records.append(dict(zip(_SWEEP_KEYS, (row.value, *values, row.error))))
+            t1 = time.perf_counter()
+            wall_times.append(t1 - t0)
+            t0 = t1
 
     try:
         if "csv" in formats:

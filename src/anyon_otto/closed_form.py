@@ -51,15 +51,15 @@ its series are finite.  The partition closed forms and the weighted sums
 and U(c) that the efficiencies use.  The pair's full-lattice triples do not
 depend on alpha at all.
 
-The reports and the private ``_ring_efficiency``/``_cs_efficiency`` take a
-``reuse(f, *args)`` through which each per-isochore factor, each alpha-free
-pair triple, each cycle oracle's window searches and each partition or pair
-energy-sum oracle's level enumeration is obtained; the default,
-``thermo._call``, computes it.  Those oracles enumerate their window in label
-order and sum over it unsorted, so ``validate`` sorts no level set.  A CLI
-sweep passes one ``otto._IsochoreMemo``, so the isochore its axis leaves
-alone is summed once per sweep and the alpha-free pair triples once per
-temperature; ``validate`` passes one for its whole run.
+Each per-isochore factor, each series triple, each cycle oracle's window
+searches and each partition or pair energy-sum oracle's level enumeration
+is obtained through ``thermo._shared``, which keeps it for the open
+``thermo._sharing`` scope and computes it afresh outside one.  Those oracles
+enumerate their window in label order and sum over it unsorted, so
+``validate`` sorts no level set.  A CLI sweep opens one scope, so the
+isochore its axis leaves alone is summed once per sweep and the alpha-free
+pair triples once per temperature; ``validate`` opens one for its whole run,
+so it sums each triple once.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from .special_functions import (
     theta3,
 )
 from .spectra import CSPairSpectrum, RingAnyonSpectrum, enumerate_levels, require_pair_length
-from .thermo import DEFAULT_TAIL_TOL, _boltzmann_sum, _call, partition_function
+from .thermo import DEFAULT_TAIL_TOL, _boltzmann_sum, _shared, partition_function
 
 __all__ = [
     "VARIANTS",
@@ -256,7 +256,6 @@ def ring_weighted_energy_sum(
     eps0: float = 1.0,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
-    reuse=_call,
 ) -> ClosedFormReport:
     """sum_n E_n(alpha_weight) exp(-beta E_n(alpha_boltz)) for ring levels.
 
@@ -264,7 +263,7 @@ def ring_weighted_energy_sum(
     gamma = alpha_boltz, c = alpha_weight; oracle by direct weighted
     summation (gauss_sum_full, weight 2).
     """
-    value = reuse(_ring_isochore, alpha_boltz, beta, eps0, acc, variant)[1](alpha_weight)
+    value = _shared(_ring_isochore, alpha_boltz, beta, eps0, acc, variant)[1](alpha_weight)
     oracle = eps0 * gauss_sum_full(beta * eps0, alpha_boltz, alpha_weight, 2, acc)
     return _report(value, oracle, variant)
 
@@ -287,7 +286,7 @@ def _ring_isochore(alpha: float, beta: float, eps0: float, acc: SumAccuracy, var
     """
     weighted = _check_variant(variant).weighted
     lam = _ring_lam(beta, eps0)
-    t = _theta_values(lam, alpha, False, acc)
+    t = _shared(_theta_values, lam, alpha, False, acc)
     return _plain(t, lam, alpha), lambda c: eps0 * weighted(t, lam, alpha, c)
 
 
@@ -298,7 +297,6 @@ def ring_partition_closed(
     tail_tol: float = DEFAULT_TAIL_TOL,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
-    reuse=_call,
 ) -> ClosedFormReport:
     """Ring partition function exp(-lam alpha^2) theta3(exp(2 lam alpha), exp(-lam)).
 
@@ -309,10 +307,10 @@ def ring_partition_closed(
     """
     printed = _check_variant(variant).ring_partition
     if printed is None:
-        value = reuse(_ring_isochore, alpha, beta, eps0, acc, variant)[0]
+        value = _shared(_ring_isochore, alpha, beta, eps0, acc, variant)[0]
     else:
         value = printed(_ring_lam(beta, eps0), alpha, acc)
-    oracle = partition_function(RingAnyonSpectrum(eps0=eps0, alpha=alpha), beta, tail_tol, reuse)
+    oracle = partition_function(RingAnyonSpectrum(eps0=eps0, alpha=alpha), beta, tail_tol)
     _require_partitions(value, oracle)
     return _report(value, oracle, variant)
 
@@ -332,20 +330,11 @@ def ring_efficiency_value(
     U(k, j) the energy sum weighted by the spectrum at alpha_k and Boltzmann
     factors of the spectrum at alpha_j, taken at that reservoir's beta.
     """
-    return _ring_efficiency(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant, _call)
-
-
-def _ring_efficiency(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant, reuse) -> float:
-    """``ring_efficiency_value`` with each isochore's factors from ``reuse(f, *args)``.
-
-    A sweep passes a memo that keeps the factors of the isochore its axis
-    leaves alone; ``_call`` computes every factor afresh.
-    """
     printed = _check_variant(variant).ring_partition
     if alpha_h == alpha_l:
         raise DegenerateCycle("alpha_h == alpha_l: numerator equals denominator")
-    hot = reuse(_ring_isochore, alpha_h, beta_h, eps0, acc, variant)
-    cold = reuse(_ring_isochore, alpha_l, beta_l, eps0, acc, variant)
+    hot = _shared(_ring_isochore, alpha_h, beta_h, eps0, acc, variant)
+    cold = _shared(_ring_isochore, alpha_l, beta_l, eps0, acc, variant)
     if printed is not None:
         hot = printed(beta_h * eps0, alpha_h, acc), hot[1]
         cold = printed(beta_l * eps0, alpha_l, acc), cold[1]
@@ -361,12 +350,11 @@ def ring_efficiency_closed(
     tail_tol: float = DEFAULT_TAIL_TOL,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
-    reuse=_call,
 ) -> ClosedFormReport:
     """``ring_efficiency_value`` checked against its oracle, run_cycle."""
-    value = _ring_efficiency(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant, reuse)
+    value = ring_efficiency_value(alpha_h, alpha_l, beta_h, beta_l, eps0, acc, variant)
     oracle = run_cycle(
-        OttoCycleSpec.ring_cycle(alpha_h, alpha_l, beta_h, beta_l, eps0, tail_tol), reuse
+        OttoCycleSpec.ring_cycle(alpha_h, alpha_l, beta_h, beta_l, eps0, tail_tol)
     ).efficiency
     return _report(value, oracle, variant)
 
@@ -382,7 +370,6 @@ def cs_partition_parity_terms(
     L: float,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
-    reuse=_call,
 ) -> tuple:
     """(even, odd) parity-sector terms of the pair partition function.
 
@@ -393,7 +380,7 @@ def cs_partition_parity_terms(
     rederived ones at -alpha.
     """
     sign = _check_variant(variant).pair_sign
-    return reuse(_cs_isochore, sign * alpha, beta, L, acc, VARIANT_REDERIVED, reuse)[0]
+    return _shared(_cs_isochore, sign * alpha, beta, L, acc, VARIANT_REDERIVED)[0]
 
 
 def cs_partition_closed(
@@ -403,16 +390,15 @@ def cs_partition_closed(
     tail_tol: float = DEFAULT_TAIL_TOL,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
-    reuse=_call,
 ) -> ClosedFormReport:
     """Pair partition function from the parity-split theta product form.
 
     Oracle: direct truncated summation over enumerated (n1, n2) levels
     (``thermo.partition_function``).
     """
-    even, odd = cs_partition_parity_terms(alpha, beta, L, acc, variant, reuse)
+    even, odd = cs_partition_parity_terms(alpha, beta, L, acc, variant)
     value = even + odd
-    oracle = partition_function(CSPairSpectrum(L=L, alpha=alpha), beta, tail_tol, reuse)
+    oracle = partition_function(CSPairSpectrum(L=L, alpha=alpha), beta, tail_tol)
     _require_partitions(value, oracle)
     return _report(value, oracle, variant)
 
@@ -425,7 +411,6 @@ def cs_weighted_energy_sum(
     tail_tol: float = DEFAULT_TAIL_TOL,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
-    reuse=_call,
 ) -> ClosedFormReport:
     """sum over n1 <= n2 of E(alpha_weight) exp(-beta E(alpha_boltz)).
 
@@ -438,24 +423,24 @@ def cs_weighted_energy_sum(
     Oracle: direct double sum over the enumerated level set, in label order,
     shared with the pair partition oracle's; every term is positive.
     """
-    (even, odd), energy_sum = reuse(_cs_isochore, alpha_boltz, beta, L, acc, variant, reuse)
+    (even, odd), energy_sum = _shared(_cs_isochore, alpha_boltz, beta, L, acc, variant)
     spec = CSPairSpectrum(L=L, alpha=alpha_boltz)
-    _require_partitions(even + odd, partition_function(spec, beta, tail_tol, reuse))
-    levels = reuse(enumerate_levels, spec, beta, tail_tol, "label")
+    _require_partitions(even + odd, partition_function(spec, beta, tail_tol))
+    levels = _shared(enumerate_levels, spec, beta, tail_tol, "label")
     weights = CSPairSpectrum(L=L, alpha=alpha_weight).energies(*levels.labels.T)
     oracle = _boltzmann_sum(levels, beta, weights)
     return _report(energy_sum(alpha_weight), oracle, variant)
 
 
-def _cs_isochore(alpha: float, beta: float, L: float, acc: SumAccuracy, variant: str, reuse=_call):
+def _cs_isochore(alpha: float, beta: float, L: float, acc: SumAccuracy, variant: str):
     """((even, odd), c -> X(c)) of the pair isochore (alpha, beta), from four series triples.
 
     X(c) = sum over n1 <= n2 of E(c) exp(-beta E(alpha)).  All four triples
     are at decay rate 4 beta pi^2 / L^2: the full lattice at gamma 0 (even
-    sector) and -1/2 (odd), which do not depend on alpha and come from
-    ``reuse``, and the half lattice at alpha/2 and (alpha - 1)/2.  Each
-    sector of Z is the product of the plain full- and half-lattice factors
-    that X(c) uses.
+    sector) and -1/2 (odd), which do not depend on alpha, and the half
+    lattice at alpha/2 and (alpha - 1)/2.  Each comes through ``_shared``.
+    Each sector of Z is the product of the plain full- and half-lattice
+    factors that X(c) uses.
     """
     _check_variant(variant)
     if not beta > 0.0:
@@ -467,10 +452,10 @@ def _cs_isochore(alpha: float, beta: float, L: float, acc: SumAccuracy, variant:
         raise DomainError(f"series decay rate must be positive, got {-beta * unit}")
     c4 = 4.0 * beta * unit
     g_even, g_odd = alpha / 2.0, (alpha - 1.0) / 2.0
-    full_even = reuse(_theta_values, c4, 0.0, False, acc)
-    half_even = _theta_values(c4, g_even, True, acc)
-    full_odd = reuse(_theta_values, c4, -0.5, False, acc)
-    half_odd = _theta_values(c4, g_odd, True, acc)
+    full_even = _shared(_theta_values, c4, 0.0, False, acc)
+    half_even = _shared(_theta_values, c4, g_even, True, acc)
+    full_odd = _shared(_theta_values, c4, -0.5, False, acc)
+    half_odd = _shared(_theta_values, c4, g_odd, True, acc)
     plain_even = _plain(full_even, c4, 0.0), _plain(half_even, c4, g_even)
     plain_odd = _plain(full_odd, c4, -0.5), _plain(half_odd, c4, g_odd)
 
@@ -505,16 +490,11 @@ def cs_efficiency_value(
 
     (the alpha1 weight in the numerator, alpha2 in the denominator).
     """
-    return _cs_efficiency(alpha1, alpha2, beta_h, beta_l, L, acc, variant, _call)
-
-
-def _cs_efficiency(alpha1, alpha2, beta_h, beta_l, L, acc, variant, reuse) -> float:
-    """``cs_efficiency_value`` with each isochore's factors from ``reuse(f, *args)``."""
     _check_variant(variant)
     if alpha1 == alpha2:
         raise DegenerateCycle("alpha1 == alpha2: numerator equals denominator")
-    (even_h, odd_h), x_h = reuse(_cs_isochore, alpha2, beta_h, L, acc, variant, reuse)
-    (even_l, odd_l), x_l = reuse(_cs_isochore, alpha1, beta_l, L, acc, variant, reuse)
+    (even_h, odd_h), x_h = _shared(_cs_isochore, alpha2, beta_h, L, acc, variant)
+    (even_l, odd_l), x_l = _shared(_cs_isochore, alpha1, beta_l, L, acc, variant)
     return _assemble((even_h + odd_h, x_h), (even_l + odd_l, x_l), alpha2, alpha1, _TINY)
 
 
@@ -527,11 +507,10 @@ def cs_efficiency_closed(
     tail_tol: float = DEFAULT_TAIL_TOL,
     acc: SumAccuracy = DEFAULT_ACCURACY,
     variant: str = VARIANT_REDERIVED,
-    reuse=_call,
 ) -> ClosedFormReport:
     """``cs_efficiency_value`` checked against its oracle, run_cycle on cs-coupling."""
-    value = _cs_efficiency(alpha1, alpha2, beta_h, beta_l, L, acc, variant, reuse)
+    value = cs_efficiency_value(alpha1, alpha2, beta_h, beta_l, L, acc, variant)
     oracle = run_cycle(
-        OttoCycleSpec.cs_coupling_cycle(alpha1, alpha2, beta_h, beta_l, L, tail_tol), reuse
+        OttoCycleSpec.cs_coupling_cycle(alpha1, alpha2, beta_h, beta_l, L, tail_tol)
     ).efficiency
     return _report(value, oracle, variant)

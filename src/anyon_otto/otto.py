@@ -57,7 +57,6 @@ rejected.
 from __future__ import annotations
 
 import dataclasses
-import marshal
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -80,9 +79,10 @@ from .spectra import (
 )
 from .thermo import (
     DEFAULT_TAIL_TOL,
-    _call,
     _ground_weights,
     _log_shifted_partition,
+    _shared,
+    _sharing,
     boltzmann,
     require_step_count,
     sum_of_products,
@@ -595,38 +595,7 @@ def _rows_are_noise(rows: tuple, r: float, limit: float) -> bool:
     return _EPS * spread >= limit
 
 
-_PLAIN = (float, int, str)
-
-
-class _IsochoreMemo:
-    """A ``reuse(compute, *args)`` that keeps every result for one command.
-
-    A cycle has two isochores, and a sweep whose axis moves one of them finds
-    the other's window and closed-form factors here in every row; ``validate``
-    finds each isochore its grids visit again.  Arguments are floats, ints,
-    strings, or dataclasses of them (spectra, ``SumAccuracy``); they are
-    matched by their ``marshal`` bytes, a dataclass by its field dict.  That
-    compares floats bit for bit, so it tells -0.0 from 0.0 where == does not,
-    and formats nothing.  Format version 2 writes no back-references, so
-    equal arguments give equal bytes whether or not they are one object.
-    The memo itself, passed on to a factor that fetches its own factors
-    through it, is left out of the key.  A computation that raised keeps
-    nothing.  One instance serves one sweep or one validation run and is
-    dropped with it.
-    """
-
-    def __init__(self):
-        self._results = {}
-
-    def __call__(self, compute, *args):
-        fields = [a if isinstance(a, _PLAIN) else vars(a) for a in args if a is not self]
-        key = (compute, marshal.dumps(fields, 2))
-        if key not in self._results:
-            self._results[key] = compute(*args)
-        return self._results[key]
-
-
-def _cycle_table(spec: OttoCycleSpec, reuse=_call):
+def _cycle_table(spec: OttoCycleSpec):
     """(box, hot, cold): the label box of the two isochores and each one's Gibbs state on it.
 
     ``len(box)`` is the box's level count; ``box.rows(hot, cold)`` gives
@@ -635,23 +604,23 @@ def _cycle_table(spec: OttoCycleSpec, reuse=_call):
     hot_spec = spec.spectrum_hot()
     cold_spec = spec.spectrum_cold()
     bounds = (
-        reuse(window_bounds, hot_spec, spec.beta_h, spec.tail_tol),
-        reuse(window_bounds, cold_spec, spec.beta_l, spec.tail_tol),
+        _shared(window_bounds, hot_spec, spec.beta_h, spec.tail_tol),
+        _shared(window_bounds, cold_spec, spec.beta_l, spec.tail_tol),
     )
     box = (_PairBox if len(bounds[0]) == 2 else _RingBox)(*bounds)
     return box, box.isochore(hot_spec, spec.beta_h), box.isochore(cold_spec, spec.beta_l)
 
 
-def run_cycle(spec: OttoCycleSpec, reuse=_call) -> CycleReport:
+def run_cycle(spec: OttoCycleSpec) -> CycleReport:
     """Run one Otto cycle and report heats, work, efficiency and regime.
 
     Raises DegenerateCycle when Q_in vanishes identically (for example
     beta_h = beta_l with identical hot and cold controls), where the
     efficiency ratio is 0/0, or so small that the efficiency is only the
-    populations' rounding noise.  ``reuse`` supplies the two window searches
-    (see ``_IsochoreMemo``); the default computes both.
+    populations' rounding noise.  The two window searches are kept for the
+    open ``thermo._sharing`` scope, if any.
     """
-    return _cycle_report(*_cycle_table(spec, reuse))
+    return _cycle_report(*_cycle_table(spec))
 
 
 def _cycle_report(box, hot: _Isochore, cold: _Isochore) -> CycleReport:
@@ -760,6 +729,7 @@ def sweep_axes(medium: str) -> tuple:
     return tuple(MEDIUM[medium].axis_fields)
 
 
+@_sharing()
 def sweep_efficiency(
     template: OttoCycleSpec, sweep_axis: str, values: Sequence[float]
 ) -> list:
@@ -769,7 +739,8 @@ def sweep_efficiency(
     a degenerate cycle, a domain violation or an enumeration that does not
     converge) is recorded in its row and does not abort the sweep.  Each row
     equals an independent ``run_cycle`` bit for bit; the isochore the axis
-    leaves alone is computed once per call (see ``_sweep_rows``).
+    leaves alone is computed once per call, which opens one ``_sharing``
+    scope (see ``_sweep_rows``).
     """
     try:
         field = MEDIUM[template.medium].axis_fields[sweep_axis]
@@ -778,13 +749,13 @@ def sweep_efficiency(
             f"cannot sweep {sweep_axis!r} for medium {template.medium!r}; "
             f"choose one of {sweep_axes(template.medium)}"
         ) from None
-    return list(_sweep_rows(template, field, values, _IsochoreMemo()))
+    return list(_sweep_rows(template, field, values))
 
 
-def _sweep_rows(template: OttoCycleSpec, field: str, values: Sequence[float], reuse):
+def _sweep_rows(template: OttoCycleSpec, field: str, values: Sequence[float]):
     """Yield the SweepRow of each value in turn: the row loop of every sweep.
 
-    The rows share the sweep's ``_IsochoreMemo`` ``reuse``, so a row whose
+    The rows share the caller's ``_sharing`` scope, so a row whose
     isochore has the (spectrum, beta, tail_tol) of an earlier row takes that
     window's label bounds instead of searching it again.  The box and its
     energies depend on both isochores and are built per row.
@@ -793,7 +764,7 @@ def _sweep_rows(template: OttoCycleSpec, field: str, values: Sequence[float], re
         cycle_spec = None
         try:
             cycle_spec = dataclasses.replace(template, **{field: float(value)})
-            row = SweepRow(float(value), run_cycle(cycle_spec, reuse), spec=cycle_spec)
+            row = SweepRow(float(value), run_cycle(cycle_spec), spec=cycle_spec)
         except (AnyonOttoError, ValueError) as exc:
             row = SweepRow(
                 value=float(value),

@@ -20,8 +20,11 @@ The paths serve as the stepped reference the tests check those against.
 
 from __future__ import annotations
 
+import contextlib
+import marshal
 import math
 import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -173,21 +176,56 @@ def gibbs(spec, beta: float, tail_tol: float = DEFAULT_TAIL_TOL) -> GibbsEnsembl
     return ensemble_from_levels(enumerate_levels(spec, beta, tail_tol), beta)
 
 
-def _call(compute, *args):
-    """``compute(*args)``: the ``reuse`` of a single computation, which shares nothing."""
-    return compute(*args)
+# The results kept by the innermost open ``_sharing`` scope; None outside one.
+_SCOPE: ContextVar = ContextVar("anyon_otto_shared", default=None)
+_PLAIN = (float, int, str)
 
 
-def partition_function(spec, beta: float, tail_tol: float = DEFAULT_TAIL_TOL, reuse=_call) -> float:
+@contextlib.contextmanager
+def _sharing():
+    """Keep every ``_shared`` result until the scope exits, also by an exception.
+
+    One scope serves one command: a ``sweep_efficiency`` call, an
+    ``anyon-otto sweep`` or a ``validate`` run.  It lives in a ``ContextVar``,
+    so each thread has its own and concurrent use needs no locking.  As a
+    decorator it opens a fresh scope per call.
+    """
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _shared(compute, *args):
+    """``compute(*args)``, kept for the open ``_sharing`` scope; computed afresh outside one.
+
+    Arguments are floats, ints, strings, or dataclasses of them (spectra,
+    ``SumAccuracy``); they are matched by their ``marshal`` bytes, a
+    dataclass by its field dict.  That compares floats bit for bit, so it
+    tells -0.0 from 0.0 where == does not, and formats nothing.  Format
+    version 2 writes no back-references, so equal arguments give equal bytes
+    whether or not they are one object.  A computation that raised keeps
+    nothing.
+    """
+    results = _SCOPE.get()
+    if results is None:
+        return compute(*args)
+    key = (compute, marshal.dumps([a if isinstance(a, _PLAIN) else vars(a) for a in args], 2))
+    if key not in results:
+        results[key] = compute(*args)
+    return results[key]
+
+
+def partition_function(spec, beta: float, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     """Truncated partition function by direct summation over enumerated levels.
 
     This is the summation oracle for the theta-function closed forms: no
     theta identity enters, only exp(-beta E) term by term (``_boltzmann_sum``).
-    The levels are enumerated in label order, so none is sorted.  ``reuse``
-    supplies the enumeration (see ``otto._IsochoreMemo``); the default
-    computes it.
+    The levels are enumerated in label order, so none is sorted, and once
+    per ``_sharing`` scope (``_shared``).
     """
-    return _boltzmann_sum(reuse(enumerate_levels, spec, beta, tail_tol, "label"), beta)
+    return _boltzmann_sum(_shared(enumerate_levels, spec, beta, tail_tol, "label"), beta)
 
 
 def _boltzmann_sum(levels: LevelSet, beta: float, values: np.ndarray = None) -> float:

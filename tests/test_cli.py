@@ -632,6 +632,13 @@ class TestValidateCommand:
         code, out, _ = run_cli(["validate", "--rel-tol", "1e-3"], capsys)
         assert code == 0
 
+    def test_rel_tol_below_the_threshold_floor_passes(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["validate", "--rel-tol", "1e-17"], capsys)
+        assert (code, err) == (0, "")
+        assert sum(line.startswith("PASS ") for line in out.splitlines()) == 11
+
     def test_printed_variant_fails_and_is_named(self, capsys):
         code, out, _ = run_cli(["validate", "--variant", "paper-main-text"], capsys)
         assert code == 3

@@ -502,83 +502,3 @@ class TestSweepSharing:
         run_cycle(spec)
         run_cycle(spec)
         assert len(calls) == 4
-
-
-class TestIsochoreMemo:
-    def test_keeps_every_result_per_function(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return [x]
-
-        reuse = otto._IsochoreMemo()
-        first = {x: reuse(f, x) for x in (1.0, 2.0, 3.0)}
-        for x in (3.0, 1.0, 2.0, 1.0):
-            assert reuse(f, x) is first[x]
-        assert calls == [1.0, 2.0, 3.0]
-
-    def test_a_computation_that_raised_is_not_kept(self):
-        calls = []
-
-        def fails_once(x):
-            calls.append(x)
-            if len(calls) == 1:
-                raise DomainError("first call fails")
-            return x
-
-        reuse = otto._IsochoreMemo()
-        with pytest.raises(DomainError):
-            reuse(fails_once, 1.0)
-        assert (reuse(fails_once, 1.0), reuse(fails_once, 1.0)) == (1.0, 1.0)
-        assert calls == [1.0, 1.0]
-
-    def test_the_memo_passed_on_is_not_part_of_the_key(self):
-        calls = []
-
-        def outer(x, reuse):
-            calls.append(x)
-            return reuse(math.sqrt, x)
-
-        reuse = otto._IsochoreMemo()
-        assert reuse(outer, 4.0, reuse) == reuse(outer, 4.0, reuse) == 2.0
-        assert calls == [4.0]
-
-    def test_signed_zeros_are_distinct_keys(self):
-        reuse = otto._IsochoreMemo()
-
-        def sign(x):
-            return math.copysign(1.0, x)
-
-        assert (reuse(sign, 0.0), reuse(sign, -0.0)) == (1.0, -1.0)
-
-    def test_equal_arguments_match_whether_or_not_they_are_one_object(self):
-        calls = []
-
-        def f(x, y):
-            calls.append((x, y))
-            return x + y
-
-        reuse = otto._IsochoreMemo()
-        one = 1.0
-        assert reuse(f, one, one) == reuse(f, one, float("1.0")) == 2.0
-        assert len(calls) == 1
-
-    def test_functions_do_not_evict_each_other(self):
-        calls = []
-
-        def f(x):
-            calls.append(("f", x))
-            return x
-
-        def g(x):
-            calls.append(("g", x))
-            return x
-
-        reuse = otto._IsochoreMemo()
-        for x in (1.0, 2.0):
-            reuse(f, x)
-            reuse(g, x)
-        reuse(f, 1.0)
-        reuse(g, 1.0)
-        assert calls == [("f", 1.0), ("g", 1.0), ("f", 2.0), ("g", 2.0)]

@@ -1,6 +1,7 @@
 """Gibbs ensembles, partition functions, and the heat/work split."""
 
 import math
+import threading
 
 import mpmath
 import numpy as np
@@ -11,6 +12,8 @@ from anyon_otto.spectra import CSPairSpectrum, LevelSet, RingAnyonSpectrum
 from anyon_otto.special_functions import gauss_sum_full
 from anyon_otto.thermo import (
     PathStep,
+    _shared,
+    _sharing,
     adiabat_path,
     ensemble_from_levels,
     entropy,
@@ -305,3 +308,129 @@ class TestHeatWorkSplit:
         )
         assert w == 0.0
         assert abs(q - delta_e) < 1e-14
+
+
+def _counted(calls, name="f"):
+    """A function that logs (name, x) per call and returns [x], a fresh object each time."""
+
+    def f(x):
+        calls.append((name, x))
+        return [x]
+
+    return f
+
+
+class TestSharedScope:
+    def test_keeps_every_result_per_function(self):
+        calls = []
+        f = _counted(calls)
+        with _sharing():
+            first = {x: _shared(f, x) for x in (1.0, 2.0, 3.0)}
+            for x in (3.0, 1.0, 2.0, 1.0):
+                assert _shared(f, x) is first[x]
+        assert calls == [("f", 1.0), ("f", 2.0), ("f", 3.0)]
+
+    def test_functions_do_not_evict_each_other(self):
+        calls = []
+        f, g = _counted(calls, "f"), _counted(calls, "g")
+        with _sharing():
+            for x in (1.0, 2.0):
+                _shared(f, x)
+                _shared(g, x)
+            _shared(f, 1.0)
+            _shared(g, 1.0)
+        assert calls == [("f", 1.0), ("g", 1.0), ("f", 2.0), ("g", 2.0)]
+
+    def test_a_computation_that_raised_is_not_kept(self):
+        calls = []
+
+        def fails_once(x):
+            calls.append(x)
+            if len(calls) == 1:
+                raise DomainError("first call fails")
+            return x
+
+        with _sharing():
+            with pytest.raises(DomainError):
+                _shared(fails_once, 1.0)
+            assert (_shared(fails_once, 1.0), _shared(fails_once, 1.0)) == (1.0, 1.0)
+        assert calls == [1.0, 1.0]
+
+    def test_signed_zeros_are_distinct_keys(self):
+        def sign(x):
+            return math.copysign(1.0, x)
+
+        with _sharing():
+            assert (_shared(sign, 0.0), _shared(sign, -0.0)) == (1.0, -1.0)
+
+    def test_equal_arguments_match_whether_or_not_they_are_one_object(self):
+        calls = []
+
+        def f(x, y):
+            calls.append((x, y))
+            return x + y
+
+        one = 1.0
+        with _sharing():
+            assert _shared(f, one, one) == _shared(f, one, float("1.0")) == 2.0
+        assert len(calls) == 1
+
+    def test_dataclass_arguments_match_by_their_fields(self):
+        calls = []
+        f = _counted(calls)
+        with _sharing():
+            first = _shared(f, RingAnyonSpectrum(1.0, 0.25))
+            assert _shared(f, RingAnyonSpectrum(1.0, 0.25)) is first
+            _shared(f, RingAnyonSpectrum(1.0, -0.25))
+        assert len(calls) == 2
+
+    def test_outside_a_scope_nothing_is_kept(self):
+        calls = []
+        f = _counted(calls)
+        assert _shared(f, 1.0) == _shared(f, 1.0) == [1.0]
+        assert len(calls) == 2
+
+    def test_a_scope_keeps_nothing_after_it_exits(self):
+        calls = []
+        f = _counted(calls)
+        with _sharing():
+            _shared(f, 1.0)
+        _shared(f, 1.0)
+        with _sharing():
+            _shared(f, 1.0)
+            _shared(f, 1.0)
+        assert len(calls) == 3
+
+    def test_a_scope_keeps_nothing_after_its_body_raised(self):
+        calls = []
+        f = _counted(calls)
+        with pytest.raises(DomainError):
+            with _sharing():
+                _shared(f, 1.0)
+                raise DomainError("the body fails")
+        _shared(f, 1.0)
+        with _sharing():
+            _shared(f, 1.0)
+        assert len(calls) == 3
+
+    def test_a_decorated_function_opens_a_fresh_scope_per_call(self):
+        calls = []
+        f = _counted(calls)
+
+        @_sharing()
+        def twice():
+            return _shared(f, 1.0) is _shared(f, 1.0)
+
+        assert twice() and twice()
+        assert len(calls) == 2
+
+    def test_another_thread_does_not_see_the_scope(self):
+        calls = []
+        f = _counted(calls)
+        with _sharing():
+            _shared(f, 1.0)
+            worker = threading.Thread(target=lambda: _shared(f, 1.0))
+            worker.start()
+            worker.join()
+            _shared(f, 1.0)
+        assert len(calls) == 2

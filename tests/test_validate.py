@@ -305,9 +305,9 @@ def test_theta_families_match_a_direct_recomputation(seed):
         assert max_residual > 0.0
 
 
-# The factors, window searches and oracle enumerations that validate's memo
-# shares, by the modules that call each through the memo, with the number of
-# distinct argument lists one run gives each.
+# The factors, window searches and oracle enumerations that validate's scope
+# shares, by the modules that call each through ``thermo._shared``, with the
+# number of distinct argument lists one run gives each.
 SHARED = {
     ((cf,), "_ring_isochore"): 76,
     ((cf,), "_cs_isochore"): 42,
@@ -323,8 +323,7 @@ def _record_shared(monkeypatch):
         real = getattr(modules[0], name)
 
         def recorded(*args, real=real, name=name):
-            # the reuse a factor passes on is not one of its arguments
-            key = (name, repr([a for a in args if not callable(a)]))
+            key = (name, repr(args))
             try:
                 result = real(*args)
             except AnyonOttoError:
@@ -353,9 +352,9 @@ def test_memo_gives_the_bits_of_computing_afresh(monkeypatch, seed, variant):
     shared = _fields(run_validation(seed=seed, variant=variant))
     shared_log = list(log)
     log.clear()
-    monkeypatch.setattr(validate, "_IsochoreMemo", lambda: otto._call)
-    assert _fields(run_validation(seed=seed, variant=variant)) == shared
-    # a computation that raised is not kept: the memo runs each one again
+    # the undecorated run opens no scope, so it computes every point afresh
+    assert _fields(run_validation.__wrapped__(seed=seed, variant=variant)) == shared
+    # a computation that raised is not kept: the scope runs each one again
     raised = [c for c in log if c[2]]
     assert [c for c in shared_log if c[2]] == raised
     assert bool(raised) == (variant != cf.VARIANT_REDERIVED)
@@ -370,7 +369,23 @@ def test_each_factor_window_and_enumeration_runs_once(monkeypatch):
     assert calls == {name: n for (_, name), n in SHARED.items()}
 
 
-def test_partition_oracles_enumerate_through_the_memo(monkeypatch):
+def test_each_series_triple_is_summed_once(monkeypatch):
+    # the pair's half-lattice triple at gamma 0 is the even sector's at alpha 0
+    # and the odd sector's at alpha 1, and the ring's triple at alpha 0 meets the
+    # pair's full-lattice one where their decay rates are equal: a run summed
+    # 180 triples before every triple went through the scope
+    calls = []
+
+    def counted(*args, real=cf._theta_values):
+        calls.append(repr(args))
+        return real(*args)
+
+    monkeypatch.setattr(cf, "_theta_values", counted)
+    run_validation(seed=0)
+    assert len(calls) == len(set(calls)) == 173
+
+
+def test_partition_oracles_enumerate_through_the_scope(monkeypatch):
     # cs-partition's oracle and the pair energy sums meet the same level sets;
     # each is enumerated once per run, in label order, whichever family asks first
     calls = []
@@ -395,4 +410,22 @@ def test_validate_sorts_no_level_set(monkeypatch, variant):
     results = run_validation(random_points=10, variant=variant)
     assert [r.n_errors for r in results] == [
         ERRORS[variant].get(name, 0) for name, _, _ in FAMILIES
+    ]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-12, 3e-13, 1e-14])
+def test_thresholds_scale_with_rel_tol_down_to_the_floor(rel_tol):
+    got = [r.threshold.hex() for r in run_validation(rel_tol=rel_tol, random_points=10)]
+    assert got == [(validate.THRESHOLD_FACTORS[name] * rel_tol).hex() for name, _, _ in FAMILIES]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_rel_tol_below_the_floor_passes_at_the_floors_thresholds(seed):
+    # the sums are rounding-limited below rel_tol 1e-14, so the thresholds
+    # stay at the floor's and every family passes at the same points
+    floor = _fields(run_validation(rel_tol=validate.THRESHOLD_REL_TOL_FLOOR, seed=seed))
+    results = run_validation(rel_tol=1e-17, seed=seed)
+    assert all(r.passed for r in results)
+    assert [dict(f, max_residual=None) for f in _fields(results)] == [
+        dict(f, max_residual=None) for f in floor
     ]
