@@ -57,6 +57,7 @@ rejected.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -68,17 +69,19 @@ from .spectra import (
     CSPairSpectrum,
     RING_FLUX_LIMIT,
     RingAnyonSpectrum,
+    _upper_pairs,
     frozen_array,
-    label_box,
-    label_ranges,
+    label_spans,
     pair_length_in_range,
     require_finite,
     require_finite_energies,
     require_tail_tol,
+    span_labels,
     window_bounds,
 )
 from .thermo import (
     DEFAULT_TAIL_TOL,
+    _arguments_key,
     _ground_weights,
     _log_shifted_partition,
     _shared,
@@ -333,28 +336,30 @@ class CycleReport:
         """The box's level count, ``len(labels)``, read without building the labels."""
         return len(self.table[0])
 
+    @functools.cached_property
     def _rows(self) -> tuple:
+        # Kept on the report, not the box: sweep rows share a box across cycles.
         return self.table[0].rows(*self.table[1:])
 
     @property
     def labels(self) -> np.ndarray:
-        return self._rows()[0]
+        return self._rows[0]
 
     @property
     def energies_hot(self) -> np.ndarray:
-        return self._rows()[1]
+        return self._rows[1]
 
     @property
     def energies_cold(self) -> np.ndarray:
-        return self._rows()[2]
+        return self._rows[2]
 
     @property
     def populations_b(self) -> np.ndarray:
-        return self._rows()[3]
+        return self._rows[3]
 
     @property
     def populations_a(self) -> np.ndarray:
-        return self._rows()[4]
+        return self._rows[4]
 
     def strokes(self) -> "StrokeReport":
         """The four strokes' heat and work, and the corner entropies, from this report.
@@ -428,11 +433,13 @@ class _RingBox:
     """The ring's label box, one range of n, evaluated level by level.
 
     The levels are the ring's one label axis, so its rows are its isochores'
-    arrays, and the noise rule's spread is exact.
+    arrays, and the noise rule's spread is exact.  ``spans`` are the box's
+    ``spectra.label_spans``.
     """
 
-    def __init__(self, bounds_b: tuple, bounds_a: tuple):
-        (self.labels,) = label_ranges(bounds_b, bounds_a)
+    def __init__(self, spans: tuple):
+        self.spans = spans
+        (self.labels,) = map(span_labels, spans)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -467,23 +474,23 @@ class _RingBox:
 class _PairBox:
     """The pair's label box: rows n1 by columns n2, cut to n1 <= n2, by its two label axes.
 
-    Either range may come in two pieces (``spectra._label_range``), so each
-    row's first column n2 >= n1 and each column's last row n1 <= n2 are
-    found by position.  ``axes`` holds the rows' and the columns' labels as
-    float views of one array, formed once per box for both spectra's
-    ``CSPairSpectrum.split_energies``.  The per-level rows are built only on
-    request, once.
+    Either range may come in two pieces (``spans``, the box's
+    ``spectra.label_spans``), so each row's first column n2 >= n1 and each
+    column's last row n1 <= n2 are found by position.  ``axes`` holds the
+    rows' and the columns' labels as float views of one array, formed once
+    per box for both spectra's ``CSPairSpectrum.split_energies``.  The
+    per-level rows are built only on request (``rows``), and a box may serve
+    several cycles, so it keeps none.
     """
 
-    def __init__(self, bounds_b: tuple, bounds_a: tuple):
-        self.bounds = (bounds_b, bounds_a)
-        self.n1, self.n2 = label_ranges(bounds_b, bounds_a)
+    def __init__(self, spans: tuple):
+        self.spans = spans
+        self.n1, self.n2 = map(span_labels, spans)
         axes = np.concatenate((self.n1, self.n2), dtype=float)
         self.axes = (axes[:len(self.n1)], axes[len(self.n1):])
         self.first = self.n2.searchsorted(self.n1)  # each row's first column n2 >= n1
         self.last = self.n1.searchsorted(self.n2, "right")  # each column's rows n1 <= n2
         self.size = len(self.n1) * len(self.n2) - int(self.first.sum())
-        self._rows = None
 
     def __len__(self) -> int:
         return self.size
@@ -540,18 +547,17 @@ class _PairBox:
     def rows(self, hot: _Isochore, cold: _Isochore) -> tuple:
         """(labels, E_hot, E_cold, P_B, P_A) level by level, as ``_labelwise`` evaluates them.
 
-        The (4, N) block of the level rows is allocated before the label
-        columns' float copies, which it outlives, so that freeing them leaves
-        no hole below it.  They peak at 64 bytes a level.
+        The labels are ``spectra.label_box``'s.  The (4, N) block of the level
+        rows is allocated before the label columns' float copies, which it
+        outlives, so that freeing them leaves no hole below it.  They peak at
+        64 bytes a level.
         """
-        if self._rows is None:
-            labels, columns = label_box(*self.bounds)
-            block = np.empty((4, len(labels)))
-            columns = [c.astype(float) for c in columns]
-            _labelwise(hot.spectrum, hot.beta, columns, block[0], block[2])
-            _labelwise(cold.spectrum, cold.beta, columns, block[1], block[3])
-            self._rows = tuple(map(frozen_array, (labels, *block)))
-        return self._rows
+        labels = _upper_pairs(self.n1, self.n2)
+        block = np.empty((4, len(labels)))
+        columns = [c.astype(float) for c in labels.T]
+        _labelwise(hot.spectrum, hot.beta, columns, block[0], block[2])
+        _labelwise(cold.spectrum, cold.beta, columns, block[1], block[3])
+        return tuple(map(frozen_array, (labels, *block)))
 
     def is_noise(self, hot: _Isochore, cold: _Isochore, r: float, limit: float) -> bool:
         """The noise rule on the rows, taken only where a bound by label axes reaches ``limit``.
@@ -595,20 +601,36 @@ def _rows_are_noise(rows: tuple, r: float, limit: float) -> bool:
     return _EPS * spread >= limit
 
 
-def _cycle_table(spec: OttoCycleSpec):
+def _cycle_table(spec: OttoCycleSpec, previous: Optional[tuple] = None):
     """(box, hot, cold): the label box of the two isochores and each one's Gibbs state on it.
 
     ``len(box)`` is the box's level count; ``box.rows(hot, cold)`` gives
-    (labels, E_hot, E_cold, P_B, P_A) level by level.
+    (labels, E_hot, E_cold, P_B, P_A) level by level.  Given the table of
+    the sweep's previous row, its box serves again when the two windows'
+    label spans equal its own, and so does each of its states whose
+    spectrum and beta equal this side's bit for bit (``_is_state``): a state
+    is a function of the box's labels, the spectrum and beta alone.
     """
     hot_spec = spec.spectrum_hot()
     cold_spec = spec.spectrum_cold()
-    bounds = (
+    spans = label_spans(
         _shared(window_bounds, hot_spec, spec.beta_h, spec.tail_tol),
         _shared(window_bounds, cold_spec, spec.beta_l, spec.tail_tol),
     )
-    box = (_PairBox if len(bounds[0]) == 2 else _RingBox)(*bounds)
-    return box, box.isochore(hot_spec, spec.beta_h), box.isochore(cold_spec, spec.beta_l)
+    if previous is None or previous[0].spans != spans:
+        box = (_PairBox if len(spans) == 2 else _RingBox)(spans)
+        return box, box.isochore(hot_spec, spec.beta_h), box.isochore(cold_spec, spec.beta_l)
+    box, hot, cold = previous
+    if not _is_state(hot, hot_spec, spec.beta_h):
+        hot = box.isochore(hot_spec, spec.beta_h)
+    if not _is_state(cold, cold_spec, spec.beta_l):
+        cold = box.isochore(cold_spec, spec.beta_l)
+    return box, hot, cold
+
+
+def _is_state(state: _Isochore, spectrum, beta: float) -> bool:
+    """Whether ``state`` is that of ``spectrum`` at ``beta``, as ``thermo._shared`` matches them."""
+    return _arguments_key(spectrum, beta) == _arguments_key(state.spectrum, state.beta)
 
 
 def run_cycle(spec: OttoCycleSpec) -> CycleReport:
@@ -738,9 +760,9 @@ def sweep_efficiency(
     Rows keep the input order.  A failing point (any AnyonOttoError, such as
     a degenerate cycle, a domain violation or an enumeration that does not
     converge) is recorded in its row and does not abort the sweep.  Each row
-    equals an independent ``run_cycle`` bit for bit; the isochore the axis
-    leaves alone is computed once per call, which opens one ``_sharing``
-    scope (see ``_sweep_rows``).
+    equals an independent ``run_cycle`` bit for bit.  The window search of
+    the isochore the axis leaves alone runs once per call, which opens one
+    ``_sharing`` scope, and its state once per label box (see ``_sweep_rows``).
     """
     try:
         field = MEDIUM[template.medium].axis_fields[sweep_axis]
@@ -757,14 +779,19 @@ def _sweep_rows(template: OttoCycleSpec, field: str, values: Sequence[float]):
 
     The rows share the caller's ``_sharing`` scope, so a row whose
     isochore has the (spectrum, beta, tail_tol) of an earlier row takes that
-    window's label bounds instead of searching it again.  The box and its
-    energies depend on both isochores and are built per row.
+    window's label bounds instead of searching it again.  Each row hands the
+    last cycle table built to ``_cycle_table``, which keeps its label box
+    while the windows' spans stay the same, and within it the state of the
+    isochore the axis leaves alone: only the swept isochore's state is built
+    per row.
     """
+    table = None
     for value in values:
         cycle_spec = None
         try:
             cycle_spec = dataclasses.replace(template, **{field: float(value)})
-            row = SweepRow(float(value), run_cycle(cycle_spec), spec=cycle_spec)
+            table = _cycle_table(cycle_spec, table)
+            row = SweepRow(float(value), _cycle_report(*table), spec=cycle_spec)
         except (AnyonOttoError, ValueError) as exc:
             row = SweepRow(
                 value=float(value),

@@ -30,6 +30,7 @@ O(K) row tails.  ``enumerate_levels`` evaluates energies on the label box.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -163,8 +164,7 @@ class CSPairSpectrum:
     def energy(self, n1: int, n2: int) -> float:
         if n1 > n2:
             raise OrderingError(f"require n1 <= n2, got ({n1}, {n2})")
-        unit, offset = self._unit_offset()
-        return offset + 2.0 * unit * (n1 * n1 + n2 * n2 + self.alpha * (n1 - n2))
+        return _pair_energy(*self._unit_offset(), self.alpha, n1, n2)
 
     def energies(
         self, n1: np.ndarray, n2: np.ndarray, out: np.ndarray = None, scratch=None
@@ -238,16 +238,32 @@ def frozen_array(values, dtype=None) -> np.ndarray:
     return arr
 
 
-def _label_range(lo_b: int, hi_b: int, lo_a: int, hi_a: int) -> np.ndarray:
-    """The integers of [lo_b, hi_b] and [lo_a, hi_a], ascending.
+def _label_span(lo_b: int, hi_b: int, lo_a: int, hi_a: int) -> tuple:
+    """The integers of [lo_b, hi_b] and [lo_a, hi_a] as ascending disjoint (lo, hi) intervals.
 
-    One ``np.arange`` when the intervals overlap or touch, two otherwise, so
-    two far-apart windows never span the labels between them.
+    One interval when the two overlap or touch, two otherwise, so two
+    far-apart windows never span the labels between them.
     """
     (lo1, hi1), (lo2, hi2) = sorted(((lo_b, hi_b), (lo_a, hi_a)))
     if lo2 <= hi1 + 1:
-        return np.arange(lo1, max(hi1, hi2) + 1)
-    return np.concatenate((np.arange(lo1, hi1 + 1), np.arange(lo2, hi2 + 1)))
+        return ((lo1, max(hi1, hi2)),)
+    return ((lo1, hi1), (lo2, hi2))
+
+
+def label_spans(bounds_b: tuple, bounds_a: tuple) -> tuple:
+    """Per quantum number, the union of its label intervals in two ``window_bounds``.
+
+    Each is one or two ascending (lo, hi) intervals (``_label_span``); two
+    pairs of windows with equal spans have equal label boxes.
+    """
+    return tuple([_label_span(*b, *a) for b, a in zip(bounds_b, bounds_a)])
+
+
+def span_labels(span: tuple) -> np.ndarray:
+    """The integers of a ``label_spans`` entry, ascending."""
+    if len(span) == 1:
+        return np.arange(span[0][0], span[0][1] + 1)
+    return np.concatenate([np.arange(lo, hi + 1) for lo, hi in span])
 
 
 def label_ranges(bounds_b: tuple, bounds_a: tuple) -> list:
@@ -255,7 +271,7 @@ def label_ranges(bounds_b: tuple, bounds_a: tuple) -> list:
 
     The ring's is its range of n; the pair's are its rows n1 and its columns n2.
     """
-    return [_label_range(*b, *a) for b, a in zip(bounds_b, bounds_a)]
+    return [span_labels(span) for span in label_spans(bounds_b, bounds_a)]
 
 
 def label_box(bounds_b: tuple, bounds_a: tuple) -> tuple:
@@ -427,33 +443,49 @@ def _ring_levels(spec: RingAnyonSpectrum, beta: float, tail_tol: float) -> tuple
         K *= 2
 
 
-def _pair_ground(spec: CSPairSpectrum) -> float:
+def _pair_energy(unit: float, offset: float, alpha: float, n1: int, n2: int) -> float:
+    """E(n1, n2) from ``CSPairSpectrum._unit_offset``'s unit and offset: ``energy``'s expression.
+
+    A window search binds unit, offset and alpha once (``_search_energy``)
+    and evaluates a dozen levels with them.
+    """
+    return offset + 2.0 * unit * (n1 * n1 + n2 * n2 + alpha * (n1 - n2))
+
+
+def _search_energy(spec: CSPairSpectrum):
+    """``spec.energy`` without its order check, as a function of (n1, n2) with n1 <= n2."""
+    return functools.partial(_pair_energy, *spec._unit_offset(), spec.alpha)
+
+
+def _pair_ground(energy, alpha: float) -> float:
     """The least pair energy, from the at most 4 labels nearest (-alpha/2, alpha/2).
 
-    nan if one of them is nan: a window holds a nan energy exactly when its
-    unit terms overflow, and then these labels hold one too.
+    ``energy`` is the spectrum's ``_search_energy``.  nan if one of them is
+    nan: a window holds a nan energy exactly when its unit terms overflow,
+    and then these labels hold one too.
     """
-    m1, m2 = math.floor(-0.5 * spec.alpha), math.floor(0.5 * spec.alpha)
-    lows = [spec.energy(i, j) for i in (m1, m1 + 1) for j in (m2, m2 + 1) if i <= j]
+    m1, m2 = math.floor(-0.5 * alpha), math.floor(0.5 * alpha)
+    lows = [energy(i, j) for i in (m1, m1 + 1) for j in (m2, m2 + 1) if i <= j]
     return math.nan if any(map(math.isnan, lows)) else min(lows)
 
 
-def _cut_bounds(spec: CSPairSpectrum, unit: float, K: int, e_floor: float) -> tuple:
+def _cut_bounds(energy, alpha: float, unit: float, K: int, e_floor: float) -> tuple:
     """((n1_lo, n1_hi), (n2_lo, n2_hi)) of the window's levels at or below ``e_floor``.
 
     Row n1's lowest level lies at n2 = max(n1, nearest(alpha/2)), so the
     rows that keep a level form an interval; each end is walked to from the
-    disk's analytic edge, deciding every step on ``spec.energy``'s doubles.
-    E(n1, n2) = E(-n2, -n1) bit for bit, so the columns mirror the rows.
+    disk's analytic edge, deciding every step on ``spec.energy``'s doubles,
+    which ``energy`` (``_search_energy``) gives.  E(n1, n2) = E(-n2, -n1) bit
+    for bit, so the columns mirror the rows.
     """
     if e_floor == math.inf:  # the cut keeps the whole window, whose highest level is (K, K)
-        require_finite_energies(np.array([spec.energy(K, K)]))
+        require_finite_energies(np.array([energy(K, K)]))
         return (-K, K), (-K, K)
-    half = 0.5 * spec.alpha
+    half = 0.5 * alpha
     c = math.floor(half)  # a row n1 <= c has its lowest level at n2 = c or c + 1
 
     def row_kept(n1: int) -> bool:
-        return min(spec.energy(n1, max(c, n1)), spec.energy(n1, max(c + 1, n1))) <= e_floor
+        return min(energy(n1, max(c, n1)), energy(n1, max(c + 1, n1))) <= e_floor
 
     rho2 = e_floor / (2.0 * unit)  # the disk's squared radius in (n1, n2)
     y0 = min(half - c, c + 1 - half)
@@ -544,7 +576,8 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> tuple:
     K = 3 + int(math.ceil(alpha / 2.0))
     if K <= _CS_WINDOW_CAP:  # else alpha alone is past the cap, and alpha**2 may overflow
         K = max(K, _first_half_width(lam, alpha**2, 1.0, tail_tol, _CS_WINDOW_CAP))
-        e_min = _pair_ground(spec)  # the same in every window
+        energy = _search_energy(spec)
+        e_min = _pair_ground(energy, alpha)  # the same in every window
     while True:
         if K > _CS_WINDOW_CAP:
             raise NoConvergence(
@@ -574,7 +607,7 @@ def _cs_levels(spec: CSPairSpectrum, beta: float, tail_tol: float) -> tuple:
             dropped = _cut_weight(beta, unit, alpha, K, e_min, e_floor, target)
         tail = (outside + dropped) * _CERT_SLACK
         if tail <= tail_tol:
-            return _cut_bounds(spec, unit, K, e_floor), e_floor, tail
+            return _cut_bounds(energy, alpha, unit, K, e_floor), e_floor, tail
         K *= 2
 
 

@@ -211,10 +211,15 @@ def _shared(compute, *args):
     results = _SCOPE.get()
     if results is None:
         return compute(*args)
-    key = (compute, marshal.dumps([a if isinstance(a, _PLAIN) else vars(a) for a in args], 2))
+    key = (compute, _arguments_key(*args))
     if key not in results:
         results[key] = compute(*args)
     return results[key]
+
+
+def _arguments_key(*args) -> bytes:
+    """The bytes ``_shared`` matches ``args`` by: equal exactly where they agree bit for bit."""
+    return marshal.dumps([a if isinstance(a, _PLAIN) else vars(a) for a in args], 2)
 
 
 def partition_function(spec, beta: float, tail_tol: float = DEFAULT_TAIL_TOL) -> float:

@@ -28,7 +28,13 @@ import numpy as np
 
 from anyon_otto import closed_form as cf
 from anyon_otto import otto, thermo
-from anyon_otto.spectra import CSPairSpectrum, RingAnyonSpectrum, enumerate_levels, window_bounds
+from anyon_otto.spectra import (
+    CSPairSpectrum,
+    RingAnyonSpectrum,
+    enumerate_levels,
+    label_spans,
+    window_bounds,
+)
 
 DIGITS = 50
 TOL = 1e-13
@@ -139,7 +145,7 @@ def two_piece_ring_boxes(seed):
         alpha_a = alpha_b + widths[0] + widths[1] + gap
         windows = [(RingAnyonSpectrum(eps0, a), b) for a, b in zip((alpha_b, alpha_a), betas)]
         bounds = [window_bounds(spec, beta, TAIL_TOL) for spec, beta in windows]
-        yield otto._RingBox(*bounds), windows
+        yield otto._RingBox(label_spans(*bounds)), windows
 
 
 def test_two_piece_ring_states_match_mpmath():
@@ -176,7 +182,7 @@ def test_lean_pair_states_share_the_box_axes():
             (CSPairSpectrum(L=length, alpha=alpha), lam * length * length / math.pi**2)
             for alpha, lam in ((alpha_b, lam_b), (alpha_a, lam_a))
         ]
-        box = otto._PairBox(*(window_bounds(spec, beta, TAIL_TOL) for spec, beta in windows))
+        box = otto._PairBox(label_spans(*(window_bounds(s, b, TAIL_TOL) for s, b in windows)))
         fresh = (box.n1.astype(float), box.n2.astype(float))
         for spec, beta in windows:
             state = box.isochore(spec, beta)

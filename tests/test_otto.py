@@ -502,3 +502,56 @@ class TestSweepSharing:
         run_cycle(spec)
         run_cycle(spec)
         assert len(calls) == 4
+
+    def count_tables(self, monkeypatch):
+        """Counts of the label boxes and the isochore states the cycle tables build."""
+        counts = {"boxes": 0, "states": 0}
+
+        def counted(box_type):
+            class Counted(box_type):
+                def __init__(self, spans):
+                    counts["boxes"] += 1
+                    super().__init__(spans)
+
+                def isochore(self, spectrum, beta):
+                    counts["states"] += 1
+                    return super().isochore(spectrum, beta)
+
+            return Counted
+
+        monkeypatch.setattr(otto, "_PairBox", counted(otto._PairBox))
+        monkeypatch.setattr(otto, "_RingBox", counted(otto._RingBox))
+        return counts
+
+    def test_rows_rebuild_only_the_swept_state(self, monkeypatch):
+        counts = self.count_tables(monkeypatch)
+        template = OttoCycleSpec.cs_coupling_cycle(0.0, 0.5, 0.05, 0.1)
+        rows = sweep_efficiency(template, "alpha2", [k / 20 for k in range(21)])
+        assert all(row.report is not None for row in rows)
+        # the spans change once, after the first row: each of the two boxes
+        # builds both states, and every other row the swept state alone
+        assert counts == {"boxes": 2, "states": 23}
+
+    def test_axis_moving_both_isochores_rebuilds_both_states(self, monkeypatch):
+        counts = self.count_tables(monkeypatch)
+        template = OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 5.0)
+        sweep_efficiency(template, "eps0", [0.5 + k / 20 for k in range(21)])
+        assert counts["states"] == 42
+
+    def test_run_cycle_reuses_no_table(self, monkeypatch):
+        counts = self.count_tables(monkeypatch)
+        spec = OttoCycleSpec.ring_cycle(0.1, 0.3, 0.5, 5.0)
+        run_cycle(spec)
+        run_cycle(spec)
+        assert counts == {"boxes": 2, "states": 4}
+
+    def test_rows_sharing_a_box_keep_their_own_level_rows(self):
+        # alpha1 = 30 moves the cold window off the hot one's span, and the box
+        # splits in two pieces; coming back builds a box with the first one's
+        # spans.  check_rows reads every report's rows after the whole sweep.
+        template = OttoCycleSpec.cs_coupling_cycle(0.0, 0.0, 0.05, 1.0)
+        rows = self.check_rows(template, "alpha1", [0.2, 0.4, 30.0, 0.4, 0.2])
+        boxes = [row.report.table[0] for row in rows]
+        assert boxes[0] is boxes[1] and boxes[3] is boxes[4]
+        assert len({id(box) for box in boxes}) == 3
+        assert boxes[3].spans == boxes[0].spans != boxes[2].spans

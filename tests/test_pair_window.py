@@ -123,7 +123,7 @@ class TestRowTailCertificate:
             unit = math.pi**2 / L**2
             mu_n = (max(0, int(round(alpha))) - alpha) ** 2
             e_floor = unit * min((K + 1.0) ** 2 + mu_n, (K + 1.0 - alpha) ** 2)
-            e_min = spectra._pair_ground(spec)
+            e_min = spectra._pair_ground(spectra._search_energy(spec), alpha)
             energies, weights = window_weights(spec, beta, K, e_min)
             assert e_min == energies.min()
             exact = float(weights[energies > e_floor].sum())
