@@ -16,7 +16,9 @@ excited level's and coeff = (g_2/g_1) |r0 a_2 - b_2| / a_1 for degeneracies
 g.  Every quantity of the limit comes from ``energy`` at a few labels.
 
 The closed forms' half of this check waits on their low-temperature
-rewrite: they raise ``DegenerateCycle`` at the ladder's cold end today.
+rewrite: today they raise ``DegenerateCycle`` at the ladder's cold end and
+lose digits before it: the ring's gives 0.5 at beta_h 40, where
+``run_cycle``'s 0.49999986 lies the predicted coeff w = 1.4e-7 away.
 """
 
 import math
@@ -72,6 +74,6 @@ def test_efficiency_tends_to_the_two_level_value(medium):
 
 
 def test_ring_prints_the_limit_at_beta_100():
-    # the coldest cycle ROADMAP item 14 quotes: within 2 ulps of 1/2
+    # beta 100/2000, where w = exp(-40) ~ 4e-18: within 2 ulps of 1/2
     eta = run_cycle(OttoCycleSpec.ring_cycle(0.1, 0.3, 100.0, 2000.0)).efficiency
     assert abs(eta - 0.5) <= 2 * 2.0**-53
