@@ -82,8 +82,8 @@ from .spectra import (
 from .thermo import (
     DEFAULT_TAIL_TOL,
     _arguments_key,
+    _gibbs_entropy,
     _ground_weights,
-    _log_shifted_partition,
     _shared,
     _sharing,
     boltzmann,
@@ -416,16 +416,17 @@ class _Isochore:
 
     def entropy(self) -> float:
         """-sum P ln P = beta <E - ground> + ln Z' over the ground-shifted weights."""
-        return self.beta * sum_of_products(self.energies, self.populations, self.shift) + self.log_z
+        return _gibbs_entropy(self.beta, self.energies, self.populations, self.shift, self.log_z)
 
 
 def _labelwise(spec, beta: float, columns: tuple, energies, populations) -> None:
     """One spectrum's energies and Gibbs populations at ``beta`` on the box's label columns.
 
-    They are written into ``energies`` and ``populations``; the populations
-    array serves as the energies' scratch until it is filled.
+    They are written into ``energies`` and ``populations``; for the pair, the
+    populations array serves as the energies' scratch until it is filled.
     """
-    require_finite_energies(spec.energies(*columns, out=energies, scratch=populations))
+    scratch = {"scratch": populations} if len(columns) == 2 else {}
+    require_finite_energies(spec.energies(*columns, out=energies, **scratch))
     boltzmann(energies, beta, out=populations)
 
 
@@ -445,7 +446,7 @@ class _RingBox:
         return len(self.labels)
 
     def isochore(self, spectrum, beta: float) -> _Isochore:
-        """The state at ``beta`` in one pass: energies, one argmin, the weights and their sum.
+        """The state at ``beta``: the box's energies, then ``thermo.boltzmann``'s one pass.
 
         Each rounding step of E = eps0 (n - alpha)^2 is monotone in
         |n - alpha|, so the box's largest energy lies at its least or its
@@ -453,14 +454,10 @@ class _RingBox:
         """
         energies, populations = np.empty((2, len(self.labels)))
         spectrum.energies(self.labels, out=energies)
-        ground = int(energies.argmin())
         top = max(float(energies[0]), float(energies[-1]))
         if not math.isfinite(top):
             require_finite_energies(np.array([top]))
-        _, e0 = _ground_weights(energies, beta, populations, energies[ground])
-        populations /= float(populations.sum())
-        # The ground's shifted weight is exp(0) = 1, so its population is 1/Z'.
-        log_z = _log_shifted_partition(populations, ground)
+        _, e0, log_z = boltzmann(energies, beta, out=populations)
         return _Isochore(spectrum, beta, energies, populations, float(e0), 0.0, log_z, top)
 
     def rows(self, hot: _Isochore, cold: _Isochore) -> tuple:
@@ -501,9 +498,10 @@ class _PairBox:
         p(n1) = f(n1) sum_{n2 >= n1} g / Z' and p(n2) = g(n2) sum_{n1 <= n2} f / Z',
         where f = exp(-beta A) and g = exp(-beta B) weigh the split's row and
         column terms (``CSPairSpectrum.split_energies``), each 0 at its least
-        label: a level's weight is f(n1) g(n2), and the ground's is 1.  The
-        head and tail sums are running sums (``np.add.accumulate``); each tail
-        runs up from the smallest weights.
+        label, so ``thermo._ground_weights`` forms them against a ground of 0:
+        a level's weight is f(n1) g(n2), and the ground's is 1.  The head and
+        tail sums are running sums (``np.add.accumulate``); each tail runs up
+        from the smallest weights.
         """
         constant, energies = spectrum.split_energies(*self.axes)
         k = len(self.n1)
@@ -512,8 +510,7 @@ class _PairBox:
         top = constant + float(top)
         if not math.isfinite(top):
             require_finite_energies(np.array([top]))
-        populations = np.multiply(energies, -beta)
-        np.exp(populations, out=populations)
+        populations, _ = _ground_weights(energies, beta, e0=0.0)
         # heads[i] = sum_{n1 < n1[i]} f, then tails[j] = sum_{n2 >= n2[j]} g
         sums = np.zeros(len(energies) + 2)
         heads, tails = sums[:k + 1], sums[k + 1:]

@@ -118,12 +118,11 @@ class RingAnyonSpectrum:
         d = n - self.alpha
         return self.eps0 * (d * d)
 
-    def energies(self, n: np.ndarray, out: np.ndarray = None, scratch=None) -> np.ndarray:
+    def energies(self, n: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """E at each label of ``n``, written into ``out`` when one is given.
 
         Integer labels are converted to float inside the subtraction, exactly
-        (|n| < 2^53), so no float copy of them is made.  ``scratch`` is
-        accepted as ``CSPairSpectrum.energies`` takes it; the ring needs none.
+        (|n| < 2^53), so no float copy of them is made.
         """
         d = np.subtract(n, self.alpha, out=out, dtype=float)
         d *= d

@@ -2,20 +2,20 @@
 
 The equilibrium state at inverse temperature beta populates level n with
 P_n proportional to exp(-beta E_n); internal energy is E = sum P_n E_n and
-the von Neumann entropy (kB = 1) is S = -sum P_n ln P_n.  All Boltzmann
-factors are evaluated relative to the ground-state energy, which leaves
-populations and entropy unchanged while keeping exponents in range; the
+the von Neumann entropy (kB = 1) is S = -sum P_n ln P_n.  ``boltzmann``
+builds every per-level Gibbs state in one pass: one argmin for the ground,
+the weights relative to it (``_ground_weights``, exponents in range), their
+normalization, and ln Z' of the shifted weights from the ground's population.
+Every entropy is S = beta <E - E_ground> + ln Z' (``_gibbs_entropy``).  The
 reported log partition function is for the unshifted energies.
 
 A change of the ensemble's energy splits into heat (population change at
-fixed levels) and work (level shifts at fixed populations).  Discretized
-parameter paths are lists of PathStep records; ``heat_work_split`` pairs
-midpoint energies with population increments and midpoint populations with
-energy increments, which makes Q + W telescope to the exact endpoint energy
-difference at any step count.  The cycle builds no path: its strokes hold
-the levels or the populations fixed, so their sums telescope to endpoint dot
-products, which ``otto.CycleReport.strokes`` reads from the cycle's table.
-The paths serve as the stepped reference the tests check those against.
+fixed levels) and work (level shifts at fixed populations).  The cycle
+builds no path: its strokes hold the levels or the populations fixed, so
+their sums telescope to endpoint dot products (``otto.CycleReport.strokes``).
+The discretized paths (PathStep lists) and ``heat_work_split``, whose
+midpoint pairing makes Q + W telescope at any step count, are only the
+stepped reference the tests check that ledger against.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "gibbs",
     "partition_function",
     "entropy",
-    "populations_entropy",
     "heat_work_split",
     "gibbs_isochore_path",
     "linear_isochore_path",
@@ -75,34 +74,40 @@ class GibbsEnsemble:
 
     @property
     def entropy(self) -> float:
-        """Von Neumann entropy -sum P ln P (``populations_entropy``)."""
-        return populations_entropy(self.populations)
+        """Von Neumann entropy -sum P ln P, as beta <E - E_ground> + ln Z' (``_gibbs_entropy``)."""
+        energies = self.levels.energies
+        ground = int(energies.argmin())
+        log_z = _log_shifted_partition(self.populations, ground)
+        return _gibbs_entropy(self.beta, energies, self.populations, energies[ground], log_z)
 
 
 def _ground_weights(energies: np.ndarray, beta: float, out: np.ndarray = None, e0=None) -> tuple:
     """(exp(-beta (E - E_min)), E_min): every Gibbs weight of a level array, exponents in range.
 
     The weights are written into ``out`` when one is given.  ``e0`` is the
-    least energy where the caller already knows it; else it is found.
+    least energy where the caller already knows it; else it is found.  An
+    exponent past the double range is -inf, a weight of 0, without a warning.
     """
     if e0 is None:
         e0 = energies.min()
     weights = np.subtract(energies, e0, out=out)
-    weights *= -beta
+    with np.errstate(over="ignore"):
+        weights *= -beta
     return np.exp(weights, out=weights), e0
 
 
 def boltzmann(energies: np.ndarray, beta: float, out: np.ndarray = None) -> tuple:
-    """(populations, logZ) of the Gibbs state at beta on the levels ``energies``.
+    """(populations, E_ground, ln Z') of the Gibbs state at beta on the levels ``energies``.
 
     The populations are the ground-shifted weights normalized over
-    ``energies``, written into ``out`` when one is given, and logZ refers to
-    the unshifted energies.
+    ``energies``, written into ``out`` when one is given; ln Z' is the log of
+    the ground-shifted weights' sum, so logZ = ln Z' - beta E_ground.
     """
-    weights, e0 = _ground_weights(energies, beta, out)
-    z_shifted = float(weights.sum())
-    weights /= z_shifted
-    return weights, math.log(z_shifted) - beta * e0
+    ground = int(energies.argmin())
+    weights, e0 = _ground_weights(energies, beta, out, energies[ground])
+    weights /= float(weights.sum())
+    # The ground's shifted weight is exp(0) = 1, so its population is 1/Z'.
+    return weights, e0, _log_shifted_partition(weights, ground)
 
 
 # Elements per block in sum_of_products: 32 kB temporaries, which the
@@ -162,12 +167,12 @@ def ensemble_from_levels(levels: LevelSet, beta: float) -> GibbsEnsemble:
         raise DomainError(f"beta must be positive, got {beta}")
     if levels.energies.size == 0:
         raise DomainError("cannot build an ensemble on an empty level set")
-    populations, log_z = boltzmann(levels.energies, beta)
+    populations, e0, log_z = boltzmann(levels.energies, beta)
     return GibbsEnsemble(
         levels=levels,
         beta=float(beta),
         populations=frozen_array(populations),
-        logZ=log_z,
+        logZ=log_z - beta * e0,
     )
 
 
@@ -261,23 +266,19 @@ def _log_shifted_partition(populations: np.ndarray, ground: int) -> float:
     return math.log1p(sum(excited) / p0)
 
 
-def populations_entropy(populations: np.ndarray) -> float:
-    """Von Neumann entropy -sum P ln P of a populations array (0 ln 0 = 0; a pure state's +0.0).
+def _gibbs_entropy(beta: float, energies, populations, shift: float, log_z: float) -> float:
+    """-sum P ln P of a Gibbs state, as beta sum (E - shift) P + ln Z'.
 
-    The largest population's log is ``-_log_shifted_partition``.
+    ``shift`` is the ground energy and ``log_z`` the log of the partition sum
+    of the weights shifted to it, so no population's log is taken and the
+    ground's term keeps its digits where P_ground rounds to 1.
     """
-    p = populations[populations > 0.0]
-    if not p.size:
-        return 0.0
-    log_p = np.log(p)
-    ground = int(p.argmax())
-    log_p[ground] = -_log_shifted_partition(p, ground)
-    return 0.0 - float((p * log_p).sum())
+    return beta * sum_of_products(energies, populations, shift) + log_z
 
 
 def entropy(ensemble: GibbsEnsemble) -> float:
-    """Von Neumann entropy -sum P ln P of the ensemble's populations (0 ln 0 = 0)."""
-    return populations_entropy(ensemble.populations)
+    """Von Neumann entropy -sum P ln P of the ensemble (``GibbsEnsemble.entropy``)."""
+    return ensemble.entropy
 
 
 def require_step_count(n, name: str) -> None:

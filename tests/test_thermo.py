@@ -24,7 +24,7 @@ from anyon_otto.thermo import (
     partition_function,
     sum_of_products,
 )
-from cycle_reference import gibbs_state
+from cycle_reference import gibbs_state, relative_distance
 
 PI2 = math.pi**2
 
@@ -68,6 +68,29 @@ class TestGibbs:
     def test_beta_must_be_positive(self):
         with pytest.raises(DomainError):
             gibbs(RingAnyonSpectrum(1.0, 0.0), 0.0)
+
+
+class TestLogPartition:
+    """logZ of the retained levels against a 50-digit mpmath sum of the same float energies."""
+
+    @pytest.mark.parametrize(
+        "spec, beta",
+        [
+            (RingAnyonSpectrum(1.0, 0.0), 40.0),  # 8.4967e-18, once read as 0.0
+            (RingAnyonSpectrum(1.0, 0.0), 10.0),  # once 3.6e-14 relative off
+            (CSPairSpectrum(1.0, 0.0), 5.0),  # 2.741e-43, once read as 0.0
+        ],
+    )
+    def test_log_z_matches_mpmath(self, spec, beta):
+        ens = gibbs(spec, beta)
+        with mpmath.workdps(50):
+            energies = [mpmath.mpf(e) for e in ens.levels.energies.tolist()]
+            e0 = min(energies)
+            # log1p of the excited weights: 1 + 2.7e-43 keeps only 7 of its digits at 50
+            excited = mpmath.fsum(mpmath.exp(-beta * (e - e0)) for e in energies if e != e0)
+            degeneracy = energies.count(e0)
+            exact = mpmath.log1p(degeneracy - 1 + excited) - beta * e0
+            assert relative_distance(ens.logZ, exact) <= 1e-14
 
 
 class TestPartitionFunction:
