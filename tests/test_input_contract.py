@@ -82,7 +82,8 @@ def cycle_argvs(draw, stratum):
 def sweep_argvs(draw, stratum):
     """A ``sweep`` argv along one of the drawn cycle's axes, over at most four points.
 
-    The grid runs from the cycle's value of that axis to a second draw of it.
+    The grid runs from the cycle's value of that axis to a second draw of it, or
+    to the same value where the second draw's medium has no such axis.
     """
     argv, axes = draw(cycle_argvs(stratum))
     axis = draw(st.sampled_from(sorted(axes)))
