@@ -790,6 +790,69 @@ class TestParserReuse:
         assert codes == [2, 64, 0, 0]
 
 
+class TestParserEdges:
+    """Exit code, stdout and stderr of argvs that stop in the parser, or only just pass it."""
+
+    CHOICES = "(choose from 'cycle', 'sweep', 'validate')"
+    RING = ["--alpha-h", "0.1", "--alpha-l", "0.3", "--beta-h", "0.5", "--beta-l", "25"]
+    TOP_USAGE = "usage: anyon-otto [-h] [--version] {cycle,sweep,validate} ..."
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["-x"], "the following arguments are required: command"),
+            (["bogus"], f"argument command: invalid choice: 'bogus' {CHOICES}"),
+            (["cyc"], f"argument command: invalid choice: 'cyc' {CHOICES}"),
+            (["--", "cycle"], f"argument command: invalid choice: '--' {CHOICES}"),
+            (["--medium", "ring", "cycle"], f"argument command: invalid choice: 'ring' {CHOICES}"),
+            (["cycle", "--version"], "unrecognized arguments: --version"),
+            (["cycle", "extra"], "unrecognized arguments: extra"),
+            (["cycle", "--", "ring"], "unrecognized arguments: -- ring"),
+            (["cycle", "--medium", "ring", "--"], "unrecognized arguments: --"),
+            (["cycle", "--beta-h"], "argument --beta-h: expected one argument"),
+            (["validate", "--config"], "argument --config: expected one argument"),
+        ],
+    )
+    def test_usage_errors_exit_64(self, capsys, argv, message):
+        assert run_cli(argv, capsys) == (64, "", f"config error: {message}\n")
+
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == ("anyon-otto 0.1.0\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, usage, present, absent",
+        [
+            (["-h"], TOP_USAGE, "run a single Otto cycle", "--medium"),
+            (["--help"], TOP_USAGE, "run a single Otto cycle", "--medium"),
+            (["cycle", "-h"], "usage: anyon-otto cycle [-h]", "--alpha-h", "--grid"),
+            (["sweep", "--help"], "usage: anyon-otto sweep [-h]", "--grid", "--variant"),
+            (["validate", "-h"], "usage: anyon-otto validate [-h]", "--variant", "--medium"),
+        ],
+    )
+    def test_help_exits_0_with_its_parsers_usage(self, capsys, argv, usage, present, absent):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        assert out.splitlines()[0].startswith(usage)
+        assert present in out
+        assert absent not in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--medium=ring"], ["--med", "ring"], ["--medium", "ring"]],
+        ids=["joined", "abbreviated", "separate"],
+    )
+    def test_medium_flag_spellings_run_the_same_cycle(self, capsys, flags):
+        spelled = run_cli(["cycle", *flags, *self.RING], capsys)
+        assert spelled == run_cli(["cycle", "--medium", "ring", *self.RING], capsys)
+        assert spelled[0] == 0 and spelled[1].startswith("medium = ring\n")
+
+
 class TestBlasThreads:
     """The printed digits do not follow the BLAS thread count."""
 
