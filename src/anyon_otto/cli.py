@@ -23,7 +23,6 @@ import json
 import math
 import sys
 import time
-from collections import ChainMap
 from pathlib import Path
 
 from . import __version__
@@ -100,6 +99,7 @@ def _build_parser() -> _Parser:
             "--seed", type=int, help="seed for validate's random grids; cycle and sweep ignore it"
         )
 
+    parser.commands = sub.choices  # command name -> its parser, for main
     p_cycle = sub.add_parser("cycle", help="run a single Otto cycle")
     add_run_options(p_cycle)
 
@@ -118,6 +118,8 @@ def _build_parser() -> _Parser:
         choices=cf.VARIANTS,
         help="formula variant to validate (printed variants are expected to fail)",
     )
+    for name, command in sub.choices.items():
+        command.set_defaults(command=name)
     return parser
 
 
@@ -153,14 +155,15 @@ def _require(mapping, key: str):
     return value
 
 
-class _RunConfig(ChainMap):
-    """The run's settings: the flags that were given, then the config file."""
+class _RunConfig(dict):
+    """The run's settings: the config file's, with the flags that were given over them."""
 
     def __init__(self, args: argparse.Namespace):
         given = {key: value for key, value in vars(args).items() if value is not None}
-        super().__init__(given, _load_config_file(args.config) if "config" in given else {})
+        super().__init__(_load_config_file(args.config) if "config" in given else {}, **given)
         # The tolerances, the seed and the variant are checked once, here, so that
-        # a bad one is a configuration error on every command before any work starts.
+        # a bad one is a configuration error on every command before any work starts;
+        # ``accuracy``, rel_tol's SumAccuracy, serves every closed form of the run.
         rel_tol, tail_tol, seed = self.get("rel_tol"), self.get("tail_tol"), self.get("seed")
         if seed is not None and seed < 0:
             raise ConfigError(f"seed must be non-negative, got {seed}")
@@ -168,8 +171,7 @@ class _RunConfig(ChainMap):
         if variant is not None and variant not in cf.VARIANTS:
             raise ConfigError(f"variant must be one of {cf.VARIANTS}, got {variant!r}")
         try:
-            if rel_tol is not None:
-                SumAccuracy(rel_tol=rel_tol)
+            self.accuracy = DEFAULT_ACCURACY if rel_tol is None else SumAccuracy(rel_tol=rel_tol)
             if tail_tol is not None:
                 require_finite(tail_tol=tail_tol)
                 require_tail_tol(tail_tol)
@@ -183,7 +185,7 @@ _TEMPERATURE_PARTNERS = {"beta_h": "beta_l", "beta_l": "beta_h"}
 
 
 def _cycle_spec(cfg: _RunConfig, fallback: dict | None = None) -> OttoCycleSpec:
-    settings = ChainMap(*cfg.maps, fallback or {})
+    settings = {**fallback, **cfg} if fallback else cfg
     medium = _require(settings, "medium")
     if medium not in MEDIA:
         raise ConfigError(f"medium must be one of {MEDIA}, got {medium!r}")
@@ -227,9 +229,8 @@ def _closed_form_residual(spec: OttoCycleSpec, efficiency: float, cfg: _RunConfi
     ``efficiency`` is the caller's run_cycle result for ``spec``: the same
     oracle ``cf.*_efficiency_closed`` would compute, so it is not run twice.
     """
-    acc = SumAccuracy(rel_tol=cfg.get("rel_tol", DEFAULT_ACCURACY.rel_tol))
     try:
-        return cf.relative_residual(*_RESIDUALS[spec.medium](spec, efficiency, acc))
+        return cf.relative_residual(*_RESIDUALS[spec.medium](spec, efficiency, cfg.accuracy))
     except AnyonOttoError:
         return None
 
@@ -273,9 +274,8 @@ def _csv(header, records) -> str:
 
 
 def _print_record(record: dict) -> None:
-    for key, value in record.items():
-        if value is not None:
-            print(f"{_LABELS.get(key, key)} = {_cell(value)}")
+    lines = (f"{_LABELS.get(key, key)} = {_cell(v)}" for key, v in record.items() if v is not None)
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +533,11 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A command's own parser reads the rest of argv; anything else is the top level's.
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         if args.command == "cycle":
             return _cmd_cycle(args)
         if args.command == "sweep":
@@ -543,10 +546,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except AnyonOttoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (AnyonOttoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
