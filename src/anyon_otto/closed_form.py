@@ -233,7 +233,8 @@ def _assemble(hot: tuple, cold: tuple, control_h: float, control_l: float, floor
     ``hot`` and ``cold`` are the isochores' factors (Z, U), with U the energy
     sum as a function of the control value whose spectrum weights it: the
     cold one (l) in the numerator, the hot one (h) in the denominator.  A Z
-    that underflows to 0 raises NoConvergence.
+    that underflows to 0 raises NoConvergence, and so does an eta of NaN, the
+    quotient of energy sums that overflowed.
     """
     (z_h, u_h), (z_l, u_l) = hot, cold
     _require_partitions(z_h, z_l)
@@ -241,7 +242,10 @@ def _assemble(hot: tuple, cold: tuple, control_h: float, control_l: float, floor
     den = u_h(control_h) / z_h - u_l(control_h) / z_l
     if abs(den) < floor:
         raise DegenerateCycle("closed-form denominator vanishes")
-    return 1.0 - num / den
+    eta = 1.0 - num / den
+    if math.isnan(eta):
+        raise NoConvergence("closed-form efficiency is NaN: its energy sums leave the double range")
+    return eta
 
 
 # ---------------------------------------------------------------------------

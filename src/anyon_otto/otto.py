@@ -698,6 +698,10 @@ def efficiency_cs_volume(l1: float, l2: float) -> float:
     l1_sq = l1 * l1
     eta = 1.0 - (l2 * l2) / l1_sq if l1_sq > 0.0 else math.nan
     if not math.isfinite(eta):
+        # The squares left the double range; the ratio, squared after, may not.
+        r = l2 / l1
+        eta = 1.0 - r * r
+    if not math.isfinite(eta):
         raise DomainError(f"L2^2/L1^2 leaves the double range at l1={l1}, l2={l2}")
     return eta
 

@@ -260,6 +260,27 @@ class TestClosedFormulaRangeLimits:
             efficiency_cs_volume(math.inf, math.inf)
         assert efficiency_cs_volume(2.0, 1.0) == 0.75
 
+    @pytest.mark.parametrize("l1, l2", [(2e160, 1e160), (1e-170, 5e-171)])
+    def test_efficiency_cs_volume_where_the_squares_leave_the_range(self, l1, l2):
+        # L1^2 and L2^2 overflow (or underflow) together; their ratio does not.
+        assert efficiency_cs_volume(l1, l2) == 0.75
+
+    def test_efficiency_cs_volume_keeps_the_bits_of_the_squares(self):
+        sizes = (5e-324, 1e-170, 1e-100, 0.3, 1.3, 2.0, 1e100, 1e160, 1e200, 1.7e308)
+        kept = 0
+        for l1, l2 in itertools.product(sizes, sizes):
+            l1_sq = l1 * l1
+            squares = 1.0 - (l2 * l2) / l1_sq if l1_sq > 0.0 else math.nan
+            if math.isfinite(squares):
+                assert efficiency_cs_volume(l1, l2) == squares, (l1, l2)
+                kept += 1
+        assert kept >= 50
+
+    @pytest.mark.parametrize("l1, l2", [(1e-300, 1e300), (1e-100, 1e100), (5e-324, 1.7e308)])
+    def test_efficiency_cs_volume_ratio_overflow(self, l1, l2):
+        with pytest.raises(DomainError, match=r"^L2\^2/L1\^2 leaves the double range at l1="):
+            efficiency_cs_volume(l1, l2)
+
 
 class TestStepCounts:
     """Every step count is an integer >= 1; anything else is a DomainError naming it."""
