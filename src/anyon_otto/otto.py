@@ -465,7 +465,9 @@ class _RingBox:
         return tuple(map(frozen_array, arrays))
 
     def is_noise(self, hot: _Isochore, cold: _Isochore, r: float, limit: float) -> bool:
-        return _EPS * _spread(hot, cold, r) >= limit
+        """The noise rule, taken only where the spread's O(1) bound reaches ``limit``."""
+        bound = _spread_bound(hot, cold, r, 2.0)
+        return _EPS * bound >= limit and _EPS * _spread(hot, cold, r) >= limit
 
 
 class _PairBox:
@@ -565,12 +567,20 @@ class _PairBox:
         The bound is then raised past what rounding may add to either side: by
         2^-20 relative for the populations, and by 2^-29 of the terms' scale for
         the energies (``CSPairSpectrum.term_bound``).  Below ``limit`` so is the
-        rule's sum; else the rows decide.
+        rule's sum; else the rows decide.  The axes' spread is itself taken
+        only where its O(1) bound, ``_spread_bound``, with the same slack,
+        reaches ``limit``.
         """
-        bound = _spread(hot, cold, r) * (1.0 + 2.0**-20)
         terms = cold.spectrum.term_bound(cold.top) + abs(r) * hot.spectrum.term_bound(hot.top)
-        bound += 2.0**-29 * terms
-        return _EPS * bound >= limit and _rows_are_noise(self.rows(hot, cold), r, limit)
+
+        def reaches(spread: float) -> bool:
+            return _EPS * (spread * (1.0 + 2.0**-20) + 2.0**-29 * terms) >= limit
+
+        return (
+            reaches(_spread_bound(hot, cold, r, 4.0))
+            and reaches(_spread(hot, cold, r))
+            and _rows_are_noise(self.rows(hot, cold), r, limit)
+        )
 
 
 def _spread(hot: _Isochore, cold: _Isochore, r: float) -> float:
@@ -578,6 +588,24 @@ def _spread(hot: _Isochore, cold: _Isochore, r: float) -> float:
     return _shifted_spread(
         hot.energies, cold.energies, hot.populations, cold.populations, hot.shift, cold.shift, r
     )
+
+
+def _spread_bound(hot: _Isochore, cold: _Isochore, r: float, total: float) -> float:
+    """An O(1) upper bound on ``_spread``, from numbers each isochore holds.
+
+    Every entry's |(E_cold - shift) - r (E_hot - shift)| is at most
+    reach_cold + |r| reach_hot, with reach = top - shift - constant, and the
+    entries' P_B + P_A add to ``total``: 2 on the ring's one axis, 4 on the
+    pair's two marginals.  The bound is raised past the rounding of the
+    spread's own sum: by 2^-20 relative, for the populations' sums and the
+    sum over up to 2^30 entries, and by 2^-40 of the energies' magnitudes,
+    for the subtractions in each entry and in the reaches.
+    """
+    reach = scale = 0.0
+    for state, weight in ((cold, 1.0), (hot, abs(r))):
+        reach += weight * (state.top - state.shift - state.constant)
+        scale += weight * (abs(state.top) + abs(state.shift) + abs(state.constant))
+    return total * (reach * (1.0 + 2.0**-20) + 2.0**-40 * scale)
 
 
 def _shifted_spread(e_hot, e_cold, p_b, p_a, shift_hot, shift_cold, r) -> float:

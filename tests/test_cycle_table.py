@@ -19,6 +19,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anyon_otto import cli, otto
 from anyon_otto.errors import DegenerateCycle
@@ -276,6 +278,74 @@ def test_noise_fallback_keeps_every_verdict(monkeypatch):
     assert [verdicts[s] for s in NOISE_SPECS] == [True, False, False, False]
     with pytest.raises(DegenerateCycle):
         run_cycle(NOISE_SPECS[0])
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved k ulps up."""
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@st.composite
+def near_noise_cycles(draw):
+    """A cycle whose second control and cold bath lie 0 to 3 ulps from the first, or anywhere."""
+    medium = draw(st.sampled_from(["ring", "cs-coupling", "cs-volume"]))
+    control = draw(st.floats(0.0, 2.0) if medium != "cs-volume" else st.floats(0.5, 2.0))
+    beta_h = draw(st.floats(0.05, 5.0))
+    if draw(st.booleans()):
+        other = _ulps(control, draw(st.integers(0, 3)))
+        beta_l = _ulps(beta_h, draw(st.integers(0, 3)))
+    else:
+        other = draw(st.floats(0.0, 2.0) if medium != "cs-volume" else st.floats(0.5, 2.0))
+        beta_l = beta_h * draw(st.floats(1.0, 20.0))
+    scale = draw(st.floats(0.1, 10.0))
+    if medium == "ring":
+        return OttoCycleSpec.ring_cycle(control, other, beta_h, beta_l, scale), 2.0
+    if medium == "cs-coupling":
+        return OttoCycleSpec.cs_coupling_cycle(control, other, beta_h, beta_l, scale), 4.0
+    return OttoCycleSpec.cs_volume_cycle(control, other, scale / 5, beta_h, beta_l), 4.0
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(near_noise_cycles())
+def test_the_spreads_o1_bound_keeps_every_verdict(case):
+    # The O(1) bound on the spread is never below the spread the rule sums,
+    # and the tiered rule (bound, spread, rows) gives the rows' verdict: at
+    # the cycle's own limit, and at limits 2^-10 either side of eps times the
+    # spread, where the exact sums decide.
+    spec, total = case
+    box, hot, cold = otto._cycle_table(spec)
+    dp = hot.populations - cold.populations
+    q_in, q_out = hot.heat(dp), cold.heat(dp)
+    if q_in == 0.0:
+        return
+    r = q_out / q_in
+    spread = otto._spread(hot, cold, r)
+    assert otto._spread_bound(hot, cold, r, total) >= spread, spec
+    rows = box.rows(hot, cold)
+    limit = abs(q_in) * max(1.0, abs(1.0 - r))
+    for at in (limit, otto._EPS * spread * (1 - 2**-10), otto._EPS * spread * (1 + 2**-10)):
+        assert box.is_noise(hot, cold, r, at) == otto._rows_are_noise(rows, r, at), (spec, at)
+
+
+@pytest.mark.parametrize("r", [-0.7, -3.0, -1e-9])
+@pytest.mark.parametrize("shift", [0.0, 0.25, 1e6])
+def test_the_spreads_o1_bound_is_tight_at_the_top(shift, r):
+    # Both states wholly on their top level and r < 0: every term of the
+    # bound is reached, so it may exceed the spread by its slack alone.
+    def state(top):
+        energies, populations = np.array([shift, top]), np.array([0.0, 1.0])
+        return otto._Isochore(None, 1.0, energies, populations, shift, 0.0, 0.0, top)
+
+    hot, cold = state(shift + 3.0), state(shift + 5.0)
+    spread = otto._spread(hot, cold, r)
+    assert spread <= otto._spread_bound(hot, cold, r, 2.0) <= spread * (1 + 2**-19)
 
 
 @pytest.mark.filterwarnings("ignore:slow Gaussian decay")
