@@ -111,6 +111,7 @@ REGIME_DEGENERATE = "degenerate"
 
 _ZERO_SCALE = 1e-300
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the least normal double
 
 
 @dataclass(frozen=True)
@@ -723,10 +724,11 @@ def efficiency_cs_volume(l1: float, l2: float) -> float:
     if not (l1 > 0.0 and l2 > 0.0):
         raise DomainError("ring sizes must be positive")
     require_finite(l1=l1, l2=l2)
-    l1_sq = l1 * l1
-    eta = 1.0 - (l2 * l2) / l1_sq if l1_sq > 0.0 else math.nan
+    l1_sq, l2_sq = l1 * l1, l2 * l2
+    eta = 1.0 - l2_sq / l1_sq if min(l1_sq, l2_sq) >= _TINY else math.nan
     if not math.isfinite(eta):
-        # The squares left the double range; the ratio, squared after, may not.
+        # A square left the double range, or kept few bits below the least
+        # normal double; the ratio, squared after, may not.
         r = l2 / l1
         eta = 1.0 - r * r
     if not math.isfinite(eta):

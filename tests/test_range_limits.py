@@ -260,9 +260,9 @@ class TestClosedFormulaRangeLimits:
             efficiency_cs_volume(math.inf, math.inf)
         assert efficiency_cs_volume(2.0, 1.0) == 0.75
 
-    @pytest.mark.parametrize("l1, l2", [(2e160, 1e160), (1e-170, 5e-171)])
+    @pytest.mark.parametrize("l1, l2", [(2e160, 1e160), (1e-170, 5e-171), (1e-155, 5e-156)])
     def test_efficiency_cs_volume_where_the_squares_leave_the_range(self, l1, l2):
-        # L1^2 and L2^2 overflow (or underflow) together; their ratio does not.
+        # L1^2 and L2^2 overflow (or underflow, or turn subnormal) together; their ratio does not.
         assert efficiency_cs_volume(l1, l2) == 0.75
 
     def test_efficiency_cs_volume_keeps_the_bits_of_the_squares(self):
