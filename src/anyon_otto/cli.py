@@ -7,7 +7,12 @@ sweep     run a cycle per grid value of one parameter; write CSV/JSON/SVG
 validate  run the closed-form-versus-oracle grids and print residuals
 
 Run parameters come from an optional flat key=value config file plus command
-line flags; a later flag overrides the config file.  All numbers are written
+line flags; a later flag overrides the config file.  Options follow the
+command name.  An argv of exactly spelled ``--flag value`` pairs is read from
+the command parser's option table, each value through its argparse action's
+type and choices; any other spelling (abbreviated, ``--flag=value``, a value
+that starts with ``-``, ``-h``) and every usage error go through argparse,
+which declares the options and words every message.  All numbers are written
 with 17 significant digits so CSV and JSON round-trip exactly, and CSV bytes
 are deterministic for a fixed configuration.
 
@@ -64,10 +69,59 @@ def _fmt(x: float) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ConfigError (exit 64)."""
+    """argparse that reports usage problems as ConfigError (exit 64).
+
+    A command's parser also reads an argv of exactly spelled ``--flag value``
+    pairs from a table of its options (``read_pairs``), so that the common
+    command line skips argparse's general option matching.
+    """
 
     def error(self, message):
         raise ConfigError(message)
+
+    def index_options(self) -> None:
+        """Keep the table ``read_pairs`` reads; called once every option is added.
+
+        ``options`` maps each option string of a one-value option to its
+        action, and ``blank`` is argparse's own namespace for an empty argv:
+        every dest at its default, in argparse's order.
+        """
+        self.options = {
+            flag: action
+            for action in self._actions
+            if type(action) is argparse._StoreAction
+            for flag in action.option_strings
+        }
+        self.blank = vars(self.parse_args([]))
+
+    def read_pairs(self, argv: list) -> argparse.Namespace | None:
+        """argparse's namespace for ``argv`` where it is only exact ``--flag value`` pairs.
+
+        Each value goes through its action's ``type`` and ``choices``, as
+        argparse's would.  Anything else gives None, for argparse to read: an
+        odd word count, a spelling not in the table (abbreviated, joined with
+        ``=``, ``-h``, ``--``), a value that starts with ``-`` (argparse tells
+        negative numbers from options by its own rule), and a value that its
+        type or choices refuse, so that argparse words the error.
+        """
+        if len(argv) % 2:
+            return None
+        given = {}
+        for flag, text in zip(argv[::2], argv[1::2]):
+            action = self.options.get(flag)
+            if action is None or text.startswith("-"):
+                return None
+            try:
+                value = text if action.type is None else action.type(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            given[action.dest] = value
+        # Filled through its __dict__: Namespace(**keys) sets them one setattr at a time.
+        args = argparse.Namespace()
+        vars(args).update(self.blank, **given)
+        return args
 
 
 @functools.cache
@@ -120,6 +174,7 @@ def _build_parser() -> _Parser:
     )
     for name, command in sub.choices.items():
         command.set_defaults(command=name)
+        command.index_options()
     return parser
 
 
@@ -531,13 +586,38 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _parse_top_level(parser: _Parser, argv: list) -> argparse.Namespace:
+    """The top-level parser's reading of an argv whose first word names no command.
+
+    Its own options, -h, --help and --version (abbreviated as argparse
+    allows), exit there.  A usage error whose argv starts with any other
+    option (a dash, then a letter) names that option: a command's options
+    follow the command.
+    """
+    try:
+        return parser.parse_args(argv)
+    except ConfigError:
+        first = argv[0] if argv else ""
+        if first.startswith("-") and first.lstrip("-")[:1].isalpha():
+            commands = ", ".join(parser.commands)
+            raise ConfigError(
+                f"option {first!r} comes before the command; "
+                f"options follow the command name ({commands})"
+            ) from None
+        raise
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    # A command's own parser reads the rest of argv; anything else is the top level's.
+    # A command's own parser reads the rest of argv, from its table where it can;
+    # anything else is the top level's.
     command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        if command:
+            args = command.read_pairs(argv[1:]) or command.parse_args(argv[1:])
+        else:
+            args = _parse_top_level(parser, argv)
         if args.command == "cycle":
             return _cmd_cycle(args)
         if args.command == "sweep":

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -794,6 +795,8 @@ class TestParserEdges:
     """Exit code, stdout and stderr of argvs that stop in the parser, or only just pass it."""
 
     CHOICES = "(choose from 'cycle', 'sweep', 'validate')"
+    MISPLACED = "option '{}' comes before the command; options follow the command name "
+    MISPLACED += "(cycle, sweep, validate)"
     RING = ["--alpha-h", "0.1", "--alpha-l", "0.3", "--beta-h", "0.5", "--beta-l", "25"]
     TOP_USAGE = "usage: anyon-otto [-h] [--version] {cycle,sweep,validate} ..."
 
@@ -801,11 +804,11 @@ class TestParserEdges:
         "argv, message",
         [
             ([], "the following arguments are required: command"),
-            (["-x"], "the following arguments are required: command"),
+            (["-x"], MISPLACED.format("-x")),
             (["bogus"], f"argument command: invalid choice: 'bogus' {CHOICES}"),
             (["cyc"], f"argument command: invalid choice: 'cyc' {CHOICES}"),
             (["--", "cycle"], f"argument command: invalid choice: '--' {CHOICES}"),
-            (["--medium", "ring", "cycle"], f"argument command: invalid choice: 'ring' {CHOICES}"),
+            (["--medium", "ring", "cycle"], MISPLACED.format("--medium")),
             (["cycle", "--version"], "unrecognized arguments: --version"),
             (["cycle", "extra"], "unrecognized arguments: extra"),
             (["cycle", "--", "ring"], "unrecognized arguments: -- ring"),
@@ -851,6 +854,127 @@ class TestParserEdges:
         spelled = run_cli(["cycle", *flags, *self.RING], capsys)
         assert spelled == run_cli(["cycle", "--medium", "ring", *self.RING], capsys)
         assert spelled[0] == 0 and spelled[1].startswith("medium = ring\n")
+
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [(["--vers"], "anyon-otto 0.1.0\n"), (["--version", "--medium"], "anyon-otto 0.1.0\n")]
+        + [(["--hel"], TOP_USAGE), (["-h", "--medium", "ring", "cycle"], TOP_USAGE)],
+    )
+    def test_top_level_options_before_a_command_still_exit_0(self, capsys, argv, out):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(out)
+
+
+def _items(namespace):
+    """A namespace's items in order, with each value's type and repr, so that nan equals nan."""
+    return [(key, type(value), repr(value)) for key, value in vars(namespace).items()]
+
+
+@st.composite
+def command_lines(draw):
+    """A command's parser and an argv drawn from its option strings.
+
+    Each word group is an exact flag and a value, an abbreviated flag and a
+    value, a flag and a value joined by ``=``, or a lone flag or value; flags
+    repeat freely.  ``exact`` tells whether every group is an exact flag and a
+    value that does not start with ``-``.
+    """
+    parser = cli._build_parser().commands[draw(st.sampled_from(["cycle", "sweep", "validate"]))]
+    flags = sorted(parser.options)
+    values = st.sampled_from(
+        ["inf", "nan", "-0.5", "-1e-5", "1e400", "", "0.3", "25", "7", "abc", "1e-10"]
+        + ["ring", "cs-volume", "cs-coupling", "beta_h", "0:1:3", "csv,json", "--medium"]
+        + list(cf.VARIANTS)
+    )
+    argv, exact = [], True
+    for _ in range(draw(st.integers(0, 6))):
+        flag, value = draw(st.sampled_from(flags)), draw(values)
+        spelling = draw(st.sampled_from(["exact", "abbreviated", "joined", "lone"]))
+        if spelling == "exact":
+            argv += [flag, value]
+            exact = exact and not value.startswith("-")
+            continue
+        exact = False
+        if spelling == "abbreviated":
+            argv += [flag[: draw(st.integers(3, len(flag) - 1))], value]
+        elif spelling == "joined":
+            argv.append(f"{flag}={value}")
+        else:
+            argv.append(draw(st.sampled_from([flag, value])))
+    return parser, argv, exact
+
+
+class TestOptionTable:
+    """A command's option table reads an argv as argparse would, or leaves it to argparse."""
+
+    @settings(
+        max_examples=600,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(command_lines())
+    def test_equals_argparse_or_declines(self, case):
+        parser, argv, exact = case
+        got = parser.read_pairs(argv)
+        try:
+            want = parser.parse_args(argv)
+        except (cli.ConfigError, SystemExit):
+            assert got is None, argv
+            return
+        if got is not None:
+            assert _items(got) == _items(want), argv
+        # an argv of exact pairs whose values pass argparse is the table's
+        assert (got is not None) == exact, argv
+
+    @staticmethod
+    def documented_argvs(tmp):
+        """The argvs of README's CLI block and of CI's console script step, but --version."""
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+        workflow = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+        step = workflow.split("- name: Installed console script", 1)[1].split("- name:", 1)[0]
+        step = step.replace("$RUNNER_TEMP", str(tmp))
+        argvs = []
+        for text in (block, step):
+            for line in text.replace("\\\n", " ").splitlines():
+                if "anyon-otto" not in line.split():
+                    continue
+                words = shlex.split(line, comments=True)
+                while words and "=" in words[0] and not words[0].startswith("-"):
+                    words.pop(0)  # an environment assignment
+                if words[:1] != ["anyon-otto"] or words[1:2] == ["--version"]:
+                    continue
+                ends = [i for i, w in enumerate(words) if w in ("|", "||", ">", "2>")]
+                argvs.append(words[1 : ends[0] if ends else None])
+        return argvs
+
+    def test_documented_command_lines_skip_argparse(self, capsys, tmp_path, monkeypatch):
+        def refused(self, *args, **kwargs):
+            raise AssertionError("argparse read a documented command line")
+
+        cli._build_parser()
+        monkeypatch.chdir(tmp_path)
+        argvs = self.documented_argvs(tmp_path)
+        # spelled for argparse on purpose: a bare command line, a command's help,
+        # a joined negative grid, and the README ring cycle's abbreviated twin
+        argparse_spelled = [
+            argv for argv in argvs
+            if not argv or "--help" in argv or any("=" in word for word in argv)
+        ]
+        assert len(argparse_spelled) == 4
+        table_spelled = [argv for argv in argvs if argv not in argparse_spelled]
+        assert len(table_spelled) >= 25
+        (tmp_path / "regular").touch()
+        monkeypatch.setattr(cli._Parser, "parse_args", refused)
+        monkeypatch.setattr(cli._Parser, "parse_known_args", refused)
+        for argv in table_spelled:
+            assert main(argv) in (0, 1, 2, 3, 64), argv
+        capsys.readouterr()
 
 
 class TestBlasThreads:
